@@ -79,9 +79,7 @@ class SimplicialComplex:
         """Every face, the empty set included (unless void)."""
         out: set[frozenset[str]] = set()
         for f in self.facets:
-            fl = sorted(f)
-            for k in range(len(fl) + 1):
-                out.update(frozenset(c) for c in combinations(fl, k))
+            out.update(_subfaces(f))
         return out
 
     def faces_of_dim(self, k: int) -> list[frozenset[str]]:
@@ -110,9 +108,21 @@ class SimplicialComplex:
 
 
 def build_complex(facets: Iterable[Iterable[str]]) -> SimplicialComplex:
-    """Normalize facets (dedupe, drop faces contained in others)."""
-    raw = {frozenset(str(v) for v in f) for f in facets}
-    maximal = [f for f in raw if not any(f < g for g in raw)]
+    """Normalize facets (dedupe, drop faces contained in others).
+
+    A set can only lie strictly inside a larger one, so each set is tested
+    against the strictly larger sets alone; pure input does no comparisons.
+    """
+    by_size: dict[int, set[frozenset[str]]] = {}
+    for f in facets:
+        g = frozenset(str(v) for v in f)
+        by_size.setdefault(len(g), set()).add(g)
+    maximal: list[frozenset[str]] = []
+    larger: list[frozenset[str]] = []
+    for size in sorted(by_size, reverse=True):
+        group = by_size[size]
+        maximal.extend(f for f in group if not any(f < g for g in larger))
+        larger.extend(group)
     maximal.sort(key=lambda f: (len(f), sorted(f)))
     vertices = tuple(sorted({v for f in maximal for v in f}))
     return SimplicialComplex(vertices, tuple(maximal))
@@ -199,12 +209,36 @@ class ShellingOrder:
         return [self.complex.facets[i] for i in self.order]
 
 
-def verify_shelling(c: SimplicialComplex, order: Sequence[int]) -> ShellingOrder:
-    """Check the pairwise shelling criterion and compute restriction faces.
+def _ridges(f: frozenset[str]) -> list[frozenset[str]]:
+    return [f - {v} for v in f]
 
-    ``order`` is a permutation of facet indices. For every i < j some k < j
-    must satisfy F_i ∩ F_j ⊆ F_k ∩ F_j with |F_k ∩ F_j| = |F_j| - 1.
-    r(F_j) collects the vertices x with F_j - x inside the earlier union.
+
+def _subfaces(f: frozenset[str]) -> list[frozenset[str]]:
+    fl = sorted(f)
+    return [frozenset(c) for k in range(len(fl) + 1) for c in combinations(fl, k)]
+
+
+def _shelling_step(
+    f: frozenset[str], ridges: set[frozenset[str]], faces: set[frozenset[str]]
+) -> tuple[frozenset[str], bool]:
+    """One shelling step: the restriction face r(f) given the ridges and
+    faces of the facets placed before ``f``, and whether ``f`` may come
+    next, which it may iff r(f) is not a face of an earlier facet."""
+    r = frozenset(x for x in f if f - {x} in ridges)
+    return r, r not in faces
+
+
+def verify_shelling(c: SimplicialComplex, order: Sequence[int]) -> ShellingOrder:
+    """Check a shelling order by its restriction faces and return them.
+
+    ``order`` is a permutation of facet indices. The restriction face
+    r(F_j) collects the vertices x with F_j - x a ridge of an earlier facet
+    (read from a hash set of earlier ridges). The order is a shelling iff
+    no r(F_j) with j >= 1 is a face of an earlier facet, which is
+    equivalent to the pairwise criterion: for every i < j some k < j has
+    F_i ∩ F_j ⊆ F_k ∩ F_j and |F_k ∩ F_j| = |F_j| - 1. On failure the
+    witness is the first failing j and the first i < j whose facet contains
+    r(F_j), a pair that violates the pairwise criterion.
     """
     if not c.pure:
         raise NotPure("shellings are defined here for pure complexes only")
@@ -214,31 +248,22 @@ def verify_shelling(c: SimplicialComplex, order: Sequence[int]) -> ShellingOrder
     if sorted(order) != list(range(n)):
         raise BadParams("order must be a permutation of all facet indices")
     seq = [c.facets[i] for i in order]
-    for j in range(1, n):
-        fj = seq[j]
-        for i in range(j):
-            inter = seq[i] & fj
-            ok = False
-            for k in range(j):
-                ik = seq[k] & fj
-                if inter <= ik and len(ik) == len(fj) - 1:
-                    ok = True
-                    break
-            if not ok:
-                raise NotShelling(
-                    f"facets {sorted(seq[i])} and {sorted(fj)} violate the "
-                    "pairwise criterion",
-                    i=order[i],
-                    j=order[j],
-                )
-    restrictions = [frozenset()]
-    for j in range(1, n):
-        fj = seq[j]
-        earlier = seq[:j]
-        r = frozenset(
-            x for x in fj if any(fj - {x} <= g for g in earlier)
-        )
+    ridges: set[frozenset[str]] = set()
+    faces: set[frozenset[str]] = set()
+    restrictions = []
+    for j, fj in enumerate(seq):
+        r, ok = _shelling_step(fj, ridges, faces)
+        if not ok:
+            i = next(i for i in range(j) if r <= seq[i])
+            raise NotShelling(
+                f"facets {sorted(seq[i])} and {sorted(fj)} violate the "
+                "pairwise criterion",
+                i=order[i],
+                j=order[j],
+            )
         restrictions.append(r)
+        ridges.update(_ridges(fj))
+        faces.update(_subfaces(fj))
     return ShellingOrder(c, tuple(order), tuple(restrictions))
 
 
@@ -264,35 +289,24 @@ def search_shelling(
     if n > cap:
         raise SizeLimit(f"shelling search capped at {cap} facets ({n} given)")
     facets = list(c.facets)
-
-    def extends(prefix: list[int], j: int) -> bool:
-        fj = facets[j]
-        for i in prefix:
-            inter = facets[i] & fj
-            if not any(
-                inter <= (facets[k] & fj) and len(facets[k] & fj) == len(fj) - 1
-                for k in prefix
-            ):
-                return False
-        return True
-
     prefix: list[int] = []
     used = [False] * n
 
-    def rec() -> bool:
+    def rec(ridges: set[frozenset[str]], faces: set[frozenset[str]]) -> bool:
         if len(prefix) == n:
             return True
         for j in range(n):
-            if not used[j] and extends(prefix, j):
-                used[j] = True
-                prefix.append(j)
-                if rec():
-                    return True
-                prefix.pop()
-                used[j] = False
+            if used[j] or not _shelling_step(facets[j], ridges, faces)[1]:
+                continue
+            used[j] = True
+            prefix.append(j)
+            if rec(ridges.union(_ridges(facets[j])), faces.union(_subfaces(facets[j]))):
+                return True
+            prefix.pop()
+            used[j] = False
         return False
 
-    if not rec():
+    if not rec(set(), set()):
         return None
     return verify_shelling(c, prefix)
 
@@ -519,24 +533,23 @@ def _is_closed_pseudomanifold(c: SimplicialComplex) -> bool:
         return False
     if c.dim == 0:
         return len(c.facets) == 2
-    counts: dict[frozenset[str], int] = {}
-    for f in c.facets:
-        for v in f:
-            ridge = f - {v}
-            counts[ridge] = counts.get(ridge, 0) + 1
-    if any(k != 2 for k in counts.values()):
+    on_ridge: dict[frozenset[str], list[int]] = {}
+    for i, f in enumerate(c.facets):
+        for ridge in _ridges(f):
+            on_ridge.setdefault(ridge, []).append(i)
+    if any(len(ids) != 2 for ids in on_ridge.values()):
         return False
     # strong connectivity through ridges
-    n = len(c.facets)
     seen = {0}
     stack = [0]
     while stack:
         i = stack.pop()
-        for j in range(n):
-            if j not in seen and len(c.facets[i] & c.facets[j]) == len(c.facets[i]) - 1:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
+        for ridge in _ridges(c.facets[i]):
+            for j in on_ridge[ridge]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return len(seen) == len(c.facets)
 
 
 def certify_sphere_or_ball(

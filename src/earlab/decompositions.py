@@ -25,7 +25,6 @@ from .complexes import (
     face_name,
     face_poset,
     h_from_shelling,
-    intersection_complexes,
     is_subcomplex,
     order_complex,
     search_shelling,
@@ -34,6 +33,7 @@ from .complexes import (
 )
 from .errors import (
     BadParams,
+    EarlabError,
     EmptySelection,
     Inconsistent,
     LabelingInvalid,
@@ -686,10 +686,6 @@ def switch_closure_violations(dec: EarDecomposition) -> list[dict]:
 # -- the axiom verifier ---------------------------------------------------------
 
 
-def _facet_lists(c: SimplicialComplex, cap: int = 3) -> list[list[str]]:
-    return [sorted(f) for f in c.facets[:cap]]
-
-
 def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
     """Check the four decomposition axioms plus the resulting h-vector facts.
 
@@ -725,7 +721,7 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
         try:
             cert = certify_sphere_or_ball(ear.complex, ear.shelling.order)
             kind = cert.kind
-        except Exception as exc:  # report, don't raise
+        except EarlabError as exc:  # report, don't raise
             kind = f"UNCERTIFIED({exc})"
         want = "SPHERE" if i == 0 else "BALL"
         if kind != want:
@@ -739,7 +735,7 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
         if amb_kind is None:
             try:
                 amb_kind = certify_sphere_or_ball(ear.ambient).kind
-            except Exception as exc:
+            except EarlabError as exc:
                 amb_kind = f"UNCERTIFIED({exc})"
             amb_cache[amb_key] = amb_kind
         entry = {
@@ -765,14 +761,17 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
         "kinds": ball_entries,
     }
 
+    # The faces common to ear i and the earlier union are those of the
+    # complex generated by pairwise facet intersections, so one running face
+    # set replaces rebuilding the union and the intersection per ear.
     boundary_ok = True
     witnesses = []
-    running = ears[0].complex
+    running = ears[0].complex.faces()
     for i in range(1, len(ears)):
-        inter = intersection_complexes(running, ears[i].complex)
-        bd = boundary_complex(ears[i].complex)
-        have = set(inter.faces())
-        want_faces = set(bd.faces())
+        ear_faces = ears[i].complex.faces()
+        have = ear_faces & running
+        running |= ear_faces
+        want_faces = boundary_complex(ears[i].complex).faces()
         if have != want_faces:
             boundary_ok = False
             diff = sorted(have ^ want_faces, key=lambda f: (len(f), sorted(f)))
@@ -782,7 +781,6 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
                     "faces": [sorted(f) for f in diff[:3]],
                 }
             )
-        running = union_complexes(running, ears[i].complex)
     report["axiom_boundary"] = {"ok": boundary_ok, "witnesses": witnesses}
 
     chains: list[tuple[str, ...]] = []
@@ -818,7 +816,7 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
             hist = _concatenated_histogram(delta, ears)
             h_section["restriction_histogram"] = list(hist) if hist else None
             h_section["histogram_matches"] = hist == tuple(h) if hist else None
-    except Exception as exc:
+    except EarlabError as exc:
         h_section = {"error": str(exc)}
         ineq_ok = m_ok = False
     report["h_checks"] = h_section

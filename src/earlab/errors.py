@@ -79,7 +79,9 @@ class NotPure(EarlabError):
 class NotShelling(EarlabError):
     """A facet order fails the shelling condition.
 
-    Carries the 1-based positions of an offending pair when known.
+    Carries an offending pair when known: ``i`` and ``j`` are 0-based
+    indices into the complex's ``facets``, with facet ``i`` placed before
+    facet ``j`` in the rejected order.
     """
 
     def __init__(self, msg, i=None, j=None):

@@ -1,13 +1,15 @@
 """End-to-end tests for the command line interface.
 
 Everything runs in-process through ``earlab.cli.main`` so we can assert on
-exit codes and parse the JSON reports; one subprocess test checks that the
-module also runs standalone.
+exit codes and parse the JSON reports; subprocess tests check that the
+module also runs standalone and that its digests do not depend on the
+hash seed.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -328,6 +330,33 @@ def test_module_runs_as_script():
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)["elements"]) == 4
+
+
+def _decompose_digest(hash_seed: int, *argv: str) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    proc = subprocess.run(
+        [sys.executable, "-m", "earlab.cli", "decompose", *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [l for l in proc.stderr.splitlines() if l.startswith("sha256 ")]
+    assert len(lines) == 1
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--construction", "rank-boolean", "--rank", "5", "--ranks", "2,4"),
+        ("--construction", "face-poset", "--input", "{fixture}", "--ranks", "1,2"),
+    ],
+)
+def test_decompose_digest_is_independent_of_hash_seed(tmp_path, capsys, argv):
+    fixture = tmp_path / "tetra.json"
+    run_cli(capsys, "gen", "complex-fixture", "--name", "tetrahedron-boundary",
+            "--output", str(fixture))
+    argv = tuple(a.format(fixture=fixture) for a in argv)
+    assert _decompose_digest(0, *argv) == _decompose_digest(1, *argv)
 
 
 def test_bad_subcommand_is_usage_error():

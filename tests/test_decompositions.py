@@ -384,6 +384,17 @@ def test_fake_decomposition_fails_boundary_axiom():
     assert ["c", "d"] in witnesses[0]["faces"]
 
 
+def test_verify_ced_lets_programming_errors_propagate(monkeypatch):
+    # only EarlabError becomes UNCERTIFIED(...); anything else is a bug
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the certifier")
+
+    monkeypatch.setattr("earlab.decompositions.certify_sphere_or_ball", broken)
+    dec = decompose_rank_selected_boolean(3, [1])
+    with pytest.raises(TypeError, match="bug in the certifier"):
+        verify_ced(dec.complex, dec)
+
+
 def test_verify_ced_flags_missing_facets():
     dec = decompose_supersolvable(boolean_lattice(3))
     bigger = union_complexes(dec.complex, build_complex([["zz", "ww"]]))

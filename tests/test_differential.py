@@ -1,0 +1,214 @@
+"""Differential tests: the fast paths of the complex layer against the
+brute-force routes they replaced, on random inputs.
+
+* ``verify_shelling`` (restriction faces from hash sets) against the
+  pairwise shelling criterion, O(n^3);
+* ``build_complex`` (maximality tested against larger sets only) against
+  the all-pairs filter;
+* the boundary axiom of ``verify_ced`` (one running face set) against
+  rebuilding the union and its intersection with each ear.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from earlab.complexes import (
+    SimplicialComplex,
+    boundary_complex,
+    build_complex,
+    intersection_complexes,
+    union_complexes,
+    verify_shelling,
+)
+from earlab.decompositions import (
+    decompose_face_poset,
+    decompose_rank_selected_boolean,
+    decompose_rank_selected_supersolvable,
+    decompose_supersolvable,
+    verify_ced,
+)
+from earlab.errors import NotShelling
+from earlab.labelings import derive_sn_labeling, lex_shelling
+from earlab.lattices import boolean_lattice, partition_lattice
+
+
+# -- oracles ------------------------------------------------------------------
+
+
+def violates_pairwise(c: SimplicialComplex, order, i: int, j: int) -> bool:
+    """True when facets ``i`` before ``j`` in ``order`` break the pairwise
+    criterion: no facet k before j has F_i ∩ F_j ⊆ F_k ∩ F_j with
+    |F_k ∩ F_j| = |F_j| - 1."""
+    pos = {f: p for p, f in enumerate(order)}
+    assert pos[i] < pos[j]
+    fi, fj = c.facets[i], c.facets[j]
+    return not any(
+        fi & fj <= c.facets[k] & fj and len(c.facets[k] & fj) == len(fj) - 1
+        for k in order[: pos[j]]
+    )
+
+
+def pairwise_shelling(c: SimplicialComplex, order):
+    """The pairwise shelling check: (restrictions, None) for a shelling,
+    else (None, (i, j)) with the first failing j and first failing i, as
+    indices into ``c.facets``."""
+    seq = [c.facets[i] for i in order]
+    for j in range(1, len(seq)):
+        for i in range(j):
+            if violates_pairwise(c, order, order[i], order[j]):
+                return None, (order[i], order[j])
+    restrictions = [frozenset()]
+    for j in range(1, len(seq)):
+        fj = seq[j]
+        restrictions.append(
+            frozenset(x for x in fj if any(fj - {x} <= g for g in seq[:j]))
+        )
+    return tuple(restrictions), None
+
+
+def all_pairs_build(facets) -> SimplicialComplex:
+    raw = {frozenset(str(v) for v in f) for f in facets}
+    maximal = [f for f in raw if not any(f < g for g in raw)]
+    maximal.sort(key=lambda f: (len(f), sorted(f)))
+    vertices = tuple(sorted({v for f in maximal for v in f}))
+    return SimplicialComplex(vertices, tuple(maximal))
+
+
+def boundary_by_intersections(ears) -> dict:
+    """The boundary axiom with the union and the intersection rebuilt for
+    every ear, in the shape of ``verify_ced``'s ``axiom_boundary``."""
+    ok = True
+    witnesses = []
+    running = ears[0].complex
+    for i in range(1, len(ears)):
+        have = intersection_complexes(running, ears[i].complex).faces()
+        want = boundary_complex(ears[i].complex).faces()
+        if have != want:
+            ok = False
+            diff = sorted(have ^ want, key=lambda f: (len(f), sorted(f)))
+            witnesses.append({"ear": i + 1, "faces": [sorted(f) for f in diff[:3]]})
+        running = union_complexes(running, ears[i].complex)
+    return {"ok": ok, "witnesses": witnesses}
+
+
+# -- fixtures -------------------------------------------------------------------
+
+
+def _lex_shelled(lat):
+    sh, _ = lex_shelling(lat.poset, derive_sn_labeling(lat))
+    return sh.complex, list(sh.order)
+
+
+@lru_cache(maxsize=None)
+def shelling_fixtures() -> tuple[tuple[SimplicialComplex, list[int]], ...]:
+    """(complex, known order) pairs: lex shellings of the B3, B4 and Π4 order
+    complexes, and two complexes with no shelling at all."""
+    bowtie = build_complex([["a", "b", "c"], ["a", "d", "e"]])
+    annulus = build_complex(
+        [["a1", "a2", "b1"], ["a2", "b1", "b2"], ["a2", "a3", "b2"],
+         ["a3", "b2", "b3"], ["a3", "a1", "b3"], ["a1", "b3", "b1"]]
+    )
+    return (
+        _lex_shelled(boolean_lattice(3)),
+        _lex_shelled(boolean_lattice(4)),
+        _lex_shelled(partition_lattice(4)),
+        (bowtie, [0, 1]),
+        (annulus, list(range(6))),
+    )
+
+
+@lru_cache(maxsize=None)
+def small_decompositions():
+    two_triangles = build_complex([["a", "b", "c"], ["a", "b", "d"]])
+    return (
+        decompose_supersolvable(boolean_lattice(3)),
+        decompose_supersolvable(partition_lattice(4)),
+        decompose_rank_selected_boolean(4, [1, 3]),
+        decompose_rank_selected_boolean(5, [2, 4]),
+        decompose_rank_selected_supersolvable(partition_lattice(4), ranks=[2]),
+        decompose_face_poset(two_triangles, ranks=[1, 2]),
+    )
+
+
+# -- shellings -------------------------------------------------------------------
+
+
+@st.composite
+def shelling_cases(draw):
+    """A fixture with either a uniformly random order or its known order
+    perturbed by a few random transpositions (mostly near misses)."""
+    c, base = draw(st.sampled_from(shelling_fixtures()))
+    n = len(base)
+    if draw(st.booleans()):
+        return c, draw(st.permutations(range(n)))
+    order = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(max(0, a - 3), min(n - 1, a + 3)))
+        order[a], order[b] = order[b], order[a]
+    return c, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(shelling_cases())
+def test_verify_shelling_agrees_with_pairwise_criterion(case):
+    c, order = case
+    restrictions, witness = pairwise_shelling(c, order)
+    if witness is None:
+        assert verify_shelling(c, order).restrictions == restrictions
+        return
+    with pytest.raises(NotShelling) as err:
+        verify_shelling(c, order)
+    e = err.value
+    assert violates_pairwise(c, order, e.i, e.j)
+    assert (e.i, e.j) == witness  # same first failing j, and the same i
+
+
+def test_known_orders_are_shellings_and_others_are_not():
+    for c, order in shelling_fixtures()[:3]:
+        assert pairwise_shelling(c, order)[1] is None
+        verify_shelling(c, order)
+    for c, order in shelling_fixtures()[3:]:
+        assert pairwise_shelling(c, order)[1] is not None
+        with pytest.raises(NotShelling):
+            verify_shelling(c, order)
+
+
+# -- build_complex ------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.frozensets(st.sampled_from("abcdef"), max_size=5), max_size=14))
+def test_build_complex_agrees_with_all_pairs_filter(facets):
+    got = build_complex(facets)
+    want = all_pairs_build(facets)
+    assert got.facets == want.facets
+    assert got.vertices == want.vertices
+
+
+# -- the boundary axiom ---------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_boundary_axiom_agrees_with_intersections(data):
+    dec = data.draw(st.sampled_from(small_decompositions()))
+    ears = data.draw(st.permutations(dec.ears))
+    dec = replace(dec, ears=list(ears))
+    assert verify_ced(dec.complex, dec)["axiom_boundary"] == boundary_by_intersections(ears)
+
+
+def test_reordered_ears_fail_with_the_same_witnesses():
+    dec = decompose_rank_selected_boolean(4, [1, 3])
+    assert verify_ced(dec.complex, dec)["axiom_boundary"]["ok"]
+    ears = dec.ears[1:] + dec.ears[:1]
+    report = verify_ced(dec.complex, replace(dec, ears=ears))["axiom_boundary"]
+    assert not report["ok"]
+    assert report["witnesses"]
+    assert report == boundary_by_intersections(ears)
