@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -63,8 +62,7 @@ from .flags import (
     ball_flag_reciprocity,
     g_and_m_check,
     g_vector,
-    is_m_vector,
-    macaulay_pseudopower,
+    m_vector_witness,
     verify_flag_inequalities,
     verify_h_inequalities,
 )
@@ -194,20 +192,6 @@ def _cap_checker(args):
         )
 
     return check
-
-
-def _threads_note() -> None:
-    raw = os.environ.get("EARLAB_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-        if n < 1:
-            raise ValueError
-    except ValueError:
-        _warn(f"EARLAB_THREADS={raw!r} is not a positive integer; ignored")
-        return
-    print(f"threads capped at {n} (constructions run sequentially)", file=sys.stderr)
 
 
 # -- input materialization -------------------------------------------------------
@@ -458,31 +442,16 @@ def _verify_h_inequalities(args) -> tuple[dict, bool]:
     return {"h": h, "failures": failures}, ok
 
 
-def _m_witness(g: list[int]) -> Optional[dict]:
-    if not g:
-        return {"reason": "empty sequence"}
-    if g[0] != 1:
-        return {"index": 0, "reason": "must start at 1"}
-    for i, x in enumerate(g):
-        if x < 0:
-            return {"index": i, "reason": "negative entry"}
-    for i in range(2, len(g)):
-        bound = macaulay_pseudopower(g[i - 1], i - 1)
-        if g[i] > bound:
-            return {"index": i, "value": g[i], "bound": bound}
-    return None
-
-
 def _verify_m_vector(args) -> tuple[dict, bool]:
     if args.g:
         g = _int_list(args.g, "--g")
     else:
         g = list(g_vector(_h_source(args)))
-    ok = is_m_vector(g)
+    witness = m_vector_witness(g)
     body: dict = {"g": g}
-    if not ok:
-        body["witness"] = _m_witness(g)
-    return body, ok
+    if witness is not None:
+        body["witness"] = witness
+    return body, witness is None
 
 
 def _verify_flag_inequalities(args) -> tuple[dict, bool]:
@@ -613,7 +582,6 @@ def _add_caps(sub) -> None:
 def _add_io(sub) -> None:
     sub.add_argument("--input")
     sub.add_argument("--output")
-    sub.add_argument("--format", choices=["json"], default="json")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -693,7 +661,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    _threads_note()
     t0 = time.monotonic()
     try:
         return args.func(args)

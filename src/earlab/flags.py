@@ -40,6 +40,7 @@ __all__ = [
     "h_from_flag_h",
     "g_vector",
     "macaulay_pseudopower",
+    "m_vector_witness",
     "is_m_vector",
     "g_and_m_check",
     "verify_h_inequalities",
@@ -186,21 +187,28 @@ def macaulay_pseudopower(a: int, i: int) -> int:
     return sum(comb(n + 1, d + 1) for n, d in rep)
 
 
-def is_m_vector(seq: Sequence[int]) -> bool:
-    """Macaulay growth test: an O-sequence starts at 1 and each entry obeys
-    the pseudopower bound from the one before."""
+def m_vector_witness(seq: Sequence[int]) -> Optional[dict]:
+    """Macaulay growth test with its witness: None when ``seq`` is an
+    O-sequence (starts at 1, no negative entry, each entry from degree 2 on
+    within the pseudopower bound of the one before), else the first
+    failure."""
     if not seq:
-        return False
+        return {"reason": "empty sequence"}
     if seq[0] != 1:
-        return False
-    if any(x < 0 for x in seq):
-        return False
-    for i in range(1, len(seq)):
-        if i == 1:
-            continue  # degree-1 entries are unconstrained
-        if seq[i] > macaulay_pseudopower(seq[i - 1], i - 1):
-            return False
-    return True
+        return {"index": 0, "reason": "must start at 1"}
+    for i, x in enumerate(seq):
+        if x < 0:
+            return {"index": i, "reason": "negative entry"}
+    for i in range(2, len(seq)):  # degree-1 entries are unconstrained
+        bound = macaulay_pseudopower(seq[i - 1], i - 1)
+        if seq[i] > bound:
+            return {"index": i, "value": seq[i], "bound": bound}
+    return None
+
+
+def is_m_vector(seq: Sequence[int]) -> bool:
+    """True when ``seq`` is an M-vector; see m_vector_witness."""
+    return m_vector_witness(seq) is None
 
 
 def g_and_m_check(h: Sequence[int]) -> tuple[tuple[int, ...], bool]:
@@ -227,28 +235,21 @@ def verify_h_inequalities(h: Sequence[int]) -> tuple[bool, list[str]]:
 # -- weak order and dominance ---------------------------------------------------
 
 
-def _pair_index(m: int) -> dict[tuple[int, int], int]:
-    pairs = {}
-    k = 0
-    for a in range(1, m + 1):
-        for b in range(a + 1, m + 1):
-            pairs[(a, b)] = k
-            k += 1
-    return pairs
-
-
 def inversion_mask(perm: Sequence[int]) -> int:
-    """Bitmask over value pairs (a, b), a < b, set when a appears after b."""
+    """Bitmask over value pairs (a, b), a < b, set when a appears after b.
+
+    Pair (a, b) owns bit (a - 1) * m + b - 1, so masks of one length m
+    compare by containment.
+    """
     m = len(perm)
     pos = {v: i for i, v in enumerate(perm)}
     if len(pos) != m or set(pos) != set(range(1, m + 1)):
         raise BadParams(f"{perm!r} is not a permutation of 1..{m}")
-    idx = _pair_index(m)
     mask = 0
     for a in range(1, m + 1):
         for b in range(a + 1, m + 1):
             if pos[a] > pos[b]:
-                mask |= 1 << idx[(a, b)]
+                mask |= 1 << ((a - 1) * m + b - 1)
     return mask
 
 

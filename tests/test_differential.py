@@ -1,12 +1,14 @@
-"""Differential tests: the fast paths of the complex layer against the
-brute-force routes they replaced, on random inputs.
+"""Differential tests: the fast paths of the complex and lattice layers
+against the brute-force routes they replaced, on random inputs.
 
 * ``verify_shelling`` (restriction faces from hash sets) against the
   pairwise shelling criterion, O(n^3);
 * ``build_complex`` (maximality tested against larger sets only) against
   the all-pairs filter;
 * the boundary axiom of ``verify_ced`` (one running face set) against
-  rebuilding the union and its intersection with each ear.
+  rebuilding the union and its intersection with each ear;
+* ``Lattice``'s join/meet tables (principal-filter lookup) against a bit
+  scan for the unique extremal common bound of each pair.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ from earlab.decompositions import (
     decompose_supersolvable,
     verify_ced,
 )
-from earlab.errors import NotShelling
+from earlab.errors import Inconsistent, NotShelling
 from earlab.labelings import derive_sn_labeling, lex_shelling
-from earlab.lattices import boolean_lattice, partition_lattice
+from earlab.lattices import Lattice, boolean_lattice, partition_lattice
+from earlab.matroids import graphic_matroid, lattice_of_flats, uniform_matroid
+from earlab.posets import Poset, build_poset
 
 
 # -- oracles ------------------------------------------------------------------
@@ -95,6 +99,41 @@ def boundary_by_intersections(ears) -> dict:
             witnesses.append({"ear": i + 1, "faces": [sorted(f) for f in diff[:3]]})
         running = union_complexes(running, ears[i].complex)
     return {"ok": ok, "witnesses": witnesses}
+
+
+def bit_scan_bound(p: Poset, i: int, j: int, upper: bool) -> int:
+    """The least common upper bound (greatest common lower bound) of i and j,
+    found by scanning the common bounds for one with no other below (above)
+    it; raise Inconsistent unless there is exactly one."""
+    if upper:
+        mask = p.up_mask(i) & p.up_mask(j)
+    else:
+        mask = p.down_mask(i) & p.down_mask(j)
+    found = -1
+    m = mask
+    k = 0
+    while m:
+        if m & 1:
+            inner = (p.down_mask(k) if upper else p.up_mask(k)) & mask
+            if inner == (1 << k):
+                if found >= 0:
+                    raise Inconsistent("no unique extremal common bound")
+                found = k
+        m >>= 1
+        k += 1
+    return found
+
+
+def bit_scan_tables(p: Poset):
+    """(join table, meet table) over every pair, or None for a non-lattice."""
+    pairs = [(i, j) for i in range(p.n) for j in range(p.n)]
+    try:
+        return (
+            [bit_scan_bound(p, i, j, upper=True) for i, j in pairs],
+            [bit_scan_bound(p, i, j, upper=False) for i, j in pairs],
+        )
+    except Inconsistent:
+        return None
 
 
 # -- fixtures -------------------------------------------------------------------
@@ -212,3 +251,62 @@ def test_reordered_ears_fail_with_the_same_witnesses():
     assert not report["ok"]
     assert report["witnesses"]
     assert report == boundary_by_intersections(ears)
+
+
+# -- lattice join/meet tables ---------------------------------------------------------
+
+
+def lattice_tables(p: Poset):
+    """(join table, meet table) served by Lattice, or None when it refuses p."""
+    try:
+        lat = Lattice(p)
+    except Inconsistent:
+        return None
+    pairs = [(i, j) for i in range(p.n) for j in range(p.n)]
+    return (
+        [lat.join_i(i, j) for i, j in pairs],
+        [lat.meet_i(i, j) for i, j in pairs],
+    )
+
+
+@st.composite
+def bounded_posets(draw):
+    """Up to 7 elements under a random order, between a new bottom and top.
+    Many are lattices (chains, M_k) and many are not (bowties)."""
+    k = draw(st.integers(0, 7))
+    inner = [f"p{i}" for i in range(k)]
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    covers = [("bot", x) for x in inner] + [(x, "top") for x in inner]
+    covers += [(inner[a], inner[b]) for (a, b), kept in zip(pairs, keep) if kept]
+    covers.append(("bot", "top"))
+    return build_poset(["bot", "top", *inner], covers, graded=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_posets())
+def test_lattice_tables_agree_with_bit_scan_on_random_posets(p):
+    assert lattice_tables(p) == bit_scan_tables(p)
+
+
+FAMILIES = {
+    **{f"B{r}": boolean_lattice(r).poset for r in range(1, 7)},
+    **{f"Pi{n}": partition_lattice(n).poset for n in range(2, 6)},
+    "U24-flats": lattice_of_flats(uniform_matroid(2, 4)).poset,
+    "K4-flats": lattice_of_flats(
+        graphic_matroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    ).poset,
+    "bowtie": build_poset(
+        ["0", "a", "b", "x", "y", "1"],
+        [("0", "a"), ("0", "b"), ("a", "x"), ("a", "y"),
+         ("b", "x"), ("b", "y"), ("x", "1"), ("y", "1")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_lattice_tables_agree_with_bit_scan_on_families(name):
+    p = FAMILIES[name]
+    want = bit_scan_tables(p)
+    assert lattice_tables(p) == want
+    assert (want is None) == (name == "bowtie")

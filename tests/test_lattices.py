@@ -66,6 +66,22 @@ def test_non_lattice_poset_rejected():
         Lattice(p)
 
 
+def test_large_non_lattice_poset_rejected():
+    # the bowtie above plus 300 elements between bottom and top: every
+    # pair is checked, however many elements there are
+    extra = [f"e{k:03d}" for k in range(300)]
+    p = build_poset(
+        ["0", "a", "b", "x", "y", "1", *extra],
+        [("0", "a"), ("0", "b"), ("a", "x"), ("a", "y"),
+         ("b", "x"), ("b", "y"), ("x", "1"), ("y", "1")]
+        + [("0", e) for e in extra] + [(e, "1") for e in extra],
+        graded=False,
+    )
+    assert p.n > 300
+    with pytest.raises(Inconsistent, match="'a', 'b' have no unique least upper bound"):
+        Lattice(p)
+
+
 # -- Families ------------------------------------------------------------------
 
 def test_boolean_lattice_sizes():
