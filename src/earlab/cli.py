@@ -59,6 +59,7 @@ from .decompositions import (
 )
 from .errors import BadParams, EarlabError, Inconsistent, SizeLimit
 from .flags import (
+    DOMINANCE_CAP,
     ball_flag_reciprocity,
     g_and_m_check,
     g_vector,
@@ -93,7 +94,7 @@ RUN_SCHEMA = "earlab.run/1"
 VERIFY_SCHEMA = "earlab.verify/1"
 EXPERIMENT_SCHEMA = "earlab.experiment/1"
 
-DEFAULT_CAPS = {"lattice": 200, "descent": 8, "homology": 5000}
+DEFAULT_CAPS = {"lattice": 200, "homology": 5000}
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -180,7 +181,7 @@ def _edge_list(text: str) -> list[tuple[int, int]]:
 
 def _cap_checker(args):
     def check(kind: str, actual: int) -> None:
-        limit = getattr(args, f"cap_{kind}", DEFAULT_CAPS[kind])
+        limit = getattr(args, f"cap_{kind}")
         default = DEFAULT_CAPS[kind]
         if actual <= default:
             return
@@ -194,25 +195,41 @@ def _cap_checker(args):
     return check
 
 
+def _check_rank(rank: int) -> None:
+    """Refuse ranks the descent-class machinery cannot reach, up front."""
+    if rank > DOMINANCE_CAP:
+        raise SizeLimit(f"rank {rank} exceeds the descent-class cap m = {DOMINANCE_CAP}")
+
+
 # -- input materialization -------------------------------------------------------
 
 
-def _lattice_and_labels(doc: Mapping) -> tuple[Lattice, Optional[EdgeLabeling]]:
+def _capped_lattice(doc: Mapping, cap) -> Lattice:
+    """The lattice of a lattice or poset document, its size checked on the
+    poset before the quadratic join/meet tables are filled."""
+    cap("lattice", poset_from_json(doc).n)
+    return lattice_from_json(doc)
+
+
+def _lattice_and_labels(doc: Mapping, cap) -> tuple[Lattice, Optional[EdgeLabeling]]:
     schema = doc.get("schema")
     if schema not in ("earlab.lattice/1", "earlab.poset/1"):
         raise SchemaTrouble(f"expected a lattice or poset document, got {schema!r}")
-    lat = lattice_from_json(doc)
+    lat = _capped_lattice(doc, cap)
     raw = labels_from_json(lat.poset, doc)
     lab = EdgeLabeling(lat.poset, raw) if raw else None
     return lat, lab
 
 
-def _geometric_input(doc: Mapping) -> Lattice:
+def _geometric_input(doc: Mapping, cap) -> Lattice:
     schema = doc.get("schema")
     if schema == "earlab.matroid/1":
-        return lattice_of_flats(matroid_from_json(doc))
+        # flats are only counted by building them
+        lat = lattice_of_flats(matroid_from_json(doc))
+        cap("lattice", lat.poset.n)
+        return lat
     if schema in ("earlab.lattice/1", "earlab.poset/1"):
-        return lattice_from_json(doc)
+        return _capped_lattice(doc, cap)
     raise SchemaTrouble(f"expected a matroid, lattice, or poset document, got {schema!r}")
 
 
@@ -233,15 +250,14 @@ def _run_construction(rec: Mapping, doc: Optional[Mapping], cap) -> EarDecomposi
     ranks = rec.get("ranks")
     if name == "rank-boolean":
         r = int(rec["rank"])
-        cap("descent", r)
+        _check_rank(r)
         cap("lattice", 2**r)
         return decompose_rank_selected_boolean(r, ranks or ())
     if doc is None:
         raise SchemaTrouble("this construction needs an input document")
     if name in ("supersolvable", "rank-supersolvable"):
-        lat, lab = _lattice_and_labels(doc)
-        cap("lattice", lat.poset.n)
-        cap("descent", lat.rank)
+        lat, lab = _lattice_and_labels(doc, cap)
+        _check_rank(lat.rank)
         if name == "supersolvable":
             return decompose_supersolvable(lat, lab)
         return decompose_rank_selected_supersolvable(lat, lab, ranks or ())
@@ -250,12 +266,11 @@ def _run_construction(rec: Mapping, doc: Optional[Mapping], cap) -> EarDecomposi
             raise SchemaTrouble("face-poset needs a complex document")
         c = complex_from_json(doc)
         cap("lattice", len(c.faces()))
-        cap("descent", c.dim + 1)
+        _check_rank(c.dim + 1)
         return decompose_face_poset(c, rec.get("shelling"), ranks or ())
     if name == "geometric":
-        lat = _geometric_input(doc)
-        cap("lattice", lat.poset.n)
-        cap("descent", lat.rank)
+        lat = _geometric_input(doc, cap)
+        _check_rank(lat.rank)
         return decompose_geometric(lat, rec.get("atom_order"), ranks)
     raise BadParams(f"unknown construction {name!r}")
 
@@ -465,7 +480,7 @@ def _verify_flag_inequalities(args) -> tuple[dict, bool]:
         p = poset_from_json(doc)
     else:
         raise SchemaTrouble(f"cannot take flag vectors from schema {schema!r}")
-    rep = verify_flag_inequalities(p, m_cap=args.cap_descent)
+    rep = verify_flag_inequalities(p)
     return rep, rep["violations"] == 0
 
 
@@ -530,10 +545,9 @@ def cmd_experiment(args) -> int:
         c = build_complex(COMPLEX_FIXTURES[args.fixture])
     else:
         raise BadParams("need --input or --fixture")
-    cap = _cap_checker(args)
-    cap("homology", len(c.facets))
+    _cap_checker(args)("homology", len(c.facets))
     d = c.dim + 1
-    cap("descent", d)
+    _check_rank(d)
 
     shellable = search_shelling(c) is not None
     fp = face_poset(c, include_empty=True, graded=True)
@@ -573,10 +587,9 @@ def cmd_experiment(args) -> int:
 # -- wiring ------------------------------------------------------------------------
 
 
-def _add_caps(sub) -> None:
-    sub.add_argument("--cap-lattice", type=int, default=DEFAULT_CAPS["lattice"])
-    sub.add_argument("--cap-descent", type=int, default=DEFAULT_CAPS["descent"])
-    sub.add_argument("--cap-homology", type=int, default=DEFAULT_CAPS["homology"])
+def _add_caps(sub, *kinds: str) -> None:
+    for kind in kinds:
+        sub.add_argument(f"--cap-{kind}", type=int, default=DEFAULT_CAPS[kind])
 
 
 def _add_io(sub) -> None:
@@ -626,7 +639,7 @@ def _parser() -> argparse.ArgumentParser:
     dec.add_argument("--atom-order", help="comma list of atom names (geometric)")
     dec.add_argument("--shelling", help="comma list of facet indices (face-poset)")
     _add_io(dec)
-    _add_caps(dec)
+    _add_caps(dec, "lattice")
     dec.set_defaults(func=cmd_decompose)
 
     ver = subs.add_parser("verify", help="re-check reports, vectors, or complexes")
@@ -646,14 +659,14 @@ def _parser() -> argparse.ArgumentParser:
     ver.add_argument("--h", help="comma list, an h-vector")
     ver.add_argument("--g", help="comma list, a g-vector")
     _add_io(ver)
-    _add_caps(ver)
+    _add_caps(ver, "lattice", "homology")
     ver.set_defaults(func=cmd_verify)
 
     exp = subs.add_parser("experiment", help="observation-only scans")
     exp.add_argument("name", choices=["rank-selection"])
     exp.add_argument("--fixture", help="built-in complex fixture name")
     _add_io(exp)
-    _add_caps(exp)
+    _add_caps(exp, "homology")
     exp.set_defaults(func=cmd_experiment)
 
     return top

@@ -82,18 +82,9 @@ class SimplicialComplex:
             out.update(_subfaces(f))
         return out
 
-    def faces_of_dim(self, k: int) -> list[frozenset[str]]:
-        return sorted(
-            (f for f in self.faces() if len(f) == k + 1),
-            key=lambda f: sorted(f),
-        )
-
     def has_face(self, face: Iterable[str]) -> bool:
         s = frozenset(face)
         return any(s <= f for f in self.facets)
-
-    def facet_key(self, f: frozenset[str]) -> tuple[str, ...]:
-        return tuple(sorted(f))
 
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and set(self.facets) == set(

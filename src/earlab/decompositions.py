@@ -44,8 +44,8 @@ from .errors import (
 )
 from .flags import descent_classes, g_and_m_check, verify_h_inequalities
 from .labelings import EdgeLabeling, check_el, derive_sn_labeling, minimal_labeling, verify_sr
-from .lattices import Lattice, boolean_lattice, check_geometric, closure_under_ops, subset_name
-from .matroids import build_matroid, nbc_bases
+from .lattices import Lattice, boolean_lattice, closure_under_ops, subset_name
+from .matroids import Matroid, nbc_bases
 from .posets import Poset, maximal_chains, mobius, rank_select
 
 
@@ -235,9 +235,6 @@ class EarDecomposition:
     ranks: tuple[int, ...]
     rho: int
 
-    def chain_count(self) -> int:
-        return sum(len(e.chains) for e in self.ears)
-
     def to_json(self) -> dict:
         return {
             "schema": "earlab.decomposition/1",
@@ -295,9 +292,6 @@ def _assemble(
     class_map: dict[tuple[int, ...], list[tuple[frozenset[int], ...]]] = {}
     for fl in _selected_flags(rho, ranks):
         class_map.setdefault(sigma_word(fl, ranks, rho), []).append(fl)
-    stray = set(class_map) - set(words)
-    if stray:
-        raise Inconsistent(f"classifier produced out-of-class words {sorted(stray)}")
 
     ears: list[Ear] = []
     dropped: list[dict] = []
@@ -533,19 +527,17 @@ def decompose_face_poset(
         raise BadParams("need a complex with at least one vertex")
     d = c.dim + 1
     sel_raw = sorted(set(int(s) for s in ranks))
-    if not sel_raw:
-        raise EmptySelection("no ranks selected")
     if any(s >= d for s in sel_raw):
         raise TopRankSelected(
             f"rank {d} (the facets) cannot be selected; asked for {sel_raw}"
         )
     sel = _check_ranks(sel_raw, d)
     if shelling is None:
-        found = search_shelling(c)
-        if found is None:
+        sh = search_shelling(c)
+        if sh is None:
             raise NotShelling("no shelling order found")
-        shelling = found.order
-    sh = verify_shelling(c, list(shelling))
+    else:
+        sh = verify_shelling(c, list(shelling))
 
     fp = face_poset(c, include_empty=True, graded=True)
 
@@ -592,11 +584,9 @@ def decompose_geometric(
 ) -> EarDecomposition:
     """Ears of a geometric lattice's (possibly rank-selected) order complex,
     one outer index per nbc-basis of the underlying simple matroid."""
-    check_geometric(lat)
-    r = lat.rank
     atoms = sorted(lat.atoms()) if atom_order is None else list(atom_order)
-    if sorted(atoms) != sorted(lat.atoms()):
-        raise BadParams("atom order must list exactly the atoms")
+    lab = minimal_labeling(lat, atoms)
+    r = lat.rank
     p = lat.poset
     top_rank = p.rank_of(lat.top)
     bases = [
@@ -604,8 +594,9 @@ def decompose_geometric(
         for combo in combinations(atoms, r)
         if p.rank_of(lat.join_of(combo)) == top_rank
     ]
-    matroid = build_matroid(atoms, bases=bases)
-    lab = minimal_labeling(lat, atoms)
+    # the lattice is geometric, so these are the bases of its simple
+    # matroid; ground order ``atoms`` makes the nbc bases follow it
+    matroid = Matroid(atoms, bases)
     position = {a: i + 1 for i, a in enumerate(atoms)}
 
     copies = []

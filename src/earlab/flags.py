@@ -381,8 +381,8 @@ def verify_flag_inequalities(
     """Check h_T ≤ h_S for every dominating pair (S, T) of rank subsets.
 
     ``p`` must be graded and bounded (callers add bounds to rank selections
-    first). In audit mode violations are recorded, not raised; the caller
-    inspects the report either way.
+    first). Violations are counted in the report and never raised; the
+    caller inspects it. ``audit`` changes nothing and is only echoed back.
     """
     if not (p.graded and p.bounded):
         raise BadParams("need a graded bounded poset")

@@ -20,8 +20,9 @@ from .errors import (
     LabelingInvalid,
     MobiusMismatch,
     NotGraded,
+    NotMChain,
 )
-from .lattices import Lattice, check_geometric, check_mchain
+from .lattices import Lattice, check_geometric
 from .posets import (
     Chain,
     Poset,
@@ -64,9 +65,6 @@ class EdgeLabeling:
 
     def word(self, chain: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.of(a, b) for a, b in zip(chain, chain[1:]))
-
-    def max_label(self) -> int:
-        return max(self.labels.values()) if self.labels else 0
 
     def to_json_field(self) -> dict[str, int]:
         return {f"{a}|{b}": v for (a, b), v in sorted(self.labels.items())}
@@ -149,28 +147,36 @@ def derive_sn_labeling(
 ) -> EdgeLabeling:
     """Labeling from an M-chain z_0 < … < z_r by the min-join rule
     λ(x, y) = min{ i : y ≤ x ∨ z_i }, then verified EL and S_r.
+
+    The verification is also the M-chain test: a saturated chain from
+    bottom to top is an M-chain iff its min-join labeling is an S_r
+    EL-labeling (McNamara, JCTA 101 (2003), Thm 1), so a chain that fails
+    it raises NotMChain. check_mchain tests the definition directly.
     """
     chain = list(mchain) if mchain is not None else list(lat.mchain or ())
     if not chain:
         raise BadParams("no M-chain given and none stored on the lattice")
-    check_mchain(lat, chain)
     p = lat.poset
+    if chain[0] != p.bottom or chain[-1] != p.top:
+        raise NotMChain("candidate chain must run from bottom to top")
+    for a, b in zip(chain, chain[1:]):
+        if p.index(b) not in p.covers_up_of(p.index(a)):
+            raise NotMChain(f"candidate chain is not saturated at {a!r} < {b!r}")
     z = [p.index(e) for e in chain]
     labels = {}
     for a, b in p.cover_pairs():
         ia, ib = p.index(a), p.index(b)
-        val = None
-        for i in range(len(z)):
-            if p.leq_i(ib, lat.join_i(ia, z[i])):
-                val = i
-                break
-        if val is None or val == 0:
-            raise LabelingInvalid(f"min-join rule failed on cover {a!r} < {b!r}")
-        labels[(a, b)] = val
+        # z_r is the top, so some i qualifies; i = 0 never does, as b > a
+        labels[(a, b)] = next(
+            i for i in range(1, len(z)) if p.leq_i(ib, lat.join_i(ia, z[i]))
+        )
     lab = EdgeLabeling(p, labels)
-    check_el(p, lab)
+    try:
+        check_el(p, lab)
+    except (LabelingInvalid, NotGraded) as exc:
+        raise NotMChain(f"min-join labeling of the chain: {exc}") from exc
     if not verify_sr(p, lab, r=len(chain) - 1):
-        raise LabelingInvalid("derived labeling fails the S_r condition")
+        raise NotMChain("min-join labeling of the chain fails the S_r condition")
     return lab
 
 

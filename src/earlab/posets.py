@@ -134,9 +134,6 @@ class Poset:
     def leq(self, x: str, y: str) -> bool:
         return self.leq_i(self.index(x), self.index(y))
 
-    def lt(self, x: str, y: str) -> bool:
-        return x != y and self.leq(x, y)
-
     def rank_of(self, x: str) -> int:
         return self.ranks[self.index(x)]
 
@@ -182,13 +179,6 @@ class Poset:
 
     def __repr__(self):
         return f"Poset({self.n} elements, {len(self.covers)} covers)"
-
-    def structurally_equal(self, other: "Poset") -> bool:
-        return (
-            self.elements == other.elements
-            and self.covers == other.covers
-            and self.graded == other.graded
-        )
 
 
 def _closure_masks(n: int, cover_adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:

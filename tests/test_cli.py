@@ -168,6 +168,52 @@ def test_decompose_size_cap(capsys):
     assert "SizeLimit" in err
 
 
+def test_decompose_rank_cap_names_no_flag(capsys):
+    code, _, err = run_cli(
+        capsys, "decompose", "--construction", "rank-boolean",
+        "--rank", "9", "--ranks", "3,5", "--cap-lattice", "600",
+    )
+    assert code == 2
+    assert "SizeLimit: rank 9 exceeds the descent-class cap m = 8" in err
+    assert "--cap" not in err
+
+
+@pytest.mark.parametrize("schema", ["earlab.lattice/1", "earlab.poset/1"])
+@pytest.mark.parametrize("construction", ["supersolvable", "geometric"])
+def test_lattice_cap_is_checked_before_the_tables(tmp_path, capsys, monkeypatch,
+                                                  schema, construction):
+    names = [str(k) for k in range(201)]
+    doc = {"schema": schema, "elements": names, "covers": list(zip(names, names[1:]))}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+
+    def refuse(*args):
+        raise AssertionError("join/meet tables built before the size cap")
+
+    monkeypatch.setattr("earlab.lattices._bound_table", refuse)
+    code, _, err = run_cli(
+        capsys, "decompose", "--construction", construction, "--input", str(path),
+    )
+    assert code == 2
+    assert "SizeLimit: lattice size 201 exceeds the cap 200" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--construction", "rank-boolean", "--rank", "3", "--ranks", "1",
+     "--cap-descent", "9"],
+    ["decompose", "--construction", "rank-boolean", "--rank", "3", "--ranks", "1",
+     "--cap-homology", "9"],
+    ["verify", "--what", "h-inequalities", "--h", "1,2,1", "--cap-descent", "9"],
+    ["experiment", "rank-selection", "--fixture", "triangle", "--cap-lattice", "9"],
+    ["experiment", "rank-selection", "--fixture", "triangle", "--cap-descent", "9"],
+])
+def test_caps_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_decompose_missing_input_file(capsys):
     code, _, err = run_cli(
         capsys, "decompose", "--construction", "supersolvable",

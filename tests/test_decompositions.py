@@ -291,9 +291,13 @@ def test_geometric_rank_selected():
 
 def test_geometric_membership_oracle():
     # a copy's chain belongs to its ear exactly when the basis-position word
-    # agrees with the minimal labeling word along the chain
-    for lat in (lattice_of_flats(uniform_matroid(2, 4)), two_triangle_flats()):
-        dec = decompose_geometric(lat)
+    # agrees with the minimal labeling word along the chain, whatever the
+    # atom order
+    k4 = graphic_matroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    lats = (lattice_of_flats(uniform_matroid(2, 4)), two_triangle_flats(), lattice_of_flats(k4))
+    cases = [(lat, order) for lat in lats for order in (None, sorted(lat.atoms(), reverse=True))]
+    for lat, atom_order in cases:
+        dec = decompose_geometric(lat, atom_order)
         lab = minimal_labeling(lat, dec.params["atom_order"])
         r = lat.rank
         for ear in dec.ears:

@@ -8,7 +8,10 @@ against the brute-force routes they replaced, on random inputs.
 * the boundary axiom of ``verify_ced`` (one running face set) against
   rebuilding the union and its intersection with each ear;
 * ``Lattice``'s join/meet tables (principal-filter lookup) against a bit
-  scan for the unique extremal common bound of each pair.
+  scan for the unique extremal common bound of each pair;
+* the M-chain test of ``derive_sn_labeling`` (its min-join labeling is an
+  S_r EL-labeling) against ``is_mchain`` (distributivity of the sublattice
+  generated with every maximal chain, by brute force).
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ from earlab.decompositions import (
     decompose_supersolvable,
     verify_ced,
 )
-from earlab.errors import Inconsistent, NotShelling
+from earlab.errors import Inconsistent, NotMChain, NotShelling
 from earlab.labelings import derive_sn_labeling, lex_shelling
-from earlab.lattices import Lattice, boolean_lattice, partition_lattice
+from earlab.lattices import Lattice, boolean_lattice, is_mchain, partition_lattice
 from earlab.matroids import graphic_matroid, lattice_of_flats, uniform_matroid
-from earlab.posets import Poset, build_poset
+from earlab.posets import Poset, build_poset, maximal_chains
 
 
 # -- oracles ------------------------------------------------------------------
@@ -310,3 +313,71 @@ def test_lattice_tables_agree_with_bit_scan_on_families(name):
     want = bit_scan_tables(p)
     assert lattice_tables(p) == want
     assert (want is None) == (name == "bowtie")
+
+
+# -- M-chains by the S_r EL-labeling ----------------------------------------------------
+
+
+def _small_lattice(covers, graded=True) -> Lattice:
+    elements = sorted({x for pair in covers for x in pair})
+    return Lattice(build_poset(elements, covers, graded=graded))
+
+
+@lru_cache(maxsize=None)
+def _mchain_lattices():
+    """name -> (lattice, maximal chains, M-chains among them). The hexagon
+    is graded with no M-chain; N5 is not graded."""
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    c4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    return {
+        "B3": (boolean_lattice(3), 6, 6),
+        "B4": (boolean_lattice(4), 24, 24),
+        "Pi4": (partition_lattice(4), 18, 12),
+        "U24-flats": (lattice_of_flats(uniform_matroid(2, 4)), 4, 4),
+        "U35-flats": (lattice_of_flats(uniform_matroid(3, 5)), 20, 0),
+        "K4-flats": (lattice_of_flats(graphic_matroid(4, k4)), 18, 12),
+        "C4-flats": (lattice_of_flats(graphic_matroid(4, c4)), 12, 0),
+        "M3": (_small_lattice([("0", x) for x in "abc"] + [(x, "1") for x in "abc"]), 3, 3),
+        "hexagon": (
+            _small_lattice(
+                [("0", "a1"), ("a1", "a2"), ("a2", "1"), ("0", "b1"), ("b1", "b2"), ("b2", "1")]
+            ),
+            2,
+            0,
+        ),
+        "N5": (
+            _small_lattice(
+                [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")], graded=False
+            ),
+            2,
+            0,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_mchain_lattices()))
+def test_derived_labeling_accepts_exactly_the_mchains(name):
+    """McNamara, JCTA 101 (2003), Thm 1: a maximal chain is an M-chain iff
+    its min-join labeling is an S_r EL-labeling."""
+    lat, chains, mchains = _mchain_lattices()[name]
+    seen = accepted = 0
+    for c in maximal_chains(lat.poset):
+        want = is_mchain(lat, c.elements)
+        try:
+            derive_sn_labeling(lat, c.elements)
+        except NotMChain:
+            assert not want, c.elements
+        else:
+            assert want, c.elements
+            accepted += 1
+        seen += 1
+    assert (seen, accepted) == (chains, mchains)
+
+
+def test_supersolvable_decomposition_skips_the_distributivity_brute_force(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("distributivity brute force reached")
+
+    monkeypatch.setattr("earlab.lattices._distributive_on", refuse)
+    dec = decompose_supersolvable(boolean_lattice(4))
+    assert verify_ced(dec.complex, dec)["ok"]
