@@ -57,7 +57,7 @@ from .decompositions import (
     decompose_supersolvable,
     verify_ced,
 )
-from .errors import BadParams, EarlabError, Inconsistent, SizeLimit
+from .errors import BadParams, EarlabError, SizeLimit
 from .flags import (
     DOMINANCE_CAP,
     ball_flag_reciprocity,
@@ -91,7 +91,7 @@ from .posets import (
 )
 
 RUN_SCHEMA = "earlab.run/1"
-VERIFY_SCHEMA = "earlab.verify/1"
+VERIFY_SCHEMA = "earlab.verify/2"
 EXPERIMENT_SCHEMA = "earlab.experiment/1"
 
 DEFAULT_CAPS = {"lattice": 200, "homology": 5000}
@@ -250,14 +250,12 @@ def _run_construction(rec: Mapping, doc: Optional[Mapping], cap) -> EarDecomposi
     ranks = rec.get("ranks")
     if name == "rank-boolean":
         r = int(rec["rank"])
-        _check_rank(r)
         cap("lattice", 2**r)
         return decompose_rank_selected_boolean(r, ranks or ())
     if doc is None:
         raise SchemaTrouble("this construction needs an input document")
     if name in ("supersolvable", "rank-supersolvable"):
         lat, lab = _lattice_and_labels(doc, cap)
-        _check_rank(lat.rank)
         if name == "supersolvable":
             return decompose_supersolvable(lat, lab)
         return decompose_rank_selected_supersolvable(lat, lab, ranks or ())
@@ -266,11 +264,9 @@ def _run_construction(rec: Mapping, doc: Optional[Mapping], cap) -> EarDecomposi
             raise SchemaTrouble("face-poset needs a complex document")
         c = complex_from_json(doc)
         cap("lattice", len(c.faces()))
-        _check_rank(c.dim + 1)
         return decompose_face_poset(c, rec.get("shelling"), ranks or ())
     if name == "geometric":
         lat = _geometric_input(doc, cap)
-        _check_rank(lat.rank)
         return decompose_geometric(lat, rec.get("atom_order"), ranks)
     raise BadParams(f"unknown construction {name!r}")
 
@@ -373,18 +369,6 @@ def _report_parts(doc: Mapping) -> tuple[dict, dict, Optional[dict]]:
     if schema == RUN_SCHEMA and doc.get("command") == "decompose":
         src = doc.get("input")
         return dict(doc["args"]), dict(doc["decomposition"]), (src or {}).get("document")
-    if schema == "earlab.decomposition/1":
-        if doc.get("construction") != "rank-boolean":
-            raise SchemaTrouble(
-                "bare decomposition documents carry no input; verify the run report instead"
-            )
-        params = doc.get("params", {})
-        rec = {
-            "construction": "rank-boolean",
-            "rank": params.get("r"),
-            "ranks": params.get("ranks"),
-        }
-        return rec, dict(doc), None
     raise SchemaTrouble(f"cannot verify a document with schema {schema!r}")
 
 
@@ -679,9 +663,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except SchemaTrouble as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except Inconsistent as exc:
-        print(f"error: Inconsistent: {exc}", file=sys.stderr)
         return EXIT_IO
     except EarlabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

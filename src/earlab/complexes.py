@@ -546,8 +546,6 @@ def _is_closed_pseudomanifold(c: SimplicialComplex) -> bool:
 def certify_sphere_or_ball(
     c: SimplicialComplex,
     shelling: Optional[Sequence[int]] = None,
-    *,
-    facet_cap: int = 16,
 ) -> Certificate:
     """Certify SPHERE or BALL, else raise NotCertified.
 
@@ -578,14 +576,14 @@ def certify_sphere_or_ball(
         sh = verify_shelling(c, shelling)
         how = "shelling-given"
     else:
-        sh = search_shelling(c, cap=facet_cap)
+        sh = search_shelling(c)
         how = "shelling-found"
         if sh is None:
             raise NotCertified("no shelling found")
     bd = boundary_complex(c)
     if bd.is_void:
         raise NotCertified("acyclic closed complex is not a ball")
-    bcert = certify_sphere_or_ball(bd, facet_cap=facet_cap)
+    bcert = certify_sphere_or_ball(bd)
     if bcert.kind != "SPHERE":
         raise NotCertified("boundary did not certify as a sphere")
     return Certificate(

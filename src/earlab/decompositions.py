@@ -42,8 +42,15 @@ from .errors import (
     RangeError,
     TopRankSelected,
 )
-from .flags import descent_classes, g_and_m_check, verify_h_inequalities
-from .labelings import EdgeLabeling, check_el, derive_sn_labeling, minimal_labeling, verify_sr
+from .flags import g_and_m_check, verify_h_inequalities
+from .labelings import (
+    EdgeLabeling,
+    check_el,
+    derive_sn_labeling,
+    increasing_and_decreasing_chains,
+    minimal_labeling,
+    verify_sr,
+)
 from .lattices import Lattice, boolean_lattice, closure_under_ops, subset_name
 from .matroids import Matroid, nbc_bases
 from .posets import Poset, maximal_chains, mobius, rank_select
@@ -286,12 +293,15 @@ def _assemble(
     is_new: Callable[[int, tuple[frozenset[int], ...], tuple[str, ...]], bool],
 ) -> EarDecomposition:
     """Classify every copy's selected chains, keep the new ones, shell each
-    class reverse-lex, and check that the ears partition the maximal chains."""
-    words = descent_classes(rho)[frozenset(ranks)]
+    class reverse-lex, and check that the ears partition the maximal chains.
+
+    The class words are the classifiers of the selected flags: every word
+    of the descent class is the classifier of its own prefix flag."""
     ivs = intervals_of(ranks)
     class_map: dict[tuple[int, ...], list[tuple[frozenset[int], ...]]] = {}
     for fl in _selected_flags(rho, ranks):
         class_map.setdefault(sigma_word(fl, ranks, rho), []).append(fl)
+    words = sorted(class_map)
 
     ears: list[Ear] = []
     dropped: list[dict] = []
@@ -299,7 +309,7 @@ def _assemble(
     for ci, copy in enumerate(copies):
         for wj, word in enumerate(words):
             kept: list[tuple[tuple[frozenset[int], ...], tuple[str, ...]]] = []
-            for fl in class_map.get(word, []):
+            for fl in class_map[word]:
                 names = tuple(copy.elem[x] for x in fl)
                 if is_new(ci, fl, names):
                     kept.append((fl, names))
@@ -355,16 +365,34 @@ def _assemble(
 # -- constructions -------------------------------------------------------------
 
 
+def _generated_copy(
+    generators: Sequence, name_of: Callable[[Iterable], str], provenance: dict
+) -> _Copy:
+    """The Boolean copy spanned by ``generators``: coordinate set A names
+    the host element that ``name_of`` gives the generators indexed by A."""
+    r = len(generators)
+    elem = {
+        frozenset(a): name_of(generators[k - 1] for k in a)
+        for size in range(r + 1)
+        for a in combinations(range(1, r + 1), size)
+    }
+    return _Copy(elem=elem, provenance=provenance)
+
+
+def _selection(ranks: Optional[Iterable[int]], r: int) -> tuple[int, ...]:
+    """The checked rank set, or the whole proper part when ``ranks`` is None."""
+    if ranks is not None:
+        return _check_ranks(ranks, r)
+    if r < 2:
+        raise EmptySelection("proper part has no ranks to select")
+    return tuple(range(1, r))
+
+
 def decompose_rank_selected_boolean(r: int, ranks: Iterable[int]) -> EarDecomposition:
     """Ears of the rank-selected Boolean lattice, one per descent-class word."""
     lat = boolean_lattice(r)
     sel = _check_ranks(ranks, r)
-    elem = {
-        frozenset(a): subset_name(a)
-        for k in range(r + 1)
-        for a in combinations(range(1, r + 1), k)
-    }
-    copy = _Copy(elem=elem, provenance={"copy": "boolean"})
+    copy = _generated_copy(range(1, r + 1), subset_name, {"copy": "boolean"})
     return _assemble(
         "rank-boolean",
         {"r": r, "ranks": list(sel)},
@@ -409,28 +437,13 @@ def _label_coordinates(
 def _supersolvable_copies(lat: Lattice, lab: EdgeLabeling) -> list[_Copy]:
     """One copy per strictly decreasing maximal chain: the sublattice it
     generates with the increasing chain, coordinatized by label sets."""
-    p = lat.poset
-    r = lat.rank
-    chains = maximal_chains(p)
-    increasing = [c for c in chains if list(lab.word(c.elements)) == sorted(lab.word(c.elements))]
-    decreasing = [
-        c
-        for c in chains
-        if all(a > b for a, b in zip(lab.word(c.elements), lab.word(c.elements)[1:]))
-    ]
-    if len(increasing) != 1:
-        raise LabelingInvalid("expected exactly one increasing maximal chain")
-    t = abs(mobius(p, p.bottom, p.top))
-    if len(decreasing) != t:
-        raise Inconsistent(
-            f"{len(decreasing)} decreasing chains but |mobius| = {t}"
-        )
+    rising, falling = increasing_and_decreasing_chains(lat.poset, lab, lat.bottom, lat.top)
     copies = []
-    for c in decreasing:
-        members = closure_under_ops(lat, set(increasing[0].elements) | set(c.elements))
+    for c in falling:
+        members = closure_under_ops(lat, set(rising.elements) | set(c.elements))
         copies.append(
             _Copy(
-                elem=_label_coordinates(lat, lab, members, r),
+                elem=_label_coordinates(lat, lab, members, lat.rank),
                 provenance={"decreasing_chain": list(c.elements)},
             )
         )
@@ -466,26 +479,34 @@ def _check_mobius_nonzero(p: Poset) -> None:
                     )
 
 
-def decompose_rank_selected_supersolvable(
-    lat: Lattice, lab: Optional[EdgeLabeling] = None, ranks: Iterable[int] = ()
+def _supersolvable(
+    construction: str,
+    lat: Lattice,
+    lab: Optional[EdgeLabeling],
+    ranks: Optional[Iterable[int]],
 ) -> EarDecomposition:
-    """Ears of a rank-selected supersolvable lattice: outer index runs over
-    decreasing chains, inner index over descent-class words; empty classes
-    are dropped (with provenance kept)."""
+    """Outer index over decreasing chains, inner index over descent-class
+    words; empty classes are dropped (with provenance kept)."""
     lab = _checked_sr_labeling(lat, lab)
     _check_mobius_nonzero(lat.poset)
-    r = lat.rank
-    sel = _check_ranks(ranks, r)
+    sel = _selection(ranks, lat.rank)
     copies = _supersolvable_copies(lat, lab)
     return _assemble(
-        "rank-supersolvable",
-        {"ranks": list(sel)},
+        construction,
+        {} if ranks is None else {"ranks": list(sel)},
         rank_select(lat.poset, sel),
         copies,
         sel,
-        r,
+        lat.rank,
         _subset_novelty(copies),
     )
+
+
+def decompose_rank_selected_supersolvable(
+    lat: Lattice, lab: Optional[EdgeLabeling] = None, ranks: Iterable[int] = ()
+) -> EarDecomposition:
+    """Ears of a rank-selected supersolvable lattice."""
+    return _supersolvable("rank-supersolvable", lat, lab, ranks)
 
 
 def decompose_supersolvable(
@@ -493,23 +514,7 @@ def decompose_supersolvable(
 ) -> EarDecomposition:
     """Full decomposition of a supersolvable lattice's proper part: one ear
     per strictly decreasing maximal chain."""
-    lab = _checked_sr_labeling(lat, lab)
-    _check_mobius_nonzero(lat.poset)
-    r = lat.rank
-    if r < 2:
-        raise EmptySelection("proper part has no ranks to select")
-    sel = tuple(range(1, r))
-    copies = _supersolvable_copies(lat, lab)
-    dec = _assemble(
-        "supersolvable",
-        {},
-        rank_select(lat.poset, sel),
-        copies,
-        sel,
-        r,
-        _subset_novelty(copies),
-    )
-    return dec
+    return _supersolvable("supersolvable", lat, lab, None)
 
 
 def decompose_face_poset(
@@ -545,22 +550,13 @@ def decompose_face_poset(
     reqs = []
     for step, (facet, restr) in enumerate(zip(sh.facet_sequence(), sh.restrictions)):
         placement = sorted(facet - restr) + sorted(restr)
-        elem = {
-            frozenset(a): face_name(placement[k - 1] for k in a)
-            for size in range(d + 1)
-            for a in combinations(range(1, d + 1), size)
+        provenance = {
+            "facet": face_name(facet),
+            "step": step + 1,
+            "vertex_order": placement,
+            "restriction": face_name(restr),
         }
-        copies.append(
-            _Copy(
-                elem=elem,
-                provenance={
-                    "facet": face_name(facet),
-                    "step": step + 1,
-                    "vertex_order": placement,
-                    "restriction": face_name(restr),
-                },
-            )
-        )
+        copies.append(_generated_copy(placement, face_name, provenance))
         reqs.append(frozenset(range(d - len(restr) + 1, d + 1)))
 
     def is_new(ci: int, fl, chain_names) -> bool:
@@ -598,32 +594,19 @@ def decompose_geometric(
     # matroid; ground order ``atoms`` makes the nbc bases follow it
     matroid = Matroid(atoms, bases)
     position = {a: i + 1 for i, a in enumerate(atoms)}
-
-    copies = []
-    for basis in nbc_bases(matroid):
-        elem = {
-            frozenset(sel): lat.join_of(basis[k - 1] for k in sel)
-            for size in range(r + 1)
-            for sel in combinations(range(1, r + 1), size)
-        }
-        copies.append(
-            _Copy(
-                elem=elem,
-                provenance={
-                    "basis": list(basis),
-                    "atom_positions": [position[a] for a in basis],
-                },
-            )
+    copies = [
+        _generated_copy(
+            basis,
+            lat.join_of,
+            {"basis": list(basis), "atom_positions": [position[a] for a in basis]},
         )
+        for basis in nbc_bases(matroid)
+    ]
 
-    if ranks is None:
-        if r < 2:
-            raise EmptySelection("proper part has no ranks to select")
-        sel = tuple(range(1, r))
-        params: dict = {"atom_order": atoms}
-    else:
-        sel = _check_ranks(ranks, r)
-        params = {"atom_order": atoms, "ranks": list(sel)}
+    sel = _selection(ranks, r)
+    params: dict = {"atom_order": atoms}
+    if ranks is not None:
+        params["ranks"] = list(sel)
     dec = _assemble(
         "geometric",
         params,

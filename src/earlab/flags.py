@@ -375,14 +375,12 @@ def w_set(S: Iterable[int], n: int) -> frozenset[int]:
     return frozenset(i for i in range(1, n + 1) if (i in Sf) + (i + 1 in Sf) == 1)
 
 
-def verify_flag_inequalities(
-    p: Poset, *, m_cap: int = DOMINANCE_CAP, audit: bool = False
-) -> dict:
+def verify_flag_inequalities(p: Poset, *, m_cap: int = DOMINANCE_CAP) -> dict:
     """Check h_T ≤ h_S for every dominating pair (S, T) of rank subsets.
 
     ``p`` must be graded and bounded (callers add bounds to rank selections
     first). Violations are counted in the report and never raised; the
-    caller inspects it. ``audit`` changes nothing and is only echoed back.
+    caller inspects it.
     """
     if not (p.graded and p.bounded):
         raise BadParams("need a graded bounded poset")
@@ -413,13 +411,7 @@ def verify_flag_inequalities(
                     "ok": ok,
                 }
             )
-    report = {
-        "rho": rho,
-        "pairs": pairs,
-        "violations": violations,
-        "audit": audit,
-    }
-    return report
+    return {"rho": rho, "pairs": pairs, "violations": violations}
 
 
 # -- ball flag reciprocity -------------------------------------------------------

@@ -56,7 +56,6 @@ class Chain:
     """A chain of poset elements, listed from lowest to highest."""
 
     elements: tuple[str, ...]
-    saturated: bool = True
 
     def __iter__(self):
         return iter(self.elements)

@@ -16,6 +16,7 @@ import sys
 import pytest
 
 from earlab.cli import main
+from earlab.decompositions import decompose_rank_selected_boolean
 from earlab.posets import canonical_dumps
 
 
@@ -168,14 +169,29 @@ def test_decompose_size_cap(capsys):
     assert "SizeLimit" in err
 
 
-def test_decompose_rank_cap_names_no_flag(capsys):
-    code, _, err = run_cli(
+def test_decompose_rank_nine_needs_only_the_lattice_cap(capsys):
+    code, out, _ = run_cli(
         capsys, "decompose", "--construction", "rank-boolean",
-        "--rank", "9", "--ranks", "3,5", "--cap-lattice", "600",
+        "--rank", "9", "--ranks", "4", "--cap-lattice", "600",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ced"]["ok"] is True
+    assert doc["ced"]["ears"] == len(doc["decomposition"]["ears"]) == 125
+
+
+def test_decompose_non_lattice_poset_is_a_precondition_failure(tmp_path, capsys):
+    covers = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
+              ("b", "d"), ("c", "1"), ("d", "1")]
+    doc = {"schema": "earlab.poset/1", "elements": ["0", "a", "b", "c", "d", "1"],
+           "covers": covers}
+    path = tmp_path / "bowtie.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        capsys, "decompose", "--construction", "supersolvable", "--input", str(path),
     )
     assert code == 2
-    assert "SizeLimit: rank 9 exceeds the descent-class cap m = 8" in err
-    assert "--cap" not in err
+    assert "error: Inconsistent: 'a', 'b' have no unique least upper bound" in err
 
 
 @pytest.mark.parametrize("schema", ["earlab.lattice/1", "earlab.poset/1"])
@@ -244,9 +260,17 @@ def test_verify_ced_roundtrip(tmp_path, capsys):
                            "--input", str(report))
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == "earlab.verify/1"
+    assert doc["schema"] == "earlab.verify/2"
     assert doc["ok"] is True
     assert doc["result"]["chains_match"] is True
+
+
+def test_verify_ced_refuses_a_bare_decomposition(tmp_path, capsys):
+    path = tmp_path / "dec.json"
+    path.write_text(canonical_dumps(decompose_rank_selected_boolean(4, [1, 3]).to_json()))
+    code, _, err = run_cli(capsys, "verify", "--what", "ced", "--input", str(path))
+    assert code == 4
+    assert "cannot verify a document with schema 'earlab.decomposition/1'" in err
 
 
 def test_verify_ced_detects_tampered_chains(tmp_path, capsys):

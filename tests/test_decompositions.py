@@ -11,6 +11,7 @@ import pytest
 from earlab.errors import (
     EmptySelection,
     Inconsistent,
+    NonzeroMobiusViolated,
     RangeError,
     TopRankSelected,
 )
@@ -35,9 +36,9 @@ from earlab.decompositions import (
 )
 from earlab.flags import ball_flag_reciprocity, descent_classes
 from earlab.labelings import descent_set, minimal_labeling
-from earlab.lattices import boolean_lattice, partition_lattice
+from earlab.lattices import Lattice, boolean_lattice, partition_lattice
 from earlab.matroids import graphic_matroid, lattice_of_flats, uniform_matroid
-from earlab.posets import mobius
+from earlab.posets import build_poset, mobius
 
 
 # -- Fixtures ------------------------------------------------------------------
@@ -144,6 +145,14 @@ def test_boolean_rank_guards():
         decompose_rank_selected_boolean(3, [3])  # top rank of B_3 is off-limits
 
 
+def test_boolean_rank_nine_is_not_capped_by_descent_classes():
+    # descent_classes stops at m = 8; the ears read their class words
+    # from the classifier instead
+    dec = decompose_rank_selected_boolean(9, [4])
+    assert len(dec.ears) == 125
+    assert verify_ced(dec.complex, dec)["ok"]
+
+
 def test_boolean_full_selection_matches_supersolvable():
     a = decompose_rank_selected_boolean(4, [1, 2, 3])
     b = decompose_supersolvable(boolean_lattice(4))
@@ -179,6 +188,18 @@ def test_supersolvable_histogram_matches_when_concatenation_shells():
     report = verify_ced(dec.complex, dec)
     assert report["h_checks"]["restriction_histogram"] == [1, 4, 1]
     assert report["h_checks"]["histogram_matches"] is True
+
+
+def test_supersolvable_constructions_need_nonzero_mobius():
+    chain = Lattice(
+        build_poset(["0", "a", "1"], [("0", "a"), ("a", "1")]), mchain=["0", "a", "1"]
+    )
+    for run in (
+        lambda: decompose_supersolvable(chain),
+        lambda: decompose_rank_selected_supersolvable(chain, ranks=[1]),
+    ):
+        with pytest.raises(NonzeroMobiusViolated, match=r"mobius\('0', '1'\) = 0"):
+            run()
 
 
 def test_rank_selected_supersolvable_pi4():

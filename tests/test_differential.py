@@ -11,13 +11,16 @@ against the brute-force routes they replaced, on random inputs.
   scan for the unique extremal common bound of each pair;
 * the M-chain test of ``derive_sn_labeling`` (its min-join labeling is an
   S_r EL-labeling) against ``is_mchain`` (distributivity of the sublattice
-  generated with every maximal chain, by brute force).
+  generated with every maximal chain, by brute force);
+* the class words of the ears (classifiers of the selected flags) against
+  ``descent_classes`` (all of S_rho grouped by descent set).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -32,13 +35,16 @@ from earlab.complexes import (
     verify_shelling,
 )
 from earlab.decompositions import (
+    _selected_flags,
     decompose_face_poset,
     decompose_rank_selected_boolean,
     decompose_rank_selected_supersolvable,
     decompose_supersolvable,
+    sigma_word,
     verify_ced,
 )
 from earlab.errors import Inconsistent, NotMChain, NotShelling
+from earlab.flags import descent_classes
 from earlab.labelings import derive_sn_labeling, lex_shelling
 from earlab.lattices import Lattice, boolean_lattice, is_mchain, partition_lattice
 from earlab.matroids import graphic_matroid, lattice_of_flats, uniform_matroid
@@ -381,3 +387,17 @@ def test_supersolvable_decomposition_skips_the_distributivity_brute_force(monkey
     monkeypatch.setattr("earlab.lattices._distributive_on", refuse)
     dec = decompose_supersolvable(boolean_lattice(4))
     assert verify_ced(dec.complex, dec)["ok"]
+
+
+# -- class words by the classifier -------------------------------------------------
+
+
+@pytest.mark.parametrize("rho", range(2, 8))
+def test_classifier_words_are_the_descent_class(rho):
+    """Every word with descent set S is the classifier of its own prefix
+    flag, so the classifiers of the selected flags list the class, in
+    lex order once sorted."""
+    for k in range(1, rho):
+        for S in combinations(range(1, rho), k):
+            words = sorted({sigma_word(fl, S, rho) for fl in _selected_flags(rho, S)})
+            assert words == descent_classes(rho)[frozenset(S)], (rho, S)
