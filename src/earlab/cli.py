@@ -33,6 +33,7 @@ import hashlib
 import json
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -90,7 +91,8 @@ from .posets import (
     with_bounds,
 )
 
-RUN_SCHEMA = "earlab.run/1"
+RUN_SCHEMA = "earlab.run/2"
+RUN_SCHEMAS = ("earlab.run/1", RUN_SCHEMA)  # /1 adds only ear keys verify never reads
 VERIFY_SCHEMA = "earlab.verify/2"
 EXPERIMENT_SCHEMA = "earlab.experiment/1"
 
@@ -182,15 +184,12 @@ def _edge_list(text: str) -> list[tuple[int, int]]:
 def _cap_checker(args):
     def check(kind: str, actual: int) -> None:
         limit = getattr(args, f"cap_{kind}")
-        default = DEFAULT_CAPS[kind]
-        if actual <= default:
-            return
-        if actual <= limit:
-            _warn(f"{kind} size {actual} is above the default cap {default}")
-            return
-        raise SizeLimit(
-            f"{kind} size {actual} exceeds the cap {limit}; raise --cap-{kind} to proceed"
-        )
+        if actual > limit:
+            raise SizeLimit(
+                f"{kind} size {actual} exceeds the cap {limit}; raise --cap-{kind} to proceed"
+            )
+        if actual > DEFAULT_CAPS[kind]:
+            _warn(f"{kind} size {actual} is above the default cap {DEFAULT_CAPS[kind]}")
 
     return check
 
@@ -366,7 +365,7 @@ def cmd_decompose(args) -> int:
 def _report_parts(doc: Mapping) -> tuple[dict, dict, Optional[dict]]:
     """(args record, stored decomposition, embedded input document)."""
     schema = doc.get("schema")
-    if schema == RUN_SCHEMA and doc.get("command") == "decompose":
+    if schema in RUN_SCHEMAS and doc.get("command") == "decompose":
         src = doc.get("input")
         return dict(doc["args"]), dict(doc["decomposition"]), (src or {}).get("document")
     raise SchemaTrouble(f"cannot verify a document with schema {schema!r}")
@@ -426,7 +425,7 @@ def _h_source(args) -> list[int]:
         if schema == "earlab.complex/1":
             _, h = f_h_vectors(complex_from_json(doc))
             return list(h)
-        if schema == RUN_SCHEMA:
+        if schema in RUN_SCHEMAS:
             h = doc.get("ced", {}).get("h_checks", {}).get("h")
             if h is None:
                 raise SchemaTrouble("run report carries no h-vector table")
@@ -507,14 +506,6 @@ def cmd_verify(args) -> int:
 # -- experiment --------------------------------------------------------------------
 
 
-def _all_rank_subsets(d: int) -> list[tuple[int, ...]]:
-    out = []
-    for mask in range(1, 1 << d):
-        out.append(tuple(i + 1 for i in range(d) if mask >> i & 1))
-    out.sort(key=lambda s: (len(s), s))
-    return out
-
-
 def cmd_experiment(args) -> int:
     if args.name != "rank-selection":
         raise BadParams(f"unknown experiment {args.name!r}")
@@ -529,17 +520,20 @@ def cmd_experiment(args) -> int:
         c = build_complex(COMPLEX_FIXTURES[args.fixture])
     else:
         raise BadParams("need --input or --fixture")
-    _cap_checker(args)("homology", len(c.facets))
     d = c.dim + 1
     _check_rank(d)
+    fp = face_poset(c, include_empty=True, graded=True)
+    subsets = [S for k in range(1, d + 1) for S in combinations(range(1, d + 1), k)]
+    if subsets:
+        # homology runs on the selections' order complexes; the full one,
+        # listed last, has the most facets (each other chain extends into it)
+        full = order_complex(rank_select(fp, subsets[-1]))
+        _cap_checker(args)("homology", len(full.facets))
 
     shellable = search_shelling(c) is not None
-    fp = face_poset(c, include_empty=True, graded=True)
-
     rows = []
-    for S in _all_rank_subsets(d):
-        sel = rank_select(fp, S)
-        delta = order_complex(sel)
+    for S in subsets:
+        delta = full if S == subsets[-1] else order_complex(rank_select(fp, S))
         _, h = f_h_vectors(delta)
         cm, two = is_cm_and_2cm(delta)
         ineq_ok, failures = verify_h_inequalities(h)

@@ -209,24 +209,26 @@ def _ambient_sphere(
 
 @dataclass
 class Ear:
-    """One ear: its chains (in shelling order), complex, verified shelling,
-    reference sphere, and where it came from."""
+    """One ear: its chains (in shelling order), verified shelling, reference
+    sphere, and where it came from. Its complex is the one the shelling
+    certifies. The JSON form keeps the chains, their restriction faces and
+    the provenance, the reference that rebuilds the sphere from the input."""
 
     chains: list[tuple[str, ...]]
-    complex: SimplicialComplex
     shelling: ShellingOrder
     ambient: SimplicialComplex
     provenance: dict
     coords: list[tuple[frozenset[int], ...]] = field(default_factory=list, repr=False)
     coord_names: dict[frozenset[int], str] = field(default_factory=dict, repr=False)
 
+    @property
+    def complex(self) -> SimplicialComplex:
+        return self.shelling.complex
+
     def to_json(self) -> dict:
         return {
             "chains": [list(c) for c in self.chains],
-            "shelling": list(self.shelling.order),
             "restrictions": [sorted(r) for r in self.shelling.restrictions],
-            "complex": complex_to_json(self.complex),
-            "ambient": complex_to_json(self.ambient),
             "provenance": self.provenance,
         }
 
@@ -244,7 +246,7 @@ class EarDecomposition:
 
     def to_json(self) -> dict:
         return {
-            "schema": "earlab.decomposition/1",
+            "schema": "earlab.decomposition/2",
             "construction": self.construction,
             "params": self.params,
             "rho": self.rho,
@@ -328,7 +330,6 @@ def _assemble(
             shelling = verify_shelling(comp, [where[f] for f in facets])
             ear = Ear(
                 chains=[names for _, names in kept],
-                complex=comp,
                 shelling=shelling,
                 ambient=_ambient_sphere(copy.elem, ivs, frame),
                 provenance=prov,
@@ -705,6 +706,9 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
         ball_entries.append(kind)
 
         amb_key = ear.ambient.facets
+        if i == 0 and kind == "SPHERE" and ear.complex == ear.ambient:
+            # the sphere verdict never reads the shelling: same complex, same verdict
+            amb_cache[amb_key] = kind
         amb_kind = amb_cache.get(amb_key)
         if amb_kind is None:
             try:

@@ -255,18 +255,17 @@ def lattice_of_flats(m: Matroid) -> Lattice:
     flats, named after their atom.
     """
     check_simple(m)
-    flats: set[frozenset[str]] = set()
+    rank: dict[frozenset[str], int] = {}
     for k in range(0, m.rank + 1):
         for sub in combinations(m.ground, k):
-            _, cl = rank_and_closure(m, sub)
-            flats.add(cl)
-    flist = sorted(flats, key=lambda f: (len(f), sorted(f)))
+            r, cl = rank_and_closure(m, sub)
+            rank[cl] = r
+    flist = sorted(rank, key=lambda f: (len(f), sorted(f)))
     covers = []
     for f in flist:
-        rf = m.rank_of(f)
         for g in flist:
-            if f < g and m.rank_of(g) == rf + 1:
-                # cover iff no flat strictly between; flats of rank rf+1
+            if f < g and rank[g] == rank[f] + 1:
+                # cover iff no flat strictly between; flats of rank one more
                 # containing f are exactly the covers
                 covers.append((flat_name(f), flat_name(g)))
     elements = [flat_name(f) for f in flist]

@@ -303,14 +303,12 @@ def _fake_decomposition() -> EarDecomposition:
         ears=[
             Ear(
                 chains=[("q1",), ("q2",), ("q3",), ("q4",)],
-                complex=sphere,
                 shelling=verify_shelling(sphere, [0, 1, 2, 3]),
                 ambient=sphere,
                 provenance={},
             ),
             Ear(
                 chains=[("q5",)],
-                complex=path,
                 shelling=verify_shelling(path, [0, 1]),
                 ambient=ambient2,
                 provenance={},

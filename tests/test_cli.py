@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,7 +97,7 @@ def test_decompose_rank_boolean(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == "earlab.run/1"
+    assert doc["schema"] == "earlab.run/2"
     assert doc["ced"]["ok"] is True
     assert doc["ced"]["h_checks"]["h"] == [1, 6, 5]
     assert len(doc["decomposition"]["ears"]) == 5
@@ -270,7 +271,7 @@ def test_verify_ced_refuses_a_bare_decomposition(tmp_path, capsys):
     path.write_text(canonical_dumps(decompose_rank_selected_boolean(4, [1, 3]).to_json()))
     code, _, err = run_cli(capsys, "verify", "--what", "ced", "--input", str(path))
     assert code == 4
-    assert "cannot verify a document with schema 'earlab.decomposition/1'" in err
+    assert "cannot verify a document with schema 'earlab.decomposition/2'" in err
 
 
 def test_verify_ced_detects_tampered_chains(tmp_path, capsys):
@@ -296,6 +297,56 @@ def test_verify_reciprocity(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(row["ok"] for row in doc["result"]["ears"])
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# earlab.run/1 reports, written before ears were serialised by reference,
+# and the decompose arguments that made them
+RUN1_REPORTS = {
+    "run1-rank-boolean-4-13.json": (
+        "--construction", "rank-boolean", "--rank", "4", "--ranks", "1,3",
+    ),
+    "run1-face-poset-two-triangles-12.json": (
+        "--construction", "face-poset", "--ranks", "1,2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RUN1_REPORTS))
+def test_run1_reports_verify_like_their_run2_counterparts(name, tmp_path, capsys):
+    old = DATA / name
+    doc1 = json.loads(old.read_text())
+    argv = list(RUN1_REPORTS[name])
+    if doc1["input"] is not None:
+        source = tmp_path / "input.json"
+        source.write_text(canonical_dumps(doc1["input"]["document"]))
+        argv += ["--input", str(source)]
+    new = tmp_path / "run2.json"
+    code, _, _ = run_cli(capsys, "decompose", *argv, "--output", str(new))
+    assert code == 0
+    doc2 = json.loads(new.read_text())
+
+    # /2 drops the ear keys complex, shelling and ambient; the rest is equal
+    assert (doc1["schema"], doc2["schema"]) == ("earlab.run/1", "earlab.run/2")
+    dec1, dec2 = doc1.pop("decomposition"), doc2.pop("decomposition")
+    assert {k: v for k, v in doc1.items() if k != "schema"} == {
+        k: v for k, v in doc2.items() if k != "schema"
+    }
+    assert dec1.pop("schema") == "earlab.decomposition/1"
+    assert dec2.pop("schema") == "earlab.decomposition/2"
+    for ear in dec1["ears"]:
+        for key in ("complex", "shelling", "ambient"):
+            del ear[key]
+    assert dec1 == dec2
+
+    for what in ("ced", "reciprocity"):
+        outs = [
+            run_cli(capsys, "verify", "--what", what, "--input", str(path))
+            for path in (old, new)
+        ]
+        assert outs[0][0] == outs[1][0] == 0, what
+        assert outs[0][1] == outs[1][1], what
 
 
 def test_verify_h_inequalities_flag_values(capsys):
@@ -382,6 +433,35 @@ def test_experiment_rank_selection(capsys):
     assert any(
         not r["necessary_conditions_ok"] for r in doc["rows"] if r["includes_top"]
     )
+
+
+def test_experiment_caps_the_selections_homology(tmp_path, capsys, monkeypatch):
+    # one facet on five vertices is small, but its full rank selection's
+    # order complex has 5! = 120 facets, and homology runs on that
+    path = tmp_path / "facet.json"
+    path.write_text(canonical_dumps(
+        {"schema": "earlab.complex/1", "vertices": list("abcde"), "facets": [list("abcde")]}
+    ))
+
+    def refuse(*args):
+        raise AssertionError("homology ran before the cap")
+
+    monkeypatch.setattr("earlab.cli.is_cm_and_2cm", refuse)
+    code, _, err = run_cli(capsys, "experiment", "rank-selection",
+                           "--input", str(path), "--cap-homology", "100")
+    assert code == 2
+    assert "SizeLimit: homology size 120 exceeds the cap 100" in err
+
+
+@pytest.mark.parametrize("facets", [[], [[]]])
+def test_experiment_on_a_complex_without_vertices_has_no_rows(facets, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(canonical_dumps(
+        {"schema": "earlab.complex/1", "vertices": [], "facets": facets}
+    ))
+    code, out, _ = run_cli(capsys, "experiment", "rank-selection", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["rows"] == []
 
 
 def test_experiment_unknown_fixture(capsys):

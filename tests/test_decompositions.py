@@ -4,6 +4,7 @@ oracles that re-derive ear contents by an independent route."""
 
 from __future__ import annotations
 
+import json
 from itertools import permutations
 
 import pytest
@@ -18,6 +19,7 @@ from earlab.errors import (
 from earlab.complexes import (
     boundary_complex,
     build_complex,
+    certify_sphere_or_ball,
     union_complexes,
     verify_shelling,
 )
@@ -38,7 +40,7 @@ from earlab.flags import ball_flag_reciprocity, descent_classes
 from earlab.labelings import descent_set, minimal_labeling
 from earlab.lattices import Lattice, boolean_lattice, partition_lattice
 from earlab.matroids import graphic_matroid, lattice_of_flats, uniform_matroid
-from earlab.posets import build_poset, mobius
+from earlab.posets import build_poset, canonical_dumps, mobius
 
 
 # -- Fixtures ------------------------------------------------------------------
@@ -384,14 +386,12 @@ def test_fake_decomposition_fails_boundary_axiom():
         ears=[
             Ear(
                 chains=[("q1",), ("q2",), ("q3",), ("q4",)],
-                complex=sphere,
                 shelling=verify_shelling(sphere, [0, 1, 2, 3]),
                 ambient=sphere,
                 provenance={},
             ),
             Ear(
                 chains=[("q5",)],
-                complex=path,
                 shelling=verify_shelling(path, [0, 1]),
                 ambient=ambient2,
                 provenance={},
@@ -418,6 +418,21 @@ def test_verify_ced_lets_programming_errors_propagate(monkeypatch):
     dec = decompose_rank_selected_boolean(3, [1])
     with pytest.raises(TypeError, match="bug in the certifier"):
         verify_ced(dec.complex, dec)
+
+
+def test_verify_ced_certifies_the_first_ear_once(monkeypatch):
+    # ear 1 equals its ambient sphere, so one SPHERE certificate serves both
+    calls = []
+
+    def counted(c, *args):
+        calls.append(c)
+        return certify_sphere_or_ball(c, *args)
+
+    monkeypatch.setattr("earlab.decompositions.certify_sphere_or_ball", counted)
+    dec = decompose_supersolvable(boolean_lattice(4))
+    report = verify_ced(dec.complex, dec)
+    assert report["ok"] and report["axiom_balls"]["kinds"] == ["SPHERE"]
+    assert len(calls) == 1
 
 
 def test_verify_ced_flags_missing_facets():
@@ -473,10 +488,20 @@ def test_ball_reciprocity_on_every_ear():
 def test_decomposition_to_json_shape():
     dec = decompose_rank_selected_boolean(3, [1])
     doc = dec.to_json()
-    assert doc["schema"] == "earlab.decomposition/1"
+    assert doc["schema"] == "earlab.decomposition/2"
     assert doc["construction"] == "rank-boolean"
     assert doc["rho"] == 3 and doc["ranks"] == [1]
     assert len(doc["ears"]) == len(dec.ears)
-    ear = doc["ears"][0]
-    for key in ("chains", "shelling", "restrictions", "complex", "ambient"):
-        assert key in ear
+    for ear in doc["ears"]:
+        assert set(ear) == {"chains", "restrictions", "provenance"}
+
+
+def test_written_ears_rebuild_their_shellings():
+    # a written ear needs nothing else: its chains, in the written order,
+    # shell the complex they generate with exactly the written restrictions
+    for dec in corpus_decompositions():
+        for ear in json.loads(canonical_dumps(dec.to_json()))["ears"]:
+            comp = build_complex(ear["chains"])
+            where = {f: k for k, f in enumerate(comp.facets)}
+            sh = verify_shelling(comp, [where[frozenset(c)] for c in ear["chains"]])
+            assert [sorted(r) for r in sh.restrictions] == ear["restrictions"]

@@ -13,7 +13,9 @@ against the brute-force routes they replaced, on random inputs.
   S_r EL-labeling) against ``is_mchain`` (distributivity of the sublattice
   generated with every maximal chain, by brute force);
 * the class words of the ears (classifiers of the selected flags) against
-  ``descent_classes`` (all of S_rho grouped by descent set).
+  ``descent_classes`` (all of S_rho grouped by descent set);
+* the cover pairs of ``lattice_of_flats`` (ranks kept from the closure
+  step) against a ``Matroid.rank_of`` basis scan per pair.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from earlab.cli import _edge_list
 from earlab.complexes import (
     SimplicialComplex,
     boundary_complex,
@@ -47,7 +50,13 @@ from earlab.errors import Inconsistent, NotMChain, NotShelling
 from earlab.flags import descent_classes
 from earlab.labelings import derive_sn_labeling, lex_shelling
 from earlab.lattices import Lattice, boolean_lattice, is_mchain, partition_lattice
-from earlab.matroids import graphic_matroid, lattice_of_flats, uniform_matroid
+from earlab.matroids import (
+    flat_name,
+    graphic_matroid,
+    lattice_of_flats,
+    rank_and_closure,
+    uniform_matroid,
+)
 from earlab.posets import Poset, build_poset, maximal_chains
 
 
@@ -401,3 +410,32 @@ def test_classifier_words_are_the_descent_class(rho):
         for S in combinations(range(1, rho), k):
             words = sorted({sigma_word(fl, S, rho) for fl in _selected_flags(rho, S)})
             assert words == descent_classes(rho)[frozenset(S)], (rho, S)
+
+
+# -- cover pairs of the lattice of flats --------------------------------------------
+
+
+FLAT_MATROIDS = {
+    "K33": graphic_matroid(6, _edge_list("0-3,0-4,0-5,1-3,1-4,1-5,2-3,2-4,2-5")),
+    "prism": graphic_matroid(6, _edge_list("0-1,1-2,0-2,3-4,4-5,3-5,0-3,1-4,2-5")),
+    "K5": graphic_matroid(5, _edge_list("0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4")),
+    "U36": uniform_matroid(3, 6),
+    "K4": graphic_matroid(4, _edge_list("0-1,0-2,0-3,1-2,1-3,2-3")),
+}
+
+
+@pytest.mark.parametrize("name", list(FLAT_MATROIDS))
+def test_flat_covers_agree_with_rank_of_per_pair(name):
+    m = FLAT_MATROIDS[name]
+    flats = {
+        rank_and_closure(m, sub)[1]
+        for k in range(m.rank + 1)
+        for sub in combinations(m.ground, k)
+    }
+    want = {
+        (flat_name(f), flat_name(g))
+        for f in flats
+        for g in flats
+        if f < g and m.rank_of(g) == m.rank_of(f) + 1
+    }
+    assert set(lattice_of_flats(m).poset.cover_pairs()) == want
