@@ -47,6 +47,7 @@ from .flags import (
     FlagVector,
     ball_flag_reciprocity,
     descent_classes,
+    dominance_table,
     dominates,
     flag_f_and_h,
     g_and_m_check,
@@ -171,6 +172,7 @@ __all__ = [
     "verify_flag_inequalities",
     "descent_classes",
     "dominates",
+    "dominance_table",
     "weak_leq",
     "w_set",
     "ball_flag_reciprocity",

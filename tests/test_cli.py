@@ -16,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from earlab.cli import main
+from earlab.cli import COMPLEX_FIXTURES, _flag_count, main
+from earlab.complexes import build_complex, face_poset, order_complex
 from earlab.decompositions import decompose_rank_selected_boolean
-from earlab.posets import canonical_dumps
+from earlab.posets import canonical_dumps, rank_select
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -451,6 +452,36 @@ def test_experiment_caps_the_selections_homology(tmp_path, capsys, monkeypatch):
                            "--input", str(path), "--cap-homology", "100")
     assert code == 2
     assert "SizeLimit: homology size 120 exceeds the cap 100" in err
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [*COMPLEX_FIXTURES.values(), [["a", "b", "c"], ["c", "d"], ["e"]], [list("abcde")]],
+)
+def test_flag_count_is_the_full_selections_facet_count(facets):
+    c = build_complex(facets)
+    fp = face_poset(c, include_empty=True, graded=True)
+    full = order_complex(rank_select(fp, range(1, c.dim + 2)))
+    assert _flag_count(c) == len(full.facets)
+
+
+def test_experiment_refuses_an_oversized_selection_before_building_it(tmp_path, capsys, monkeypatch):
+    # one facet on eight vertices: its full rank selection's order complex
+    # would have 8! = 40320 facets
+    path = tmp_path / "facet.json"
+    path.write_text(canonical_dumps(
+        {"schema": "earlab.complex/1", "vertices": list("abcdefgh"), "facets": [list("abcdefgh")]}
+    ))
+
+    def refuse(*args):
+        raise AssertionError("built before the cap")
+
+    monkeypatch.setattr("earlab.cli.order_complex", refuse)
+    monkeypatch.setattr("earlab.cli.face_poset", refuse)
+    code, _, err = run_cli(capsys, "experiment", "rank-selection",
+                           "--input", str(path), "--cap-homology", "100")
+    assert code == 2
+    assert "SizeLimit: homology size 40320 exceeds the cap 100" in err
 
 
 @pytest.mark.parametrize("facets", [[], [[]]])

@@ -15,7 +15,11 @@ against the brute-force routes they replaced, on random inputs.
 * the class words of the ears (classifiers of the selected flags) against
   ``descent_classes`` (all of S_rho grouped by descent set);
 * the cover pairs of ``lattice_of_flats`` (ranks kept from the closure
-  step) against a ``Matroid.rank_of`` basis scan per pair.
+  step) against a ``Matroid.rank_of`` basis scan per pair;
+* ``dominance_table`` and ``dominates`` (inversion masks cached per m,
+  candidates by AND of per-bit bitsets) against the per-pair scan they
+  replaced, and each witness against the switch-walk weak order;
+* ``_hopcroft_karp``'s iterative augmenting step against the recursive one.
 """
 
 from __future__ import annotations
@@ -47,7 +51,15 @@ from earlab.decompositions import (
     verify_ced,
 )
 from earlab.errors import Inconsistent, NotMChain, NotShelling
-from earlab.flags import descent_classes
+from earlab.flags import (
+    _hopcroft_karp,
+    descent_classes,
+    dominance_table,
+    dominates,
+    inversion_mask,
+    weak_leq_by_switches,
+)
+from earlab.labelings import descent_set
 from earlab.labelings import derive_sn_labeling, lex_shelling
 from earlab.lattices import Lattice, boolean_lattice, is_mchain, partition_lattice
 from earlab.matroids import (
@@ -152,6 +164,69 @@ def bit_scan_tables(p: Poset):
         )
     except Inconsistent:
         return None
+
+
+def hopcroft_karp_recursive(adj: list[list[int]], n_right: int) -> list[int]:
+    """Hopcroft–Karp with the augmenting step written recursively: the same
+    phases, the same vertex and neighbour order."""
+    INF = float("inf")
+    n_left = len(adj)
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    while True:
+        dist = [INF] * n_left
+        queue = [u for u in range(n_left) if match_l[u] == -1]
+        for u in queue:
+            dist[u] = 0
+        head = 0
+        found = False
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            for v in adj[u]:
+                w = match_r[v]
+                if w == -1:
+                    found = True
+                elif dist[w] is INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if not found:
+            return match_l
+
+        def try_augment(u: int) -> bool:
+            for v in adj[u]:
+                w = match_r[v]
+                if w == -1 or (dist[w] == dist[u] + 1 and try_augment(w)):
+                    match_l[u] = v
+                    match_r[v] = u
+                    return True
+            dist[u] = INF
+            return False
+
+        for u in range(n_left):
+            if match_l[u] == -1:
+                try_augment(u)
+
+
+def dominates_by_scan(S, T, m: int):
+    """Dominance with the masks of both classes rebuilt on every call and
+    each τ tested against every σ, |D_T| × |D_S| containment tests."""
+    classes = descent_classes(m)
+    left = classes.get(frozenset(T), [])
+    right = classes.get(frozenset(S), [])
+    if not left:
+        return True, {}
+    if len(left) > len(right):
+        return False, None
+    right_masks = [inversion_mask(s) for s in right]
+    adj: list[list[int]] = []
+    for tau in left:
+        tm = inversion_mask(tau)
+        adj.append([j for j, sm in enumerate(right_masks) if tm & ~sm == 0])
+    match_l = _hopcroft_karp(adj, len(right))
+    if any(v == -1 for v in match_l):
+        return False, None
+    return True, {left[u]: right[v] for u, v in enumerate(match_l)}
 
 
 # -- fixtures -------------------------------------------------------------------
@@ -439,3 +514,60 @@ def test_flat_covers_agree_with_rank_of_per_pair(name):
         if f < g and m.rank_of(g) == m.rank_of(f) + 1
     }
     assert set(lattice_of_flats(m).poset.cover_pairs()) == want
+
+
+# -- dominance ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_dominance_table_agrees_with_the_per_pair_scan(m):
+    table = dominance_table(m)
+    subsets = [frozenset(S) for k in range(m) for S in combinations(range(1, m), k)]
+    held = 0
+    for S in subsets:
+        for T in subsets:
+            want = dominates_by_scan(S, T, m)
+            assert ((S, T) in table) == want[0], (m, sorted(S), sorted(T))
+            assert dominates(S, T, m) == want, (m, sorted(S), sorted(T))
+            held += want[0]
+    assert len(table) == held
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Up to 9 left and 9 right vertices, each left vertex with a random
+    list of neighbours in random order."""
+    n_right = draw(st.integers(1, 9))
+    n_left = draw(st.integers(0, 9))
+    nbrs = st.lists(st.integers(0, n_right - 1), unique=True, max_size=n_right)
+    return [draw(nbrs) for _ in range(n_left)], n_right
+
+
+@settings(max_examples=300, deadline=None)
+@given(bipartite_graphs())
+def test_iterative_augment_matches_like_the_recursive_one(graph):
+    adj, n_right = graph
+    assert _hopcroft_karp(adj, n_right) == hopcroft_karp_recursive(adj, n_right)
+
+
+@st.composite
+def rank_subset_pairs(draw):
+    m = draw(st.integers(2, 6))
+    positions = st.frozensets(st.integers(1, m - 1))
+    return draw(positions), draw(positions), m
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_subset_pairs())
+def test_dominance_witness_replays_through_switches(case):
+    S, T, m = case
+    ok, inj = dominates(S, T, m)
+    assert ok == ((S, T) in dominance_table(m))
+    if not ok:
+        assert inj is None
+        return
+    assert sorted(inj) == descent_classes(m)[T]
+    assert len(set(inj.values())) == len(inj)
+    for tau, sigma in inj.items():
+        assert descent_set(sigma) == S
+        assert weak_leq_by_switches(tau, sigma), (tau, sigma)

@@ -18,9 +18,11 @@ from earlab.complexes import (
 )
 from earlab.flags import (
     FlagVector,
+    _hopcroft_karp,
     ball_flag_reciprocity,
     corollary_gap_coefficients,
     descent_classes,
+    dominance_table,
     dominates,
     flag_f_and_h,
     flag_f_from_complex_fvector,
@@ -256,6 +258,36 @@ def test_dominance_is_reflexive_like_on_classes():
     ok, inj = dominates({2}, {2}, 4)
     assert ok
     assert all(weak_leq(t, s) for t, s in inj.items())
+
+
+def test_dominance_table_needs_the_cap():
+    with pytest.raises(SizeLimit):
+        dominance_table(9)
+
+
+def test_dominance_table_holds_the_diagonal_and_the_s4_pairs():
+    table = dominance_table(4)
+    subsets = [frozenset(S) for k in range(4) for S in combinations((1, 2, 3), k)]
+    assert all((S, S) in table for S in subsets)
+    assert (frozenset({1, 3}), frozenset({1})) in table
+    assert (frozenset({1}), frozenset({1, 3})) not in table
+    assert len(table) - len(subsets) == 11
+
+
+def test_flag_inequalities_read_the_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-pair dominance reached")
+
+    monkeypatch.setattr("earlab.flags.dominates", refuse)
+    report = verify_flag_inequalities(boolean_lattice(4).poset)
+    assert len(report["pairs"]) == 11 and report["violations"] == 0
+
+
+def test_hopcroft_karp_follows_an_augmenting_path_past_the_recursion_limit():
+    # the first phase matches u_i to i, leaving u_1499 free; its only
+    # augmenting path then runs through all 1500 left vertices
+    adj = [[i, i + 1] for i in range(1499)] + [[0]]
+    assert _hopcroft_karp(adj, 1500) == [i + 1 for i in range(1499)] + [0]
 
 
 # -- w(S) ----------------------------------------------------------------------------------
