@@ -5,16 +5,17 @@ The two degenerate complexes both occur here and are kept distinct: the
 void complex (no faces at all, ``facets == ()``) and the empty complex
 ``{∅}`` (one empty facet), which plays the role of a sphere of dimension -1.
 
-All homology is reduced and over the rationals, computed by fraction-free
-integer elimination, so there are no floating-point numbers anywhere.
+All homology is reduced and over the rationals, computed by integer
+pivot-column reduction with clearing (its oracle in the tests: fraction-free
+elimination), so there are no floating-point numbers anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
-from typing import Iterable, Mapping, Optional, Sequence
+from math import comb, gcd
+from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     BadParams,
@@ -149,19 +150,24 @@ def face_poset(
     return build_poset(list(names.values()), covers, graded=graded)
 
 
+def _faces_by_size(c: SimplicialComplex) -> Iterator[set[tuple[str, ...]]]:
+    """The faces of each size 0..dim+1 as sets of sorted tuples, one set at a time."""
+    facets = [sorted(f) for f in c.facets]
+    return ({g for f in facets for g in combinations(f, k)} for k in range(c.dim + 2))
+
+
 def _f_vector(c: SimplicialComplex) -> list[int]:
-    """f_i = number of faces of cardinality i, so f_0 = 1 for the empty face."""
-    if c.is_void:
-        return [0]
-    counts = [0] * (c.dim + 2)
-    for f in c.faces():
-        counts[len(f)] += 1
-    return counts
+    """f_i = number of faces of cardinality i: f_0 = 1 for the empty face, [0] if void."""
+    return [len(s) for s in _faces_by_size(c)]
+
+
+def _euler(f: Sequence[int]) -> int:
+    """Reduced Euler characteristic from f_i = number of faces of size i."""
+    return sum((-1) ** (i + 1) * n for i, n in enumerate(f))
 
 
 def reduced_euler(c: SimplicialComplex) -> int:
-    f = _f_vector(c)
-    return sum((-1) ** (i - 1) * f[i] for i in range(len(f)))
+    return _euler(_f_vector(c))
 
 
 def f_h_vectors(c: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -179,8 +185,7 @@ def f_h_vectors(c: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]
     h = []
     for k in range(d + 1):
         h.append(sum((-1) ** (k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1)))
-    chi = reduced_euler(c)
-    if h[d] != (-1) ** (d + 1) * chi:
+    if h[d] != (-1) ** (d + 1) * _euler(f):
         raise Inconsistent("h_d does not match the Euler characteristic")
     return tuple(f), tuple(h)
 
@@ -375,83 +380,77 @@ def is_subcomplex(small: SimplicialComplex, big: SimplicialComplex) -> bool:
 # -- exact homology ------------------------------------------------------------
 
 
-def exact_rank(rows: list[dict[int, int]]) -> int:
-    """Rank of an integer sparse matrix. Fraction-free elimination with gcd
-    normalization; exact, no floats."""
-    from math import gcd
+def _reduce(
+    rows: Iterable[Mapping[int, int] | Iterable[tuple[int, int]]], cleared: Container[int]
+) -> set[int]:
+    """Pivot-column reduction of an integer sparse matrix; returns its pivot
+    columns, one per unit of rank.
 
-    work = [dict(r) for r in rows if r]
-    rank = 0
-    while work:
-        # pick the sparsest row, pivot on its smallest column
-        work.sort(key=len)
-        pivot = work.pop(0)
-        rank += 1
-        col = min(pivot)
-        pval = pivot[col]
-        nxt = []
-        for r in work:
-            v = r.get(col)
-            if v is None:
-                nxt.append(r)
-                continue
-            merged: dict[int, int] = {}
-            for k, x in r.items():
-                merged[k] = pval * x
+    Each row is a mapping or an iterable of (column, value) pairs; a row
+    whose index is in ``cleared`` is skipped unread. A row is reduced
+    against the stored pivot whose column is its largest one until that
+    column is new, then stored there. The update is ``pv*row - v*pivot``, a
+    signed sum when |pv| = |v|, and the row is divided by the gcd of its
+    entries, so everything stays an exact integer.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(rows):
+        if i in cleared:
+            continue
+        row = dict(row)
+        while row:
+            top = max(row)
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            pv, v = pivot[top], row[top]
+            if pv != v and pv != -v:
+                row = {k: pv * x for k, x in row.items()}
+            s = -1 if pv == v else 1 if pv == -v else -v
             for k, x in pivot.items():
-                merged[k] = merged.get(k, 0) - v * x
-            merged = {k: x for k, x in merged.items() if x}
-            if merged:
-                g = 0
-                for x in merged.values():
-                    g = gcd(g, x)
-                if g > 1:
-                    merged = {k: x // g for k, x in merged.items()}
-                nxt.append(merged)
-        work = nxt
-    return rank
+                y = row.pop(k, 0) + s * x
+                if y:
+                    row[k] = y
+            g = gcd(*row.values())
+            if g > 1:
+                row = {k: x // g for k, x in row.items()}
+    return set(pivots)
 
 
-def _boundary_matrix(
-    upper: list[frozenset[str]], lower_index: dict[frozenset[str], int]
-) -> list[dict[int, int]]:
-    rows = []
-    for f in upper:
-        fl = sorted(f)
-        row: dict[int, int] = {}
-        for i, v in enumerate(fl):
-            sub = frozenset(fl) - {v}
-            row[lower_index[sub]] = (-1) ** i
-        rows.append(row)
-    return rows
+def exact_rank(rows: list[dict[int, int]]) -> int:
+    """Rank over the rationals of an integer sparse matrix given by rows."""
+    return len(_reduce(rows, ()))
 
 
 def homology_ranks(c: SimplicialComplex) -> tuple[int, ...]:
-    """Reduced Betti numbers (β̃_0, …, β̃_dim) over the rationals."""
+    """Reduced Betti numbers (β̃_0, …, β̃_dim) over the rationals.
+
+    Faces are sorted tuples, and each dimension's faces are listed in
+    sorted order, which indexes both the rows of ∂_k and the columns of
+    ∂_{k+1}. The boundary maps are reduced from the top dimension down,
+    with clearing: a pivot τ of a reduced ∂_{k+1} row is the largest term
+    of a k-boundary, hence of a k-cycle, so row τ of ∂_k lies in the span
+    of the rows before it, and skipping every such row (never building it)
+    leaves rank ∂_k unchanged. That needs the pivot to be the largest
+    column, which ``_reduce`` guarantees.
+    """
     if c.is_void or c.is_irrelevant:
         return ()
-    by_dim: dict[int, list[frozenset[str]]] = {}
-    for f in c.faces():
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    for k in by_dim:
-        by_dim[k].sort(key=lambda f: sorted(f))
     d = c.dim
-    # rank of ∂_k : C_k -> C_{k-1}, with C_{-1} the empty-face line
-    ranks: dict[int, int] = {}
-    for k in range(0, d + 1):
-        lower = by_dim.get(k - 1, [])
-        upper = by_dim.get(k, [])
-        if not upper:
-            ranks[k] = 0
-            continue
-        lower_index = {f: i for i, f in enumerate(lower)}
-        ranks[k] = exact_rank(_boundary_matrix(upper, lower_index))
-    ranks[d + 1] = 0
-    betti = []
-    for k in range(0, d + 1):
-        dim_ck = len(by_dim.get(k, []))
-        betti.append(dim_ck - ranks[k] - ranks[k + 1])
-    return tuple(betti)
+    faces = [sorted(s) for s in _faces_by_size(c)]  # faces[k + 1]: the k-faces
+    # ranks[k]: rank of ∂_k : C_k -> C_{k-1}, with C_{-1} the empty-face line
+    ranks = [0] * (d + 2)
+    cleared: Container[int] = ()
+    for k in range(d, -1, -1):
+        index = {f: i for i, f in enumerate(faces[k])}
+        rows = (
+            ((index[f[:j] + f[j + 1 :]], -1 if j & 1 else 1) for j in range(len(f)))
+            for f in faces[k + 1]
+        )
+        cleared = _reduce(rows, cleared)
+        ranks[k] = len(cleared)
+    return tuple(len(faces[k + 1]) - ranks[k] - ranks[k + 1] for k in range(d + 1))
 
 
 def is_cm_and_2cm(c: SimplicialComplex) -> tuple[bool, bool]:

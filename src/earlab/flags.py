@@ -29,7 +29,7 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .complexes import SimplicialComplex, boundary_complex, reduced_euler
+from .complexes import SimplicialComplex, boundary_complex
 from .errors import (
     BadParams,
     Inconsistent,
@@ -583,7 +583,7 @@ def ball_flag_reciprocity(
             comp = full - Sf
             _poly_add_term(lhs, f_int.get(Sf, 0), frozenset(), comp)
             _poly_add_term(rhs, hS.get(full - Sf, 0), comp, frozenset())
-    chi = reduced_euler(ear)
+    chi = sum((-1) ** (len(S) + 1) * n for S, n in fS.items())  # reduced Euler
     if chi:
         # boundaryless case: the reduced Euler characteristic enters once,
         # against the full product of (ν_i - 1) factors

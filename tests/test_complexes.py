@@ -3,6 +3,8 @@ Cohen-Macaulay checks, sphere/ball certificates, and the face poset."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,8 @@ from earlab.complexes import (
     union_complexes,
     verify_shelling,
 )
+from earlab.lattices import boolean_lattice
+from earlab.posets import proper_part
 
 
 # -- Fixtures ------------------------------------------------------------------
@@ -228,6 +232,38 @@ def test_homology_of_disconnected_points():
 def test_homology_of_wedge_like_bowtie():
     # two triangles glued at a vertex: contractible
     assert homology_ranks(bowtie()) == (0, 0, 0)
+
+
+RP2_6 = [
+    "123", "134", "145", "156", "126", "235", "245", "246", "346", "356",
+]
+
+
+def test_homology_of_six_vertex_projective_plane_is_rational():
+    # H_1(RP^2; Z) = Z/2 vanishes over Q, and so does H_2; over GF(2) both
+    # would be 1, so a mod-2 shortcut would answer (0, 1, 1)
+    c = build_complex(RP2_6)
+    edges = [e for f in c.facets for e in combinations(sorted(f), 2)]
+    assert len(set(edges)) == 15 and all(edges.count(e) == 2 for e in edges)
+    assert homology_ranks(c) == (0, 0, 0)
+
+
+def test_homology_of_b6_order_complex_is_a_3_sphere():
+    c = order_complex(proper_part(boolean_lattice(6).poset))
+    assert len(c.facets) == 720
+    assert homology_ranks(c) == (0, 0, 0, 0, 1)
+
+
+def test_homology_of_non_pure_complex_with_dangling_edge():
+    # a solid triangle, an edge hanging off it, and a hollow triangle
+    c = build_complex([["a", "b", "c"], ["c", "d"], ["d", "e"], ["e", "f"], ["d", "f"]])
+    assert not c.pure
+    assert homology_ranks(c) == (0, 1, 0)
+
+
+def test_homology_of_degenerate_complexes_is_empty():
+    assert homology_ranks(build_complex([[]])) == ()  # {∅}, the (-1)-sphere
+    assert homology_ranks(build_complex([])) == ()  # the void complex
 
 
 def test_euler_characteristic_consistency():

@@ -3,6 +3,9 @@ against the brute-force routes they replaced, on random inputs.
 
 * ``verify_shelling`` (restriction faces from hash sets) against the
   pairwise shelling criterion, O(n^3);
+* ``exact_rank`` and ``homology_ranks`` (pivot-column reduction, with
+  clearing from the top dimension down) against fraction-free elimination
+  on the sparsest row, one full boundary matrix per dimension;
 * ``build_complex`` (maximality tested against larger sets only) against
   the all-pairs filter;
 * the boundary axiom of ``verify_ced`` (one running face set) against
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -37,13 +41,18 @@ from earlab.complexes import (
     SimplicialComplex,
     boundary_complex,
     build_complex,
+    exact_rank,
+    homology_ranks,
     intersection_complexes,
+    order_complex,
+    reduced_euler,
     union_complexes,
     verify_shelling,
 )
 from earlab.decompositions import (
     _selected_flags,
     decompose_face_poset,
+    decompose_geometric,
     decompose_rank_selected_boolean,
     decompose_rank_selected_supersolvable,
     decompose_supersolvable,
@@ -69,7 +78,7 @@ from earlab.matroids import (
     rank_and_closure,
     uniform_matroid,
 )
-from earlab.posets import Poset, build_poset, maximal_chains
+from earlab.posets import Poset, build_poset, maximal_chains, proper_part
 
 
 # -- oracles ------------------------------------------------------------------
@@ -104,6 +113,61 @@ def pairwise_shelling(c: SimplicialComplex, order):
             frozenset(x for x in fj if any(fj - {x} <= g for g in seq[:j]))
         )
     return tuple(restrictions), None
+
+
+def exact_rank_by_elimination(rows: list[dict[int, int]]) -> int:
+    """Rank of an integer sparse matrix by fraction-free elimination with
+    gcd normalization: pivot on the sparsest row's smallest column, re-sorting
+    and scanning every remaining row at each pivot."""
+    work = [dict(r) for r in rows if r]
+    rank = 0
+    while work:
+        work.sort(key=len)
+        pivot = work.pop(0)
+        rank += 1
+        col = min(pivot)
+        pval = pivot[col]
+        nxt = []
+        for r in work:
+            v = r.get(col)
+            if v is None:
+                nxt.append(r)
+                continue
+            merged: dict[int, int] = {k: pval * x for k, x in r.items()}
+            for k, x in pivot.items():
+                merged[k] = merged.get(k, 0) - v * x
+            merged = {k: x for k, x in merged.items() if x}
+            if merged:
+                g = 0
+                for x in merged.values():
+                    g = gcd(g, x)
+                if g > 1:
+                    merged = {k: x // g for k, x in merged.items()}
+                nxt.append(merged)
+        work = nxt
+    return rank
+
+
+def homology_by_elimination(c: SimplicialComplex) -> tuple[int, ...]:
+    """Reduced Betti numbers from the rank of every boundary matrix, each
+    built in full from frozenset faces, with no clearing."""
+    if c.is_void or c.is_irrelevant:
+        return ()
+    by_dim: dict[int, list[frozenset[str]]] = {}
+    for f in c.faces():
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    for k in by_dim:
+        by_dim[k].sort(key=sorted)
+    d = c.dim
+    ranks = [0] * (d + 2)
+    for k in range(d + 1):
+        lower_index = {f: i for i, f in enumerate(by_dim.get(k - 1, []))}
+        rows = []
+        for f in by_dim.get(k, []):
+            fl = sorted(f)
+            rows.append({lower_index[f - {v}]: (-1) ** i for i, v in enumerate(fl)})
+        ranks[k] = exact_rank_by_elimination(rows)
+    return tuple(len(by_dim.get(k, [])) - ranks[k] - ranks[k + 1] for k in range(d + 1))
 
 
 def all_pairs_build(facets) -> SimplicialComplex:
@@ -310,6 +374,77 @@ def test_known_orders_are_shellings_and_others_are_not():
         assert pairwise_shelling(c, order)[1] is not None
         with pytest.raises(NotShelling):
             verify_shelling(c, order)
+
+
+# -- exact homology ------------------------------------------------------------------
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 12 rows over up to 10 columns with entries in [-4, 4], plus
+    zero rows and duplicated rows (some scaled, some negated)."""
+    n_cols = draw(st.integers(1, 10))
+    entry = st.integers(-4, 4).filter(bool)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, n_cols - 1), entry), max_size=12))
+    for _ in range(draw(st.integers(0, 4))):
+        if rows and draw(st.booleans()):
+            r = draw(st.sampled_from(rows))
+            m = draw(st.sampled_from([1, -1, 2, -3]))
+            rows.insert(draw(st.integers(0, len(rows))), {k: m * x for k, x in r.items()})
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), {})
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_exact_rank_agrees_with_elimination(rows):
+    before = [dict(r) for r in rows]
+    assert exact_rank(rows) == exact_rank_by_elimination(rows)
+    assert rows == before  # the caller's rows are not reduced in place
+
+
+def _check_homology(c: SimplicialComplex) -> None:
+    betti = homology_ranks(c)
+    assert betti == homology_by_elimination(c)
+    # {∅} has β̃_{-1} = 1, a degree the tuple (β̃_0, …, β̃_dim) leaves out
+    assert sum((-1) ** k * b for k, b in enumerate(betti)) == reduced_euler(c) + c.is_irrelevant
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.sampled_from("abcdefg"), max_size=5), max_size=10))
+def test_homology_agrees_with_elimination_on_random_complexes(facets):
+    _check_homology(build_complex(facets))
+
+
+def cross_polytope_boundary(n: int) -> SimplicialComplex:
+    facets = [[]]
+    for i in range(1, n + 1):
+        facets = [f + [s + str(i)] for f in facets for s in ("n", "p")]
+    return build_complex(facets)
+
+
+@lru_cache(maxsize=None)
+def homology_families() -> dict[str, tuple[SimplicialComplex, ...]]:
+    """B5 and Π5 order complexes, every ear and ambient sphere of the K5 and
+    K3,3 lattices of flats, and the cross-polytope boundaries ∂C_1..∂C_5."""
+    def ears_and_ambients(edges: str, n: int):
+        dec = decompose_geometric(lattice_of_flats(graphic_matroid(n, _edge_list(edges))))
+        return tuple(c for e in dec.ears for c in (e.complex, e.ambient))
+
+    return {
+        "B5": (order_complex(proper_part(boolean_lattice(5).poset)),),
+        "Pi5": (order_complex(proper_part(partition_lattice(5).poset)),),
+        "K5": ears_and_ambients("0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4", 5),
+        "K33": ears_and_ambients("0-3,0-4,0-5,1-3,1-4,1-5,2-3,2-4,2-5", 6),
+        "cross": tuple(cross_polytope_boundary(n) for n in range(1, 6)),
+    }
+
+
+@pytest.mark.parametrize("name", ["B5", "Pi5", "K5", "K33", "cross"])
+def test_homology_agrees_with_elimination_on_families(name):
+    for c in homology_families()[name]:
+        _check_homology(c)
 
 
 # -- build_complex ------------------------------------------------------------------
