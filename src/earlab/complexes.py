@@ -374,7 +374,10 @@ def intersection_complexes(a: SimplicialComplex, b: SimplicialComplex) -> Simpli
 
 
 def is_subcomplex(small: SimplicialComplex, big: SimplicialComplex) -> bool:
-    return all(big.has_face(f) for f in small.facets)
+    """Every facet of ``small`` is a face of ``big``. A facet of ``big`` is
+    found by one set lookup; only the others are scanned by ``has_face``."""
+    tops = set(big.facets)
+    return all(f in tops or big.has_face(f) for f in small.facets)
 
 
 # -- exact homology ------------------------------------------------------------

@@ -156,22 +156,29 @@ def _frame_word(
 
 def _selected_flags(rho: int, ranks: Sequence[int]) -> list[tuple[frozenset[int], ...]]:
     """All flags of subsets of [rho] with sizes equal to the selected ranks."""
-    universe = frozenset(range(1, rho + 1))
     out: list[tuple[frozenset[int], ...]] = []
-
-    def grow(prev: frozenset[int], idx: int, acc: list[frozenset[int]]):
-        if idx == len(ranks):
-            out.append(tuple(acc))
-            return
-        need = ranks[idx] - len(prev)
-        for extra in combinations(sorted(universe - prev), need):
-            nxt = prev | frozenset(extra)
-            acc.append(nxt)
-            grow(nxt, idx + 1, acc)
-            acc.pop()
-
-    grow(frozenset(), 0, [])
+    _flag_extensions(frozenset(range(1, rho + 1)), ranks, frozenset(), [], out)
     return out
+
+
+def _flag_extensions(
+    universe: frozenset[int],
+    ranks: Sequence[int],
+    prev: frozenset[int],
+    acc: list[frozenset[int]],
+    out: list[tuple[frozenset[int], ...]],
+) -> None:
+    """Append to ``out`` every flag that extends ``acc``, whose last set is
+    ``prev``, through the selected ranks still to come."""
+    idx = len(acc)
+    if idx == len(ranks):
+        out.append(tuple(acc))
+        return
+    for extra in combinations(sorted(universe - prev), ranks[idx] - len(prev)):
+        nxt = prev | frozenset(extra)
+        acc.append(nxt)
+        _flag_extensions(universe, ranks, nxt, acc, out)
+        acc.pop()
 
 
 def _ambient_sphere(
@@ -689,7 +696,6 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
 
     sphere_entries = []
     ball_entries = []
-    amb_cache: dict[tuple, str] = {}
     axiom_sphere_ok = True
     axiom_balls_ok = True
     for i, ear in enumerate(ears):
@@ -705,17 +711,14 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
             )
         ball_entries.append(kind)
 
-        amb_key = ear.ambient.facets
         if i == 0 and kind == "SPHERE" and ear.complex == ear.ambient:
             # the sphere verdict never reads the shelling: same complex, same verdict
-            amb_cache[amb_key] = kind
-        amb_kind = amb_cache.get(amb_key)
-        if amb_kind is None:
+            amb_kind = kind
+        else:
             try:
                 amb_kind = certify_sphere_or_ball(ear.ambient).kind
             except EarlabError as exc:
                 amb_kind = f"UNCERTIFIED({exc})"
-            amb_cache[amb_key] = amb_kind
         entry = {
             "ear": i + 1,
             "ambient_is_sphere": amb_kind == "SPHERE",
@@ -796,7 +799,6 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
             h_section["histogram_matches"] = hist == tuple(h) if hist else None
     except EarlabError as exc:
         h_section = {"error": str(exc)}
-        ineq_ok = m_ok = False
     report["h_checks"] = h_section
 
     report["ok"] = bool(axioms_ok and h_section.get("inequalities_ok") and h_section.get("g_is_m_vector"))

@@ -9,12 +9,14 @@ Conventions used throughout:
     (S, T, m), so ``dominance_table(m)`` decides every pair once per m:
     each class's inversion masks are computed once, with one bitset per
     inversion bit of the members that have it; τ's candidates in D_S are
-    the AND of those bitsets over τ's inversions, and Hopcroft–Karp runs
-    only when |D_T| ≤ |D_S| and every τ has a candidate. ``dominates``
-    matches on the same masks and returns the injection. The tests diff
-    both against the per-pair scan they replaced and replay witnesses
-    through ``weak_leq_by_switches``, a breadth-first search over
-    switches. The table for m = 8 takes about 2.5 s.
+    the AND of those bitsets over τ's inversions. Only when |D_T| ≤ |D_S|
+    and every τ has a candidate does a matching run, by augmenting paths
+    read straight off the candidate bitsets, τ by τ, stopping at the first
+    τ that has none. ``dominates`` matches on the same masks and returns
+    the injection. The tests diff both against the per-pair scan they
+    replaced, the matching against a Hopcroft–Karp oracle, and replay
+    witnesses through ``weak_leq_by_switches``, a breadth-first search
+    over switches.
 
 The h-vector side: g = the first differences of the lower half of h, and
 the M-vector test is the Macaulay binomial growth bound, all in exact
@@ -303,77 +305,6 @@ def descent_classes(m: int) -> dict[frozenset[int], list[tuple[int, ...]]]:
     return out
 
 
-def _augment(
-    adj: list[list[int]], root: int, dist: list, match_l: list[int], match_r: list[int]
-) -> None:
-    """Augment along one path from the free left vertex ``root``, if the BFS
-    layers hold one. The search is depth first with an explicit stack, so
-    a path's length is not bounded by the recursion limit; neighbours are
-    tried in adjacency order and a dead end leaves the layers, as in the
-    recursive formulation."""
-    INF = float("inf")
-    path = [root]  # left vertices from the root down
-    nxt = [0]  # per frame: the next index into adj[path[k]]
-    via: list[int] = []  # per frame below the top: the right vertex it went through
-    while path:
-        u = path[-1]
-        nbrs = adj[u]
-        i = nxt[-1]
-        while i < len(nbrs):
-            v = nbrs[i]
-            i += 1
-            w = match_r[v]
-            if w == -1:
-                via.append(v)
-                for x, y in zip(path, via):
-                    match_l[x] = y
-                    match_r[y] = x
-                return
-            if dist[w] == dist[u] + 1:
-                nxt[-1] = i
-                via.append(v)
-                path.append(w)
-                nxt.append(0)
-                break
-        else:
-            dist[u] = INF
-            path.pop()
-            nxt.pop()
-            if via:
-                via.pop()
-
-
-def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
-    """Maximum matching; returns match_left (index into right side or -1)."""
-    INF = float("inf")
-    n_left = len(adj)
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    while True:
-        dist = [INF] * n_left
-        queue = [u for u in range(n_left) if match_l[u] == -1]
-        for u in queue:
-            dist[u] = 0
-        head = 0
-        found = False
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1:
-                    found = True
-                elif dist[w] is INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if not found:
-            break
-        for u in range(n_left):
-            if match_l[u] == -1:
-                _augment(adj, u, dist, match_l, match_r)
-    return match_l
-
-
 @lru_cache(maxsize=None)
 def _class_masks(m: int) -> dict[frozenset[int], tuple[tuple[int, ...], tuple[int, ...]]]:
     """Per descent class of S_m, in ``descent_classes`` order: the members'
@@ -421,8 +352,53 @@ def _injection(
             if not cand:
                 return None
         cands.append(cand)
-    match_l = _hopcroft_karp([_members(cand) for cand in cands], len(masks))
-    return None if -1 in match_l else match_l
+    return _match(cands)
+
+
+def _match(cands: Sequence[int]) -> Optional[list[int]]:
+    """A matching that covers every left vertex, given each one's
+    neighbours as a bitset of right vertices: the right vertex of each, or
+    None when there is none.
+
+    Left vertices are taken in order (Kuhn). From each, a depth-first
+    search with an explicit stack, so a path's length is not bounded by
+    the recursion limit, visits each right vertex at most once: it takes a
+    free neighbour when one is left, else passes through the lowest
+    unvisited matched one to its partner, and flips the path when it
+    reaches a free vertex. When the search from u fails, the matching of
+    left vertices 0..u-1 has no augmenting path among 0..u, so by Berge no
+    matching covers them all, and the answer is None."""
+    match_l = [-1] * len(cands)
+    match_r: dict[int, int] = {}
+    matched = 0
+    for root in range(len(cands)):
+        path = [root]  # left vertices from the root down
+        via: list[int] = []  # the right vertex between path[k] and path[k + 1]
+        seen = 0
+        while path:
+            rest = cands[path[-1]] & ~seen
+            free = rest & ~matched
+            if free:
+                v = (free & -free).bit_length() - 1
+                via.append(v)
+                for x, y in zip(path, via):
+                    match_l[x] = y
+                    match_r[y] = x
+                matched |= 1 << v
+                break
+            if rest:
+                low = rest & -rest
+                seen |= low
+                v = low.bit_length() - 1
+                via.append(v)
+                path.append(match_r[v])
+            else:
+                path.pop()
+                if via:
+                    via.pop()
+        else:
+            return None
+    return match_l
 
 
 def _check_cap(m: int) -> None:
@@ -473,7 +449,7 @@ def w_set(S: Iterable[int], n: int) -> frozenset[int]:
     return frozenset(i for i in range(1, n + 1) if (i in Sf) + (i + 1 in Sf) == 1)
 
 
-def verify_flag_inequalities(p: Poset, *, m_cap: int = DOMINANCE_CAP) -> dict:
+def verify_flag_inequalities(p: Poset) -> dict:
     """Check h_T ≤ h_S for every dominating pair (S, T) of rank subsets,
     read from ``dominance_table(rho)``.
 
@@ -484,8 +460,8 @@ def verify_flag_inequalities(p: Poset, *, m_cap: int = DOMINANCE_CAP) -> dict:
     if not (p.graded and p.bounded):
         raise BadParams("need a graded bounded poset")
     rho = p.rank_of(p.top)
-    if rho > m_cap:
-        raise SizeLimit(f"rank {rho} exceeds the dominance cap {m_cap}")
+    if rho > DOMINANCE_CAP:
+        raise SizeLimit(f"rank {rho} exceeds the dominance cap {DOMINANCE_CAP}")
     _, fh = flag_f_and_h(p)
     subsets = [frozenset(S) for k in range(rho) for S in combinations(range(1, rho), k)]
     table = dominance_table(rho)

@@ -339,23 +339,27 @@ def rank_select(p: Poset, ranks: Iterable[int]) -> Poset:
     return Poset(q.elements, q.covers, new_ranks, graded, q._up, q._down, orig_ranks=orig)
 
 
-def _chain_extensions(p: Poset, prefix: list[int], out: list[tuple[int, ...]]):
-    i = prefix[-1]
-    ups = p.covers_up_of(i)
-    if not ups:
+def _chain_extensions(p: Poset, prefix: list[int], within: int, out: list[tuple[int, ...]]):
+    """Append to ``out`` every extension of ``prefix`` by covers whose
+    indices lie in the bitmask ``within``, each taken until no such cover
+    is left."""
+    ended = True
+    for j in p.covers_up_of(prefix[-1]):
+        if within >> j & 1:
+            ended = False
+            prefix.append(j)
+            _chain_extensions(p, prefix, within, out)
+            prefix.pop()
+    if ended:
         out.append(tuple(prefix))
-        return
-    for j in ups:
-        prefix.append(j)
-        _chain_extensions(p, prefix, out)
-        prefix.pop()
 
 
 def maximal_chain_indices(p: Poset) -> list[tuple[int, ...]]:
     """All maximal chains as index tuples, in lexicographic index order."""
     out: list[tuple[int, ...]] = []
+    everything = (1 << p.n) - 1
     for i in p.minimal_indices():
-        _chain_extensions(p, [i], out)
+        _chain_extensions(p, [i], everything, out)
     out.sort()
     return out
 
@@ -373,19 +377,8 @@ def saturated_chains_between(p: Poset, x: str, y: str) -> list[tuple[str, ...]]:
     if not p.leq_i(i, j):
         raise NotComparable(f"{x!r} is not below {y!r}")
     out: list[tuple[int, ...]] = []
-
-    def walk(prefix: list[int]):
-        k = prefix[-1]
-        if k == j:
-            out.append(tuple(prefix))
-            return
-        for m in p.covers_up_of(k):
-            if p.leq_i(m, j):
-                prefix.append(m)
-                walk(prefix)
-                prefix.pop()
-
-    walk([i])
+    # inside y's down-set only y has no cover left, so every chain ends there
+    _chain_extensions(p, [i], p.down_mask(j), out)
     out.sort()
     return [tuple(p.elements[k] for k in idx) for idx in out]
 

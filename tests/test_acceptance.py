@@ -238,13 +238,13 @@ def test_5_flag_dominance_inequalities():
         c = build_complex(facets)
         fp = face_poset(c, include_empty=True, graded=True)
         p = with_bounds(rank_select(fp, range(1, c.dim + 1)))
-        rep = verify_flag_inequalities(p, m_cap=5)
+        rep = verify_flag_inequalities(p)
         assert rep["violations"] == 0, name
         flag_runs += len(rep["pairs"])
 
     # and on the geometric-lattice fixtures
     for name, m in matroid_fixtures():
-        rep = verify_flag_inequalities(lattice_of_flats(m).poset, m_cap=5)
+        rep = verify_flag_inequalities(lattice_of_flats(m).poset)
         assert rep["violations"] == 0, name
         flag_runs += len(rep["pairs"])
 

@@ -4,6 +4,7 @@ oracles that re-derive ear contents by an independent route."""
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import permutations
 
@@ -26,6 +27,7 @@ from earlab.complexes import (
 from earlab.decompositions import (
     Ear,
     EarDecomposition,
+    _selected_flags,
     decompose_face_poset,
     decompose_geometric,
     decompose_rank_selected_boolean,
@@ -433,6 +435,16 @@ def test_verify_ced_certifies_the_first_ear_once(monkeypatch):
     report = verify_ced(dec.complex, dec)
     assert report["ok"] and report["axiom_balls"]["kinds"] == ["SPHERE"]
     assert len(calls) == 1
+
+
+def test_selected_flags_leave_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(_selected_flags(5, (1, 3))) == 5 * 6
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_verify_ced_flags_missing_facets():

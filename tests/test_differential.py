@@ -8,6 +8,8 @@ against the brute-force routes they replaced, on random inputs.
   on the sparsest row, one full boundary matrix per dimension;
 * ``build_complex`` (maximality tested against larger sets only) against
   the all-pairs filter;
+* ``is_subcomplex`` (facets of the big complex by set lookup) against a
+  ``has_face`` scan of every facet;
 * the boundary axiom of ``verify_ced`` (one running face set) against
   rebuilding the union and its intersection with each ear;
 * ``Lattice``'s join/meet tables (principal-filter lookup) against a bit
@@ -22,7 +24,8 @@ against the brute-force routes they replaced, on random inputs.
 * ``dominance_table`` and ``dominates`` (inversion masks cached per m,
   candidates by AND of per-bit bitsets) against the per-pair scan they
   replaced, and each witness against the switch-walk weak order;
-* ``_hopcroft_karp``'s iterative augmenting step against the recursive one.
+* ``_match`` (augmenting paths on candidate bitsets, τ by τ) against
+  Hopcroft–Karp with a recursive augmenting step.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from earlab.complexes import (
     exact_rank,
     homology_ranks,
     intersection_complexes,
+    is_subcomplex,
     order_complex,
     reduced_euler,
     union_complexes,
@@ -61,7 +65,7 @@ from earlab.decompositions import (
 )
 from earlab.errors import Inconsistent, NotMChain, NotShelling
 from earlab.flags import (
-    _hopcroft_karp,
+    _match,
     descent_classes,
     dominance_table,
     dominates,
@@ -231,8 +235,8 @@ def bit_scan_tables(p: Poset):
 
 
 def hopcroft_karp_recursive(adj: list[list[int]], n_right: int) -> list[int]:
-    """Hopcroft–Karp with the augmenting step written recursively: the same
-    phases, the same vertex and neighbour order."""
+    """Maximum matching by Hopcroft–Karp, with the augmenting step written
+    recursively; returns match_left (index into the right side or -1)."""
     INF = float("inf")
     n_left = len(adj)
     match_l = [-1] * n_left
@@ -274,7 +278,8 @@ def hopcroft_karp_recursive(adj: list[list[int]], n_right: int) -> list[int]:
 
 def dominates_by_scan(S, T, m: int):
     """Dominance with the masks of both classes rebuilt on every call and
-    each τ tested against every σ, |D_T| × |D_S| containment tests."""
+    each τ's candidates found by testing it against every σ, |D_T| × |D_S|
+    containment tests."""
     classes = descent_classes(m)
     left = classes.get(frozenset(T), [])
     right = classes.get(frozenset(S), [])
@@ -283,12 +288,12 @@ def dominates_by_scan(S, T, m: int):
     if len(left) > len(right):
         return False, None
     right_masks = [inversion_mask(s) for s in right]
-    adj: list[list[int]] = []
+    cands = []
     for tau in left:
         tm = inversion_mask(tau)
-        adj.append([j for j, sm in enumerate(right_masks) if tm & ~sm == 0])
-    match_l = _hopcroft_karp(adj, len(right))
-    if any(v == -1 for v in match_l):
+        cands.append(sum(1 << j for j, sm in enumerate(right_masks) if tm & ~sm == 0))
+    match_l = _match(cands)
+    if match_l is None:
         return False, None
     return True, {left[u]: right[v] for u, v in enumerate(match_l)}
 
@@ -457,6 +462,32 @@ def test_build_complex_agrees_with_all_pairs_filter(facets):
     want = all_pairs_build(facets)
     assert got.facets == want.facets
     assert got.vertices == want.vertices
+
+
+# -- is_subcomplex ------------------------------------------------------------------
+
+
+@st.composite
+def complex_pairs(draw):
+    """A random complex and one built from random sets plus some of its
+    facets and faces of its facets, so that both answers occur."""
+    sets = st.frozensets(st.sampled_from("abcdef"), max_size=4)
+    big = build_complex(draw(st.lists(sets, max_size=8)))
+    pieces = draw(st.lists(sets, max_size=3))
+    for f in big.facets:
+        pick = draw(st.integers(0, 2))
+        if pick == 1:
+            pieces.append(f)
+        elif pick == 2 and f:
+            pieces.append(draw(st.frozensets(st.sampled_from(sorted(f)))))
+    return build_complex(pieces), big
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_pairs())
+def test_is_subcomplex_agrees_with_the_face_scan(pair):
+    small, big = pair
+    assert is_subcomplex(small, big) == all(big.has_face(f) for f in small.facets)
 
 
 # -- the boundary axiom ---------------------------------------------------------------
@@ -680,9 +711,13 @@ def bipartite_graphs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(bipartite_graphs())
-def test_iterative_augment_matches_like_the_recursive_one(graph):
+def test_bitset_matching_agrees_with_hopcroft_karp(graph):
     adj, n_right = graph
-    assert _hopcroft_karp(adj, n_right) == hopcroft_karp_recursive(adj, n_right)
+    got = _match([sum(1 << v for v in nbrs) for nbrs in adj])
+    assert (got is not None) == (-1 not in hopcroft_karp_recursive(adj, n_right))
+    if got is not None:
+        assert len(set(got)) == len(got)
+        assert all(v in nbrs for v, nbrs in zip(got, adj))
 
 
 @st.composite

@@ -18,7 +18,7 @@ from earlab.complexes import (
 )
 from earlab.flags import (
     FlagVector,
-    _hopcroft_karp,
+    _match,
     ball_flag_reciprocity,
     corollary_gap_coefficients,
     descent_classes,
@@ -41,7 +41,7 @@ from earlab.flags import (
 )
 from earlab.labelings import derive_sn_labeling
 from earlab.lattices import boolean_lattice, partition_lattice
-from earlab.posets import rank_select, with_bounds
+from earlab.posets import build_poset, rank_select, with_bounds
 
 
 # -- Flag f and h ---------------------------------------------------------------
@@ -283,11 +283,11 @@ def test_flag_inequalities_read_the_table(monkeypatch):
     assert len(report["pairs"]) == 11 and report["violations"] == 0
 
 
-def test_hopcroft_karp_follows_an_augmenting_path_past_the_recursion_limit():
-    # the first phase matches u_i to i, leaving u_1499 free; its only
+def test_matching_follows_an_augmenting_path_past_the_recursion_limit():
+    # u_i takes the free i in turn, leaving u_1499 only the taken 0; its
     # augmenting path then runs through all 1500 left vertices
-    adj = [[i, i + 1] for i in range(1499)] + [[0]]
-    assert _hopcroft_karp(adj, 1500) == [i + 1 for i in range(1499)] + [0]
+    cands = [0b11 << i for i in range(1499)] + [0b1]
+    assert _match(cands) == [i + 1 for i in range(1499)] + [0]
 
 
 # -- w(S) ----------------------------------------------------------------------------------
@@ -336,9 +336,9 @@ def test_flag_inequalities_on_tetra_boundary():
 
 
 def test_flag_inequalities_cap():
-    lat = boolean_lattice(4)
+    chain = build_poset([str(i) for i in range(10)], [(str(i), str(i + 1)) for i in range(9)])
     with pytest.raises(SizeLimit):
-        verify_flag_inequalities(lat.poset, m_cap=3)
+        verify_flag_inequalities(chain)
 
 
 # -- Ball flag reciprocity ----------------------------------------------------------------------

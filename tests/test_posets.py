@@ -3,6 +3,7 @@ chain enumeration, Mobius values, and the JSON round trip."""
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -172,6 +173,19 @@ def test_saturated_chains_between():
     assert sorted(chains) == [("0", "a", "1"), ("0", "b", "1")]
     with pytest.raises(NotComparable):
         saturated_chains_between(p, "a", "b")
+
+
+def test_saturated_chains_leave_no_cyclic_garbage():
+    from earlab.lattices import boolean_lattice
+
+    p = boolean_lattice(4).poset
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(saturated_chains_between(p, p.bottom, p.top)) == 24
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_chain_count_of_boolean_proper_part():
