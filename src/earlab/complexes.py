@@ -12,7 +12,7 @@ elimination), so there are no floating-point numbers anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
 from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence
@@ -284,27 +284,36 @@ def search_shelling(
     n = len(c.facets)
     if n > cap:
         raise SizeLimit(f"shelling search capped at {cap} facets ({n} given)")
-    facets = list(c.facets)
     prefix: list[int] = []
-    used = [False] * n
-
-    def rec(ridges: set[frozenset[str]], faces: set[frozenset[str]]) -> bool:
-        if len(prefix) == n:
-            return True
-        for j in range(n):
-            if used[j] or not _shelling_step(facets[j], ridges, faces)[1]:
-                continue
-            used[j] = True
-            prefix.append(j)
-            if rec(ridges.union(_ridges(facets[j])), faces.union(_subfaces(facets[j]))):
-                return True
-            prefix.pop()
-            used[j] = False
-        return False
-
-    if not rec(set(), set()):
+    if not _extend_shelling(c.facets, prefix, [False] * n, set(), set()):
         return None
     return verify_shelling(c, prefix)
+
+
+def _extend_shelling(
+    facets: Sequence[frozenset[str]],
+    prefix: list[int],
+    used: list[bool],
+    ridges: set[frozenset[str]],
+    faces: set[frozenset[str]],
+) -> bool:
+    """Extend the shelling ``prefix`` (facet indices, marked in ``used``,
+    whose ridges and faces are given) to all of ``facets`` by backtracking,
+    in place; False, with ``prefix`` as it was, when no extension exists."""
+    if len(prefix) == len(facets):
+        return True
+    for j, f in enumerate(facets):
+        if used[j] or not _shelling_step(f, ridges, faces)[1]:
+            continue
+        used[j] = True
+        prefix.append(j)
+        if _extend_shelling(
+            facets, prefix, used, ridges.union(_ridges(f)), faces.union(_subfaces(f))
+        ):
+            return True
+        prefix.pop()
+        used[j] = False
+    return False
 
 
 # -- boundary, links, constructions -------------------------------------------
@@ -497,28 +506,17 @@ def _is_cm(c: SimplicialComplex) -> bool:
 class Certificate:
     """Evidence that a complex is a sphere or a ball.
 
-    ``kind`` is "SPHERE" or "BALL". ``criteria`` lists the checks that fired,
-    in order. Ambient polytopality of reference spheres is an assumption
-    recorded in the criteria, not something this code proves.
+    ``kind`` is "SPHERE" or "BALL" and ``betti`` holds the reduced Betti
+    numbers (none for {∅}). A BALL of positive dimension also carries its
+    verified ``shelling`` and its ``boundary`` complex, which certified as a
+    SPHERE. Ambient polytopality of reference spheres is an assumption of
+    the callers, not something this code proves.
     """
 
     kind: str
-    criteria: tuple[str, ...]
     betti: tuple[int, ...] = ()
     shelling: Optional[ShellingOrder] = None
-    boundary: Optional["Certificate"] = None
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind, "criteria": list(self.criteria)}
-        out["betti"] = list(self.betti)
-        if self.shelling is not None:
-            out["shelling"] = list(self.shelling.order)
-            out["restrictions"] = [
-                sorted(r) for r in self.shelling.restrictions
-            ]
-        if self.boundary is not None:
-            out["boundary"] = self.boundary.to_json()
-        return out
+    boundary: Optional[SimplicialComplex] = None
 
 
 def _is_closed_pseudomanifold(c: SimplicialComplex) -> bool:
@@ -546,55 +544,44 @@ def _is_closed_pseudomanifold(c: SimplicialComplex) -> bool:
 
 
 def certify_sphere_or_ball(
-    c: SimplicialComplex,
-    shelling: Optional[Sequence[int]] = None,
+    c: SimplicialComplex, shelling: Optional[ShellingOrder] = None
 ) -> Certificate:
     """Certify SPHERE or BALL, else raise NotCertified.
 
     SPHERE: closed pseudomanifold with reduced homology (0,…,0,1); in
     dimension 0, exactly two points; the {∅} complex is the (-1)-sphere.
-    BALL: shellable (order given or found by bounded search), homology all
-    zero, boundary certified SPHERE; in dimension 0, one point.
+    BALL: shellable, homology all zero, boundary certified SPHERE; in
+    dimension 0, one point. The shelling is ``shelling``, a ShellingOrder
+    of ``c`` that ``verify_shelling`` made and that is not checked again,
+    or else one found by the bounded search.
     """
+    if shelling is not None and shelling.complex != c:
+        raise BadParams("the shelling is of another complex")
     if c.is_void:
         raise NotCertified("void complex")
     if c.is_irrelevant:
-        return Certificate("SPHERE", ("empty-complex-is-minus-one-sphere",))
+        return Certificate("SPHERE")
     if not c.pure:
         raise NotCertified("not pure")
     betti = homology_ranks(c)
     sphere_betti = tuple([0] * c.dim + [1])
     if betti == sphere_betti and _is_closed_pseudomanifold(c):
-        return Certificate(
-            "SPHERE", ("closed-pseudomanifold", "homology-of-sphere"), betti
-        )
+        return Certificate("SPHERE", betti)
     if any(betti):
         raise NotCertified(f"homology {betti} fits neither sphere nor ball")
     if c.dim == 0:
         if len(c.facets) == 1:
-            return Certificate("BALL", ("single-point",), betti)
+            return Certificate("BALL", betti)
         raise NotCertified("several points form neither a sphere nor a ball")
-    if shelling is not None:
-        sh = verify_shelling(c, shelling)
-        how = "shelling-given"
-    else:
-        sh = search_shelling(c)
-        how = "shelling-found"
-        if sh is None:
-            raise NotCertified("no shelling found")
+    sh = shelling if shelling is not None else search_shelling(c)
+    if sh is None:
+        raise NotCertified("no shelling found")
     bd = boundary_complex(c)
     if bd.is_void:
         raise NotCertified("acyclic closed complex is not a ball")
-    bcert = certify_sphere_or_ball(bd)
-    if bcert.kind != "SPHERE":
+    if certify_sphere_or_ball(bd).kind != "SPHERE":
         raise NotCertified("boundary did not certify as a sphere")
-    return Certificate(
-        "BALL",
-        (how, "homology-trivial", "boundary-is-sphere"),
-        betti,
-        shelling=sh,
-        boundary=bcert,
-    )
+    return Certificate("BALL", betti, sh, bd)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -26,7 +26,6 @@ from .complexes import (
     face_poset,
     h_from_shelling,
     is_subcomplex,
-    order_complex,
     search_shelling,
     union_complexes,
     verify_shelling,
@@ -218,8 +217,10 @@ def _ambient_sphere(
 class Ear:
     """One ear: its chains (in shelling order), verified shelling, reference
     sphere, and where it came from. Its complex is the one the shelling
-    certifies. The JSON form keeps the chains, their restriction faces and
-    the provenance, the reference that rebuilds the sphere from the input."""
+    certifies, and ``verify_ced`` hands that ShellingOrder to
+    ``certify_sphere_or_ball`` as the ball's shelling, so no ear is shelled
+    twice. The JSON form keeps the chains, their restriction faces and the
+    provenance, the reference that rebuilds the sphere from the input."""
 
     chains: list[tuple[str, ...]]
     shelling: ShellingOrder
@@ -362,7 +363,7 @@ def _assemble(
         construction=construction,
         params=params,
         poset=sel_poset,
-        complex=order_complex(sel_poset),
+        complex=build_complex(all_chains),
         ears=ears,
         dropped=dropped,
         ranks=ranks,
@@ -694,31 +695,21 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
         "extra": [sorted(f) for f in extra[:3]],
     }
 
-    sphere_entries = []
-    ball_entries = []
-    axiom_sphere_ok = True
-    axiom_balls_ok = True
+    # The faces common to ear i and the earlier union are those of the
+    # complex generated by pairwise facet intersections, so one running face
+    # set replaces rebuilding the union and the intersection per ear.
+    kinds = []
+    entries = []
+    witnesses = []
+    running: set[frozenset[str]] = set()
     for i, ear in enumerate(ears):
-        try:
-            cert = certify_sphere_or_ball(ear.complex, ear.shelling.order)
-            kind = cert.kind
-        except EarlabError as exc:  # report, don't raise
-            kind = f"UNCERTIFIED({exc})"
-        want = "SPHERE" if i == 0 else "BALL"
-        if kind != want:
-            (axiom_sphere_ok, axiom_balls_ok) = (
-                (False, axiom_balls_ok) if i == 0 else (axiom_sphere_ok, False)
-            )
-        ball_entries.append(kind)
-
+        kind, boundary = _certify(ear.complex, ear.shelling)
+        kinds.append(kind)
         if i == 0 and kind == "SPHERE" and ear.complex == ear.ambient:
             # the sphere verdict never reads the shelling: same complex, same verdict
             amb_kind = kind
         else:
-            try:
-                amb_kind = certify_sphere_or_ball(ear.ambient).kind
-            except EarlabError as exc:
-                amb_kind = f"UNCERTIFIED({exc})"
+            amb_kind, _ = _certify(ear.ambient)
         entry = {
             "ear": i + 1,
             "ambient_is_sphere": amb_kind == "SPHERE",
@@ -729,39 +720,30 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
             entry["equals_ambient"] = ear.complex == ear.ambient
         else:
             entry["proper"] = set(ear.complex.facets) < set(ear.ambient.facets)
-        if not all(v for k, v in entry.items() if k != "ear"):
-            axiom_sphere_ok = False
-        sphere_entries.append(entry)
+        entries.append(entry)
+
+        ear_faces = ear.complex.faces()
+        if i:
+            have = ear_faces & running
+            if boundary is None:  # only a BALL certificate carries its boundary
+                boundary = boundary_complex(ear.complex)
+            want = boundary.faces()
+            if have != want:
+                diff = sorted(have ^ want, key=lambda f: (len(f), sorted(f)))
+                witnesses.append({"ear": i + 1, "faces": [sorted(f) for f in diff[:3]]})
+        running |= ear_faces
+
+    axiom_sphere_ok = kinds[0] == "SPHERE" and all(
+        v for e in entries for k, v in e.items() if k != "ear"
+    )
+    axiom_balls_ok = all(kind == "BALL" for kind in kinds[1:])
+    boundary_ok = not witnesses
     report["axiom_polytope"] = {
         "ok": axiom_sphere_ok,
         "note": "ambient spheres are joins of subdivided simplex boundaries, polytopal by construction",
-        "per_ear": sphere_entries,
+        "per_ear": entries,
     }
-    report["axiom_balls"] = {
-        "ok": axiom_balls_ok,
-        "kinds": ball_entries,
-    }
-
-    # The faces common to ear i and the earlier union are those of the
-    # complex generated by pairwise facet intersections, so one running face
-    # set replaces rebuilding the union and the intersection per ear.
-    boundary_ok = True
-    witnesses = []
-    running = ears[0].complex.faces()
-    for i in range(1, len(ears)):
-        ear_faces = ears[i].complex.faces()
-        have = ear_faces & running
-        running |= ear_faces
-        want_faces = boundary_complex(ears[i].complex).faces()
-        if have != want_faces:
-            boundary_ok = False
-            diff = sorted(have ^ want_faces, key=lambda f: (len(f), sorted(f)))
-            witnesses.append(
-                {
-                    "ear": i + 1,
-                    "faces": [sorted(f) for f in diff[:3]],
-                }
-            )
+    report["axiom_balls"] = {"ok": axiom_balls_ok, "kinds": kinds}
     report["axiom_boundary"] = {"ok": boundary_ok, "witnesses": witnesses}
 
     chains: list[tuple[str, ...]] = []
@@ -805,13 +787,29 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
     return report
 
 
+def _certify(
+    c: SimplicialComplex, shelling: Optional[ShellingOrder] = None
+) -> tuple[str, Optional[SimplicialComplex]]:
+    """The kind ``certify_sphere_or_ball`` gives and the boundary a BALL
+    certificate carries; "UNCERTIFIED(reason)" and None for a complex it
+    refuses. Any error other than an EarlabError is a bug and propagates."""
+    try:
+        cert = certify_sphere_or_ball(c, shelling)
+    except EarlabError as exc:  # report, don't raise
+        return f"UNCERTIFIED({exc})", None
+    return cert.kind, cert.boundary
+
+
 def _concatenated_histogram(
     delta: SimplicialComplex, ears: Sequence[Ear]
 ) -> Optional[tuple[int, ...]]:
     """h-vector read off the concatenated ear shellings, when the
     concatenation happens to shell the whole complex; None when it does not
     (observed for some rank selections, where the glue order is right for
-    the ears but not for the union)."""
+    the ears but not for the union). With one ear, the union axiom has made
+    Δ that ear's complex and the concatenation is its verified order."""
+    if len(ears) == 1:
+        return h_from_shelling(ears[0].shelling)
     where = {f: i for i, f in enumerate(delta.facets)}
     order = []
     for ear in ears:

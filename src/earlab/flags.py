@@ -401,23 +401,17 @@ def _match(cands: Sequence[int]) -> Optional[list[int]]:
     return match_l
 
 
-def _check_cap(m: int) -> None:
-    if m > DOMINANCE_CAP:
-        raise SizeLimit(f"dominance capped at m = {DOMINANCE_CAP}")
-
-
 def dominates(
     S: Iterable[int], T: Iterable[int], m: int
 ) -> tuple[bool, Optional[dict[tuple[int, ...], tuple[int, ...]]]]:
     """Does S dominate T in S_m? Decided by maximum bipartite matching on
     the weak-order relation between descent classes; the injection comes
     back as the witness."""
-    _check_cap(m)
+    classes = _class_masks(m)  # raises SizeLimit above DOMINANCE_CAP
     Sf, Tf = frozenset(S), frozenset(T)
     bad = [i for i in Sf | Tf if not 1 <= i <= m - 1]
     if bad:
         raise BadParams(f"rank positions {bad} outside [1, {m - 1}]")
-    classes = _class_masks(m)
     match_l = _injection([_members(mask) for mask in classes[Tf][0]], classes[Sf])
     if match_l is None:
         return False, None
@@ -429,7 +423,6 @@ def dominates(
 def dominance_table(m: int) -> frozenset[tuple[frozenset[int], frozenset[int]]]:
     """Every pair (S, T) of subsets of [m-1] with S dominating T in S_m,
     the diagonal included; built once per m."""
-    _check_cap(m)
     classes = _class_masks(m)
     table = set()
     for T, (masks, _) in classes.items():

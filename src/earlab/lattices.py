@@ -176,20 +176,23 @@ def partition_blocks(name: str) -> tuple[tuple[int, ...], ...]:
 
 def _set_partitions(n: int):
     """All set partitions of [n], via restricted growth strings."""
+    return _partitions_extending(1, n, [])
 
-    def rec(i, blocks):
-        if i > n:
-            yield [tuple(b) for b in blocks]
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
 
-    yield from rec(1, [])
+def _partitions_extending(i: int, n: int, blocks: list[list[int]]):
+    """Every partition of [n] that extends ``blocks``, a partition of
+    [i - 1] that is changed in place and restored: i joins each block in
+    turn, then a block of its own."""
+    if i > n:
+        yield [tuple(b) for b in blocks]
+        return
+    for b in blocks:
+        b.append(i)
+        yield from _partitions_extending(i + 1, n, blocks)
+        b.pop()
+    blocks.append([i])
+    yield from _partitions_extending(i + 1, n, blocks)
+    blocks.pop()
 
 
 def partition_lattice(n: int) -> Lattice:

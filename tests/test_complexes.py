@@ -3,6 +3,7 @@ Cohen-Macaulay checks, sphere/ball certificates, and the face poset."""
 
 from __future__ import annotations
 
+import gc
 from itertools import combinations
 
 import pytest
@@ -138,6 +139,16 @@ def test_search_shelling_finds_orders():
     sh = search_shelling(tetra_boundary())
     assert sh is not None
     assert h_from_shelling(sh) == (1, 1, 1, 1)
+
+
+def test_search_shelling_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        assert search_shelling(tetra_boundary()).order == (0, 1, 2, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_shelling_rejects_impure():
@@ -303,14 +314,24 @@ def test_certify_spheres():
 def test_certify_balls():
     cert = certify_sphere_or_ball(two_triangles())
     assert cert.kind == "BALL"
-    assert cert.boundary is not None and cert.boundary.kind == "SPHERE"
+    assert cert.shelling is not None and cert.shelling.complex == two_triangles()
+    assert cert.boundary == boundary_complex(two_triangles())
+    assert certify_sphere_or_ball(cert.boundary).kind == "SPHERE"
     assert certify_sphere_or_ball(triangle()).kind == "BALL"
 
 
 def test_certify_with_given_shelling():
-    cert = certify_sphere_or_ball(two_triangles(), shelling=[1, 0])
+    c = two_triangles()
+    sh = verify_shelling(c, [1, 0])
+    cert = certify_sphere_or_ball(c, sh)
     assert cert.kind == "BALL"
-    assert "shelling-given" in cert.criteria
+    assert cert.shelling is sh
+
+
+def test_certify_refuses_a_shelling_of_another_complex():
+    sh = verify_shelling(triangle(), [0])
+    with pytest.raises(BadParams):
+        certify_sphere_or_ball(two_triangles(), sh)
 
 
 def test_certify_rejects_bowtie():

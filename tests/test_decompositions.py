@@ -21,12 +21,14 @@ from earlab.complexes import (
     boundary_complex,
     build_complex,
     certify_sphere_or_ball,
+    h_from_shelling,
     union_complexes,
     verify_shelling,
 )
 from earlab.decompositions import (
     Ear,
     EarDecomposition,
+    _concatenated_histogram,
     _selected_flags,
     decompose_face_poset,
     decompose_geometric,
@@ -435,6 +437,50 @@ def test_verify_ced_certifies_the_first_ear_once(monkeypatch):
     report = verify_ced(dec.complex, dec)
     assert report["ok"] and report["axiom_balls"]["kinds"] == ["SPHERE"]
     assert len(calls) == 1
+
+
+def _count_calls(monkeypatch, fn):
+    """Record the complex of every call to ``fn`` from either module."""
+    calls = []
+
+    def counted(c, *args):
+        calls.append(c)
+        return fn(c, *args)
+
+    for module in ("earlab.complexes", "earlab.decompositions"):
+        monkeypatch.setattr(f"{module}.{fn.__name__}", counted)
+    return calls
+
+
+def test_verify_ced_shells_only_the_concatenation(monkeypatch):
+    # every ear arrives with a verified shelling; only the concatenated
+    # order of several ears is new, and one ear's concatenation is its own
+    one = decompose_supersolvable(boolean_lattice(4))
+    many = decompose_supersolvable(partition_lattice(4))
+    calls = _count_calls(monkeypatch, verify_shelling)
+    assert verify_ced(one.complex, one)["ok"]
+    assert calls == []
+    assert verify_ced(many.complex, many)["ok"]
+    assert len(calls) == 1 and calls[0] is many.complex
+
+
+def test_verify_ced_builds_each_later_boundary_once(monkeypatch):
+    dec = decompose_supersolvable(partition_lattice(4))
+    calls = _count_calls(monkeypatch, boundary_complex)
+    assert verify_ced(dec.complex, dec)["ok"]
+    assert len(dec.ears) > 2 and len(calls) == len(dec.ears) - 1
+    assert all(c is ear.complex for c, ear in zip(calls, dec.ears[1:]))
+
+
+def test_histogram_is_that_of_the_concatenated_shelling():
+    for lat in (boolean_lattice(4), partition_lattice(4)):
+        dec = decompose_supersolvable(lat)
+        where = {f: i for i, f in enumerate(dec.complex.facets)}
+        order = [where[frozenset(c)] for ear in dec.ears for c in ear.chains]
+        want = h_from_shelling(verify_shelling(dec.complex, order))
+        assert _concatenated_histogram(dec.complex, dec.ears) == want
+        h_checks = verify_ced(dec.complex, dec)["h_checks"]
+        assert h_checks["restriction_histogram"] == list(want)
 
 
 def test_selected_flags_leave_no_cyclic_garbage():

@@ -3,6 +3,7 @@ M-chains, distributivity, geometricity, and serialization."""
 
 from __future__ import annotations
 
+import gc
 import math
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from earlab.errors import Inconsistent, NotGeometric, NotMChain
 from earlab.lattices import (
     Lattice,
+    _set_partitions,
     boolean_lattice,
     check_mchain,
     is_distributive,
@@ -105,6 +107,23 @@ def test_partition_lattice_sizes():
         lat = partition_lattice(n)
         assert lat.poset.n == bell
         assert lat.rank == n - 1
+
+
+def test_set_partitions_leave_no_cyclic_garbage():
+    assert list(_set_partitions(3)) == [
+        [(1, 2, 3)],
+        [(1, 2), (3,)],
+        [(1, 3), (2,)],
+        [(1,), (2, 3)],
+        [(1,), (2,), (3,)],
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(_set_partitions(4))) == 15
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_partition_lattice_atoms_are_single_merges():
