@@ -721,6 +721,8 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
         else:
             entry["proper"] = set(ear.complex.facets) < set(ear.ambient.facets)
         entries.append(entry)
+        if len(ears) == 1:
+            continue
 
         ear_faces = ear.complex.faces()
         if i:
@@ -731,7 +733,8 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
             if have != want:
                 diff = sorted(have ^ want, key=lambda f: (len(f), sorted(f)))
                 witnesses.append({"ear": i + 1, "faces": [sorted(f) for f in diff[:3]]})
-        running |= ear_faces
+        if i < len(ears) - 1:  # no later ear reads the last one's faces
+            running |= ear_faces
 
     axiom_sphere_ok = kinds[0] == "SPHERE" and all(
         v for e in entries for k, v in e.items() if k != "ear"

@@ -1,8 +1,10 @@
-"""A small matroid engine: bases, rank, closure, circuits, nbc-bases.
+"""A small matroid engine: bases, flats, circuits, nbc-bases.
 
 Matroids are stored as explicit basis lists over an ordered ground set of
-atom names; everything else is brute force. Atom order is the sorted order
-of the ground names and is what "lexicographic" means throughout.
+atom names. The exchange check and the flats use int bitmasks over atom
+positions; graphic_matroid's forests and circuits_of (and bases from
+circuits) are brute force over subsets. Atom order is the sorted order of
+the ground names and is what "lexicographic" means throughout.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "build_matroid",
     "uniform_matroid",
     "graphic_matroid",
-    "rank_and_closure",
     "circuits_of",
     "broken_circuits",
     "nbc_bases",
@@ -37,7 +38,7 @@ class Matroid:
     The atom order used by nbc machinery is the position in ``ground``.
     """
 
-    __slots__ = ("ground", "bases", "rank", "_pos")
+    __slots__ = ("ground", "bases", "rank", "_pos", "_masks")
 
     def __init__(self, ground: Sequence[str], bases: Sequence[frozenset[str]]):
         self.ground: tuple[str, ...] = tuple(ground)
@@ -49,6 +50,7 @@ class Matroid:
             raise Inconsistent(f"bases of unequal sizes {sorted(sizes)}")
         self.rank: int = sizes.pop()
         self._pos = {a: i for i, a in enumerate(self.ground)}
+        self._masks = [sum(1 << self._pos[a] for a in b) for b in self.bases]
 
     def atom_pos(self, a: str) -> int:
         try:
@@ -60,27 +62,34 @@ class Matroid:
         s = frozenset(A)
         return any(s <= b for b in self.bases) if len(s) <= self.rank else False
 
-    def rank_of(self, A: Iterable[str]) -> int:
-        # rank(S) = max over bases of |S ∩ B|: any maximal independent
-        # subset of S extends to a basis, and S ∩ B is always independent.
-        s = frozenset(A)
-        return max(len(s & b) for b in self.bases)
-
     def __repr__(self):
         return f"Matroid(rank {self.rank}, {len(self.ground)} atoms, {len(self.bases)} bases)"
 
 
-def _check_exchange(bases: Sequence[frozenset[str]]) -> None:
+def _check_exchange(m: Matroid) -> None:
     """Basis exchange: for B1, B2 and x in B1-B2, some y in B2-B1 has
-    B1 - x + y a basis."""
-    bset = set(bases)
-    for b1 in bases:
-        for b2 in bases:
-            for x in b1 - b2:
-                if not any((b1 - {x}) | {y} in bset for y in b2 - b1):
-                    raise ExchangeAxiomFailed(
-                        f"no exchange for {sorted(b1)} minus {x!r} toward {sorted(b2)}"
-                    )
+    B1 - x + y a basis. With Y the y making B1 - x + y a basis (x among
+    them), x fails toward B2 iff B2 misses Y; in a matroid Y is a cocircuit,
+    so the first basis missing each Y is cached. Reported: the first failing
+    B1, then B2, and its least failing x."""
+    masks = m._masks
+    bset = set(masks)
+    n = len(m.ground)
+    first: dict[int, Optional[int]] = {}  # Y -> index of the first basis missing it
+    for i, b1 in enumerate(masks):
+        hits = []
+        for x in range(n):
+            if b1 >> x & 1:
+                ys = sum(1 << y for y in range(n) if b1 ^ 1 << x | 1 << y in bset)
+                if ys not in first:
+                    first[ys] = next((j for j, b2 in enumerate(masks) if not b2 & ys), None)
+                if first[ys] is not None:
+                    hits.append((first[ys], x))
+        if hits:
+            j, x = min(hits)
+            raise ExchangeAxiomFailed(
+                f"no exchange for {sorted(m.bases[i])} minus {m.ground[x]!r} toward {sorted(m.bases[j])}"
+            )
 
 
 def build_matroid(
@@ -105,7 +114,7 @@ def build_matroid(
                     raise Inconsistent(f"basis atom {x!r} not in ground set")
         bs = sorted(raw, key=lambda b: sorted(order.index(x) for x in b))
         m = Matroid(order, bs)
-        _check_exchange(m.bases)
+        _check_exchange(m)
         return m
     if circuits is not None:
         circ = [frozenset(str(x) for x in c) for c in circuits]
@@ -182,17 +191,6 @@ def graphic_matroid(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
     return build_matroid(ground, bases=best)
 
 
-def rank_and_closure(m: Matroid, A: Iterable[str]) -> tuple[int, frozenset[str]]:
-    """Rank of A and its closure {e : rank(A + e) = rank(A)}."""
-    s = frozenset(A)
-    r = m.rank_of(s)
-    closed = set(s)
-    for e in m.ground:
-        if e not in s and m.rank_of(s | {e}) == r:
-            closed.add(e)
-    return r, frozenset(closed)
-
-
 def circuits_of(m: Matroid) -> list[frozenset[str]]:
     """All circuits: minimal dependent sets, by size then lex."""
     out: list[frozenset[str]] = []
@@ -253,23 +251,36 @@ def lattice_of_flats(m: Matroid) -> Lattice:
 
     Flat names use flat_name; the atoms of the lattice are the singleton
     flats, named after their atom.
+
+    Precondition: ``m`` satisfies basis exchange, as build_matroid checks.
+    The flats covering F are cl(I + e) for e not in F, with I an independent
+    set spanning F (Oxley, Matroid Theory, 2nd ed., ch. 1); the closure of
+    an independent J adds each y for which J + y lies in no basis.
     """
     check_simple(m)
-    rank: dict[frozenset[str], int] = {}
-    for k in range(0, m.rank + 1):
-        for sub in combinations(m.ground, k):
-            r, cl = rank_and_closure(m, sub)
-            rank[cl] = r
-    flist = sorted(rank, key=lambda f: (len(f), sorted(f)))
+    n = len(m.ground)
+    indep = {0}
+    for b in m._masks:
+        sub = b
+        while sub:
+            indep.add(sub)
+            sub = (sub - 1) & b
+    spans = {0: 0}  # flat -> an independent set spanning it
+    flats = [0]
     covers = []
-    for f in flist:
-        for g in flist:
-            if f < g and rank[g] == rank[f] + 1:
-                # cover iff no flat strictly between; flats of rank one more
-                # containing f are exactly the covers
-                covers.append((flat_name(f), flat_name(g)))
-    elements = [flat_name(f) for f in flist]
-    return Lattice(build_poset(elements, covers))
+    for f in flats:  # grows as flats are found, rank by rank
+        done = f  # the covers of f partition the atoms outside it
+        for e in range(n):
+            if not done >> e & 1:
+                j = spans[f] | 1 << e
+                g = j | sum(1 << y for y in range(n) if j | 1 << y not in indep)
+                done |= g
+                covers.append((f, g))
+                if g not in spans:
+                    spans[g] = j
+                    flats.append(g)
+    name = {f: flat_name(m.ground[i] for i in range(n) if f >> i & 1) for f in flats}
+    return Lattice(build_poset(name.values(), [(name[f], name[g]) for f, g in covers]))
 
 
 # -- serialization -----------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 from itertools import permutations
 
 import pytest
@@ -18,6 +19,7 @@ from earlab.errors import (
     TopRankSelected,
 )
 from earlab.complexes import (
+    SimplicialComplex,
     boundary_complex,
     build_complex,
     certify_sphere_or_ball,
@@ -470,6 +472,24 @@ def test_verify_ced_builds_each_later_boundary_once(monkeypatch):
     assert verify_ced(dec.complex, dec)["ok"]
     assert len(dec.ears) > 2 and len(calls) == len(dec.ears) - 1
     assert all(c is ear.complex for c, ear in zip(calls, dec.ears[1:]))
+
+
+def test_verify_ced_builds_no_face_set_for_one_ear(monkeypatch):
+    # one ear has nothing to glue to, and no later ear reads its faces
+    faces = SimplicialComplex.faces
+    glue = []
+
+    def counted(self):
+        if sys._getframe(1).f_code.co_name == "verify_ced":
+            glue.append(self)
+        return faces(self)
+
+    monkeypatch.setattr(SimplicialComplex, "faces", counted)
+    dec = decompose_supersolvable(boolean_lattice(4))
+    report = verify_ced(dec.complex, dec)
+    assert len(dec.ears) == 1 and report["ok"]
+    assert report["axiom_boundary"] == {"ok": True, "witnesses": []}
+    assert glue == []
 
 
 def test_histogram_is_that_of_the_concatenated_shelling():

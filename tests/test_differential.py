@@ -19,8 +19,11 @@ against the brute-force routes they replaced, on random inputs.
   generated with every maximal chain, by brute force);
 * the class words of the ears (classifiers of the selected flags) against
   ``descent_classes`` (all of S_rho grouped by descent set);
-* the cover pairs of ``lattice_of_flats`` (ranks kept from the closure
-  step) against a ``Matroid.rank_of`` basis scan per pair;
+* ``lattice_of_flats`` (flats grown by closure extension on bitmasks)
+  against the closure of every subset and a pairwise cover scan, both by
+  a basis-scan rank;
+* ``_check_exchange`` (exchange sets per basis and atom) against the
+  triple loop over (B1, B2, x);
 * ``dominance_table`` and ``dominates`` (inversion masks cached per m,
   candidates by AND of per-bit bitsets) against the per-pair scan they
   replaced, and each witness against the switch-walk weak order;
@@ -30,6 +33,7 @@ against the brute-force routes they replaced, on random inputs.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
@@ -63,7 +67,7 @@ from earlab.decompositions import (
     sigma_word,
     verify_ced,
 )
-from earlab.errors import Inconsistent, NotMChain, NotShelling
+from earlab.errors import ExchangeAxiomFailed, Inconsistent, NotMChain, NotShelling, NotSimple
 from earlab.flags import (
     _match,
     descent_classes,
@@ -74,12 +78,14 @@ from earlab.flags import (
 )
 from earlab.labelings import descent_set
 from earlab.labelings import derive_sn_labeling, lex_shelling
-from earlab.lattices import Lattice, boolean_lattice, is_mchain, partition_lattice
+from earlab.lattices import Lattice, boolean_lattice, is_mchain, lattice_to_json, partition_lattice
 from earlab.matroids import (
+    Matroid,
+    _check_exchange,
+    build_matroid,
     flat_name,
     graphic_matroid,
     lattice_of_flats,
-    rank_and_closure,
     uniform_matroid,
 )
 from earlab.posets import Poset, build_poset, maximal_chains, proper_part
@@ -665,21 +671,139 @@ FLAT_MATROIDS = {
 }
 
 
+def rank_of(m: Matroid, A) -> int:
+    """rank(S) = max over bases of |S ∩ B|: any maximal independent subset
+    of S extends to a basis, and S ∩ B is always independent."""
+    s = frozenset(A)
+    return max(len(s & b) for b in m.bases)
+
+
+def rank_and_closure(m: Matroid, A) -> tuple[int, frozenset[str]]:
+    """Rank of A and its closure {e : rank(A + e) = rank(A)}."""
+    s = frozenset(A)
+    r = rank_of(m, s)
+    return r, s | {e for e in m.ground if rank_of(m, s | {e}) == r}
+
+
+def flats_by_subset_closure(m: Matroid) -> Lattice:
+    """The lattice of flats from the closure of every subset of at most
+    rank-many atoms, and the covers from a scan of all pairs of flats."""
+    if any(rank_of(m, {a}) == 0 for a in m.ground):
+        raise NotSimple("a loop")
+    if any(rank_of(m, pair) < 2 for pair in combinations(m.ground, 2)):
+        raise NotSimple("a parallel pair")
+    rank = {}
+    for k in range(m.rank + 1):
+        for sub in combinations(m.ground, k):
+            r, cl = rank_and_closure(m, sub)
+            rank[cl] = r
+    covers = [
+        (flat_name(f), flat_name(g))
+        for f in rank
+        for g in rank
+        if f < g and rank[g] == rank[f] + 1
+    ]
+    return Lattice(build_poset([flat_name(f) for f in rank], covers))
+
+
+def exchange_by_triple_loop(m: Matroid):
+    """The first (B1, B2, x) in basis, basis, ground order with no y in
+    B2 - B1 making B1 - x + y a basis, or None."""
+    bset = set(m.bases)
+    for b1 in m.bases:
+        for b2 in m.bases:
+            for x in sorted(b1 - b2, key=m.atom_pos):
+                if not any((b1 - {x}) | {y} in bset for y in b2 - b1):
+                    return b1, b2, x
+    return None
+
+
+def exchange_verdict(m: Matroid):
+    try:
+        _check_exchange(m)
+    except ExchangeAxiomFailed as exc:
+        return str(exc)
+    return None
+
+
+def _flats_verdict(route, m: Matroid):
+    try:
+        return json.dumps(lattice_to_json(route(m)))
+    except NotSimple:
+        return "NotSimple"
+
+
 @pytest.mark.parametrize("name", list(FLAT_MATROIDS))
 def test_flat_covers_agree_with_rank_of_per_pair(name):
     m = FLAT_MATROIDS[name]
-    flats = {
-        rank_and_closure(m, sub)[1]
-        for k in range(m.rank + 1)
-        for sub in combinations(m.ground, k)
-    }
-    want = {
-        (flat_name(f), flat_name(g))
-        for f in flats
-        for g in flats
-        if f < g and m.rank_of(g) == m.rank_of(f) + 1
-    }
-    assert set(lattice_of_flats(m).poset.cover_pairs()) == want
+    assert _flats_verdict(lattice_of_flats, m) == _flats_verdict(flats_by_subset_closure, m)
+
+
+@st.composite
+def random_graphic_matroids(draw):
+    """Up to 8 edges on at most 6 vertices; a repeated edge makes a
+    parallel pair, which both routes refuse."""
+    n = draw(st.integers(1, 6))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return graphic_matroid(n, draw(st.lists(edge, max_size=8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphic_matroids())
+def test_flats_agree_with_subset_closure_on_random_graphs(m):
+    assert _flats_verdict(lattice_of_flats, m) == _flats_verdict(flats_by_subset_closure, m)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_flats_agree_with_subset_closure_on_uniform_matroids(n):
+    for r in range(1, n + 1):
+        m = uniform_matroid(r, n)
+        want = _flats_verdict(flats_by_subset_closure, m)
+        assert _flats_verdict(lattice_of_flats, m) == want
+        assert (want == "NotSimple") == (r == 1 and n > 1)
+
+
+@st.composite
+def basis_families(draw):
+    """k-subsets of at most 7 atoms: an arbitrary family, or the bases of a
+    graphic or uniform matroid with up to two k-subsets toggled."""
+    atoms = "abcdefg"[: draw(st.integers(2, 7))]
+    kind = draw(st.sampled_from(["random", "graphic", "uniform"]))
+    if kind == "graphic":
+        edges = st.sampled_from(list(combinations(range(5), 2)))
+        g = graphic_matroid(5, draw(st.lists(edges, min_size=len(atoms), max_size=len(atoms), unique=True)))
+        family = {frozenset(atoms[g.atom_pos(x)] for x in b) for b in g.bases}
+        k = g.rank
+    else:
+        k = draw(st.integers(1, len(atoms) - 1))
+    subsets = [frozenset(c) for c in combinations(atoms, k)]
+    if kind == "random":
+        family = set(draw(st.lists(st.sampled_from(subsets), min_size=2, unique=True)))
+    else:
+        if kind == "uniform":
+            family = set(subsets)
+        for s in draw(st.lists(st.sampled_from(subsets), max_size=2)):
+            family ^= {s}
+    family = family or {subsets[0]}  # a toggle may have emptied it
+    return Matroid(atoms, sorted(family, key=lambda b: sorted(map(atoms.index, b))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(basis_families())
+def test_exchange_sets_agree_with_the_triple_loop(m):
+    hit = exchange_by_triple_loop(m)
+    want = None if hit is None else (
+        f"no exchange for {sorted(hit[0])} minus {hit[2]!r} toward {sorted(hit[1])}"
+    )
+    assert exchange_verdict(m) == want
+
+
+def test_exchange_negative_control():
+    # two disjoint pairs: neither trades an atom into the other
+    m = Matroid("abcd", [frozenset("ab"), frozenset("cd")])
+    assert exchange_by_triple_loop(m) == (frozenset("ab"), frozenset("cd"), "a")
+    with pytest.raises(ExchangeAxiomFailed, match="minus 'a' toward"):
+        build_matroid("abcd", bases=["ab", "cd"])
 
 
 # -- dominance ------------------------------------------------------------------

@@ -3,6 +3,10 @@ broken circuits, nbc bases, and the lattice of flats."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from earlab.errors import BadParams, ExchangeAxiomFailed, Inconsistent, NotSimple
@@ -17,7 +21,6 @@ from earlab.matroids import (
     matroid_from_json,
     matroid_to_json,
     nbc_bases,
-    rank_and_closure,
     uniform_matroid,
 )
 
@@ -54,6 +57,25 @@ def test_exchange_axiom_rejected_on_fake_bases():
         build_matroid(["a", "b", "c", "d"], bases=[["a", "b"], ["c", "d"]])
 
 
+def test_exchange_witness_is_independent_of_hash_seed():
+    # both a and b fail toward cd; the least in ground order is named
+    code = (
+        "from earlab.matroids import build_matroid\n"
+        "try:\n"
+        "    build_matroid('abcd', bases=['ab', 'cd'])\n"
+        "except Exception as exc:\n"
+        "    print(exc)\n"
+    )
+    out = set()
+    for seed in (1, 2):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        out.add(proc.stdout)
+    assert out == {"no exchange for ['a', 'b'] minus 'a' toward ['c', 'd']\n"}
+
+
 def test_bases_of_unequal_size_rejected():
     with pytest.raises(Inconsistent):
         build_matroid(["a", "b", "c"], bases=[["a"], ["b", "c"]])
@@ -80,12 +102,11 @@ def test_graphic_matroid_rejects_out_of_range_vertex():
 
 
 def test_rank_and_closure():
-    m = two_triangle_matroid()
+    lat = lattice_of_flats(two_triangle_matroid())
     # atoms are edge positions '1'..'5'; edges 1,2 span triangle {0,1,2},
-    # so edge 3 (=12) falls in the closure
-    r, cl = rank_and_closure(m, {"1", "2"})
-    assert r == 2
-    assert cl == frozenset({"1", "2", "3"})
+    # so edge 3 (=12) falls in the closure, a flat of rank 2
+    assert lat.join("1", "2") == "1+2+3"
+    assert lat.poset.rank_of("1+2+3") == 2
 
 
 def test_independence():
