@@ -38,7 +38,7 @@ def main() -> None:
     sh, chains = lex_shelling(p, lab)
     print(f"maximal chains of the proper part: {len(chains)}")
     first = chains[0]
-    print(f"first chain {first.elements} has label word {lab.word(first.elements)}")
+    print(f"first chain {first} has label word {lab.word(first)}")
 
     banner("One h-vector, three routes")
     _, h_transform = f_h_vectors(order_complex(proper_part(p)))

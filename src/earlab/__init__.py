@@ -23,11 +23,9 @@ from .complexes import (
     h_from_shelling,
     homology_ranks,
     is_cm_and_2cm,
-    join_complexes,
     link_of,
     order_complex,
     search_shelling,
-    skeleton,
     verify_shelling,
 )
 from .decompositions import (
@@ -56,7 +54,6 @@ from .flags import (
     verify_flag_inequalities,
     verify_h_inequalities,
     w_set,
-    weak_leq,
 )
 from .labelings import (
     EdgeLabeling,
@@ -72,11 +69,9 @@ from .labelings import (
 from .lattices import (
     Lattice,
     boolean_lattice,
-    is_geometric,
     lattice_from_json,
     lattice_to_json,
     partition_lattice,
-    sublattice_generated,
 )
 from .matroids import (
     Matroid,
@@ -118,8 +113,6 @@ __all__ = [
     "Lattice",
     "boolean_lattice",
     "partition_lattice",
-    "sublattice_generated",
-    "is_geometric",
     "lattice_from_json",
     "lattice_to_json",
     # matroids
@@ -145,8 +138,6 @@ __all__ = [
     "h_from_shelling",
     "boundary_complex",
     "link_of",
-    "skeleton",
-    "join_complexes",
     "homology_ranks",
     "is_cm_and_2cm",
     "certify_sphere_or_ball",
@@ -173,7 +164,6 @@ __all__ = [
     "descent_classes",
     "dominates",
     "dominance_table",
-    "weak_leq",
     "w_set",
     "ball_flag_reciprocity",
     # decompositions

@@ -41,13 +41,10 @@ __all__ = [
     "search_shelling",
     "boundary_complex",
     "homology_ranks",
-    "exact_rank",
     "is_cm_and_2cm",
     "certify_sphere_or_ball",
     "link_of",
     "deletion",
-    "skeleton",
-    "join_complexes",
     "union_complexes",
     "intersection_complexes",
     "is_subcomplex",
@@ -122,7 +119,7 @@ def build_complex(facets: Iterable[Iterable[str]]) -> SimplicialComplex:
 
 def order_complex(p: Poset) -> SimplicialComplex:
     """Chains of p as faces. The caller strips bounds if it wants to."""
-    return build_complex([c.elements for c in maximal_chains(p)])
+    return build_complex(maximal_chains(p))
 
 
 def face_name(face: Iterable[str]) -> str:
@@ -156,20 +153,6 @@ def _faces_by_size(c: SimplicialComplex) -> Iterator[set[tuple[str, ...]]]:
     return ({g for f in facets for g in combinations(f, k)} for k in range(c.dim + 2))
 
 
-def _f_vector(c: SimplicialComplex) -> list[int]:
-    """f_i = number of faces of cardinality i: f_0 = 1 for the empty face, [0] if void."""
-    return [len(s) for s in _faces_by_size(c)]
-
-
-def _euler(f: Sequence[int]) -> int:
-    """Reduced Euler characteristic from f_i = number of faces of size i."""
-    return sum((-1) ** (i + 1) * n for i, n in enumerate(f))
-
-
-def reduced_euler(c: SimplicialComplex) -> int:
-    return _euler(_f_vector(c))
-
-
 def f_h_vectors(c: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(f, h) with the h-vector from the standard binomial transform.
 
@@ -180,12 +163,13 @@ def f_h_vectors(c: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]
         raise NotPure("h-vector needs a pure complex")
     if c.is_void:
         raise BadParams("void complex has no h-vector")
-    f = _f_vector(c)
+    f = [len(s) for s in _faces_by_size(c)]  # f[i]: faces of cardinality i
     d = c.dim + 1
     h = []
     for k in range(d + 1):
         h.append(sum((-1) ** (k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1)))
-    if h[d] != (-1) ** (d + 1) * _euler(f):
+    chi = sum((-1) ** (i + 1) * n for i, n in enumerate(f))  # reduced Euler characteristic
+    if h[d] != (-1) ** (d + 1) * chi:
         raise Inconsistent("h_d does not match the Euler characteristic")
     return tuple(f), tuple(h)
 
@@ -272,18 +256,17 @@ def h_from_shelling(s: ShellingOrder) -> tuple[int, ...]:
     return tuple(h)
 
 
-def search_shelling(
-    c: SimplicialComplex, cap: int = 16
-) -> Optional[ShellingOrder]:
-    """Backtracking shelling search (None when there is none).
+_SEARCH_CAP = 16  # facets; the search is exhaustive
 
-    Exhaustive, so refuses complexes with more than ``cap`` facets.
-    """
+
+def search_shelling(c: SimplicialComplex) -> Optional[ShellingOrder]:
+    """Backtracking shelling search (None when there is none); refuses
+    complexes with more than _SEARCH_CAP facets."""
     if not c.pure or c.is_void:
         return None
     n = len(c.facets)
-    if n > cap:
-        raise SizeLimit(f"shelling search capped at {cap} facets ({n} given)")
+    if n > _SEARCH_CAP:
+        raise SizeLimit(f"shelling search capped at {_SEARCH_CAP} facets ({n} given)")
     prefix: list[int] = []
     if not _extend_shelling(c.facets, prefix, [False] * n, set(), set()):
         return None
@@ -350,23 +333,6 @@ def deletion(c: SimplicialComplex, vertex: str) -> SimplicialComplex:
     return build_complex(facets + kept)
 
 
-def skeleton(c: SimplicialComplex, k: int) -> SimplicialComplex:
-    """The k-skeleton (faces of dimension at most k)."""
-    if c.is_void or k < -1:
-        return SimplicialComplex((), ())
-    faces = [f for f in c.faces() if len(f) <= k + 1]
-    return build_complex(faces)
-
-
-def join_complexes(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    """Simplicial join; vertex sets must be disjoint."""
-    if set(a.vertices) & set(b.vertices):
-        raise BadParams("join needs disjoint vertex sets")
-    if a.is_void or b.is_void:
-        return SimplicialComplex((), ())
-    return build_complex([f | g for f in a.facets for g in b.facets])
-
-
 def union_complexes(*cs: SimplicialComplex) -> SimplicialComplex:
     facets = [f for c in cs for f in c.facets]
     if not facets:
@@ -428,11 +394,6 @@ def _reduce(
             if g > 1:
                 row = {k: x // g for k, x in row.items()}
     return set(pivots)
-
-
-def exact_rank(rows: list[dict[int, int]]) -> int:
-    """Rank over the rationals of an integer sparse matrix given by rows."""
-    return len(_reduce(rows, ()))
 
 
 def homology_ranks(c: SimplicialComplex) -> tuple[int, ...]:

@@ -54,6 +54,19 @@ from .lattices import Lattice, boolean_lattice, closure_under_ops, subset_name
 from .matroids import Matroid, nbc_bases
 from .posets import Poset, maximal_chains, mobius, rank_select
 
+__all__ = [
+    "Ear",
+    "EarDecomposition",
+    "sigma_word",
+    "decompose_supersolvable",
+    "decompose_rank_selected_boolean",
+    "decompose_rank_selected_supersolvable",
+    "decompose_face_poset",
+    "decompose_geometric",
+    "switch_closure_violations",
+    "verify_ced",
+]
+
 
 # -- chain words in copy coordinates ----------------------------------------
 
@@ -350,7 +363,7 @@ def _assemble(
                 seen.add(names)
             ears.append(ear)
 
-    all_chains = {tuple(c.elements) for c in maximal_chains(sel_poset)}
+    all_chains = set(maximal_chains(sel_poset))
     if seen != all_chains:
         missing = sorted(all_chains - seen)[:3]
         extra = sorted(seen - all_chains)[:3]
@@ -449,11 +462,11 @@ def _supersolvable_copies(lat: Lattice, lab: EdgeLabeling) -> list[_Copy]:
     rising, falling = increasing_and_decreasing_chains(lat.poset, lab, lat.bottom, lat.top)
     copies = []
     for c in falling:
-        members = closure_under_ops(lat, set(rising.elements) | set(c.elements))
+        members = closure_under_ops(lat, set(rising) | set(c))
         copies.append(
             _Copy(
                 elem=_label_coordinates(lat, lab, members, lat.rank),
-                provenance={"decreasing_chain": list(c.elements)},
+                provenance={"decreasing_chain": list(c)},
             )
         )
     return copies

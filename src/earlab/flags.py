@@ -37,17 +37,14 @@ from .errors import (
     Inconsistent,
     LengthMismatch,
     NotBall,
-    RangeError,
     SizeLimit,
 )
-from .labelings import EdgeLabeling, descent_set
-from .posets import Poset, maximal_chains
+from .labelings import descent_set
+from .posets import Poset
 
 __all__ = [
     "FlagVector",
     "flag_f_and_h",
-    "flag_h_from_descents",
-    "h_from_flag_h",
     "g_vector",
     "macaulay_pseudopower",
     "m_vector_witness",
@@ -55,7 +52,6 @@ __all__ = [
     "g_and_m_check",
     "verify_h_inequalities",
     "inversion_mask",
-    "weak_leq",
     "weak_leq_by_switches",
     "descent_classes",
     "dominates",
@@ -63,7 +59,6 @@ __all__ = [
     "w_set",
     "verify_flag_inequalities",
     "ball_flag_reciprocity",
-    "flag_f_from_complex_fvector",
     "corollary_gap_coefficients",
     "DOMINANCE_CAP",
 ]
@@ -85,18 +80,26 @@ class FlagVector:
     def get(self, S: Iterable[int], default: int = 0) -> int:
         return self.entries.get(frozenset(S), default)
 
-    def to_json_field(self) -> dict[str, int]:
-        def key(S: frozenset[int]) -> str:
-            return ",".join(str(i) for i in sorted(S)) if S else "-"
-
-        return {key(S): v for S, v in sorted(self.entries.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))}
-
 
 def _rank_layers(p: Poset) -> dict[int, list[int]]:
     layers: dict[int, list[int]] = {}
     for i, r in enumerate(p.ranks):
         layers.setdefault(r, []).append(i)
     return layers
+
+
+def _flag_h(f: Mapping[frozenset[int], int], n: int) -> dict[frozenset[int], int]:
+    """Flag h from flag f on the subsets S of [n], by inclusion-exclusion:
+    h_S = Σ over T ⊆ S of (-1)^|S - T| f_T, a missing f_T counting 0."""
+    return {
+        frozenset(S): sum(
+            (-1) ** (len(S) - j) * f.get(frozenset(T), 0)
+            for j in range(len(S) + 1)
+            for T in combinations(S, j)
+        )
+        for k in range(n + 1)
+        for S in combinations(range(1, n + 1), k)
+    }
 
 
 def flag_f_and_h(p: Poset) -> tuple[FlagVector, FlagVector]:
@@ -124,13 +127,7 @@ def flag_f_and_h(p: Poset) -> tuple[FlagVector, FlagVector]:
                 if not counts:
                     break
             f_entries[frozenset(S)] = sum(counts.values())
-    h_entries: dict[frozenset[int], int] = {}
-    for S in f_entries:
-        h_entries[S] = sum(
-            (-1) ** (len(S) - len(T)) * f_entries[frozenset(T)]
-            for k in range(len(S) + 1)
-            for T in combinations(sorted(S), k)
-        )
+    h_entries = _flag_h(f_entries, rho - 1)
     for S in f_entries:
         back = sum(
             h_entries[frozenset(T)]
@@ -145,33 +142,13 @@ def flag_f_and_h(p: Poset) -> tuple[FlagVector, FlagVector]:
     )
 
 
-def flag_h_from_descents(p: Poset, lab: EdgeLabeling) -> FlagVector:
-    """Histogram of descent sets of maximal-chain label words."""
-    if not (p.graded and p.bounded):
-        raise BadParams("need a graded bounded poset")
-    rho = p.rank_of(p.top)
-    entries: dict[frozenset[int], int] = {
-        frozenset(S): 0 for k in range(rho) for S in combinations(range(1, rho), k)
-    }
-    for c in maximal_chains(p):
-        S = descent_set(lab.word(c.elements))
-        entries[S] = entries.get(S, 0) + 1
-    return FlagVector("h", rho, entries)
-
-
-def h_from_flag_h(fh: FlagVector) -> tuple[int, ...]:
-    """h_i = Σ over |S| = i of h_S."""
-    h = [0] * fh.rho
-    for S, v in fh.entries.items():
-        h[len(S)] += v
-    return tuple(h)
-
-
 # -- h-vector side -------------------------------------------------------------
 
 
 def g_vector(h: Sequence[int]) -> tuple[int, ...]:
     """g_i = h_i - h_{i-1} on the lower half (g_0 = h_0)."""
+    if not h:
+        raise BadParams("the h-vector is empty")
     d = len(h) - 1
     out = [h[0]]
     for i in range(1, d // 2 + 1):
@@ -230,6 +207,8 @@ def g_and_m_check(h: Sequence[int]) -> tuple[tuple[int, ...], bool]:
 def verify_h_inequalities(h: Sequence[int]) -> tuple[bool, list[str]]:
     """The two h-vector consequences: h_i ≤ h_{d-i} and, below d/2,
     h_i ≤ h_{i+1}. Returns (ok, failures)."""
+    if not h:
+        raise BadParams("the h-vector is empty")
     d = len(h) - 1
     bad = []
     for i in range(d // 2 + 1):
@@ -262,14 +241,6 @@ def inversion_mask(perm: Sequence[int]) -> int:
             if pos[a] > pos[b]:
                 mask |= 1 << ((a - 1) * m + b - 1)
     return mask
-
-
-def weak_leq(sigma: Sequence[int], tau: Sequence[int]) -> bool:
-    """σ ≤ τ in the weak order, by inversion-set containment."""
-    if len(sigma) != len(tau):
-        raise LengthMismatch("permutations must have the same length")
-    a, b = inversion_mask(sigma), inversion_mask(tau)
-    return a & ~b == 0
 
 
 def weak_leq_by_switches(sigma: Sequence[int], tau: Sequence[int]) -> bool:
@@ -534,16 +505,7 @@ def ball_flag_reciprocity(
     for f in interior:
         cs = color_set(f)
         f_int[cs] = f_int.get(cs, 0) + 1
-    # flag h of the ball by inclusion-exclusion
-    hS: dict[frozenset[int], int] = {}
-    for k in range(d + 1):
-        for S in combinations(range(1, d + 1), k):
-            Sf = frozenset(S)
-            hS[Sf] = sum(
-                (-1) ** (len(Sf) - len(T)) * fS.get(frozenset(T), 0)
-                for j in range(len(S) + 1)
-                for T in combinations(S, j)
-            )
+    hS = _flag_h(fS, d)  # flag h of the ball
     lhs: dict[frozenset[int], int] = {}
     rhs: dict[frozenset[int], int] = {}
     for k in range(d + 1):
@@ -560,24 +522,6 @@ def ball_flag_reciprocity(
     lhs = {k: v for k, v in lhs.items() if v}
     rhs = {k: v for k, v in rhs.items() if v}
     return lhs == rhs
-
-
-# -- flag counts from the f-vector of a complex -----------------------------------
-
-
-def flag_f_from_complex_fvector(fK: Sequence[int], S: Iterable[int]) -> int:
-    """Chains in the face poset with ranks S, from the f-vector alone:
-    b_1 = f_{a_1}; b_i = b_{i-1} * C(a_{i-1}, a_i) along S written as a
-    decreasing word."""
-    word = sorted(set(S), reverse=True)
-    if not word:
-        return 1
-    if word[0] >= len(fK) or word[-1] < 1:
-        raise RangeError(f"ranks {word} out of range for f-vector of length {len(fK)}")
-    b = fK[word[0]]
-    for prev, cur in zip(word, word[1:]):
-        b *= comb(prev, cur)
-    return b
 
 
 def corollary_gap_coefficients(

@@ -22,9 +22,8 @@ from .errors import (
     NotGraded,
     NotMChain,
 )
-from .lattices import Lattice, check_geometric
+from .lattices import Lattice, _check_saturated, check_geometric
 from .posets import (
-    Chain,
     Poset,
     maximal_chains,
     mobius,
@@ -136,7 +135,7 @@ def verify_sr(p: Poset, lab: EdgeLabeling, r: Optional[int] = None) -> bool:
     if any(not 1 <= v <= r for v in lab.labels.values()):
         return False
     for c in maximal_chains(p):
-        w = lab.word(c.elements)
+        w = lab.word(c)
         if len(set(w)) != len(w):
             return False
     return True
@@ -157,11 +156,7 @@ def derive_sn_labeling(
     if not chain:
         raise BadParams("no M-chain given and none stored on the lattice")
     p = lat.poset
-    if chain[0] != p.bottom or chain[-1] != p.top:
-        raise NotMChain("candidate chain must run from bottom to top")
-    for a, b in zip(chain, chain[1:]):
-        if p.index(b) not in p.covers_up_of(p.index(a)):
-            raise NotMChain(f"candidate chain is not saturated at {a!r} < {b!r}")
+    _check_saturated(p, chain)
     z = [p.index(e) for e in chain]
     labels = {}
     for a, b in p.cover_pairs():
@@ -211,7 +206,7 @@ def minimal_labeling(
 
 def increasing_and_decreasing_chains(
     p: Poset, lab: EdgeLabeling, x: str, y: str
-) -> tuple[Chain, list[Chain]]:
+) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     """The unique weakly increasing chain of [x, y] and all strictly
     decreasing ones. The decreasing count is checked against |μ(x, y)|."""
     chains = saturated_chains_between(p, x, y)
@@ -226,10 +221,12 @@ def increasing_and_decreasing_chains(
         raise MobiusMismatch(
             f"[{x!r}, {y!r}]: {len(falling)} decreasing chains but |mu| = {expect}"
         )
-    return Chain(tuple(rising[0])), [Chain(tuple(c)) for c in falling]
+    return rising[0], falling
 
 
-def lex_shelling(p: Poset, lab: EdgeLabeling) -> tuple[ShellingOrder, list[Chain]]:
+def lex_shelling(
+    p: Poset, lab: EdgeLabeling
+) -> tuple[ShellingOrder, list[tuple[str, ...]]]:
     """Shell the order complex of the proper part by lex label order.
 
     Returns the certified shelling plus the maximal chains (with bounds) in
@@ -238,9 +235,8 @@ def lex_shelling(p: Poset, lab: EdgeLabeling) -> tuple[ShellingOrder, list[Chain
     """
     if not p.bounded:
         raise BadParams("need a bounded poset")
-    chains = maximal_chains(p)
-    chains = sorted(chains, key=lambda c: (lab.word(c.elements), c.elements))
-    middles = [c.elements[1:-1] for c in chains]
+    chains = sorted(maximal_chains(p), key=lambda c: (lab.word(c), c))
+    middles = [c[1:-1] for c in chains]
     if any(not m for m in middles):
         raise BadParams("poset has a chain with no interior; nothing to shell")
     oc = build_complex(middles)
@@ -254,5 +250,5 @@ def h_by_descents(p: Poset, lab: EdgeLabeling) -> tuple[int, ...]:
     r = p.max_rank()
     h = [0] * r
     for c in maximal_chains(p):
-        h[len(descent_set(lab.word(c.elements)))] += 1
+        h[len(descent_set(lab.word(c)))] += 1
     return tuple(h)

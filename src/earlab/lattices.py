@@ -27,7 +27,6 @@ from .errors import (
 from .posets import (
     Poset,
     build_poset,
-    induced_subposet,
     maximal_chains,
     poset_from_json,
     poset_to_json,
@@ -37,12 +36,8 @@ __all__ = [
     "Lattice",
     "boolean_lattice",
     "partition_lattice",
-    "sublattice_generated",
     "closure_under_ops",
-    "is_distributive",
-    "is_mchain",
     "check_mchain",
-    "is_geometric",
     "check_geometric",
     "lattice_to_json",
     "lattice_from_json",
@@ -113,10 +108,6 @@ class Lattice:
         p = self.poset
         return tuple(p.elements[i] for i in p.covers_up_of(p._bottom))
 
-    def coatoms(self) -> tuple[str, ...]:
-        p = self.poset
-        return tuple(p.elements[i] for i in p.covers_down_of(p._top))
-
     @property
     def bottom(self) -> str:
         return self.poset.bottom
@@ -142,10 +133,6 @@ def subset_name(s: Iterable[int]) -> str:
     return "".join(str(d) for d in digits) if digits else "0"
 
 
-def subset_of_name(name: str) -> frozenset[int]:
-    return frozenset() if name == "0" else frozenset(int(ch) for ch in name)
-
-
 def boolean_lattice(r: int) -> Lattice:
     """All subsets of [r] ordered by inclusion."""
     if r < 1:
@@ -168,10 +155,6 @@ def boolean_lattice(r: int) -> Lattice:
 def partition_name(blocks: Iterable[Iterable[int]]) -> str:
     bs = sorted(tuple(sorted(b)) for b in blocks)
     return "/".join("".join(str(x) for x in b) for b in bs)
-
-
-def partition_blocks(name: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(ch) for ch in part) for part in name.split("/"))
 
 
 def _set_partitions(n: int):
@@ -243,13 +226,6 @@ def closure_under_ops(lat: Lattice, seed: Iterable[str]) -> list[str]:
     return sorted(p.elements[i] for i in current)
 
 
-def sublattice_generated(lat: Lattice, chains: Iterable[Iterable[str]]) -> Lattice:
-    """The sublattice generated by the given chains (plus the bounds)."""
-    seed = [x for c in chains for x in c]
-    names = closure_under_ops(lat, seed)
-    return Lattice(induced_subposet(lat.poset, names))
-
-
 def _distributive_on(lat: Lattice, names: Sequence[str]) -> Optional[tuple[str, str, str]]:
     """First triple violating x ∧ (y ∨ z) = (x ∧ y) ∨ (x ∧ z), else None."""
     idx = [lat.poset.index(x) for x in names]
@@ -264,9 +240,14 @@ def _distributive_on(lat: Lattice, names: Sequence[str]) -> Optional[tuple[str, 
     return None
 
 
-def is_distributive(lat: Lattice) -> bool:
-    """Brute-force distributivity over all triples."""
-    return _distributive_on(lat, lat.poset.elements) is None
+def _check_saturated(p: Poset, chain: Sequence[str]) -> None:
+    """Raise NotMChain unless ``chain`` runs from bottom to top by covers,
+    the shape every M-chain candidate must have."""
+    if not chain or chain[0] != p.bottom or chain[-1] != p.top:
+        raise NotMChain("candidate chain must run from bottom to top")
+    for a, b in zip(chain, chain[1:]):
+        if p.index(b) not in p.covers_up_of(p.index(a)):
+            raise NotMChain(f"candidate chain is not saturated at {a!r} < {b!r}")
 
 
 def check_mchain(lat: Lattice, chain: Sequence[str]) -> None:
@@ -280,28 +261,16 @@ def check_mchain(lat: Lattice, chain: Sequence[str]) -> None:
     """
     p = lat.poset
     c = list(chain)
-    if not c or c[0] != p.bottom or c[-1] != p.top:
-        raise NotMChain("candidate chain must run from bottom to top")
-    for a, b in zip(c, c[1:]):
-        if p.index(b) not in p.covers_up_of(p.index(a)):
-            raise NotMChain(f"candidate chain is not saturated at {a!r} < {b!r}")
+    _check_saturated(p, c)
     for d in maximal_chains(p):
-        names = closure_under_ops(lat, list(c) + list(d.elements))
+        names = closure_under_ops(lat, c + list(d))
         bad = _distributive_on(lat, names)
         if bad is not None:
             raise NotMChain(
                 "sublattice generated with chain "
-                f"{'<'.join(d.elements)} is not distributive "
+                f"{'<'.join(d)} is not distributive "
                 f"(witness triple {bad})"
             )
-
-
-def is_mchain(lat: Lattice, chain: Sequence[str]) -> bool:
-    try:
-        check_mchain(lat, chain)
-    except NotMChain:
-        return False
-    return True
 
 
 def check_geometric(lat: Lattice) -> None:
@@ -324,44 +293,33 @@ def check_geometric(lat: Lattice) -> None:
                 )
 
 
-def is_geometric(lat: Lattice) -> bool:
-    try:
-        check_geometric(lat)
-    except NotGeometric:
-        return False
-    return True
-
-
 # -- serialization -----------------------------------------------------------
 
 
-def lattice_to_json(lat: Lattice, include_tables: bool = False) -> dict:
+def lattice_to_json(lat: Lattice) -> dict:
     out = poset_to_json(lat.poset)
     out["schema"] = "earlab.lattice/1"
     if lat.mchain is not None:
         out["mchain"] = list(lat.mchain)
-    if include_tables:
-        p = lat.poset
-        joins = {}
-        meets = {}
-        for i in range(p.n):
-            for j in range(i + 1, p.n):
-                key = f"{p.elements[i]}|{p.elements[j]}"
-                joins[key] = p.elements[lat.join_i(i, j)]
-                meets[key] = p.elements[lat.meet_i(i, j)]
-        out["joins"] = joins
-        out["meets"] = meets
     return out
 
 
 def lattice_from_json(data: Mapping) -> Lattice:
+    """The lattice of a lattice or poset document; stored ``joins`` and
+    ``meets`` tables, optional, must agree with the order."""
     p = poset_from_json(data)
     mchain = data.get("mchain")
+    if mchain is not None and not (
+        isinstance(mchain, list) and all(isinstance(x, str) for x in mchain)
+    ):
+        raise BadParams("mchain must be a list of element names")
     lat = Lattice(p, mchain=mchain)
     for field, op in (("joins", lat.join), ("meets", lat.meet)):
         table = data.get(field)
         if table is None:
             continue
+        if not isinstance(table, Mapping):
+            raise BadParams(f"{field} must be an object")
         for key, val in table.items():
             parts = key.split("|")
             if len(parts) != 2:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .complexes import face_name
 from .errors import BadParams, ExchangeAxiomFailed, Inconsistent, NotSimple
 from .lattices import Lattice
 from .posets import build_poset
@@ -25,7 +26,6 @@ __all__ = [
     "broken_circuits",
     "nbc_bases",
     "lattice_of_flats",
-    "flat_name",
     "matroid_to_json",
     "matroid_from_json",
 ]
@@ -231,12 +231,6 @@ def nbc_bases(m: Matroid) -> list[tuple[str, ...]]:
 # -- lattice of flats --------------------------------------------------------
 
 
-def flat_name(atoms: Iterable[str]) -> str:
-    """Canonical name for a flat: '+'-joined sorted atoms, '0' when empty."""
-    xs = sorted(atoms)
-    return "+".join(xs) if xs else "0"
-
-
 def check_simple(m: Matroid) -> None:
     for a in m.ground:
         if not m.is_independent({a}):
@@ -249,8 +243,8 @@ def check_simple(m: Matroid) -> None:
 def lattice_of_flats(m: Matroid) -> Lattice:
     """Closed sets of a simple matroid ordered by inclusion.
 
-    Flat names use flat_name; the atoms of the lattice are the singleton
-    flats, named after their atom.
+    A flat is named by complexes.face_name of its atoms, so the atoms of
+    the lattice, the singleton flats, are named after their atom.
 
     Precondition: ``m`` satisfies basis exchange, as build_matroid checks.
     The flats covering F are cl(I + e) for e not in F, with I an independent
@@ -279,7 +273,7 @@ def lattice_of_flats(m: Matroid) -> Lattice:
                 if g not in spans:
                     spans[g] = j
                     flats.append(g)
-    name = {f: flat_name(m.ground[i] for i in range(n) if f >> i & 1) for f in flats}
+    name = {f: face_name(m.ground[i] for i in range(n) if f >> i & 1) for f in flats}
     return Lattice(build_poset(name.values(), [(name[f], name[g]) for f, g in covers]))
 
 

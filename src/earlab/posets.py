@@ -17,7 +17,6 @@ fast without any third-party dependency.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -32,11 +31,10 @@ from .errors import (
 
 __all__ = [
     "Poset",
-    "Chain",
     "build_poset",
     "mobius",
     "rank_select",
-    "closed_interval",
+    "proper_part",
     "maximal_chains",
     "saturated_chains_between",
     "with_bounds",
@@ -49,19 +47,6 @@ __all__ = [
 
 VIRTUAL_BOTTOM = "_bot_"
 VIRTUAL_TOP = "_top_"
-
-
-@dataclass(frozen=True)
-class Chain:
-    """A chain of poset elements, listed from lowest to highest."""
-
-    elements: tuple[str, ...]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
 
 
 class Poset:
@@ -146,9 +131,6 @@ class Poset:
     def covers_up_of(self, i: int) -> tuple[int, ...]:
         return self._covers_up[i]
 
-    def covers_down_of(self, i: int) -> tuple[int, ...]:
-        return self._covers_down[i]
-
     def minimal_indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if not self._covers_down[i])
 
@@ -172,9 +154,6 @@ class Poset:
 
     def cover_pairs(self) -> list[tuple[str, str]]:
         return [(self.elements[a], self.elements[b]) for a, b in self.covers]
-
-    def elements_of_rank(self, r: int) -> list[str]:
-        return [e for e, rk in zip(self.elements, self.ranks) if rk == r]
 
     def __repr__(self):
         return f"Poset({self.n} elements, {len(self.covers)} covers)"
@@ -303,16 +282,6 @@ def proper_part(p: Poset) -> Poset:
     return induced_subposet(p, keep)
 
 
-def closed_interval(p: Poset, x: str, y: str) -> Poset:
-    """The interval [x, y] as a poset of its own (bounded by x and y)."""
-    i, j = p.index(x), p.index(y)
-    if not p.leq_i(i, j):
-        raise NotComparable(f"{x!r} is not below {y!r}")
-    mask = p.up_mask(i) & p.down_mask(j)
-    keep = [p.elements[k] for k in range(p.n) if (mask >> k) & 1]
-    return induced_subposet(p, keep)
-
-
 def rank_select(p: Poset, ranks: Iterable[int]) -> Poset:
     """Induced subposet on the elements whose rank lies in ``ranks``.
 
@@ -354,21 +323,15 @@ def _chain_extensions(p: Poset, prefix: list[int], within: int, out: list[tuple[
         out.append(tuple(prefix))
 
 
-def maximal_chain_indices(p: Poset) -> list[tuple[int, ...]]:
-    """All maximal chains as index tuples, in lexicographic index order."""
+def maximal_chains(p: Poset) -> list[tuple[str, ...]]:
+    """All maximal chains, each listed from lowest to highest element, in
+    lexicographic order of their element indices."""
     out: list[tuple[int, ...]] = []
     everything = (1 << p.n) - 1
     for i in p.minimal_indices():
         _chain_extensions(p, [i], everything, out)
     out.sort()
-    return out
-
-
-def maximal_chains(p: Poset) -> list[Chain]:
-    """All maximal chains, deterministically ordered."""
-    return [
-        Chain(tuple(p.elements[i] for i in idx)) for idx in maximal_chain_indices(p)
-    ]
+    return [tuple(p.elements[i] for i in idx) for idx in out]
 
 
 def saturated_chains_between(p: Poset, x: str, y: str) -> list[tuple[str, ...]]:
@@ -444,6 +407,9 @@ def poset_from_json(data: Mapping) -> Poset:
         graded = bool(data.get("graded", True))
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParams(f"malformed poset JSON: {exc}") from exc
+    bad = [x for x in elements + [x for c in covers for x in c] if not isinstance(x, str)]
+    if bad:
+        raise BadParams(f"malformed poset JSON: element {bad[0]!r} is not a string")
     return build_poset(elements, covers, graded=graded)
 
 
@@ -451,12 +417,16 @@ def labels_from_json(p: Poset, data: Mapping) -> Optional[dict[tuple[str, str], 
     raw = data.get("labels")
     if raw is None:
         return None
+    if not isinstance(raw, Mapping):
+        raise BadParams("labels must be an object")
     out = {}
     for key, v in raw.items():
         parts = key.split("|")
         if len(parts) != 2:
             raise BadParams(f"bad label key {key!r}")
+        if type(v) is not int:
+            raise BadParams(f"label {key!r} is {v!r}, not an integer")
         a, b = parts
         p.index(a), p.index(b)
-        out[(a, b)] = int(v)
+        out[(a, b)] = v
     return out

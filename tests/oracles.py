@@ -1,0 +1,107 @@
+"""Reference routes that the tests diff the package against.
+
+Each is the plain definition of something the package computes by another
+route, or decides through a check that raises; no caller of the package
+needs them, so they live with the tests:
+
+* ``exact_rank``: the rank of a sparse integer matrix by ``_reduce``, the
+  pivot-column reduction that ``homology_ranks`` runs with clearing;
+* ``reduced_euler``: the alternating face count;
+* ``flag_h_from_descents``, ``h_from_flag_h`` and
+  ``flag_f_from_complex_fvector``: flag vectors by descent sets, by
+  summing over rank sets of one size, and from the f-vector alone;
+* ``weak_leq``: the weak order by inversion-set containment;
+* ``is_distributive``, ``is_mchain`` and ``is_geometric``: the brute-force
+  lattice properties, as booleans.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from math import comb
+from typing import Iterable, Sequence
+
+from earlab.complexes import SimplicialComplex, _reduce
+from earlab.errors import BadParams, LengthMismatch, NotGeometric, NotMChain, RangeError
+from earlab.flags import FlagVector, inversion_mask
+from earlab.labelings import EdgeLabeling, descent_set
+from earlab.lattices import Lattice, _distributive_on, check_geometric, check_mchain
+from earlab.posets import Poset, maximal_chains
+
+
+def exact_rank(rows: list[dict[int, int]]) -> int:
+    """Rank over the rationals of an integer sparse matrix given by rows."""
+    return len(_reduce(rows, ()))
+
+
+def reduced_euler(c: SimplicialComplex) -> int:
+    """Σ over faces F, the empty one included, of (-1)^dim F; 0 if void."""
+    return sum((-1) ** (len(f) + 1) for f in c.faces())
+
+
+def flag_h_from_descents(p: Poset, lab: EdgeLabeling) -> FlagVector:
+    """Histogram of descent sets of maximal-chain label words."""
+    if not (p.graded and p.bounded):
+        raise BadParams("need a graded bounded poset")
+    rho = p.rank_of(p.top)
+    entries: dict[frozenset[int], int] = {
+        frozenset(S): 0 for k in range(rho) for S in combinations(range(1, rho), k)
+    }
+    for c in maximal_chains(p):
+        S = descent_set(lab.word(c))
+        entries[S] = entries.get(S, 0) + 1
+    return FlagVector("h", rho, entries)
+
+
+def h_from_flag_h(fh: FlagVector) -> tuple[int, ...]:
+    """h_i = Σ over |S| = i of h_S."""
+    h = [0] * fh.rho
+    for S, v in fh.entries.items():
+        h[len(S)] += v
+    return tuple(h)
+
+
+def flag_f_from_complex_fvector(fK: Sequence[int], S: Iterable[int]) -> int:
+    """Chains in the face poset with ranks S, from the f-vector alone:
+    b_1 = f_{a_1}; b_i = b_{i-1} * C(a_{i-1}, a_i) along S written as a
+    decreasing word."""
+    word = sorted(set(S), reverse=True)
+    if not word:
+        return 1
+    if word[0] >= len(fK) or word[-1] < 1:
+        raise RangeError(f"ranks {word} out of range for f-vector of length {len(fK)}")
+    b = fK[word[0]]
+    for prev, cur in zip(word, word[1:]):
+        b *= comb(prev, cur)
+    return b
+
+
+def weak_leq(sigma: Sequence[int], tau: Sequence[int]) -> bool:
+    """σ ≤ τ in the weak order, by inversion-set containment."""
+    if len(sigma) != len(tau):
+        raise LengthMismatch("permutations must have the same length")
+    a, b = inversion_mask(sigma), inversion_mask(tau)
+    return a & ~b == 0
+
+
+def is_distributive(lat: Lattice) -> bool:
+    """Brute-force distributivity over all triples."""
+    return _distributive_on(lat, lat.poset.elements) is None
+
+
+def is_mchain(lat: Lattice, chain: Sequence[str]) -> bool:
+    """The M-chain definition, ``lattices.check_mchain``, as a boolean."""
+    try:
+        check_mchain(lat, chain)
+    except NotMChain:
+        return False
+    return True
+
+
+def is_geometric(lat: Lattice) -> bool:
+    """``lattices.check_geometric`` as a boolean."""
+    try:
+        check_geometric(lat)
+    except NotGeometric:
+        return False
+    return True

@@ -43,7 +43,6 @@ from earlab.flags import (
     dominates,
     verify_flag_inequalities,
     w_set,
-    weak_leq,
     weak_leq_by_switches,
 )
 from earlab.labelings import EdgeLabeling, derive_sn_labeling, h_by_descents, lex_shelling, minimal_labeling, verify_el
@@ -51,6 +50,7 @@ from earlab.lattices import boolean_lattice, partition_lattice
 from earlab.matroids import graphic_matroid, lattice_of_flats, nbc_bases, uniform_matroid
 from earlab.posets import mobius, proper_part, rank_select, with_bounds
 from earlab.complexes import face_poset
+from oracles import weak_leq
 
 
 # -- shared corpus ----------------------------------------------------------------

@@ -196,6 +196,32 @@ def test_decompose_non_lattice_poset_is_a_precondition_failure(tmp_path, capsys)
     assert "error: Inconsistent: 'a', 'b' have no unique least upper bound" in err
 
 
+def _b2_with(**fields):
+    doc = {"schema": "earlab.lattice/1", "elements": ["0", "1", "12", "2"],
+           "covers": [["0", "1"], ["0", "2"], ["1", "12"], ["2", "12"]],
+           "mchain": ["0", "1", "12"]}
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _b2_with(labels={"0|1": "one", "0|2": 2, "1|12": 2, "2|12": 1}),
+    _b2_with(labels=[1, 2, 2, 1]),
+    _b2_with(joins=["12"]),
+    _b2_with(mchain=5),
+    _b2_with(elements=["0", "1", "12", "2", 7]),
+], ids=["label-value", "labels-not-object", "joins-not-object", "mchain-number",
+        "element-number"])
+def test_malformed_lattice_documents_are_precondition_failures(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        capsys, "decompose", "--construction", "supersolvable", "--input", str(path),
+    )
+    assert code == 2
+    assert "error: BadParams:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("schema", ["earlab.lattice/1", "earlab.poset/1"])
 @pytest.mark.parametrize("construction", ["supersolvable", "geometric"])
 def test_lattice_cap_is_checked_before_the_tables(tmp_path, capsys, monkeypatch,
@@ -366,6 +392,13 @@ def test_verify_m_vector_witness(capsys):
     assert code == 3
     doc = json.loads(out)
     assert doc["result"]["witness"] == {"index": 2, "value": 2, "bound": 0}
+
+
+@pytest.mark.parametrize("what", ["h-inequalities", "m-vector"])
+def test_verify_refuses_an_empty_h_vector(what, capsys):
+    code, out, err = run_cli(capsys, "verify", "--what", what, "--h", ",")
+    assert code == 2 and out == ""
+    assert "error: BadParams: the h-vector is empty" in err
 
 
 def test_verify_m_vector_from_h(capsys):

@@ -25,17 +25,15 @@ from earlab.complexes import (
     intersection_complexes,
     is_cm_and_2cm,
     is_subcomplex,
-    join_complexes,
     link_of,
     order_complex,
-    reduced_euler,
     search_shelling,
-    skeleton,
     union_complexes,
     verify_shelling,
 )
 from earlab.lattices import boolean_lattice
 from earlab.posets import proper_part
+from oracles import reduced_euler
 
 
 # -- Fixtures ------------------------------------------------------------------
@@ -196,19 +194,6 @@ def test_link_and_deletion():
     }
     dl = deletion(c, "a")
     assert dl.facets == (frozenset({"b", "c", "d"}),)
-
-
-def test_skeleton():
-    sk = skeleton(triangle(), 1)
-    assert sk == triangle_boundary()
-
-
-def test_join_of_two_edges_is_solid_tetrahedron_boundary_complement():
-    a = build_complex([["x1"], ["x2"]])
-    b = build_complex([["y1"], ["y2"]])
-    j = join_complexes(a, b)
-    assert j.dim == 1
-    assert len(j.facets) == 4  # a 4-cycle, the 1-sphere as a join
 
 
 def test_union_and_intersection():

@@ -29,6 +29,12 @@ against the brute-force routes they replaced, on random inputs.
   replaced, and each witness against the switch-walk weak order;
 * ``_match`` (augmenting paths on candidate bitsets, τ by τ) against
   Hopcroft–Karp with a recursive augmenting step.
+
+References that no caller of the package needs live in ``tests/oracles.py``,
+not in ``src/``: ``exact_rank`` (``complexes._reduce`` without clearing),
+``is_mchain`` (the M-chain definition, ``lattices.check_mchain``, as a
+boolean) and ``weak_leq`` (inversion-set containment), among others. The
+oracles written below serve this file alone.
 """
 
 from __future__ import annotations
@@ -48,12 +54,11 @@ from earlab.complexes import (
     SimplicialComplex,
     boundary_complex,
     build_complex,
-    exact_rank,
+    face_name,
     homology_ranks,
     intersection_complexes,
     is_subcomplex,
     order_complex,
-    reduced_euler,
     union_complexes,
     verify_shelling,
 )
@@ -78,17 +83,17 @@ from earlab.flags import (
 )
 from earlab.labelings import descent_set
 from earlab.labelings import derive_sn_labeling, lex_shelling
-from earlab.lattices import Lattice, boolean_lattice, is_mchain, lattice_to_json, partition_lattice
+from earlab.lattices import Lattice, boolean_lattice, lattice_to_json, partition_lattice
 from earlab.matroids import (
     Matroid,
     _check_exchange,
     build_matroid,
-    flat_name,
     graphic_matroid,
     lattice_of_flats,
     uniform_matroid,
 )
 from earlab.posets import Poset, build_poset, maximal_chains, proper_part
+from oracles import exact_rank, is_mchain, reduced_euler
 
 
 # -- oracles ------------------------------------------------------------------
@@ -624,13 +629,13 @@ def test_derived_labeling_accepts_exactly_the_mchains(name):
     lat, chains, mchains = _mchain_lattices()[name]
     seen = accepted = 0
     for c in maximal_chains(lat.poset):
-        want = is_mchain(lat, c.elements)
+        want = is_mchain(lat, c)
         try:
-            derive_sn_labeling(lat, c.elements)
+            derive_sn_labeling(lat, c)
         except NotMChain:
-            assert not want, c.elements
+            assert not want, c
         else:
-            assert want, c.elements
+            assert want, c
             accepted += 1
         seen += 1
     assert (seen, accepted) == (chains, mchains)
@@ -698,12 +703,12 @@ def flats_by_subset_closure(m: Matroid) -> Lattice:
             r, cl = rank_and_closure(m, sub)
             rank[cl] = r
     covers = [
-        (flat_name(f), flat_name(g))
+        (face_name(f), face_name(g))
         for f in rank
         for g in rank
         if f < g and rank[g] == rank[f] + 1
     ]
-    return Lattice(build_poset([flat_name(f) for f in rank], covers))
+    return Lattice(build_poset([face_name(f) for f in rank], covers))
 
 
 def exchange_by_triple_loop(m: Matroid):

@@ -25,23 +25,20 @@ from earlab.flags import (
     dominance_table,
     dominates,
     flag_f_and_h,
-    flag_f_from_complex_fvector,
-    flag_h_from_descents,
     g_and_m_check,
     g_vector,
-    h_from_flag_h,
     inversion_mask,
     is_m_vector,
     macaulay_pseudopower,
     verify_flag_inequalities,
     verify_h_inequalities,
     w_set,
-    weak_leq,
     weak_leq_by_switches,
 )
 from earlab.labelings import derive_sn_labeling
 from earlab.lattices import boolean_lattice, partition_lattice
 from earlab.posets import build_poset, rank_select, with_bounds
+from oracles import flag_f_from_complex_fvector, flag_h_from_descents, h_from_flag_h, weak_leq
 
 
 # -- Flag f and h ---------------------------------------------------------------
@@ -78,14 +75,6 @@ def test_flag_f_counts_rank_selected_chains():
     assert ff[{2}] == 6
     # pairs rank1 < rank3: 4 singletons, each inside 3 triples
     assert ff[{1, 3}] == 12
-
-
-def test_flag_vector_json_field_keys():
-    lat = boolean_lattice(3)
-    _, fh = flag_f_and_h(lat.poset)
-    field = fh.to_json_field()
-    assert field["-"] == 1
-    assert field["1,2"] == 1
 
 
 def test_flag_vectors_need_bounds():

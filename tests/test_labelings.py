@@ -231,7 +231,7 @@ def test_lex_shelling_first_chain_is_increasing():
     lat = boolean_lattice(3)
     lab = derive_sn_labeling(lat)
     _, chains = lex_shelling(lat.poset, lab)
-    assert lab.word(chains[0].elements) == (1, 2, 3)
+    assert lab.word(chains[0]) == (1, 2, 3)
 
 
 def test_h_by_descents_matches_f_transform():

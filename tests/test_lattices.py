@@ -14,19 +14,13 @@ from earlab.lattices import (
     _set_partitions,
     boolean_lattice,
     check_mchain,
-    is_distributive,
-    is_geometric,
-    is_mchain,
     lattice_from_json,
     lattice_to_json,
-    partition_blocks,
     partition_lattice,
-    partition_name,
     subset_name,
-    subset_of_name,
-    sublattice_generated,
 )
 from earlab.posets import build_poset, maximal_chains
+from oracles import is_distributive, is_geometric, is_mchain
 
 
 # -- Join and meet -------------------------------------------------------------
@@ -44,10 +38,9 @@ def test_join_of_empty_is_bottom():
     assert lat.join_of([]) == lat.bottom
 
 
-def test_atoms_and_coatoms_of_boolean():
+def test_atoms_of_boolean():
     lat = boolean_lattice(3)
     assert sorted(lat.atoms()) == [subset_name({i}) for i in (1, 2, 3)]
-    assert len(lat.coatoms()) == 3
 
 
 def test_lattice_requires_bounds():
@@ -131,15 +124,6 @@ def test_partition_lattice_atoms_are_single_merges():
     assert len(lat.atoms()) == 6  # C(4,2) ways to merge two singletons
 
 
-def test_partition_name_round_trip():
-    name = partition_name([[3, 1], [2]])
-    assert partition_blocks(name) == ((1, 3), (2,))
-
-
-def test_subset_name_round_trip():
-    assert subset_of_name(subset_name({3, 1})) == frozenset({1, 3})
-
-
 # -- M-chains and distributivity ------------------------------------------------
 
 def test_boolean_lattice_is_distributive():
@@ -207,17 +191,6 @@ def test_geometric_check_raises_with_reason():
         check_geometric(Lattice(p))
 
 
-# -- Sublattices -----------------------------------------------------------------
-
-def test_sublattice_generated_by_two_boolean_chains():
-    lat = boolean_lattice(3)
-    c1 = [subset_name(set(range(1, k + 1))) for k in range(4)]
-    c2 = [subset_name(s) for s in [set(), {3}, {2, 3}, {1, 2, 3}]]
-    sub = sublattice_generated(lat, [c1, c2])
-    assert is_distributive(sub)
-    assert sub.poset.bounded
-
-
 # -- Serialization ----------------------------------------------------------------
 
 def test_lattice_json_round_trip_keeps_mchain():
@@ -229,14 +202,20 @@ def test_lattice_json_round_trip_keeps_mchain():
 
 
 def test_lattice_json_tables_match_operations():
+    # stored join/meet tables are outside input, read and checked when present
     lat = boolean_lattice(2)
-    doc = lattice_to_json(lat, include_tables=True)
-    assert "joins" in doc and "meets" in doc
+    doc = lattice_to_json(lat)
+    pairs = [(x, y) for x in lat.poset.elements for y in lat.poset.elements if x < y]
+    doc["joins"] = {f"{x}|{y}": lat.join(x, y) for x, y in pairs}
+    doc["meets"] = {f"{x}|{y}": lat.meet(x, y) for x, y in pairs}
     back = lattice_from_json(doc)
     for x in lat.poset.elements:
         for y in lat.poset.elements:
             assert back.join(x, y) == lat.join(x, y)
             assert back.meet(x, y) == lat.meet(x, y)
+    doc["joins"]["1|2"] = "1"
+    with pytest.raises(Inconsistent):
+        lattice_from_json(doc)
 
 
 def test_maximal_chain_count_of_partition_lattice():

@@ -15,7 +15,6 @@ from earlab.matroids import (
     build_matroid,
     check_simple,
     circuits_of,
-    flat_name,
     graphic_matroid,
     lattice_of_flats,
     matroid_from_json,
@@ -23,6 +22,7 @@ from earlab.matroids import (
     nbc_bases,
     uniform_matroid,
 )
+from oracles import is_geometric
 
 
 # -- Fixtures ------------------------------------------------------------------
@@ -181,14 +181,10 @@ def test_flats_of_two_triangles():
     assert lat.rank == 3
     # rank-1 flats: the five edges (no parallels in a simple graph)
     assert len(lat.atoms()) == 5
-    from earlab.lattices import is_geometric
-
     assert is_geometric(lat)
 
 
 def test_flats_are_geometric_for_uniform():
-    from earlab.lattices import is_geometric
-
     assert is_geometric(lattice_of_flats(uniform_matroid(3, 4)))
 
 
@@ -200,8 +196,10 @@ def test_non_simple_matroid_rejected():
 
 
 def test_flat_name_formatting():
-    assert flat_name(["2", "1"]) == "1+2"
-    assert flat_name([]) == "0"
+    # a flat is named by its atoms, sorted and '+'-joined; the empty flat is '0'
+    lat = lattice_of_flats(uniform_matroid(3, 4))
+    assert lat.join("2", "1") == "1+2"
+    assert lat.bottom == "0"
 
 
 # -- Serialization -----------------------------------------------------------------

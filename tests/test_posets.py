@@ -21,7 +21,6 @@ from earlab.posets import (
     VIRTUAL_TOP,
     build_poset,
     canonical_dumps,
-    closed_interval,
     induced_subposet,
     labels_from_json,
     maximal_chains,
@@ -102,11 +101,6 @@ def test_leq_is_reflexive_and_matches_covers():
     assert not p.leq("1", "0")
 
 
-def test_elements_of_rank():
-    p = diamond()
-    assert sorted(p.elements_of_rank(1)) == ["a", "b"]
-
-
 # -- Subposets -----------------------------------------------------------------
 
 def test_induced_subposet_rebuilds_covers():
@@ -136,12 +130,6 @@ def test_with_bounds_rejects_name_collision():
     p = diamond()
     with pytest.raises(BadParams):
         with_bounds(p, bottom="a")
-
-
-def test_closed_interval():
-    p = chain_poset(5)
-    q = closed_interval(p, "c1", "c3")
-    assert set(q.elements) == {"c1", "c2", "c3"}
 
 
 def test_rank_select_renumbers_consecutively():
