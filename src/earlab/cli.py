@@ -442,6 +442,8 @@ def _verify_h_inequalities(args) -> tuple[dict, bool]:
 def _verify_m_vector(args) -> tuple[dict, bool]:
     if args.g:
         g = _int_list(args.g, "--g")
+        if not g:
+            raise BadParams("the g-vector is empty")
     else:
         g = list(g_vector(_h_source(args)))
     witness = m_vector_witness(g)

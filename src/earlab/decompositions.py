@@ -193,34 +193,50 @@ def _flag_extensions(
         acc.pop()
 
 
-def _ambient_sphere(
-    copy_elem: dict[frozenset[int], str],
-    intervals: Sequence[tuple[int, int]],
-    frame: dict[int, frozenset[int]],
-) -> SimplicialComplex:
-    """Join of the open-interval complexes between frame elements.
+def _coordinate_sphere(
+    ranks: Sequence[int],
+) -> tuple[SimplicialComplex, dict[str, frozenset[int]]]:
+    """K, the reference sphere in copy coordinates, with each vertex's set.
 
-    Each interval contributes the full barycentric subdivision of a simplex
-    boundary; the join of those is the reference sphere that an ear is a
-    subcomplex of.
+    K is the join, over the intervals [a, b] of the selected ranks, of the
+    chains strictly between [a - 1] and [b + 1]: the full barycentric
+    subdivision of a simplex boundary per interval. The reference sphere of
+    class word w in a copy is K's image under A -> copy[w(A)], since the
+    frame of w is w([k]) at each unselected rank k, so one K serves every
+    copy and class word of a decomposition.
     """
-    per_interval: list[list[tuple[str, ...]]] = []
-    for a, b in intervals:
-        lo, hi = frame[a - 1], frame[b + 1]
-        pool = sorted(hi - lo)
-        chains: set[tuple[str, ...]] = set()
-        for perm in permutations(pool):
-            acc = set(lo)
-            names = []
-            for k in range(b - a + 1):
-                acc.add(perm[k])
-                names.append(copy_elem[frozenset(acc)])
-            chains.add(tuple(names))
-        per_interval.append(sorted(chains))
+    coord: dict[str, frozenset[int]] = {}
     facets: list[tuple[str, ...]] = [()]
-    for chains in per_interval:
-        facets = [f + c for f in facets for c in chains]
-    return build_complex(facets)
+    for a, b in intervals_of(ranks):
+        chains: set[tuple[str, ...]] = set()
+        for perm in permutations(range(a, b + 2)):
+            acc = set(range(1, a))
+            names = []
+            for letter in perm[: b - a + 1]:
+                acc.add(letter)
+                name = "+".join(map(str, sorted(acc)))
+                coord[name] = frozenset(acc)
+                names.append(name)
+            chains.add(tuple(names))
+        facets = [f + c for f in facets for c in sorted(chains)]
+    return build_complex(facets), coord
+
+
+def _relabelling(
+    coord: dict[str, frozenset[int]], word: Sequence[int], elem: dict[frozenset[int], str]
+) -> Optional[dict[str, str]]:
+    """The vertex map A -> elem[w(A)] on K for class word ``word``, or None
+    where it is undefined or not injective."""
+    letter = dict(enumerate(word, start=1))
+    names: dict[str, str] = {}
+    for v, a in coord.items():
+        name = elem.get(frozenset(letter.get(i) for i in a))
+        if name is None:
+            return None
+        names[v] = name
+    if len(set(names.values())) != len(names):
+        return None
+    return names
 
 
 # -- decomposition containers ------------------------------------------------
@@ -319,8 +335,10 @@ def _assemble(
     class reverse-lex, and check that the ears partition the maximal chains.
 
     The class words are the classifiers of the selected flags: every word
-    of the descent class is the classifier of its own prefix flag."""
+    of the descent class is the classifier of its own prefix flag. Each
+    ear's reference sphere is the image of the one coordinate sphere K."""
     ivs = intervals_of(ranks)
+    sphere, coord = _coordinate_sphere(ranks)
     class_map: dict[tuple[int, ...], list[tuple[frozenset[int], ...]]] = {}
     for fl in _selected_flags(rho, ranks):
         class_map.setdefault(sigma_word(fl, ranks, rho), []).append(fl)
@@ -349,10 +367,13 @@ def _assemble(
             comp = build_complex(facets)
             where = {f: k for k, f in enumerate(comp.facets)}
             shelling = verify_shelling(comp, [where[f] for f in facets])
+            relabel = _relabelling(coord, word, copy.elem)
+            if relabel is None:
+                raise Inconsistent(f"copy {ci + 1} does not relabel the coordinate sphere")
             ear = Ear(
                 chains=[names for _, names in kept],
                 shelling=shelling,
-                ambient=_ambient_sphere(copy.elem, ivs, frame),
+                ambient=build_complex([relabel[v] for v in f] for f in sphere.facets),
                 provenance=prov,
                 coords=[fl for fl, _ in kept],
                 coord_names=copy.elem,
@@ -473,11 +494,19 @@ def _supersolvable_copies(lat: Lattice, lab: EdgeLabeling) -> list[_Copy]:
 
 
 def _subset_novelty(copies: Sequence[_Copy]):
-    names = [c.names for c in copies]
+    """A chain of copy ci is new when no earlier copy holds all of it: bit
+    m of ``holders[x]`` marks that copy m holds x, so the AND over the
+    chain's elements must have no bit below ci."""
+    holders: dict[str, int] = {}
+    for m, c in enumerate(copies):
+        for x in c.names:
+            holders[x] = holders.get(x, 0) | 1 << m
 
     def is_new(ci: int, fl, chain_names) -> bool:
-        s = set(chain_names)
-        return not any(s <= names[m] for m in range(ci))
+        common = -1
+        for x in chain_names:
+            common &= holders[x]
+        return not common & ((1 << ci) - 1)
 
     return is_new
 
@@ -715,6 +744,7 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
     entries = []
     witnesses = []
     running: set[frozenset[str]] = set()
+    shared = _CoordinateSphere(dec.ranks)
     for i, ear in enumerate(ears):
         kind, boundary = _certify(ear.complex, ear.shelling)
         kinds.append(kind)
@@ -722,7 +752,7 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
             # the sphere verdict never reads the shelling: same complex, same verdict
             amb_kind = kind
         else:
-            amb_kind, _ = _certify(ear.ambient)
+            amb_kind = shared.kind_of(ear) or _certify(ear.ambient)[0]
         entry = {
             "ear": i + 1,
             "ambient_is_sphere": amb_kind == "SPHERE",
@@ -801,6 +831,37 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
 
     report["ok"] = bool(axioms_ok and h_section.get("inequalities_ok") and h_section.get("g_is_m_vector"))
     return report
+
+
+class _CoordinateSphere:
+    """The coordinate sphere K of one decomposition's ranks, built from the
+    ranks alone and certified on first use, and the verdicts it lends.
+
+    An injective simplicial relabelling keeps homology and the closed
+    pseudomanifold property, so an ambient that is K relabelled injectively
+    has K's certificate kind."""
+
+    def __init__(self, ranks: Sequence[int]):
+        self.ranks = ranks
+        self._certified: Optional[
+            tuple[SimplicialComplex, dict[str, frozenset[int]], str]
+        ] = None
+
+    def kind_of(self, ear: Ear) -> Optional[str]:
+        """K's kind when ``ear.ambient`` is K's image under the injective map
+        A -> coord_names[w(A)] for the ear's class word w, else None."""
+        word = ear.provenance.get("class_word")
+        if word is None:
+            return None
+        if self._certified is None:
+            sphere, coord = _coordinate_sphere(self.ranks)
+            self._certified = (sphere, coord, _certify(sphere)[0])
+        sphere, coord, kind = self._certified
+        relabel = _relabelling(coord, word, ear.coord_names)
+        if relabel is None:
+            return None
+        image = {frozenset(relabel[v] for v in f) for f in sphere.facets}
+        return kind if image == set(ear.ambient.facets) else None
 
 
 def _certify(

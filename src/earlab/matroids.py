@@ -2,9 +2,10 @@
 
 Matroids are stored as explicit basis lists over an ordered ground set of
 atom names. The exchange check and the flats use int bitmasks over atom
-positions; graphic_matroid's forests and circuits_of (and bases from
-circuits) are brute force over subsets. Atom order is the sorted order of
-the ground names and is what "lexicographic" means throughout.
+positions; graphic_matroid's forests (of the rank's size only),
+circuits_of and bases from circuits are brute force over subsets. Atom
+order is the sorted order of the ground names and is what
+"lexicographic" means throughout.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def uniform_matroid(r: int, n: int) -> Matroid:
 def graphic_matroid(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
     """Cycle matroid of a graph; atoms are edge positions '1'..'m'.
 
-    Bases = spanning forests of maximum size, found by brute force.
+    Bases = spanning forests: the edge sets of size rank = n - components
+    (one union-find pass over all edges) that are acyclic.
     """
     if vertices < 1:
         raise BadParams("need at least one vertex")
@@ -161,7 +163,8 @@ def graphic_matroid(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
     m = len(edges)
     ground = [str(i) for i in range(1, m + 1)]
 
-    def acyclic(idxs: Sequence[int]) -> bool:
+    def joins(idxs: Iterable[int]) -> int:
+        """How many of the edges ``idxs`` join two components, in order."""
         parent = list(range(vertices))
 
         def find(x):
@@ -170,25 +173,22 @@ def graphic_matroid(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
                 x = parent[x]
             return x
 
+        count = 0
         for i in idxs:
             u, v = edges[i]
             ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+            if ru != rv:
+                parent[ru] = rv
+                count += 1
+        return count
 
-    best: list[frozenset[str]] = []
-    for k in range(m, -1, -1):
-        found = [
-            frozenset(ground[i] for i in idxs)
-            for idxs in combinations(range(m), k)
-            if acyclic(idxs)
-        ]
-        if found:
-            best = found
-            break
-    return build_matroid(ground, bases=best)
+    rank = joins(range(m))
+    bases = [
+        frozenset(ground[i] for i in idxs)
+        for idxs in combinations(range(m), rank)
+        if joins(idxs) == rank
+    ]
+    return build_matroid(ground, bases=bases)
 
 
 def circuits_of(m: Matroid) -> list[frozenset[str]]:

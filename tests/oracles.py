@@ -12,20 +12,28 @@ needs them, so they live with the tests:
   summing over rank sets of one size, and from the f-vector alone;
 * ``weak_leq``: the weak order by inversion-set containment;
 * ``is_distributive``, ``is_mchain`` and ``is_geometric``: the brute-force
-  lattice properties, as booleans.
+  lattice properties, as booleans;
+* ``ambient_by_permutations``: an ear's reference sphere by walking the
+  permutations of each interval's pool in host names, per copy and frame;
+* ``subset_novelty_scan``: a chain is new when no earlier copy's name set
+  contains it, by scanning every earlier copy;
+* ``graphic_matroid_by_all_sizes``: the bases of a cycle matroid as the
+  acyclic edge sets of the largest size that has any, trying every size
+  from the number of edges down.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Sequence
 
-from earlab.complexes import SimplicialComplex, _reduce
+from earlab.complexes import SimplicialComplex, _reduce, build_complex
 from earlab.errors import BadParams, LengthMismatch, NotGeometric, NotMChain, RangeError
 from earlab.flags import FlagVector, inversion_mask
 from earlab.labelings import EdgeLabeling, descent_set
 from earlab.lattices import Lattice, _distributive_on, check_geometric, check_mchain
+from earlab.matroids import Matroid, build_matroid
 from earlab.posets import Poset, maximal_chains
 
 
@@ -105,3 +113,75 @@ def is_geometric(lat: Lattice) -> bool:
     except NotGeometric:
         return False
     return True
+
+
+def ambient_by_permutations(
+    copy_elem: dict[frozenset[int], str],
+    intervals: Sequence[tuple[int, int]],
+    frame: dict[int, frozenset[int]],
+) -> SimplicialComplex:
+    """Join of the open-interval complexes between frame elements, each the
+    full barycentric subdivision of a simplex boundary, in host names."""
+    per_interval: list[list[tuple[str, ...]]] = []
+    for a, b in intervals:
+        lo, hi = frame[a - 1], frame[b + 1]
+        chains: set[tuple[str, ...]] = set()
+        for perm in permutations(sorted(hi - lo)):
+            acc = set(lo)
+            names = []
+            for k in range(b - a + 1):
+                acc.add(perm[k])
+                names.append(copy_elem[frozenset(acc)])
+            chains.add(tuple(names))
+        per_interval.append(sorted(chains))
+    facets: list[tuple[str, ...]] = [()]
+    for chains in per_interval:
+        facets = [f + c for f in facets for c in chains]
+    return build_complex(facets)
+
+
+def subset_novelty_scan(copies):
+    """``is_new(ci, flag, chain_names)``: no copy before ci holds every name."""
+    names = [c.names for c in copies]
+
+    def is_new(ci: int, fl, chain_names) -> bool:
+        s = set(chain_names)
+        return not any(s <= names[m] for m in range(ci))
+
+    return is_new
+
+
+def graphic_matroid_by_all_sizes(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
+    """Cycle matroid of a simple-input graph (no range or loop checks):
+    bases are the acyclic edge sets of the largest size that has any."""
+    m = len(edges)
+    ground = [str(i) for i in range(1, m + 1)]
+
+    def acyclic(idxs: Sequence[int]) -> bool:
+        parent = list(range(vertices))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i in idxs:
+            u, v = edges[i]
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                return False
+            parent[ru] = rv
+        return True
+
+    best: list[frozenset[str]] = []
+    for k in range(m, -1, -1):
+        found = [
+            frozenset(ground[i] for i in idxs)
+            for idxs in combinations(range(m), k)
+            if acyclic(idxs)
+        ]
+        if found:
+            best = found
+            break
+    return build_matroid(ground, bases=best)

@@ -19,6 +19,7 @@ import pytest
 from earlab.cli import COMPLEX_FIXTURES, _flag_count, main
 from earlab.complexes import build_complex, face_poset, order_complex
 from earlab.decompositions import decompose_rank_selected_boolean
+from earlab.flags import m_vector_witness
 from earlab.posets import canonical_dumps, rank_select
 
 
@@ -399,6 +400,13 @@ def test_verify_refuses_an_empty_h_vector(what, capsys):
     code, out, err = run_cli(capsys, "verify", "--what", what, "--h", ",")
     assert code == 2 and out == ""
     assert "error: BadParams: the h-vector is empty" in err
+
+
+def test_verify_refuses_an_empty_g_vector(capsys):
+    code, out, err = run_cli(capsys, "verify", "--what", "m-vector", "--g", ",")
+    assert code == 2 and out == ""
+    assert "error: BadParams: the g-vector is empty" in err
+    assert m_vector_witness([]) == {"reason": "empty sequence"}
 
 
 def test_verify_m_vector_from_h(capsys):

@@ -28,7 +28,15 @@ against the brute-force routes they replaced, on random inputs.
   candidates by AND of per-bit bitsets) against the per-pair scan they
   replaced, and each witness against the switch-walk weak order;
 * ``_match`` (augmenting paths on candidate bitsets, τ by τ) against
-  Hopcroft–Karp with a recursive augmenting step.
+  Hopcroft–Karp with a recursive augmenting step;
+* each ear's reference sphere (the coordinate sphere K relabelled by the
+  copy and class word) against the permutation walk per copy and frame,
+  and the verdict ``verify_ced`` lends from K against certifying the ear's
+  ambient itself;
+* ``_subset_novelty`` (one copy bitmask per host element) against the
+  scan of every earlier copy;
+* ``graphic_matroid`` (forests of the rank's size only) against trying
+  every size from the number of edges down.
 
 References that no caller of the package needs live in ``tests/oracles.py``,
 not in ``src/``: ``exact_rank`` (``complexes._reduce`` without clearing),
@@ -44,6 +52,7 @@ from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -63,12 +72,19 @@ from earlab.complexes import (
     verify_shelling,
 )
 from earlab.decompositions import (
+    _certify,
+    _coordinate_sphere,
+    _CoordinateSphere,
+    _frame_of,
+    _relabelling,
     _selected_flags,
+    _subset_novelty,
     decompose_face_poset,
     decompose_geometric,
     decompose_rank_selected_boolean,
     decompose_rank_selected_supersolvable,
     decompose_supersolvable,
+    intervals_of,
     sigma_word,
     verify_ced,
 )
@@ -93,7 +109,14 @@ from earlab.matroids import (
     uniform_matroid,
 )
 from earlab.posets import Poset, build_poset, maximal_chains, proper_part
-from oracles import exact_rank, is_mchain, reduced_euler
+from oracles import (
+    ambient_by_permutations,
+    exact_rank,
+    graphic_matroid_by_all_sizes,
+    is_mchain,
+    reduced_euler,
+    subset_novelty_scan,
+)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -870,3 +893,137 @@ def test_dominance_witness_replays_through_switches(case):
     for tau, sigma in inj.items():
         assert descent_set(sigma) == S
         assert weak_leq_by_switches(tau, sigma), (tau, sigma)
+
+
+# -- reference spheres from the coordinate sphere -----------------------------------
+
+
+@lru_cache(maxsize=None)
+def ambient_corpus() -> dict:
+    """The decompositions of the benchmark rungs, built in-process."""
+    def flats(edges: str, n: int):
+        return lattice_of_flats(graphic_matroid(n, _edge_list(edges)))
+
+    return {
+        "B5": decompose_supersolvable(boolean_lattice(5)),
+        "Pi5": decompose_supersolvable(partition_lattice(5)),
+        "K33": decompose_geometric(flats("0-3,0-4,0-5,1-3,1-4,1-5,2-3,2-4,2-5", 6)),
+        "prism": decompose_geometric(flats("0-1,1-2,0-2,3-4,4-5,3-5,0-3,1-4,2-5", 6)),
+        "cross4-123": decompose_face_poset(cross_polytope_boundary(4), ranks=[1, 2, 3]),
+        "bool7-246": decompose_rank_selected_boolean(7, [2, 4, 6]),
+        "K5-13": decompose_geometric(
+            flats("0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4", 5), ranks=[1, 3]
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["B5", "Pi5", "K33", "prism", "cross4-123", "bool7-246", "K5-13"])
+def test_lent_ambient_verdict_agrees_with_certifying_each_ear(name):
+    dec = ambient_corpus()[name]
+    shared = _CoordinateSphere(dec.ranks)
+    for ear in dec.ears:
+        lent = shared.kind_of(ear)
+        assert lent is not None
+        assert lent == _certify(ear.ambient)[0] == "SPHERE"
+
+
+@st.composite
+def boolean_rank_words(draw):
+    """B_r with r <= 6, a nonempty rank set, any word w in S_r and an
+    injective copy naming the subsets of [r] in random order."""
+    r = draw(st.integers(2, 6))
+    ranks = sorted(draw(st.frozensets(st.integers(1, r - 1), min_size=1)))
+    word = draw(st.permutations(range(1, r + 1)))
+    subsets = [frozenset(c) for k in range(r + 1) for c in combinations(range(1, r + 1), k)]
+    names = draw(st.permutations(range(len(subsets))))
+    return r, ranks, word, {a: f"x{n}" for a, n in zip(subsets, names)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(boolean_rank_words())
+def test_coordinate_sphere_image_agrees_with_the_permutation_walk(case):
+    r, ranks, word, elem = case
+    ivs = intervals_of(ranks)
+    sphere, coord = _coordinate_sphere(ranks)
+    relabel = _relabelling(coord, word, elem)
+    image = build_complex([relabel[v] for v in f] for f in sphere.facets)
+    assert image == ambient_by_permutations(elem, ivs, _frame_of(word, ranks, r))
+    for ear in decompose_rank_selected_boolean(r, ranks).ears:
+        frame = _frame_of(ear.provenance["class_word"], ranks, r)
+        assert ear.ambient == ambient_by_permutations(ear.coord_names, ivs, frame)
+
+
+def _with_second_ear(dec, **changes):
+    ears = list(dec.ears)
+    ears[1] = replace(ears[1], **changes)
+    return replace(dec, ears=ears)
+
+
+def test_ambient_missing_a_facet_is_certified_on_its_own():
+    dec = ambient_corpus()["Pi5"]
+    ear = dec.ears[1]
+    gone = next(f for f in ear.ambient.facets if f not in set(ear.complex.facets))
+    bad = _with_second_ear(dec, ambient=build_complex(f for f in ear.ambient.facets if f != gone))
+    assert _CoordinateSphere(dec.ranks).kind_of(bad.ears[1]) is None
+    entry = verify_ced(bad.complex, bad)["axiom_polytope"]["per_ear"][1]
+    assert entry["ambient_is_sphere"] is False
+
+
+def test_non_injective_copy_is_certified_on_its_own():
+    # two rank-1 vertices of K sent to one host element: the image of K
+    # pinches the 2-sphere, so only the injectivity check keeps K's verdict away
+    dec = ambient_corpus()["Pi5"]
+    ear = dec.ears[1]
+    word = ear.provenance["class_word"]
+    sphere, coord = _coordinate_sphere(dec.ranks)
+    moved = {v: frozenset(word[i - 1] for i in a) for v, a in coord.items()}
+    first, second = sorted(v for v, a in coord.items() if len(a) == 1)[:2]
+    names = dict(ear.coord_names)
+    names[moved[second]] = names[moved[first]]
+    pinched = build_complex([names[moved[v]] for v in f] for f in sphere.facets)
+    bad = _with_second_ear(dec, coord_names=names, ambient=pinched)
+    assert _relabelling(coord, word, names) is None
+    assert _CoordinateSphere(dec.ranks).kind_of(bad.ears[1]) is None
+    entry = verify_ced(bad.complex, bad)["axiom_polytope"]["per_ear"][1]
+    assert entry["ambient_is_sphere"] is False
+
+
+# -- novelty by copy bitmasks ----------------------------------------------------------
+
+
+@st.composite
+def copy_families(draw):
+    """Up to eight copies as name sets over eight names, a copy index and a
+    chain drawn from that copy's names."""
+    names = st.frozensets(st.sampled_from("abcdefgh"), min_size=1)
+    sets = draw(st.lists(names, min_size=1, max_size=8))
+    ci = draw(st.integers(0, len(sets) - 1))
+    chain = draw(st.lists(st.sampled_from(sorted(sets[ci])), unique=True))
+    return [SimpleNamespace(names=s) for s in sets], ci, tuple(chain)
+
+
+@settings(max_examples=300, deadline=None)
+@given(copy_families())
+def test_subset_novelty_agrees_with_the_scan(case):
+    copies, ci, chain = case
+    assert _subset_novelty(copies)(ci, None, chain) == subset_novelty_scan(copies)(ci, None, chain)
+
+
+# -- spanning forests of the rank's size -----------------------------------------------
+
+
+@st.composite
+def random_graphs(draw):
+    """Up to 9 edges on at most 7 vertices, so often disconnected, with
+    isolated vertices and parallel pairs."""
+    n = draw(st.integers(1, 7))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(edge, max_size=9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs())
+def test_graphic_matroid_agrees_with_every_size_from_the_top(graph):
+    n, edges = graph
+    fast, slow = graphic_matroid(n, edges), graphic_matroid_by_all_sizes(n, edges)
+    assert (fast.ground, fast.bases) == (slow.ground, slow.bases)
