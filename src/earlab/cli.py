@@ -40,7 +40,6 @@ from typing import Mapping, Optional
 
 from .complexes import (
     SimplicialComplex,
-    boundary_complex,
     build_complex,
     complex_from_json,
     complex_to_json,
@@ -249,7 +248,7 @@ def _run_construction(rec: Mapping, doc: Optional[Mapping], cap) -> EarDecomposi
     name = rec.get("construction")
     ranks = rec.get("ranks")
     if name == "rank-boolean":
-        r = int(rec["rank"])
+        r = rec["rank"]
         cap("lattice", 2**r)
         return decompose_rank_selected_boolean(r, ranks or ())
     if doc is None:
@@ -361,13 +360,38 @@ def cmd_decompose(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
+def _expect(field: str, value, kind: type, item: Optional[type] = None) -> None:
+    """Raise SchemaTrouble naming the run-report ``field`` unless ``value``
+    is a ``kind`` (of ``item``s when given); a bool is no int."""
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    if ok and item is not None:
+        ok = all(isinstance(v, item) and not isinstance(v, bool) for v in value)
+    if not ok:
+        of = f" of {item.__name__}" if item else ""
+        raise SchemaTrouble(f"run report field {field} should be {kind.__name__}{of}")
+
+
 def _report_parts(doc: Mapping) -> tuple[dict, dict, Optional[dict]]:
-    """(args record, stored decomposition, embedded input document)."""
+    """(args record, stored decomposition, embedded input document), each
+    field that the rebuild reads checked for its JSON type."""
     schema = doc.get("schema")
-    if schema in RUN_SCHEMAS and doc.get("command") == "decompose":
-        src = doc.get("input")
-        return dict(doc["args"]), dict(doc["decomposition"]), (src or {}).get("document")
-    raise SchemaTrouble(f"cannot verify a document with schema {schema!r}")
+    if schema not in RUN_SCHEMAS or doc.get("command") != "decompose":
+        raise SchemaTrouble(f"cannot verify a document with schema {schema!r}")
+    rec, stored, src = doc.get("args"), doc.get("decomposition"), doc.get("input")
+    _expect("args", rec, dict)
+    _expect("args.construction", rec.get("construction"), str)
+    if rec["construction"] == "rank-boolean":
+        _expect("args.rank", rec.get("rank"), int)
+    for key, item in (("ranks", int), ("atom_order", str), ("shelling", int)):
+        if rec.get(key) is not None:
+            _expect(f"args.{key}", rec[key], list, item)
+    _expect("decomposition", stored, dict)
+    _expect("decomposition.ears", stored.get("ears"), list, dict)
+    if src is not None:
+        _expect("input", src, dict)
+        if src.get("document") is not None:
+            _expect("input.document", src["document"], dict)
+    return dict(rec), dict(stored), (src or {}).get("document")
 
 
 def _rebuild_from_report(args) -> tuple[EarDecomposition, dict, bool]:
@@ -377,7 +401,7 @@ def _rebuild_from_report(args) -> tuple[EarDecomposition, dict, bool]:
     rec, stored, src = _report_parts(doc)
     dec = _run_construction(rec, src, _cap_checker(args))
     fresh = [[list(c) for c in ear.chains] for ear in dec.ears]
-    kept = [e.get("chains") for e in stored.get("ears", [])]
+    kept = [e.get("chains") for e in stored["ears"]]
     return dec, rec, fresh == kept
 
 
@@ -402,9 +426,7 @@ def _verify_reciprocity(args) -> tuple[dict, bool]:
     rows = []
     ok = chains_match
     for k, ear in enumerate(dec.ears):
-        good = ball_flag_reciprocity(
-            ear.complex, colors, len(dec.ranks), boundary_complex(ear.complex)
-        )
+        good = ball_flag_reciprocity(ear.complex, colors, len(dec.ranks))
         rows.append({"ear": k + 1, "ok": good})
         ok = ok and good
     body = {

@@ -558,10 +558,13 @@ def complex_to_json(c: SimplicialComplex) -> dict:
 
 def complex_from_json(data: Mapping) -> SimplicialComplex:
     try:
-        facets = [list(f) for f in data["facets"]]
-        declared = [str(v) for v in data.get("vertices", [])]
+        facets = data["facets"]
+        declared = data.get("vertices", [])
     except (KeyError, TypeError) as exc:
         raise BadParams(f"malformed complex JSON: {exc}") from exc
+    arrays = [declared, *facets] if isinstance(facets, list) else [facets]
+    if not all(isinstance(a, list) and all(isinstance(v, str) for v in a) for a in arrays):
+        raise BadParams("malformed complex JSON: vertices and each facet must be arrays of strings")
     c = build_complex(facets)
     if declared and set(declared) != set(c.vertices):
         extra = sorted(set(declared) - set(c.vertices))

@@ -4,8 +4,10 @@ Five constructions share one engine. Each ear lives inside a copy of the
 Boolean lattice B_rho embedded in a host poset; a selected chain is written
 in copy coordinates (subsets of [rho]), classified by the permutation read
 off its gap-filled label word, and shelled by reverse-lex order of its
-frame words. The constructions differ only in how copies are produced and
-in when a chain counts as new.
+frame words. The constructions differ only in their copies' generators and
+in when a chain counts as new. Both lattice constructions read them off the
+strictly decreasing maximal chains of one EL-labeling; for the minimal
+labeling of a geometric lattice these are the nbc bases (Björner 1992).
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ from .labelings import (
     EdgeLabeling,
     check_el,
     derive_sn_labeling,
+    descent_set,
     increasing_and_decreasing_chains,
     minimal_labeling,
     verify_sr,
 )
-from .lattices import Lattice, boolean_lattice, closure_under_ops, subset_name
-from .matroids import Matroid, nbc_bases
+from .lattices import Lattice, boolean_lattice, subset_name
 from .posets import Poset, maximal_chains, mobius, rank_select
 
 __all__ = [
@@ -127,7 +129,7 @@ def sigma_word(
         word.extend(sorted(w[a - 1 : b + 1], reverse=True))
         pos = b + 2
     word.extend(sorted(w[pos - 1 : rho]))
-    got = frozenset(i for i in range(1, rho) if word[i - 1] > word[i])
+    got = descent_set(word)
     if got != frozenset(sel):
         raise Inconsistent(
             f"classifier {word} has descents {sorted(got)}, wanted {sel}"
@@ -300,13 +302,7 @@ class _Copy:
 
     elem: dict[frozenset[int], str]
     provenance: dict
-    names: frozenset[str] = field(init=False)
-
-    def __post_init__(self):
-        vals = list(self.elem.values())
-        if len(set(vals)) != len(vals):
-            raise Inconsistent("copy embedding is not injective")
-        self.names = frozenset(vals)
+    names: frozenset[str]
 
 
 # -- the shared engine --------------------------------------------------------
@@ -419,7 +415,10 @@ def _generated_copy(
         for size in range(r + 1)
         for a in combinations(range(1, r + 1), size)
     }
-    return _Copy(elem=elem, provenance=provenance)
+    names = frozenset(elem.values())
+    if len(names) != len(elem):
+        raise Inconsistent("copy embedding is not injective")
+    return _Copy(elem, provenance, names)
 
 
 def _selection(ranks: Optional[Iterable[int]], r: int) -> tuple[int, ...]:
@@ -447,49 +446,22 @@ def decompose_rank_selected_boolean(r: int, ranks: Iterable[int]) -> EarDecompos
     )
 
 
-def _label_coordinates(
-    lat: Lattice, lab: EdgeLabeling, members: Sequence[str], r: int
-) -> dict[frozenset[int], str]:
-    """Coordinates of a B_r copy: each member is keyed by the label set of
-    a saturated bottom-up chain inside the copy (checked consistent)."""
-    p = lat.poset
-    member_set = set(members)
-    coord: dict[str, frozenset[int]] = {lat.bottom: frozenset()}
-    by_rank = sorted(members, key=p.rank_of)
-    for x in by_rank:
-        if x not in coord:
-            continue
-        for j in p.covers_up_of(p.index(x)):
-            y = p.elements[j]
-            if y not in member_set:
-                continue
-            cy = coord[x] | {lab.of(x, y)}
-            old = coord.get(y)
-            if old is not None and old != cy:
-                raise Inconsistent(
-                    f"label sets disagree at {y!r}: {sorted(old)} vs {sorted(cy)}"
-                )
-            coord[y] = cy
-    if len(coord) != len(member_set) or len(member_set) != 2 ** r:
-        raise Inconsistent("generated sublattice is not a Boolean copy")
-    if {len(c) for c in coord.values()} != set(range(r + 1)):
-        raise Inconsistent("copy coordinates do not exhaust all subset sizes")
-    return {c: x for x, c in coord.items()}
-
-
 def _supersolvable_copies(lat: Lattice, lab: EdgeLabeling) -> list[_Copy]:
-    """One copy per strictly decreasing maximal chain: the sublattice it
-    generates with the increasing chain, coordinatized by label sets."""
+    """One copy per strictly decreasing maximal chain c, generated by
+    g_a = z_a ∧ c_(r-a+1) with z the increasing chain. Each coordinate
+    cover A ⊂ A + b must land on a host cover labelled b."""
     rising, falling = increasing_and_decreasing_chains(lat.poset, lab, lat.bottom, lat.top)
+    r = lat.rank
     copies = []
     for c in falling:
-        members = closure_under_ops(lat, set(rising) | set(c))
-        copies.append(
-            _Copy(
-                elem=_label_coordinates(lat, lab, members, lat.rank),
-                provenance={"decreasing_chain": list(c)},
-            )
-        )
+        gens = [lat.meet(rising[a], c[r - a + 1]) for a in range(1, r + 1)]
+        copy = _generated_copy(gens, lat.join_of, {"decreasing_chain": list(c)})
+        for a, x in copy.elem.items():
+            for b in set(range(1, r + 1)) - a:
+                y = copy.elem[a | {b}]
+                if lab.labels.get((x, y)) != b:
+                    raise Inconsistent(f"copy cover {x!r} < {y!r} is not a host cover labelled {b}")
+        copies.append(copy)
     return copies
 
 
@@ -515,7 +487,7 @@ def _checked_sr_labeling(lat: Lattice, lab: Optional[EdgeLabeling]) -> EdgeLabel
     if lab is None:
         return derive_sn_labeling(lat)
     check_el(lat.poset, lab)
-    if not verify_sr(lat.poset, lab, r=lat.rank):
+    if not verify_sr(lat.poset, lab):
         raise LabelingInvalid("labeling is EL but not an S_r labeling")
     return lab
 
@@ -630,29 +602,18 @@ def decompose_geometric(
     ranks: Optional[Iterable[int]] = None,
 ) -> EarDecomposition:
     """Ears of a geometric lattice's (possibly rank-selected) order complex,
-    one outer index per nbc-basis of the underlying simple matroid."""
+    one outer index per nbc-basis: the label set of a falling chain of the
+    minimal labeling, read as positions in ``atoms``, in lex order."""
     atoms = sorted(lat.atoms()) if atom_order is None else list(atom_order)
     lab = minimal_labeling(lat, atoms)
     r = lat.rank
     p = lat.poset
-    top_rank = p.rank_of(lat.top)
-    bases = [
-        frozenset(combo)
-        for combo in combinations(atoms, r)
-        if p.rank_of(lat.join_of(combo)) == top_rank
-    ]
-    # the lattice is geometric, so these are the bases of its simple
-    # matroid; ground order ``atoms`` makes the nbc bases follow it
-    matroid = Matroid(atoms, bases)
-    position = {a: i + 1 for i, a in enumerate(atoms)}
-    copies = [
-        _generated_copy(
-            basis,
-            lat.join_of,
-            {"basis": list(basis), "atom_positions": [position[a] for a in basis]},
-        )
-        for basis in nbc_bases(matroid)
-    ]
+    _, falling = increasing_and_decreasing_chains(p, lab, lat.bottom, lat.top)
+    copies = []
+    for positions in sorted(sorted(lab.word(c)) for c in falling):
+        basis = [atoms[k - 1] for k in positions]
+        provenance = {"basis": basis, "atom_positions": positions}
+        copies.append(_generated_copy(basis, lat.join_of, provenance))
 
     sel = _selection(ranks, r)
     params: dict = {"atom_order": atoms}

@@ -473,7 +473,6 @@ def ball_flag_reciprocity(
     ear: SimplicialComplex,
     colors: Mapping[str, int],
     d: int,
-    boundary: Optional[SimplicialComplex] = None,
 ) -> bool:
     """The flag reciprocity identity for a rank-colored (d-1)-ball or sphere:
     interior flag f against ν-1 factors (plus the reduced-Euler correction,
@@ -485,7 +484,7 @@ def ball_flag_reciprocity(
     for f in ear.facets:
         if frozenset(colors[v] for v in f) != full:
             raise NotBall("facet misses a rank color")
-    bd = boundary if boundary is not None else boundary_complex(ear)
+    bd = boundary_complex(ear)
     ear_faces = ear.faces()
     bd_faces = bd.faces() if not bd.is_void else {frozenset()}
     interior = [f for f in ear_faces if f and f not in bd_faces]

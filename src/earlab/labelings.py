@@ -19,6 +19,7 @@ from .errors import (
     BadParams,
     LabelingInvalid,
     MobiusMismatch,
+    NotComparable,
     NotGraded,
     NotMChain,
 )
@@ -74,14 +75,6 @@ def descent_set(word: Sequence[int]) -> frozenset[int]:
     return frozenset(i for i in range(1, len(word)) if word[i - 1] > word[i])
 
 
-def _weakly_increasing(word: Sequence[int]) -> bool:
-    return all(a <= b for a, b in zip(word, word[1:]))
-
-
-def _strictly_decreasing(word: Sequence[int]) -> bool:
-    return all(a > b for a, b in zip(word, word[1:]))
-
-
 def verify_el(p: Poset, lab: EdgeLabeling) -> tuple[bool, Optional[tuple]]:
     """EL check over every interval of a graded bounded poset.
 
@@ -103,7 +96,7 @@ def verify_el(p: Poset, lab: EdgeLabeling) -> tuple[bool, Optional[tuple]]:
             y = p.elements[j]
             chains = saturated_chains_between(p, x, y)
             words = [lab.word(c) for c in chains]
-            rising = [w for w in words if _weakly_increasing(w)]
+            rising = [w for w in words if all(a <= b for a, b in zip(w, w[1:]))]
             if len(rising) != 1:
                 return False, (
                     x,
@@ -124,14 +117,14 @@ def check_el(p: Poset, lab: EdgeLabeling) -> None:
         raise LabelingInvalid(f"not an EL-labeling on [{x!r}, {y!r}]: {why}")
 
 
-def verify_sr(p: Poset, lab: EdgeLabeling, r: Optional[int] = None) -> bool:
-    """S_r refinement: labels lie in [r] and no maximal chain repeats one.
+def verify_sr(p: Poset, lab: EdgeLabeling) -> bool:
+    """S_r refinement, r the top rank: labels lie in [r] and no maximal
+    chain repeats one.
 
     Any saturated chain of an interval extends to a maximal chain of the
     whole poset, so scanning maximal chains covers all intervals.
     """
-    if r is None:
-        r = p.max_rank()
+    r = p.max_rank()
     if any(not 1 <= v <= r for v in lab.labels.values()):
         return False
     for c in maximal_chains(p):
@@ -170,7 +163,7 @@ def derive_sn_labeling(
         check_el(p, lab)
     except (LabelingInvalid, NotGraded) as exc:
         raise NotMChain(f"min-join labeling of the chain: {exc}") from exc
-    if not verify_sr(p, lab, r=len(chain) - 1):
+    if not verify_sr(p, lab):
         raise NotMChain("min-join labeling of the chain fails the S_r condition")
     return lab
 
@@ -189,11 +182,7 @@ def minimal_labeling(
     labels = {}
     for x, y in p.cover_pairs():
         ix, iy = p.index(x), p.index(y)
-        val = None
-        for i, ai in enumerate(a_idx, start=1):
-            if lat.join_i(ix, ai) == iy:
-                val = i
-                break
+        val = next((i for i, ai in enumerate(a_idx, 1) if lat.join_i(ix, ai) == iy), None)
         if val is None:
             raise LabelingInvalid(
                 f"no atom completes the cover {x!r} < {y!r}; lattice not geometric?"
@@ -208,20 +197,43 @@ def increasing_and_decreasing_chains(
     p: Poset, lab: EdgeLabeling, x: str, y: str
 ) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     """The unique weakly increasing chain of [x, y] and all strictly
-    decreasing ones. The decreasing count is checked against |μ(x, y)|."""
-    chains = saturated_chains_between(p, x, y)
-    rising = [c for c in chains if _weakly_increasing(lab.word(c))]
+    decreasing ones, in canonical order; the decreasing count is checked
+    against |μ(x, y)|. One walk up from x collects both: it takes only the
+    covers below y that keep the word weakly increasing or strictly
+    decreasing, and no cover of y lies below y, so a chain ends there."""
+    i, j = p.index(x), p.index(y)
+    if not p.leq_i(i, j):
+        raise NotComparable(f"{x!r} is not below {y!r}")
+    within = p.down_mask(j)
+    rising, falling = [], []
+    # a chain of indices, its last label, whether its word still rises, still falls
+    stack: list = [((i,), None, True, True)]
+    while stack:
+        chain, last, up, down = stack.pop()
+        k = chain[-1]
+        if k == j:
+            if up:
+                rising.append(chain)
+            if down:
+                falling.append(chain)
+        for m in p.covers_up_of(k):
+            if within >> m & 1:
+                v = lab.of(p.elements[k], p.elements[m])
+                rises = up and (last is None or last <= v)
+                falls = down and (last is None or last > v)
+                if rises or falls:
+                    stack.append((chain + (m,), v, rises, falls))
     if len(rising) != 1:
         raise LabelingInvalid(
             f"[{x!r}, {y!r}] has {len(rising)} weakly increasing chains"
         )
-    falling = [c for c in chains if _strictly_decreasing(lab.word(c))]
     expect = abs(mobius(p, x, y))
     if len(falling) != expect:
         raise MobiusMismatch(
             f"[{x!r}, {y!r}]: {len(falling)} decreasing chains but |mu| = {expect}"
         )
-    return rising[0], falling
+    chains = [tuple(p.elements[k] for k in c) for c in rising + sorted(falling)]
+    return chains[0], chains[1:]
 
 
 def lex_shelling(

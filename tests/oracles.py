@@ -19,7 +19,15 @@ needs them, so they live with the tests:
   contains it, by scanning every earlier copy;
 * ``graphic_matroid_by_all_sizes``: the bases of a cycle matroid as the
   acyclic edge sets of the largest size that has any, trying every size
-  from the number of edges down.
+  from the number of edges down;
+* ``chains_by_filter``: the increasing and decreasing chains of an
+  interval by listing all its saturated chains and filtering their words;
+* ``supersolvable_copies_by_closure``: each Boolean copy of a
+  supersolvable lattice as the closure of the increasing and a decreasing
+  chain under join and meet, coordinatized by a walk over label sets;
+* ``geometric_bases_by_joins``: the nbc bases of the simple matroid
+  rebuilt from a geometric lattice by testing every rank-sized set of
+  atoms for a join at the top.
 """
 
 from __future__ import annotations
@@ -29,12 +37,27 @@ from math import comb
 from typing import Iterable, Sequence
 
 from earlab.complexes import SimplicialComplex, _reduce, build_complex
-from earlab.errors import BadParams, LengthMismatch, NotGeometric, NotMChain, RangeError
+from earlab.errors import (
+    BadParams,
+    Inconsistent,
+    LabelingInvalid,
+    LengthMismatch,
+    MobiusMismatch,
+    NotGeometric,
+    NotMChain,
+    RangeError,
+)
 from earlab.flags import FlagVector, inversion_mask
 from earlab.labelings import EdgeLabeling, descent_set
-from earlab.lattices import Lattice, _distributive_on, check_geometric, check_mchain
-from earlab.matroids import Matroid, build_matroid
-from earlab.posets import Poset, maximal_chains
+from earlab.lattices import (
+    Lattice,
+    _distributive_on,
+    check_geometric,
+    check_mchain,
+    closure_under_ops,
+)
+from earlab.matroids import Matroid, build_matroid, nbc_bases
+from earlab.posets import Poset, maximal_chains, mobius, saturated_chains_between
 
 
 def exact_rank(rows: list[dict[int, int]]) -> int:
@@ -185,3 +208,80 @@ def graphic_matroid_by_all_sizes(vertices: int, edges: Sequence[tuple[int, int]]
             best = found
             break
     return build_matroid(ground, bases=best)
+
+
+def chains_by_filter(
+    p: Poset, lab: EdgeLabeling, x: str, y: str
+) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
+    """The unique weakly increasing chain of [x, y] and all strictly
+    decreasing ones, filtered from every saturated chain of the interval,
+    the decreasing count checked against |μ(x, y)|."""
+    chains = saturated_chains_between(p, x, y)
+    words = [lab.word(c) for c in chains]
+    rising = [c for c, w in zip(chains, words) if all(a <= b for a, b in zip(w, w[1:]))]
+    if len(rising) != 1:
+        raise LabelingInvalid(
+            f"[{x!r}, {y!r}] has {len(rising)} weakly increasing chains"
+        )
+    falling = [c for c, w in zip(chains, words) if all(a > b for a, b in zip(w, w[1:]))]
+    expect = abs(mobius(p, x, y))
+    if len(falling) != expect:
+        raise MobiusMismatch(
+            f"[{x!r}, {y!r}]: {len(falling)} decreasing chains but |mu| = {expect}"
+        )
+    return rising[0], falling
+
+
+def label_coordinates(
+    lat: Lattice, lab: EdgeLabeling, members: Sequence[str], r: int
+) -> dict[frozenset[int], str]:
+    """Coordinates of a B_r copy: each member is keyed by the label set of
+    a saturated bottom-up chain inside the copy (checked consistent)."""
+    p = lat.poset
+    member_set = set(members)
+    coord: dict[str, frozenset[int]] = {lat.bottom: frozenset()}
+    for x in sorted(members, key=p.rank_of):
+        if x not in coord:
+            continue
+        for j in p.covers_up_of(p.index(x)):
+            y = p.elements[j]
+            if y not in member_set:
+                continue
+            cy = coord[x] | {lab.of(x, y)}
+            old = coord.get(y)
+            if old is not None and old != cy:
+                raise Inconsistent(
+                    f"label sets disagree at {y!r}: {sorted(old)} vs {sorted(cy)}"
+                )
+            coord[y] = cy
+    if len(coord) != len(member_set) or len(member_set) != 2 ** r:
+        raise Inconsistent("generated sublattice is not a Boolean copy")
+    if {len(c) for c in coord.values()} != set(range(r + 1)):
+        raise Inconsistent("copy coordinates do not exhaust all subset sizes")
+    return {c: x for x, c in coord.items()}
+
+
+def supersolvable_copies_by_closure(lat: Lattice, lab: EdgeLabeling) -> list[tuple[dict, dict]]:
+    """(coordinates, provenance) of one copy per strictly decreasing
+    maximal chain: the sublattice it generates with the increasing chain."""
+    rising, falling = chains_by_filter(lat.poset, lab, lat.bottom, lat.top)
+    return [
+        (
+            label_coordinates(lat, lab, closure_under_ops(lat, set(rising) | set(c)), lat.rank),
+            {"decreasing_chain": list(c)},
+        )
+        for c in falling
+    ]
+
+
+def geometric_bases_by_joins(lat: Lattice, atoms: Sequence[str]) -> list[tuple[str, ...]]:
+    """nbc bases, in ground order ``atoms``, of the simple matroid whose
+    bases are the rank-sized sets of atoms that join to the top."""
+    p = lat.poset
+    top_rank = p.rank_of(lat.top)
+    bases = [
+        frozenset(combo)
+        for combo in combinations(atoms, lat.rank)
+        if p.rank_of(lat.join_of(combo)) == top_rank
+    ]
+    return nbc_bases(Matroid(list(atoms), bases))

@@ -316,6 +316,53 @@ def test_verify_ced_detects_tampered_chains(tmp_path, capsys):
     assert "differ" in err
 
 
+def _drop(key):
+    return lambda d: d.pop(key)
+
+
+@pytest.mark.parametrize("field, tamper", [
+    ("args", _drop("args")),
+    ("args", lambda d: d.update(args=["rank-boolean"])),
+    ("args.construction", lambda d: d["args"].pop("construction")),
+    ("args.rank", lambda d: d["args"].pop("rank")),
+    ("args.rank", lambda d: d["args"].update(rank="x")),
+    ("args.rank", lambda d: d["args"].update(rank=True)),
+    ("args.ranks", lambda d: d["args"].update(ranks="13")),
+    ("decomposition", _drop("decomposition")),
+    ("decomposition.ears", lambda d: d["decomposition"].update(ears="ears")),
+    ("decomposition.ears", lambda d: d["decomposition"].update(ears=[["1"]])),
+    ("input", lambda d: d.update(input="b4.json")),
+], ids=["no-args", "args-array", "no-construction", "no-rank", "rank-string", "rank-bool",
+        "ranks-string", "no-decomposition", "ears-string", "ear-array", "input-string"])
+@pytest.mark.parametrize("what", ["ced", "reciprocity"])
+def test_verify_names_the_malformed_report_field(field, tamper, what, tmp_path, capsys):
+    report = tmp_path / "run.json"
+    run_cli(capsys, "decompose", "--construction", "rank-boolean",
+            "--rank", "4", "--ranks", "1,3", "--output", str(report))
+    doc = json.loads(report.read_text())
+    tamper(doc)
+    report.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--what", what, "--input", str(report))
+    assert code == 4
+    assert f"error: run report field {field} should be " in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("doc", [
+    {"facets": "ab"},
+    {"facets": ["abc"]},
+    {"facets": [["a", 1]]},
+    {"facets": [["a"], "b"]},
+    {"vertices": "abc", "facets": [["a", "b", "c"]]},
+], ids=["facets-string", "facet-string", "vertex-number", "facets-mixed", "vertices-string"])
+def test_complex_documents_must_hold_arrays_of_strings(doc, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"schema": "earlab.complex/1", **doc}))
+    code, _, err = run_cli(capsys, "verify", "--what", "cm", "--input", str(path))
+    assert code == 2
+    assert "BadParams: malformed complex JSON: vertices and each facet must be arrays of strings" in err
+
+
 def test_verify_reciprocity(tmp_path, capsys):
     report = tmp_path / "run.json"
     run_cli(capsys, "decompose", "--construction", "rank-boolean",

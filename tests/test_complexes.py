@@ -375,6 +375,20 @@ def test_complex_json_rejects_bad_shape():
         complex_from_json({"vertices": ["a"]})
 
 
+@pytest.mark.parametrize("doc", [
+    {"facets": "ab"},
+    {"facets": ["abc"]},
+    {"facets": [[1, 2]]},
+    {"facets": {"a": "b"}},
+    {"vertices": "abc", "facets": [["a", "b", "c"]]},
+    {"vertices": [1], "facets": [["1"]]},
+])
+def test_complex_json_refuses_what_is_not_arrays_of_strings(doc):
+    # a string is iterable, so "ab" once read as two points and "abc" as a triangle
+    with pytest.raises(BadParams, match="vertices and each facet must be arrays of strings"):
+        complex_from_json(doc)
+
+
 # -- Property tests ------------------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)

@@ -36,7 +36,15 @@ against the brute-force routes they replaced, on random inputs.
 * ``_subset_novelty`` (one copy bitmask per host element) against the
   scan of every earlier copy;
 * ``graphic_matroid`` (forests of the rank's size only) against trying
-  every size from the number of edges down.
+  every size from the number of edges down;
+* ``increasing_and_decreasing_chains`` (one walk that only follows
+  weakly increasing or strictly decreasing words) against filtering every
+  saturated chain of the interval, on arbitrary labels;
+* the Boolean copies of a supersolvable lattice (generators
+  z_a ∧ c_(r-a+1), joined) against the closure of the two chains under
+  join and meet with coordinates by a label-set walk, and the geometric
+  bases (label sets of the falling chains of the minimal labeling)
+  against the nbc bases of the matroid rebuilt from atom joins.
 
 References that no caller of the package needs live in ``tests/oracles.py``,
 not in ``src/``: ``exact_rank`` (``complexes._reduce`` without clearing),
@@ -51,7 +59,7 @@ import json
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd
 from types import SimpleNamespace
 
 import pytest
@@ -79,6 +87,7 @@ from earlab.decompositions import (
     _relabelling,
     _selected_flags,
     _subset_novelty,
+    _supersolvable_copies,
     decompose_face_poset,
     decompose_geometric,
     decompose_rank_selected_boolean,
@@ -88,7 +97,14 @@ from earlab.decompositions import (
     sigma_word,
     verify_ced,
 )
-from earlab.errors import ExchangeAxiomFailed, Inconsistent, NotMChain, NotShelling, NotSimple
+from earlab.errors import (
+    EarlabError,
+    ExchangeAxiomFailed,
+    Inconsistent,
+    NotMChain,
+    NotShelling,
+    NotSimple,
+)
 from earlab.flags import (
     _match,
     descent_classes,
@@ -97,9 +113,21 @@ from earlab.flags import (
     inversion_mask,
     weak_leq_by_switches,
 )
-from earlab.labelings import descent_set
-from earlab.labelings import derive_sn_labeling, lex_shelling
-from earlab.lattices import Lattice, boolean_lattice, lattice_to_json, partition_lattice
+from earlab.labelings import (
+    EdgeLabeling,
+    derive_sn_labeling,
+    descent_set,
+    increasing_and_decreasing_chains,
+    lex_shelling,
+)
+from earlab.lattices import (
+    Lattice,
+    boolean_lattice,
+    lattice_to_json,
+    partition_lattice,
+    partition_name,
+    subset_name,
+)
 from earlab.matroids import (
     Matroid,
     _check_exchange,
@@ -111,11 +139,14 @@ from earlab.matroids import (
 from earlab.posets import Poset, build_poset, maximal_chains, proper_part
 from oracles import (
     ambient_by_permutations,
+    chains_by_filter,
     exact_rank,
+    geometric_bases_by_joins,
     graphic_matroid_by_all_sizes,
     is_mchain,
     reduced_euler,
     subset_novelty_scan,
+    supersolvable_copies_by_closure,
 )
 
 
@@ -1027,3 +1058,144 @@ def test_graphic_matroid_agrees_with_every_size_from_the_top(graph):
     n, edges = graph
     fast, slow = graphic_matroid(n, edges), graphic_matroid_by_all_sizes(n, edges)
     assert (fast.ground, fast.bases) == (slow.ground, slow.bases)
+
+
+# -- Boolean copies read off the falling chains of one EL-labeling ------------------------
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the class and message of the EarlabError it raises."""
+    try:
+        return fn(*args)
+    except EarlabError as exc:
+        return type(exc), str(exc)
+
+
+CHAIN_POSETS = {
+    name: FAMILIES[name] for name in ("B1", "B2", "B3", "Pi3", "Pi4", "U24-flats", "bowtie")
+}
+
+
+@st.composite
+def labelled_posets(draw):
+    """A small family poset or a random bounded one, with labels in
+    [-1, 3] on its covers: mostly not EL, often with ties."""
+    if draw(st.booleans()):
+        p = CHAIN_POSETS[draw(st.sampled_from(sorted(CHAIN_POSETS)))]
+    else:
+        p = draw(bounded_posets())
+    covers = p.cover_pairs()
+    values = draw(st.lists(st.integers(-1, 3), min_size=len(covers), max_size=len(covers)))
+    return p, EdgeLabeling(p, dict(zip(covers, values)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_posets())
+def test_chain_walk_agrees_with_filtering_every_chain(case):
+    """Every ordered pair, so one-cover, empty and incomparable intervals too."""
+    p, lab = case
+    for x in p.elements:
+        for y in p.elements:
+            want = _outcome(chains_by_filter, p, lab, x, y)
+            assert _outcome(increasing_and_decreasing_chains, p, lab, x, y) == want, (x, y)
+
+
+def _copy_pairs(lat, lab):
+    return [(c.elem, c.provenance) for c in _supersolvable_copies(lat, lab)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda r: st.permutations(range(1, r + 1))))
+def test_boolean_copies_agree_with_closure_under_any_mchain(perm):
+    """In B_r every maximal chain is an M-chain; the drawn one is the
+    chain of initial segments of ``perm``."""
+    lat = boolean_lattice(len(perm))
+    chain = [subset_name(perm[:k]) for k in range(len(perm) + 1)]
+    lab = derive_sn_labeling(lat, chain)
+    assert _copy_pairs(lat, lab) == supersolvable_copies_by_closure(lat, lab)
+
+
+@lru_cache(maxsize=None)
+def _partition_lattice(n: int) -> Lattice:
+    return partition_lattice(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_partition_copies_agree_with_closure_under_a_permuted_mchain(perm):
+    """The standard M-chain of Π_n, (1)(2)...(n) up to (12...n), with [n]
+    relabelled by ``perm``: an automorphism keeps it an M-chain."""
+    n = len(perm)
+    lat = _partition_lattice(n)
+    chain = [partition_name([perm[:k]] + [(j,) for j in perm[k:]]) for k in range(1, n + 1)]
+    lab = derive_sn_labeling(lat, chain)
+    pairs = _copy_pairs(lat, lab)
+    assert len(pairs) == factorial(n - 1)
+    assert pairs == supersolvable_copies_by_closure(lat, lab)
+
+
+def _copy_bases(dec) -> list[tuple[str, ...]]:
+    """Each copy's basis in copy order, read off the provenance of its ears
+    and dropped classes; its atom positions checked against the order."""
+    atoms = dec.params["atom_order"]
+    by_copy = {}
+    for prov in [e.provenance for e in dec.ears] + dec.dropped:
+        assert prov["atom_positions"] == [atoms.index(a) + 1 for a in prov["basis"]]
+        by_copy[prov["copy_index"]] = tuple(prov["basis"])
+    return [by_copy[k] for k in sorted(by_copy)]
+
+
+def _check_geometric_bases(m: Matroid, order) -> None:
+    lat = lattice_of_flats(m)
+    atoms = [sorted(lat.atoms())[k] for k in order]
+    dec = decompose_geometric(lat, atoms, ranks=[1])
+    assert _copy_bases(dec) == geometric_bases_by_joins(lat, atoms)
+
+
+@st.composite
+def simple_graphic_matroids(draw):
+    """The cycle matroid of a simple graph on at most 6 vertices with at
+    least two edges (so simple, of rank at least 2), and an atom order."""
+    n = draw(st.integers(3, 6))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=10, unique=True))
+    return graphic_matroid(n, edges), draw(st.permutations(range(len(edges))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(simple_graphic_matroids())
+def test_geometric_bases_agree_with_nbc_bases_on_random_graphs(case):
+    _check_geometric_bases(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 7)
+    .flatmap(lambda n: st.tuples(st.integers(2, n), st.permutations(range(n))))
+)
+def test_geometric_bases_agree_with_nbc_bases_on_uniform_matroids(case):
+    r, order = case
+    _check_geometric_bases(uniform_matroid(r, len(order)), order)
+
+
+@pytest.mark.parametrize("name", ["B3", "Pi4"])
+def test_copy_cover_with_another_label_is_inconsistent(name):
+    """Negative control: relabel one copy cover while the increasing and
+    decreasing chains of the whole lattice stay as they were."""
+    lat = {"B3": boolean_lattice(3), "Pi4": partition_lattice(4)}[name]
+    lab = derive_sn_labeling(lat)
+    p, r = lat.poset, lat.rank
+    want = increasing_and_decreasing_chains(p, lab, lat.bottom, lat.top)
+    tried = 0
+    for copy in _supersolvable_copies(lat, lab):
+        for a, x in copy.elem.items():
+            for b in set(range(1, r + 1)) - a:
+                y = copy.elem[a | {b}]
+                for v in set(range(-1, r + 2)) - {b}:
+                    bad = EdgeLabeling(p, {**lab.labels, (x, y): v})
+                    if _outcome(increasing_and_decreasing_chains, p, bad, lat.bottom, lat.top) == want:
+                        with pytest.raises(Inconsistent, match="is not a host cover labelled"):
+                            _supersolvable_copies(lat, bad)
+                        tried += 1
+                        break
+    assert tried

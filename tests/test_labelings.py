@@ -127,17 +127,17 @@ def test_equal_nonincreasing_words_are_allowed():
 def test_boolean_standard_labeling_is_sr():
     lat = boolean_lattice(3)
     lab = derive_sn_labeling(lat)
-    assert verify_sr(lat.poset, lab, r=3)
+    assert verify_sr(lat.poset, lab)
 
 
 def test_sr_rejects_repeated_label():
     p, lab = diamond_labeled(1, 1, 1, 1)
-    assert not verify_sr(p, lab, r=2)
+    assert not verify_sr(p, lab)
 
 
 def test_sr_rejects_out_of_range_labels():
     p, lab = diamond_labeled(1, 5, 2, 1)
-    assert not verify_sr(p, lab, r=2)
+    assert not verify_sr(p, lab)
 
 
 # -- Derived labelings ------------------------------------------------------------------
@@ -155,7 +155,7 @@ def test_partition_lattice_labeling_verifies():
     lab = derive_sn_labeling(lat)
     ok, _ = verify_el(lat.poset, lab)
     assert ok
-    assert verify_sr(lat.poset, lab, r=3)
+    assert verify_sr(lat.poset, lab)
 
 
 def test_derive_requires_mchain():
