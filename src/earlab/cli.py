@@ -447,10 +447,14 @@ def _h_source(args) -> list[int]:
             _, h = f_h_vectors(complex_from_json(doc))
             return list(h)
         if schema in RUN_SCHEMAS:
-            h = doc.get("ced", {}).get("h_checks", {}).get("h")
-            if h is None:
+            ced = doc.get("ced", {})
+            _expect("ced", ced, dict)
+            checks = ced.get("h_checks", {})
+            _expect("ced.h_checks", checks, dict)
+            if checks.get("h") is None:
                 raise SchemaTrouble("run report carries no h-vector table")
-            return list(h)
+            _expect("ced.h_checks.h", checks["h"], list, int)
+            return list(checks["h"])
         raise SchemaTrouble(f"cannot take an h-vector from schema {schema!r}")
     raise BadParams("need --h or --input")
 

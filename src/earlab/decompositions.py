@@ -27,7 +27,6 @@ from .complexes import (
     face_name,
     face_poset,
     h_from_shelling,
-    is_subcomplex,
     search_shelling,
     union_complexes,
     verify_shelling,
@@ -224,38 +223,21 @@ def _coordinate_sphere(
     return build_complex(facets), coord
 
 
-def _relabelling(
-    coord: dict[str, frozenset[int]], word: Sequence[int], elem: dict[frozenset[int], str]
-) -> Optional[dict[str, str]]:
-    """The vertex map A -> elem[w(A)] on K for class word ``word``, or None
-    where it is undefined or not injective."""
-    letter = dict(enumerate(word, start=1))
-    names: dict[str, str] = {}
-    for v, a in coord.items():
-        name = elem.get(frozenset(letter.get(i) for i in a))
-        if name is None:
-            return None
-        names[v] = name
-    if len(set(names.values())) != len(names):
-        return None
-    return names
-
-
 # -- decomposition containers ------------------------------------------------
 
 
 @dataclass
 class Ear:
-    """One ear: its chains (in shelling order), verified shelling, reference
-    sphere, and where it came from. Its complex is the one the shelling
-    certifies, and ``verify_ced`` hands that ShellingOrder to
-    ``certify_sphere_or_ball`` as the ball's shelling, so no ear is shelled
-    twice. The JSON form keeps the chains, their restriction faces and the
-    provenance, the reference that rebuilds the sphere from the input."""
+    """One ear: its chains (in shelling order), verified shelling, and where
+    it came from. Its complex is the one the shelling certifies, and
+    ``verify_ced`` hands that ShellingOrder to ``certify_sphere_or_ball`` as
+    the ball's shelling, so no ear is shelled twice. No reference sphere is
+    stored: ``verify_ced`` reads it off the class word in the provenance and
+    the copy's ``coord_names``. The JSON form keeps the chains, their
+    restriction faces and the provenance."""
 
     chains: list[tuple[str, ...]]
     shelling: ShellingOrder
-    ambient: SimplicialComplex
     provenance: dict
     coords: list[tuple[frozenset[int], ...]] = field(default_factory=list, repr=False)
     coord_names: dict[frozenset[int], str] = field(default_factory=dict, repr=False)
@@ -331,10 +313,8 @@ def _assemble(
     class reverse-lex, and check that the ears partition the maximal chains.
 
     The class words are the classifiers of the selected flags: every word
-    of the descent class is the classifier of its own prefix flag. Each
-    ear's reference sphere is the image of the one coordinate sphere K."""
+    of the descent class is the classifier of its own prefix flag."""
     ivs = intervals_of(ranks)
-    sphere, coord = _coordinate_sphere(ranks)
     class_map: dict[tuple[int, ...], list[tuple[frozenset[int], ...]]] = {}
     for fl in _selected_flags(rho, ranks):
         class_map.setdefault(sigma_word(fl, ranks, rho), []).append(fl)
@@ -363,13 +343,9 @@ def _assemble(
             comp = build_complex(facets)
             where = {f: k for k, f in enumerate(comp.facets)}
             shelling = verify_shelling(comp, [where[f] for f in facets])
-            relabel = _relabelling(coord, word, copy.elem)
-            if relabel is None:
-                raise Inconsistent(f"copy {ci + 1} does not relabel the coordinate sphere")
             ear = Ear(
                 chains=[names for _, names in kept],
                 shelling=shelling,
-                ambient=build_complex([relabel[v] for v in f] for f in sphere.facets),
                 provenance=prov,
                 coords=[fl for fl, _ in kept],
                 coord_names=copy.elem,
@@ -387,8 +363,6 @@ def _assemble(
         raise Inconsistent(
             f"ears do not partition the maximal chains (missing {missing}, extra {extra})"
         )
-    if ears and ears[0].complex != ears[0].ambient:
-        raise Inconsistent("first ear is not the whole of its reference sphere")
     return EarDecomposition(
         construction=construction,
         params=params,
@@ -677,6 +651,14 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
 
     Report-style: never raises on a failed axiom; every section carries an
     ``ok`` flag and a witness when something is wrong.
+
+    Every ear's reference sphere is the coordinate sphere K of the ranks
+    relabelled by its copy and class word, so K is built once and each ear
+    is checked inside K through the inverse relabelling. K is certified at
+    most once, and not at all when ear 1 is its whole image and so lends
+    its own verdict.
+    An ear without a class word, or whose map is undefined or not injective
+    on K, has no reference sphere and fails every polytope entry.
     """
     ears = dec.ears
     report: dict = {
@@ -705,25 +687,34 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
     entries = []
     witnesses = []
     running: set[frozenset[str]] = set()
-    shared = _CoordinateSphere(dec.ranks)
+    sphere, coord = _coordinate_sphere(dec.ranks)
+    sphere_facets = set(sphere.facets)
+    sphere_kind: Optional[str] = None
     for i, ear in enumerate(ears):
         kind, boundary = _certify(ear.complex, ear.shelling)
         kinds.append(kind)
-        if i == 0 and kind == "SPHERE" and ear.complex == ear.ambient:
-            # the sphere verdict never reads the shelling: same complex, same verdict
-            amb_kind = kind
+        entry = {"ear": i + 1}
+        pulled = _pulled_back(ear, coord)
+        if pulled is None:
+            entry.update(dict.fromkeys(
+                ("ambient_is_sphere", "full_dimensional", "subcomplex", "proper" if i else "equals_ambient"),
+                False,
+            ))
         else:
-            amb_kind = shared.kind_of(ear) or _certify(ear.ambient)[0]
-        entry = {
-            "ear": i + 1,
-            "ambient_is_sphere": amb_kind == "SPHERE",
-            "full_dimensional": ear.complex.dim == ear.ambient.dim,
-            "subcomplex": is_subcomplex(ear.complex, ear.ambient),
-        }
-        if i == 0:
-            entry["equals_ambient"] = ear.complex == ear.ambient
-        else:
-            entry["proper"] = set(ear.complex.facets) < set(ear.ambient.facets)
+            inside = sum(f in sphere_facets for f in pulled)
+            whole = inside == len(pulled) == len(sphere_facets)
+            if sphere_kind is None:
+                # an injective relabelling keeps homology and the closed
+                # pseudomanifold property, and the sphere verdict never reads
+                # the shelling, so an ear that is K's whole image certifies as K does
+                sphere_kind = kind if whole else _certify(sphere)[0]
+            entry["ambient_is_sphere"] = sphere_kind == "SPHERE"
+            entry["full_dimensional"] = ear.complex.dim == sphere.dim
+            entry["subcomplex"] = all(f in sphere_facets or sphere.has_face(f) for f in pulled)
+            if i == 0:
+                entry["equals_ambient"] = whole
+            else:
+                entry["proper"] = inside == len(pulled) < len(sphere_facets)
         entries.append(entry)
         if len(ears) == 1:
             continue
@@ -794,35 +785,23 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
     return report
 
 
-class _CoordinateSphere:
-    """The coordinate sphere K of one decomposition's ranks, built from the
-    ranks alone and certified on first use, and the verdicts it lends.
-
-    An injective simplicial relabelling keeps homology and the closed
-    pseudomanifold property, so an ambient that is K relabelled injectively
-    has K's certificate kind."""
-
-    def __init__(self, ranks: Sequence[int]):
-        self.ranks = ranks
-        self._certified: Optional[
-            tuple[SimplicialComplex, dict[str, frozenset[int]], str]
-        ] = None
-
-    def kind_of(self, ear: Ear) -> Optional[str]:
-        """K's kind when ``ear.ambient`` is K's image under the injective map
-        A -> coord_names[w(A)] for the ear's class word w, else None."""
-        word = ear.provenance.get("class_word")
-        if word is None:
+def _pulled_back(ear: Ear, coord: dict[str, frozenset[int]]) -> Optional[list[frozenset]]:
+    """The ear's facets in K's vertex names, through the inverse of its
+    relabelling A -> coord_names[w(A)] for the class word w; None when the
+    ear has no reference sphere: no class word, or a map that is undefined
+    or not injective on K. A host vertex outside K's image pulls back to
+    None, so no facet holding it is a face of K."""
+    word = ear.provenance.get("class_word")
+    if word is None:
+        return None
+    letter = dict(enumerate(word, start=1))
+    back: dict[str, str] = {}
+    for v, a in coord.items():
+        name = ear.coord_names.get(frozenset(letter.get(i) for i in a))
+        if name is None or name in back:
             return None
-        if self._certified is None:
-            sphere, coord = _coordinate_sphere(self.ranks)
-            self._certified = (sphere, coord, _certify(sphere)[0])
-        sphere, coord, kind = self._certified
-        relabel = _relabelling(coord, word, ear.coord_names)
-        if relabel is None:
-            return None
-        image = {frozenset(relabel[v] for v in f) for f in sphere.facets}
-        return kind if image == set(ear.ambient.facets) else None
+        back[name] = v
+    return [frozenset(back.get(x) for x in f) for f in ear.complex.facets]
 
 
 def _certify(

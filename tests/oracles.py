@@ -15,6 +15,10 @@ needs them, so they live with the tests:
   lattice properties, as booleans;
 * ``ambient_by_permutations``: an ear's reference sphere by walking the
   permutations of each interval's pool in host names, per copy and frame;
+* ``polytope_entries_by_ambients``: the polytope axiom of ``verify_ced``
+  per ear, by building each ear's reference sphere with
+  ``ambient_by_permutations``, certifying it on its own and comparing the
+  ear with it by ``is_subcomplex`` and facet sets;
 * ``subset_novelty_scan``: a chain is new when no earlier copy's name set
   contains it, by scanning every earlier copy;
 * ``graphic_matroid_by_all_sizes``: the bases of a cycle matroid as the
@@ -36,7 +40,8 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Sequence
 
-from earlab.complexes import SimplicialComplex, _reduce, build_complex
+from earlab.complexes import SimplicialComplex, _reduce, build_complex, is_subcomplex
+from earlab.decompositions import EarDecomposition, _certify, _frame_of, intervals_of
 from earlab.errors import (
     BadParams,
     Inconsistent,
@@ -161,6 +166,34 @@ def ambient_by_permutations(
     for chains in per_interval:
         facets = [f + c for f in facets for c in chains]
     return build_complex(facets)
+
+
+def reference_sphere(dec: EarDecomposition, index: int) -> SimplicialComplex:
+    """Ear ``index``'s reference sphere by ``ambient_by_permutations``, from
+    its copy and the frame of its class word."""
+    ear = dec.ears[index]
+    frame = _frame_of(ear.provenance["class_word"], dec.ranks, dec.rho)
+    return ambient_by_permutations(ear.coord_names, intervals_of(dec.ranks), frame)
+
+
+def polytope_entries_by_ambients(dec: EarDecomposition) -> list[dict]:
+    """``axiom_polytope.per_ear`` of ``verify_ced``, with every ear's
+    reference sphere built, certified and compared on its own."""
+    entries = []
+    for i, ear in enumerate(dec.ears):
+        ambient = reference_sphere(dec, i)
+        entry = {
+            "ear": i + 1,
+            "ambient_is_sphere": _certify(ambient)[0] == "SPHERE",
+            "full_dimensional": ear.complex.dim == ambient.dim,
+            "subcomplex": is_subcomplex(ear.complex, ambient),
+        }
+        if i == 0:
+            entry["equals_ambient"] = ear.complex == ambient
+        else:
+            entry["proper"] = set(ear.complex.facets) < set(ambient.facets)
+        entries.append(entry)
+    return entries
 
 
 def subset_novelty_scan(copies):

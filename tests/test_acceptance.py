@@ -294,7 +294,6 @@ def _fake_decomposition() -> EarDecomposition:
     gluing axiom."""
     sphere = build_complex([["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]])
     path = build_complex([["a", "c"], ["c", "d"]])
-    ambient2 = build_complex([["a", "c"], ["c", "d"], ["a", "d"]])
     return EarDecomposition(
         construction="handmade",
         params={},
@@ -304,13 +303,11 @@ def _fake_decomposition() -> EarDecomposition:
             Ear(
                 chains=[("q1",), ("q2",), ("q3",), ("q4",)],
                 shelling=verify_shelling(sphere, [0, 1, 2, 3]),
-                ambient=sphere,
                 provenance={},
             ),
             Ear(
                 chains=[("q5",)],
                 shelling=verify_shelling(path, [0, 1]),
-                ambient=ambient2,
                 provenance={},
             ),
         ],

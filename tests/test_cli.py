@@ -348,6 +348,26 @@ def test_verify_names_the_malformed_report_field(field, tamper, what, tmp_path, 
     assert out == ""
 
 
+@pytest.mark.parametrize("field, tamper", [
+    ("ced", lambda d: d.update(ced="ok")),
+    ("ced.h_checks", lambda d: d["ced"].update(h_checks=[1, 6, 5])),
+    ("ced.h_checks.h", lambda d: d["ced"]["h_checks"].update(h="15")),
+    ("ced.h_checks.h", lambda d: d["ced"]["h_checks"].update(h=["1", "6", "5"])),
+], ids=["ced-string", "h-checks-array", "h-string", "h-strings"])
+@pytest.mark.parametrize("what", ["h-inequalities", "m-vector"])
+def test_verify_names_the_malformed_h_vector_field(field, tamper, what, tmp_path, capsys):
+    report = tmp_path / "run.json"
+    run_cli(capsys, "decompose", "--construction", "rank-boolean",
+            "--rank", "4", "--ranks", "1,3", "--output", str(report))
+    doc = json.loads(report.read_text())
+    tamper(doc)
+    report.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--what", what, "--input", str(report))
+    assert code == 4
+    assert f"error: run report field {field} should be " in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("doc", [
     {"facets": "ab"},
     {"facets": ["abc"]},

@@ -47,6 +47,7 @@ from earlab.labelings import descent_set, minimal_labeling
 from earlab.lattices import Lattice, boolean_lattice, partition_lattice
 from earlab.matroids import graphic_matroid, lattice_of_flats, uniform_matroid
 from earlab.posets import build_poset, canonical_dumps, mobius
+from oracles import reference_sphere
 
 
 # -- Fixtures ------------------------------------------------------------------
@@ -143,7 +144,8 @@ def test_boolean_r4_s13_frozen_values():
 
 def test_boolean_first_ear_is_whole_sphere():
     dec = decompose_rank_selected_boolean(4, [1, 3])
-    assert dec.ears[0].complex == dec.ears[0].ambient
+    assert dec.ears[0].complex == reference_sphere(dec, 0)
+    assert verify_ced(dec.complex, dec)["axiom_polytope"]["per_ear"][0]["equals_ambient"] is True
 
 
 def test_boolean_rank_guards():
@@ -383,7 +385,6 @@ def test_fake_decomposition_fails_boundary_axiom():
     # boundary, which axiom checking must catch with a face witness
     sphere = build_complex([["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]])
     path = build_complex([["a", "c"], ["c", "d"]])
-    ambient2 = build_complex([["a", "c"], ["c", "d"], ["a", "d"]])
     fake = EarDecomposition(
         construction="handmade",
         params={},
@@ -393,13 +394,11 @@ def test_fake_decomposition_fails_boundary_axiom():
             Ear(
                 chains=[("q1",), ("q2",), ("q3",), ("q4",)],
                 shelling=verify_shelling(sphere, [0, 1, 2, 3]),
-                ambient=sphere,
                 provenance={},
             ),
             Ear(
                 chains=[("q5",)],
                 shelling=verify_shelling(path, [0, 1]),
-                ambient=ambient2,
                 provenance={},
             ),
         ],
@@ -409,10 +408,15 @@ def test_fake_decomposition_fails_boundary_axiom():
     )
     report = verify_ced(fake.complex, fake)
     assert not report["ok"]
-    assert not report["axiom_boundary"]["ok"]
-    witnesses = report["axiom_boundary"]["witnesses"]
-    assert witnesses and witnesses[0]["ear"] == 2
-    assert ["c", "d"] in witnesses[0]["faces"]
+    assert report["axiom_boundary"] == {
+        "ok": False, "witnesses": [{"ear": 2, "faces": [["c"], ["c", "d"]]}]
+    }
+    # handmade ears carry no class word, so they have no reference sphere
+    no_sphere = {"ambient_is_sphere": False, "full_dimensional": False, "subcomplex": False}
+    assert report["axiom_polytope"]["per_ear"] == [
+        {"ear": 1, **no_sphere, "equals_ambient": False},
+        {"ear": 2, **no_sphere, "proper": False},
+    ]
 
 
 def test_verify_ced_lets_programming_errors_propagate(monkeypatch):
@@ -439,6 +443,11 @@ def test_verify_ced_certifies_the_first_ear_once(monkeypatch):
     report = verify_ced(dec.complex, dec)
     assert report["ok"] and report["axiom_balls"]["kinds"] == ["SPHERE"]
     assert len(calls) == 1
+    # with several ears, ear 1 still stands in for the coordinate sphere
+    calls.clear()
+    dec = decompose_rank_selected_boolean(4, [1, 3])
+    assert verify_ced(dec.complex, dec)["ok"]
+    assert len(calls) == len(dec.ears)
 
 
 def _count_calls(monkeypatch, fn):

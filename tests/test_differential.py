@@ -31,8 +31,9 @@ against the brute-force routes they replaced, on random inputs.
   Hopcroft–Karp with a recursive augmenting step;
 * each ear's reference sphere (the coordinate sphere K relabelled by the
   copy and class word) against the permutation walk per copy and frame,
-  and the verdict ``verify_ced`` lends from K against certifying the ear's
-  ambient itself;
+  and ``verify_ced``'s polytope entries (each ear pulled back into K, K
+  certified once) against building, certifying and comparing each ear's
+  reference sphere on its own;
 * ``_subset_novelty`` (one copy bitmask per host element) against the
   scan of every earlier copy;
 * ``graphic_matroid`` (forests of the rank's size only) against trying
@@ -80,11 +81,9 @@ from earlab.complexes import (
     verify_shelling,
 )
 from earlab.decompositions import (
-    _certify,
     _coordinate_sphere,
-    _CoordinateSphere,
     _frame_of,
-    _relabelling,
+    _pulled_back,
     _selected_flags,
     _subset_novelty,
     _supersolvable_copies,
@@ -144,7 +143,9 @@ from oracles import (
     geometric_bases_by_joins,
     graphic_matroid_by_all_sizes,
     is_mchain,
+    polytope_entries_by_ambients,
     reduced_euler,
+    reference_sphere,
     subset_novelty_scan,
     supersolvable_copies_by_closure,
 )
@@ -500,7 +501,7 @@ def homology_families() -> dict[str, tuple[SimplicialComplex, ...]]:
     K3,3 lattices of flats, and the cross-polytope boundaries ∂C_1..∂C_5."""
     def ears_and_ambients(edges: str, n: int):
         dec = decompose_geometric(lattice_of_flats(graphic_matroid(n, _edge_list(edges))))
-        return tuple(c for e in dec.ears for c in (e.complex, e.ambient))
+        return tuple(c for i, e in enumerate(dec.ears) for c in (e.complex, reference_sphere(dec, i)))
 
     return {
         "B5": (order_complex(proper_part(boolean_lattice(5).poset)),),
@@ -948,14 +949,16 @@ def ambient_corpus() -> dict:
     }
 
 
+def polytope_entries(dec) -> list[dict]:
+    return verify_ced(dec.complex, dec)["axiom_polytope"]["per_ear"]
+
+
 @pytest.mark.parametrize("name", ["B5", "Pi5", "K33", "prism", "cross4-123", "bool7-246", "K5-13"])
 def test_lent_ambient_verdict_agrees_with_certifying_each_ear(name):
     dec = ambient_corpus()[name]
-    shared = _CoordinateSphere(dec.ranks)
-    for ear in dec.ears:
-        lent = shared.kind_of(ear)
-        assert lent is not None
-        assert lent == _certify(ear.ambient)[0] == "SPHERE"
+    entries = polytope_entries(dec)
+    assert entries == polytope_entries_by_ambients(dec)
+    assert all(v for e in entries for v in e.values())
 
 
 @st.composite
@@ -973,36 +976,70 @@ def boolean_rank_words(draw):
 @settings(max_examples=60, deadline=None)
 @given(boolean_rank_words())
 def test_coordinate_sphere_image_agrees_with_the_permutation_walk(case):
+    # the walk's sphere pulls back onto K facet for facet: it is K's image
     r, ranks, word, elem = case
-    ivs = intervals_of(ranks)
     sphere, coord = _coordinate_sphere(ranks)
-    relabel = _relabelling(coord, word, elem)
-    image = build_complex([relabel[v] for v in f] for f in sphere.facets)
-    assert image == ambient_by_permutations(elem, ivs, _frame_of(word, ranks, r))
-    for ear in decompose_rank_selected_boolean(r, ranks).ears:
-        frame = _frame_of(ear.provenance["class_word"], ranks, r)
-        assert ear.ambient == ambient_by_permutations(ear.coord_names, ivs, frame)
+    walk = ambient_by_permutations(elem, intervals_of(ranks), _frame_of(word, ranks, r))
+    ear = SimpleNamespace(provenance={"class_word": list(word)}, coord_names=elem, complex=walk)
+    pulled = _pulled_back(ear, coord)
+    assert len(pulled) == len(walk.facets) and set(pulled) == set(sphere.facets)
+    dec = decompose_rank_selected_boolean(r, ranks)
+    assert polytope_entries(dec) == polytope_entries_by_ambients(dec)
 
 
-def _with_second_ear(dec, **changes):
+def _with_ear(dec, i, **changes):
     ears = list(dec.ears)
-    ears[1] = replace(ears[1], **changes)
+    ears[i] = replace(ears[i], **changes)
     return replace(dec, ears=ears)
 
 
-def test_ambient_missing_a_facet_is_certified_on_its_own():
+def _shelled(chains):
+    """The verified shelling, in the given order, of the complex the chains generate."""
+    comp = build_complex(chains)
+    where = {f: k for k, f in enumerate(comp.facets)}
+    return verify_shelling(comp, [where[frozenset(c)] for c in chains])
+
+
+def test_first_ear_missing_a_facet_is_not_the_whole_sphere():
+    # a shelling's prefix is a shelling, so ear 1 stays a (now) ball inside K
     dec = ambient_corpus()["Pi5"]
-    ear = dec.ears[1]
-    gone = next(f for f in ear.ambient.facets if f not in set(ear.complex.facets))
-    bad = _with_second_ear(dec, ambient=build_complex(f for f in ear.ambient.facets if f != gone))
-    assert _CoordinateSphere(dec.ranks).kind_of(bad.ears[1]) is None
-    entry = verify_ced(bad.complex, bad)["axiom_polytope"]["per_ear"][1]
-    assert entry["ambient_is_sphere"] is False
+    ear = dec.ears[0]
+    chains = ear.chains[:-1]
+    bad = _with_ear(dec, 0, chains=chains, shelling=_shelled(chains), coords=ear.coords[:-1])
+    report = verify_ced(bad.complex, bad)
+    entry = report["axiom_polytope"]["per_ear"][0]
+    assert entry["equals_ambient"] is False
+    assert entry["subcomplex"] is True and entry["ambient_is_sphere"] is True
+    assert report["axiom_polytope"]["per_ear"] == polytope_entries_by_ambients(bad)
+    assert not report["axiom_polytope"]["ok"]
 
 
-def test_non_injective_copy_is_certified_on_its_own():
+def test_first_ear_with_a_facet_outside_K_is_not_the_whole_sphere():
+    # ear 1 of B3 at rank 1 is K's two points; with ear 2's point added it
+    # holds all of K's facets and one more, and is no sphere itself
+    dec = decompose_rank_selected_boolean(3, [1])
+    first, second = dec.ears
+    chains = first.chains + second.chains
+    bad = _with_ear(dec, 0, chains=chains, shelling=_shelled(chains))
+    entry = polytope_entries(bad)[0]
+    assert entry["equals_ambient"] is False and entry["ambient_is_sphere"] is True
+    assert polytope_entries(bad) == polytope_entries_by_ambients(bad)
+
+
+def test_lower_dimensional_ear_lies_in_K_but_not_full_dimensionally():
+    # ear 2 cut down to one edge of a facet of K: a face of K, not a facet
+    dec = ambient_corpus()["Pi5"]
+    short = [dec.ears[1].chains[0][:-1]]
+    bad = _with_ear(dec, 1, chains=short, shelling=_shelled(short))
+    entry = polytope_entries(bad)[1]
+    assert entry["subcomplex"] is True
+    assert entry["full_dimensional"] is False and entry["proper"] is False
+    assert polytope_entries(bad) == polytope_entries_by_ambients(bad)
+
+
+def test_non_injective_copy_has_no_reference_sphere():
     # two rank-1 vertices of K sent to one host element: the image of K
-    # pinches the 2-sphere, so only the injectivity check keeps K's verdict away
+    # pinches the 2-sphere, so the ear has no reference sphere at all
     dec = ambient_corpus()["Pi5"]
     ear = dec.ears[1]
     word = ear.provenance["class_word"]
@@ -1011,12 +1048,40 @@ def test_non_injective_copy_is_certified_on_its_own():
     first, second = sorted(v for v, a in coord.items() if len(a) == 1)[:2]
     names = dict(ear.coord_names)
     names[moved[second]] = names[moved[first]]
-    pinched = build_complex([names[moved[v]] for v in f] for f in sphere.facets)
-    bad = _with_second_ear(dec, coord_names=names, ambient=pinched)
-    assert _relabelling(coord, word, names) is None
-    assert _CoordinateSphere(dec.ranks).kind_of(bad.ears[1]) is None
-    entry = verify_ced(bad.complex, bad)["axiom_polytope"]["per_ear"][1]
-    assert entry["ambient_is_sphere"] is False
+    bad = _with_ear(dec, 1, coord_names=names)
+    assert _pulled_back(bad.ears[1], coord) is None
+    entry = polytope_entries(bad)[1]
+    assert not any(v for k, v in entry.items() if k != "ear")
+
+
+def test_injective_map_moving_a_vertex_of_K_leaves_the_ear_outside():
+    # one host vertex of ear 2 renamed in the copy: the map stays defined
+    # and injective, so K's verdict holds, but the ear no longer lies in it;
+    # on digit vertices the host face "1" also names a vertex of K
+    tetrahedron = build_complex(combinations("1234", 3))
+    for dec in ambient_corpus()["Pi5"], decompose_face_poset(tetrahedron, ranks=[1, 2]):
+        ear = dec.ears[1]
+        names = dict(ear.coord_names)
+        (a,) = [a for a, x in names.items() if x == ear.complex.vertices[0]]
+        names[a] = "moved"
+        bad = _with_ear(dec, 1, coord_names=names)
+        entry = polytope_entries(bad)[1]
+        assert entry["ambient_is_sphere"] is True
+        assert entry["subcomplex"] is False and entry["proper"] is False
+        assert polytope_entries(bad) == polytope_entries_by_ambients(bad)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda ear: {"provenance": {k: v for k, v in ear.provenance.items() if k != "class_word"}},
+    lambda ear: {"coord_names": {a: x for a, x in ear.coord_names.items() if a != {1}}},
+], ids=["no-class-word", "copy-without-an-atom"])
+def test_ear_without_a_defined_map_has_no_reference_sphere(tamper):
+    dec = ambient_corpus()["Pi5"]
+    bad = _with_ear(dec, 1, **tamper(dec.ears[1]))
+    assert polytope_entries(bad)[1] == {
+        "ear": 2, "ambient_is_sphere": False, "full_dimensional": False,
+        "subcomplex": False, "proper": False,
+    }
 
 
 # -- novelty by copy bitmasks ----------------------------------------------------------
