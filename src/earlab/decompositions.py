@@ -53,7 +53,7 @@ from .labelings import (
     verify_sr,
 )
 from .lattices import Lattice, boolean_lattice, subset_name
-from .posets import Poset, maximal_chains, mobius, rank_select
+from .posets import Poset, maximal_chains, rank_select
 
 __all__ = [
     "Ear",
@@ -457,25 +457,6 @@ def _subset_novelty(copies: Sequence[_Copy]):
     return is_new
 
 
-def _checked_sr_labeling(lat: Lattice, lab: Optional[EdgeLabeling]) -> EdgeLabeling:
-    if lab is None:
-        return derive_sn_labeling(lat)
-    check_el(lat.poset, lab)
-    if not verify_sr(lat.poset, lab):
-        raise LabelingInvalid("labeling is EL but not an S_r labeling")
-    return lab
-
-
-def _check_mobius_nonzero(p: Poset) -> None:
-    for i in range(p.n):
-        for j in range(p.n):
-            if i != j and p.leq_i(i, j):
-                if mobius(p, p.elements[i], p.elements[j]) == 0:
-                    raise NonzeroMobiusViolated(
-                        f"mobius({p.elements[i]!r}, {p.elements[j]!r}) = 0"
-                    )
-
-
 def _supersolvable(
     construction: str,
     lat: Lattice,
@@ -484,8 +465,14 @@ def _supersolvable(
 ) -> EarDecomposition:
     """Outer index over decreasing chains, inner index over descent-class
     words; empty classes are dropped (with provenance kept)."""
-    lab = _checked_sr_labeling(lat, lab)
-    _check_mobius_nonzero(lat.poset)
+    if lab is None:
+        lab = derive_sn_labeling(lat)
+    # check_el keeps its walk on lab, so a derived lab is not walked again
+    zero = check_el(lat.poset, lab)
+    if not verify_sr(lat.poset, lab):
+        raise LabelingInvalid("labeling is EL but not an S_r labeling")
+    if zero is not None:
+        raise NonzeroMobiusViolated(f"mobius({zero[0]!r}, {zero[1]!r}) = 0")
     sel = _selection(ranks, lat.rank)
     copies = _supersolvable_copies(lat, lab)
     return _assemble(

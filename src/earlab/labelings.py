@@ -2,8 +2,12 @@
 
 Covers EL verification, the S_r refinement (labels in [r], no repeats along
 maximal chains), the min-join labeling derived from an M-chain, the minimal
-labeling of a geometric lattice, per-interval chain extraction with Mobius
-cross-checks, and lexicographic shelling of the proper part.
+labeling of a geometric lattice, an interval's increasing and decreasing
+chains (their count checked against μ), and lexicographic shelling.
+
+One walk up from each element, reading each cover once, decides EL and
+finds the pairs with no strictly decreasing chain: for an EL-labeling, those
+with μ = 0 (Björner, Trans. AMS 260 (1980)).
 
 A label word is read along a saturated chain; descent positions are 1-based
 (a descent at i means the i-th label exceeds the next one), matching the way
@@ -12,7 +16,9 @@ rank sets are written elsewhere.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from math import inf
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .complexes import ShellingOrder, build_complex, verify_shelling
 from .errors import (
@@ -24,12 +30,7 @@ from .errors import (
     NotMChain,
 )
 from .lattices import Lattice, _check_saturated, check_geometric
-from .posets import (
-    Poset,
-    maximal_chains,
-    mobius,
-    saturated_chains_between,
-)
+from .posets import Poset, _bits, maximal_chains, mobius
 
 __all__ = [
     "EdgeLabeling",
@@ -46,16 +47,22 @@ __all__ = [
 
 
 class EdgeLabeling:
-    """Integer labels on the cover relations of a poset."""
+    """Integer labels on exactly the covers of a poset. ``labels`` is
+    read-only, as check_el keeps its verdict on the labeling."""
 
-    __slots__ = ("poset", "labels")
+    __slots__ = ("poset", "labels", "_walked")
 
     def __init__(self, poset: Poset, labels: Mapping[tuple[str, str], int]):
         self.poset = poset
-        self.labels = dict(labels)
-        for a, b in poset.cover_pairs():
-            if (a, b) not in self.labels:
-                raise BadParams(f"labeling misses cover {a!r} < {b!r}")
+        self.labels = MappingProxyType(dict(labels))
+        covers = set(poset.cover_pairs())
+        if covers - self.labels.keys():
+            a, b = min(covers - self.labels.keys())
+            raise BadParams(f"labeling misses cover {a!r} < {b!r}")
+        if self.labels.keys() - covers:
+            a, b = min(self.labels.keys() - covers)
+            raise BadParams(f"labeling has a label on ({a!r}, {b!r}), which is not a cover")
+        self._walked: Optional[tuple] = None
 
     def of(self, x: str, y: str) -> int:
         try:
@@ -75,63 +82,92 @@ def descent_set(word: Sequence[int]) -> frozenset[int]:
     return frozenset(i for i in range(1, len(word)) if word[i - 1] > word[i])
 
 
+def _walk(p: Poset, lab: EdgeLabeling) -> tuple[Optional[tuple], Optional[tuple[str, str]]]:
+    """verify_el's witness (or None) and the first pair x < y in index order
+    with no strictly decreasing chain (or None).
+
+    The walk from x visits x's up-set in rank order. At each y it keeps the
+    lex-least word of [x, y] (words there have one length, so it extends a
+    lower cover's), the count of weakly increasing words by last label, and
+    the largest last label of a strictly decreasing word. x's empty word
+    rises and falls to any label."""
+    if not p.graded:
+        raise NotGraded("EL verification needs a graded poset")
+    names = p.elements
+    up = [[(m, lab.labels[(names[k], names[m])]) for m in p.covers_up_of(k)] for k in range(p.n)]
+    zero = None
+    for i, x in enumerate(names):
+        above = list(_bits(p.up_mask(i) & ~(1 << i)))
+        least, rise, fall = {i: ()}, {i: {-inf: 1}}, {i: inf}
+        for k in [i] + sorted(above, key=p.ranks.__getitem__):
+            word, rk, fk = least[k], rise[k], fall[k]
+            for m, v in up[k]:
+                w = word + (v,)
+                if m not in least:
+                    rise[m], fall[m] = {}, -inf
+                least[m] = min(least.get(m, w), w)
+                rising = sum(c for last, c in rk.items() if last <= v)
+                if rising:
+                    rise[m][v] = rise[m].get(v, 0) + rising
+                if fk > v > fall[m]:
+                    fall[m] = v
+        for j in above:
+            w, rising = least[j], sum(rise[j].values())
+            if rising != 1:
+                return (x, names[j], f"{rising} weakly increasing chains (need exactly 1)"), zero
+            if any(a > b for a, b in zip(w, w[1:])):
+                return (x, names[j], "increasing chain is not strictly lex-first"), zero
+            if zero is None and fall[j] == -inf:
+                zero = (x, names[j])
+    return None, zero
+
+
 def verify_el(p: Poset, lab: EdgeLabeling) -> tuple[bool, Optional[tuple]]:
-    """EL check over every interval of a graded bounded poset.
+    """EL check over every interval of a graded poset.
 
     Each interval must have exactly one weakly increasing saturated chain,
     strictly lexicographically before every other chain word. Ties among
     the non-increasing words are fine; a tie with the increasing word is
-    not, since then it would not strictly precede everything else.
+    not, since then it would not strictly precede everything else. So
+    [x, y] passes iff it has one weakly increasing word and its lex-least
+    word rises, both read off one walk up from x (see _walk).
 
     Returns (True, None) or (False, witness) with witness =
-    (x, y, reason string).
+    (x, y, reason string), for the first failing (x, y) in index order.
     """
-    if not p.graded:
-        raise NotGraded("EL verification needs a graded poset")
-    for i in range(p.n):
-        x = p.elements[i]
-        for j in range(p.n):
-            if i == j or not p.leq_i(i, j):
-                continue
-            y = p.elements[j]
-            chains = saturated_chains_between(p, x, y)
-            words = [lab.word(c) for c in chains]
-            rising = [w for w in words if all(a <= b for a, b in zip(w, w[1:]))]
-            if len(rising) != 1:
-                return False, (
-                    x,
-                    y,
-                    f"{len(rising)} weakly increasing chains (need exactly 1)",
-                )
-            others = list(words)
-            others.remove(rising[0])
-            if any(w <= rising[0] for w in others):
-                return False, (x, y, "increasing chain is not strictly lex-first")
-    return True, None
+    witness, _ = _walk(p, lab)
+    return witness is None, witness
 
 
-def check_el(p: Poset, lab: EdgeLabeling) -> None:
-    ok, witness = verify_el(p, lab)
-    if not ok:
+def check_el(p: Poset, lab: EdgeLabeling) -> Optional[tuple[str, str]]:
+    """Raise LabelingInvalid unless ``lab`` is EL. Return the first pair
+    x < y in index order with no strictly decreasing chain, or None: for an
+    EL-labeling these are the pairs with μ(x, y) = 0 (Björner 1980). The
+    walk is kept on ``lab``, so a second call on ``p`` costs nothing."""
+    if lab._walked is None or lab._walked[0] is not p:
+        lab._walked = (p, *_walk(p, lab))
+    _, witness, zero = lab._walked
+    if witness is not None:
         x, y, why = witness
         raise LabelingInvalid(f"not an EL-labeling on [{x!r}, {y!r}]: {why}")
+    return zero
 
 
 def verify_sr(p: Poset, lab: EdgeLabeling) -> bool:
     """S_r refinement, r the top rank: labels lie in [r] and no maximal
     chain repeats one.
 
-    Any saturated chain of an interval extends to a maximal chain of the
-    whole poset, so scanning maximal chains covers all intervals.
+    Any two covers a < b <= c < d lie on one maximal chain, so a label v
+    repeats on some maximal chain iff a cover labelled v starts at or above
+    the top of another.
     """
     r = p.max_rank()
     if any(not 1 <= v <= r for v in lab.labels.values()):
         return False
-    for c in maximal_chains(p):
-        w = lab.word(c)
-        if len(set(w)) != len(w):
-            return False
-    return True
+    starts = dict.fromkeys(lab.labels.values(), 0)  # label -> bitmask of cover bottoms
+    for (a, _), v in lab.labels.items():
+        starts[v] |= 1 << p.index(a)
+    return not any(p.up_mask(p.index(b)) & starts[v] for (_, b), v in lab.labels.items())
 
 
 def derive_sn_labeling(

@@ -36,7 +36,6 @@ __all__ = [
     "rank_select",
     "proper_part",
     "maximal_chains",
-    "saturated_chains_between",
     "with_bounds",
     "poset_to_json",
     "poset_from_json",
@@ -159,8 +158,11 @@ class Poset:
         return f"Poset({self.n} elements, {len(self.covers)} covers)"
 
 
-def _closure_masks(n: int, cover_adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """Reachability masks (reflexive) computed in reverse topological order."""
+def _closure_masks(
+    n: int, cover_adj: Sequence[Sequence[int]]
+) -> tuple[list[int], list[int], list[int]]:
+    """Reachability masks (reflexive) computed in reverse topological order,
+    and that order."""
     indeg = [0] * n
     for i in range(n):
         for j in cover_adj[i]:
@@ -186,7 +188,7 @@ def _closure_masks(n: int, cover_adj: Sequence[Sequence[int]]) -> tuple[list[int
     for i in order:
         for j in cover_adj[i]:
             down[j] |= down[i]
-    return up, down
+    return up, down, order
 
 
 def build_poset(
@@ -214,33 +216,17 @@ def build_poset(
         if lo == hi:
             raise CycleDetected(f"self-relation on {lo!r}")
         adj[index[lo]].add(index[hi])
-    up, down = _closure_masks(n, [sorted(s) for s in adj])
-    # transitive reduction: keep (i, j) iff nothing sits strictly between
+    up, down, order = _closure_masks(n, [sorted(s) for s in adj])
+    # transitive reduction: keep (i, j) iff nothing sits strictly between;
+    # ranks, the longest chains from a minimal element, grow in topological order
     red: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in sorted(adj[i]):
-            between = up[i] & down[j] & ~(1 << i) & ~(1 << j)
-            if between == 0:
-                red.append((i, j))
-    red.sort()
-    cover_adj = [[] for _ in range(n)]
-    for i, j in red:
-        cover_adj[i].append(j)
-    # longest chain from a minimal element
-    indeg = [0] * n
-    for i, j in red:
-        indeg[j] += 1
-    order = [i for i in range(n) if indeg[i] == 0]
-    head = 0
     ranks = [0] * n
-    while head < len(order):
-        i = order[head]
-        head += 1
-        for j in cover_adj[i]:
-            ranks[j] = max(ranks[j], ranks[i] + 1)
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                order.append(j)
+    for i in order:
+        for j in adj[i]:
+            if up[i] & down[j] == 1 << i | 1 << j:
+                red.append((i, j))
+                ranks[j] = max(ranks[j], ranks[i] + 1)
+    red.sort()
     is_graded = all(ranks[j] == ranks[i] + 1 for i, j in red)
     if graded and not is_graded:
         bad = next((i, j) for i, j in red if ranks[j] != ranks[i] + 1)
@@ -253,11 +239,13 @@ def build_poset(
 
 def induced_subposet(p: Poset, keep: Iterable[str]) -> Poset:
     """The subposet on ``keep`` with the inherited comparability order."""
-    names = sorted(set(keep))
-    for e in names:
-        p.index(e)
-    pairs = [(a, b) for a in names for b in names if a != b and p.leq(a, b)]
-    return build_poset(names, pairs, graded=False)
+    kept = 0
+    for e in set(keep):
+        kept |= 1 << p.index(e)
+    pairs = []
+    for i in _bits(kept):
+        pairs += [(p.elements[i], p.elements[j]) for j in _bits(p.up_mask(i) & kept & ~(1 << i))]
+    return build_poset([p.elements[i] for i in _bits(kept)], pairs, graded=False)
 
 
 def with_bounds(p: Poset, bottom: str = VIRTUAL_BOTTOM, top: str = VIRTUAL_TOP) -> Poset:
@@ -308,6 +296,14 @@ def rank_select(p: Poset, ranks: Iterable[int]) -> Poset:
     return Poset(q.elements, q.covers, new_ranks, graded, q._up, q._down, orig_ranks=orig)
 
 
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _chain_extensions(p: Poset, prefix: list[int], within: int, out: list[tuple[int, ...]]):
     """Append to ``out`` every extension of ``prefix`` by covers whose
     indices lie in the bitmask ``within``, each taken until no such cover
@@ -334,18 +330,6 @@ def maximal_chains(p: Poset) -> list[tuple[str, ...]]:
     return [tuple(p.elements[i] for i in idx) for idx in out]
 
 
-def saturated_chains_between(p: Poset, x: str, y: str) -> list[tuple[str, ...]]:
-    """All saturated chains from x to y (inclusive), in canonical order."""
-    i, j = p.index(x), p.index(y)
-    if not p.leq_i(i, j):
-        raise NotComparable(f"{x!r} is not below {y!r}")
-    out: list[tuple[int, ...]] = []
-    # inside y's down-set only y has no cover left, so every chain ends there
-    _chain_extensions(p, [i], p.down_mask(j), out)
-    out.sort()
-    return [tuple(p.elements[k] for k in idx) for idx in out]
-
-
 def mobius(p: Poset, x: str, y: str) -> int:
     """Mobius function mu(x, y), memoized per poset."""
     i, j = p.index(x), p.index(y)
@@ -362,14 +346,7 @@ def _mobius_i(p: Poset, i: int, j: int) -> int:
     if key in memo:
         return memo[key]
     mask = p.up_mask(i) & p.down_mask(j) & ~(1 << j)
-    total = 0
-    k = 0
-    m = mask
-    while m:
-        if m & 1:
-            total += _mobius_i(p, i, k)
-        m >>= 1
-        k += 1
+    total = sum(_mobius_i(p, i, k) for k in _bits(mask))
     memo[key] = -total
     return -total
 

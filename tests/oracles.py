@@ -24,8 +24,17 @@ needs them, so they live with the tests:
 * ``graphic_matroid_by_all_sizes``: the bases of a cycle matroid as the
   acyclic edge sets of the largest size that has any, trying every size
   from the number of edges down;
+* ``saturated_chains_between``: every saturated chain of one interval;
 * ``chains_by_filter``: the increasing and decreasing chains of an
   interval by listing all its saturated chains and filtering their words;
+* ``el_by_intervals``: ``verify_el`` by listing the saturated chains of
+  each interval separately and comparing their words;
+* ``first_zero_mobius``: the first comparable pair in index order with
+  μ = 0, by the Mobius recursion on every pair;
+* ``sr_by_maximal_chains``: the S_r condition by reading the word of
+  every maximal chain;
+* ``induced_subposet_by_names``: the induced subposet from a ``leq`` test
+  by name on every pair of kept elements;
 * ``supersolvable_copies_by_closure``: each Boolean copy of a
   supersolvable lattice as the closure of the increasing and a decreasing
   chain under join and meet, coordinatized by a walk over label sets;
@@ -38,12 +47,14 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from earlab.complexes import SimplicialComplex, _reduce, build_complex, is_subcomplex
 from earlab.decompositions import EarDecomposition, _certify, _frame_of, intervals_of
 from earlab.errors import (
     BadParams,
+    NotComparable,
+    NotGraded,
     Inconsistent,
     LabelingInvalid,
     LengthMismatch,
@@ -62,7 +73,7 @@ from earlab.lattices import (
     closure_under_ops,
 )
 from earlab.matroids import Matroid, build_matroid, nbc_bases
-from earlab.posets import Poset, maximal_chains, mobius, saturated_chains_between
+from earlab.posets import Poset, _chain_extensions, build_poset, maximal_chains, mobius
 
 
 def exact_rank(rows: list[dict[int, int]]) -> int:
@@ -241,6 +252,77 @@ def graphic_matroid_by_all_sizes(vertices: int, edges: Sequence[tuple[int, int]]
             best = found
             break
     return build_matroid(ground, bases=best)
+
+
+def saturated_chains_between(p: Poset, x: str, y: str) -> list[tuple[str, ...]]:
+    """All saturated chains from x to y (inclusive), in canonical order."""
+    i, j = p.index(x), p.index(y)
+    if not p.leq_i(i, j):
+        raise NotComparable(f"{x!r} is not below {y!r}")
+    out: list[tuple[int, ...]] = []
+    # inside y's down-set only y has no cover left, so every chain ends there
+    _chain_extensions(p, [i], p.down_mask(j), out)
+    out.sort()
+    return [tuple(p.elements[k] for k in idx) for idx in out]
+
+
+def el_by_intervals(p: Poset, lab: EdgeLabeling) -> tuple[bool, Optional[tuple]]:
+    """EL check over every interval of a graded poset, one interval at a
+    time: exactly one weakly increasing chain, whose word strictly precedes
+    every other chain's. Same verdict and witness as ``verify_el``."""
+    if not p.graded:
+        raise NotGraded("EL verification needs a graded poset")
+    for i in range(p.n):
+        x = p.elements[i]
+        for j in range(p.n):
+            if i == j or not p.leq_i(i, j):
+                continue
+            y = p.elements[j]
+            chains = saturated_chains_between(p, x, y)
+            words = [lab.word(c) for c in chains]
+            rising = [w for w in words if all(a <= b for a, b in zip(w, w[1:]))]
+            if len(rising) != 1:
+                return False, (
+                    x,
+                    y,
+                    f"{len(rising)} weakly increasing chains (need exactly 1)",
+                )
+            others = list(words)
+            others.remove(rising[0])
+            if any(w <= rising[0] for w in others):
+                return False, (x, y, "increasing chain is not strictly lex-first")
+    return True, None
+
+
+def first_zero_mobius(p: Poset) -> Optional[tuple[str, str]]:
+    """The first pair x < y in index order with μ(x, y) = 0, or None."""
+    for i in range(p.n):
+        for j in range(p.n):
+            if i != j and p.leq_i(i, j):
+                if mobius(p, p.elements[i], p.elements[j]) == 0:
+                    return p.elements[i], p.elements[j]
+    return None
+
+
+def sr_by_maximal_chains(p: Poset, lab: EdgeLabeling) -> bool:
+    """Labels lie in [r], r the top rank, and no maximal chain repeats one."""
+    r = p.max_rank()
+    if any(not 1 <= v <= r for v in lab.labels.values()):
+        return False
+    for c in maximal_chains(p):
+        w = lab.word(c)
+        if len(set(w)) != len(w):
+            return False
+    return True
+
+
+def induced_subposet_by_names(p: Poset, keep: Iterable[str]) -> Poset:
+    """The subposet on ``keep`` with the inherited comparability order."""
+    names = sorted(set(keep))
+    for e in names:
+        p.index(e)
+    pairs = [(a, b) for a in names for b in names if a != b and p.leq(a, b)]
+    return build_poset(names, pairs, graded=False)
 
 
 def chains_by_filter(

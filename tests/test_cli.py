@@ -223,6 +223,17 @@ def test_malformed_lattice_documents_are_precondition_failures(doc, tmp_path, ca
     assert "error: BadParams:" in err and "Traceback" not in err
 
 
+def test_a_label_on_a_non_cover_is_a_precondition_failure(tmp_path, capsys):
+    doc = _b2_with(labels={"0|1": 1, "0|2": 2, "1|12": 2, "2|12": 1, "12|0": 1})
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        capsys, "decompose", "--construction", "supersolvable", "--input", str(path),
+    )
+    assert code == 2
+    assert "error: BadParams: labeling has a label on ('12', '0'), which is not a cover" in err
+
+
 @pytest.mark.parametrize("schema", ["earlab.lattice/1", "earlab.poset/1"])
 @pytest.mark.parametrize("construction", ["supersolvable", "geometric"])
 def test_lattice_cap_is_checked_before_the_tables(tmp_path, capsys, monkeypatch,

@@ -14,6 +14,7 @@ import pytest
 from earlab.errors import (
     EmptySelection,
     Inconsistent,
+    LabelingInvalid,
     NonzeroMobiusViolated,
     RangeError,
     TopRankSelected,
@@ -43,7 +44,7 @@ from earlab.decompositions import (
     verify_ced,
 )
 from earlab.flags import ball_flag_reciprocity, descent_classes
-from earlab.labelings import descent_set, minimal_labeling
+from earlab.labelings import EdgeLabeling, descent_set, minimal_labeling
 from earlab.lattices import Lattice, boolean_lattice, partition_lattice
 from earlab.matroids import graphic_matroid, lattice_of_flats, uniform_matroid
 from earlab.posets import build_poset, canonical_dumps, mobius
@@ -200,16 +201,61 @@ def test_supersolvable_histogram_matches_when_concatenation_shells():
     assert report["h_checks"]["histogram_matches"] is True
 
 
-def test_supersolvable_constructions_need_nonzero_mobius():
-    chain = Lattice(
+def _chain_lattice() -> Lattice:
+    return Lattice(
         build_poset(["0", "a", "1"], [("0", "a"), ("a", "1")]), mchain=["0", "a", "1"]
     )
-    for run in (
-        lambda: decompose_supersolvable(chain),
-        lambda: decompose_rank_selected_supersolvable(chain, ranks=[1]),
-    ):
-        with pytest.raises(NonzeroMobiusViolated, match=r"mobius\('0', '1'\) = 0"):
-            run()
+
+
+def mu_zero_lattice() -> Lattice:
+    """Rank 3: atoms a, b, c; coatoms d = a ∨ b and e = b ∨ c; μ(0, 1) = 0.
+    Supersolvable with the M-chain 0 < b < d < 1."""
+    covers = [("0", "a"), ("0", "b"), ("0", "c"), ("a", "d"), ("b", "d"),
+              ("b", "e"), ("c", "e"), ("d", "1"), ("e", "1")]
+    return Lattice(build_poset(["0", "a", "b", "c", "d", "e", "1"], covers),
+                   mchain=["0", "b", "d", "1"])
+
+
+def test_supersolvable_constructions_need_nonzero_mobius():
+    for lat in (_chain_lattice(), mu_zero_lattice()):
+        for run in (
+            lambda: decompose_supersolvable(lat),
+            lambda: decompose_rank_selected_supersolvable(lat, ranks=[1]),
+        ):
+            with pytest.raises(NonzeroMobiusViolated, match=r"mobius\('0', '1'\) = 0"):
+                run()
+
+
+@pytest.mark.parametrize("labels, error", [
+    ((2, 1), r"not an EL-labeling on \['0', '1'\]: 0 weakly increasing chains"),
+    ((1, 1), "labeling is EL but not an S_r labeling"),
+], ids=["not-el", "not-sr"])
+def test_labeling_errors_come_before_the_zero_mobius_one(labels, error):
+    """μ(0, 1) = 0 on the chain, but a given labeling's own failure is reported."""
+    lat = _chain_lattice()
+    lab = EdgeLabeling(lat.poset, dict(zip(lat.poset.cover_pairs(), labels)))
+    with pytest.raises(LabelingInvalid, match=error):
+        decompose_supersolvable(lat, lab)
+
+
+def test_supersolvable_decomposition_reads_nonzero_mobius_off_the_el_walk(monkeypatch):
+    """The one μ left is the count check on the falling chains of [0, 1];
+    no comparable pair is tested by the recursion."""
+    import earlab
+
+    calls = []
+    real = earlab.posets.mobius
+
+    def counted(p, x, y):
+        calls.append((x, y))
+        return real(p, x, y)
+
+    for module in vars(earlab).values():
+        if getattr(module, "mobius", None) is real:
+            monkeypatch.setattr(module, "mobius", counted)
+    lat = partition_lattice(5)
+    decompose_supersolvable(lat)
+    assert calls == [(lat.bottom, lat.top)]
 
 
 def test_rank_selected_supersolvable_pi4():

@@ -41,6 +41,13 @@ against the brute-force routes they replaced, on random inputs.
 * ``increasing_and_decreasing_chains`` (one walk that only follows
   weakly increasing or strictly decreasing words) against filtering every
   saturated chain of the interval, on arbitrary labels;
+* ``verify_el`` and ``check_el`` (one walk up from each element keeping the
+  lex-least word, the rising count by last label and whether a word falls)
+  against listing every interval's chains, and the pairs without a falling
+  chain against the Mobius recursion on every pair; ``verify_sr`` (bitmasks
+  of cover bottoms per label) against the words of every maximal chain;
+* ``induced_subposet`` and ``rank_select`` (relations read off up-set
+  bitmasks) against a ``leq`` test by name on every pair;
 * the Boolean copies of a supersolvable lattice (generators
   z_a ∧ c_(r-a+1), joined) against the closure of the two chains under
   join and meet with coordinates by a label-set walk, and the geometric
@@ -114,10 +121,14 @@ from earlab.flags import (
 )
 from earlab.labelings import (
     EdgeLabeling,
+    check_el,
     derive_sn_labeling,
     descent_set,
     increasing_and_decreasing_chains,
     lex_shelling,
+    minimal_labeling,
+    verify_el,
+    verify_sr,
 )
 from earlab.lattices import (
     Lattice,
@@ -135,20 +146,32 @@ from earlab.matroids import (
     lattice_of_flats,
     uniform_matroid,
 )
-from earlab.posets import Poset, build_poset, maximal_chains, proper_part
+from earlab.posets import (
+    Poset,
+    build_poset,
+    induced_subposet,
+    maximal_chains,
+    proper_part,
+    rank_select,
+)
 from oracles import (
     ambient_by_permutations,
     chains_by_filter,
+    el_by_intervals,
     exact_rank,
+    first_zero_mobius,
     geometric_bases_by_joins,
     graphic_matroid_by_all_sizes,
+    induced_subposet_by_names,
     is_mchain,
     polytope_entries_by_ambients,
     reduced_euler,
     reference_sphere,
+    sr_by_maximal_chains,
     subset_novelty_scan,
     supersolvable_copies_by_closure,
 )
+from test_decompositions import mu_zero_lattice
 
 
 # -- oracles ------------------------------------------------------------------
@@ -1163,6 +1186,104 @@ def test_chain_walk_agrees_with_filtering_every_chain(case):
         for y in p.elements:
             want = _outcome(chains_by_filter, p, lab, x, y)
             assert _outcome(increasing_and_decreasing_chains, p, lab, x, y) == want, (x, y)
+
+
+@st.composite
+def graded_bounded_posets(draw):
+    """A bottom, one to three ranks of one to three elements, and a top;
+    each element covers a drawn nonempty set of the rank below, and the
+    first element of a rank covers every one left uncovered."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    levels = [["bot"], *([f"r{k}.{j}" for j in range(w)] for k, w in enumerate(widths, 1)), ["top"]]
+    covers = []
+    for lower, upper in zip(levels, levels[1:]):
+        for y in upper:
+            covers += [(x, y) for x in draw(st.lists(st.sampled_from(lower), min_size=1, unique=True))]
+        covered = {x for x, _ in covers}
+        covers += [(x, upper[0]) for x in lower if x not in covered]
+    return build_poset([e for level in levels for e in level], covers)
+
+
+@st.composite
+def graded_labelled_posets(draw):
+    """A graded family poset or a random graded bounded one, with labels in
+    [0, 2]: ties in words are common, and so are EL-labelings whose
+    intervals include chains, where μ = 0."""
+    p = draw(st.sampled_from([CHAIN_POSETS[n] for n in sorted(CHAIN_POSETS)]) | graded_bounded_posets())
+    covers = p.cover_pairs()
+    values = draw(st.lists(st.integers(0, 2), min_size=len(covers), max_size=len(covers)))
+    return p, EdgeLabeling(p, dict(zip(covers, values)))
+
+
+def _el_outcome(p, lab):
+    """verify_el's verdict, and for an EL-labeling check_el's first pair
+    without a falling chain, on a labeling that has not walked yet."""
+    lab = EdgeLabeling(p, lab.labels)
+    ok, witness = verify_el(p, lab)
+    return ok, witness, check_el(p, lab) if ok else None
+
+
+def _el_oracle(p, lab):
+    ok, witness = el_by_intervals(p, lab)
+    return ok, witness, first_zero_mobius(p) if ok else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_labelled_posets())
+def test_el_walk_agrees_with_every_interval_and_the_mobius_recursion(case):
+    p, lab = case
+    assert _el_outcome(p, lab) == _el_oracle(p, lab)
+
+
+EL_LABELINGS = {
+    "B3": lambda: derive_sn_labeling(boolean_lattice(3)),
+    "Pi4": lambda: derive_sn_labeling(_partition_lattice(4)),
+    "U34-flats-minimal": lambda: minimal_labeling(lattice_of_flats(uniform_matroid(3, 4))),
+    "K4-flats-minimal": lambda: minimal_labeling(Lattice(FAMILIES["K4-flats"])),
+    "mu-zero": lambda: derive_sn_labeling(mu_zero_lattice()),
+    "chain": lambda: EdgeLabeling(
+        build_poset("0ab1", [("0", "a"), ("a", "b"), ("b", "1")]),
+        {("0", "a"): 1, ("a", "b"): 2, ("b", "1"): 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EL_LABELINGS))
+def test_el_walk_agrees_on_el_labelings(name):
+    """EL-labelings, with and without intervals where μ = 0."""
+    lab = EL_LABELINGS[name]()
+    want = _el_oracle(lab.poset, lab)
+    assert want[0] and (want[2] is None) == (name not in ("mu-zero", "chain"))
+    assert _el_outcome(lab.poset, lab) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_labelled_posets() | labelled_posets(), st.integers(-1, 1))
+def test_sr_masks_agree_with_every_maximal_chain(case, shift):
+    """Labels moved by ``shift`` so some leave [1, r] from either side."""
+    p, lab = case
+    lab = EdgeLabeling(p, {c: v + 1 + shift for c, v in lab.labels.items()})
+    assert verify_sr(p, lab) == sr_by_maximal_chains(p, lab)
+
+
+def _poset_parts(q: Poset) -> tuple:
+    return q.elements, q.covers, q.ranks, q.graded, q.orig_ranks, q._up, q._down
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subposets_agree_with_leq_by_name(data):
+    """Random kept sets of any bounded poset, and random rank sets of a
+    graded one, against the subposet built from every pair by name."""
+    p = data.draw(bounded_posets())
+    keep = data.draw(st.lists(st.sampled_from(p.elements), unique=True))
+    assert _poset_parts(induced_subposet(p, keep)) == _poset_parts(induced_subposet_by_names(p, keep))
+    g = data.draw(graded_bounded_posets())
+    ranks = data.draw(st.lists(st.sampled_from(sorted(set(g.ranks))), min_size=1, unique=True))
+    q = rank_select(g, ranks)
+    want = induced_subposet_by_names(g, [e for e in g.elements if g.rank_of(e) in ranks])
+    assert (q.elements, q.covers, q._up, q._down) == (want.elements, want.covers, want._up, want._down)
+    assert q.orig_ranks == tuple(g.rank_of(e) for e in q.elements)
 
 
 def _copy_pairs(lat, lab):

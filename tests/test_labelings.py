@@ -54,6 +54,16 @@ def test_labeling_requires_all_covers():
         EdgeLabeling(p, {("a", "b"): 1})
 
 
+def test_labeling_rejects_a_label_on_a_non_cover():
+    """The first non-cover pair in sorted order is named, even a reversed cover."""
+    lat = boolean_lattice(3)
+    labels = dict(derive_sn_labeling(lat).labels)
+    labels[("3", "12")] = 1
+    labels[("123", "0")] = 1
+    with pytest.raises(BadParams, match=r"label on \('123', '0'\), which is not a cover"):
+        EdgeLabeling(lat.poset, labels)
+
+
 def test_word_reads_along_chain():
     p, lab = diamond_labeled(1, 2, 2, 1)
     assert lab.word(("0", "a", "1")) == (1, 2)

@@ -29,9 +29,9 @@ from earlab.posets import (
     poset_to_json,
     proper_part,
     rank_select,
-    saturated_chains_between,
     with_bounds,
 )
+from oracles import saturated_chains_between
 
 
 # -- Helpers -------------------------------------------------------------------
