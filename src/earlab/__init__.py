@@ -37,7 +37,6 @@ from .decompositions import (
     decompose_rank_selected_supersolvable,
     decompose_supersolvable,
     sigma_word,
-    switch_closure_violations,
     verify_ced,
 )
 from .errors import EarlabError
@@ -175,7 +174,6 @@ __all__ = [
     "decompose_rank_selected_supersolvable",
     "decompose_face_poset",
     "decompose_geometric",
-    "switch_closure_violations",
     "verify_ced",
     # errors
     "EarlabError",

@@ -47,7 +47,6 @@ __all__ = [
     "deletion",
     "union_complexes",
     "intersection_complexes",
-    "is_subcomplex",
     "complex_to_json",
     "complex_from_json",
 ]
@@ -346,13 +345,6 @@ def intersection_complexes(a: SimplicialComplex, b: SimplicialComplex) -> Simpli
         return SimplicialComplex((), ())
     pieces = {f & g for f in a.facets for g in b.facets}
     return build_complex(pieces)
-
-
-def is_subcomplex(small: SimplicialComplex, big: SimplicialComplex) -> bool:
-    """Every facet of ``small`` is a face of ``big``. A facet of ``big`` is
-    found by one set lookup; only the others are scanned by ``has_face``."""
-    tops = set(big.facets)
-    return all(f in tops or big.has_face(f) for f in small.facets)
 
 
 # -- exact homology ------------------------------------------------------------

@@ -64,7 +64,6 @@ __all__ = [
     "decompose_rank_selected_supersolvable",
     "decompose_face_poset",
     "decompose_geometric",
-    "switch_closure_violations",
     "verify_ced",
 ]
 
@@ -239,7 +238,6 @@ class Ear:
     chains: list[tuple[str, ...]]
     shelling: ShellingOrder
     provenance: dict
-    coords: list[tuple[frozenset[int], ...]] = field(default_factory=list, repr=False)
     coord_names: dict[frozenset[int], str] = field(default_factory=dict, repr=False)
 
     @property
@@ -347,7 +345,6 @@ def _assemble(
                 chains=[names for _, names in kept],
                 shelling=shelling,
                 provenance=prov,
-                coords=[fl for fl, _ in kept],
                 coord_names=copy.elem,
             )
             for _, names in kept:
@@ -592,42 +589,6 @@ def decompose_geometric(
     # keep the labeling around for callers that want to cross-check words
     dec.params["labels"] = lab.to_json_field()
     return dec
-
-
-# -- switch closure ------------------------------------------------------------
-
-
-def switch_closure_violations(dec: EarDecomposition) -> list[dict]:
-    """Chains whose ascent switches leave their ear (empty on sound output).
-
-    A switch replaces the element at a selected rank by the other middle
-    element of the surrounding two-element open interval, which turns one
-    ascent of the gap-filled word into a descent.
-    """
-    violations = []
-    for ei, ear in enumerate(dec.ears):
-        chain_set = set(ear.chains)
-        for fl, names in zip(ear.coords, ear.chains):
-            w = _fill_word(fl, dec.ranks, dec.rho)
-            by_rank = dict(zip(dec.ranks, fl))
-            for m in dec.ranks:
-                if w[m - 1] >= w[m]:
-                    continue
-                swapped = (by_rank[m] - {w[m - 1]}) | {w[m]}
-                new_fl = tuple(
-                    swapped if s == m else by_rank[s] for s in dec.ranks
-                )
-                new_names = tuple(ear.coord_names[x] for x in new_fl)
-                if new_names not in chain_set:
-                    violations.append(
-                        {
-                            "ear": ei + 1,
-                            "chain": list(names),
-                            "rank": m,
-                            "switched": list(new_names),
-                        }
-                    )
-    return violations
 
 
 # -- the axiom verifier ---------------------------------------------------------

@@ -40,7 +40,7 @@ from .errors import (
     SizeLimit,
 )
 from .labelings import descent_set
-from .posets import Poset
+from .posets import Poset, _bits
 
 __all__ = [
     "FlagVector",
@@ -286,20 +286,9 @@ def _class_masks(m: int) -> dict[frozenset[int], tuple[tuple[int, ...], tuple[in
         masks = tuple(inversion_mask(perm) for perm in perms)
         having = [0] * (m * m)
         for j, mask in enumerate(masks):
-            for k in _members(mask):
+            for k in _bits(mask):
                 having[k] |= 1 << j
         out[S] = (masks, tuple(having))
-    return out
-
-
-def _members(bitset: int) -> list[int]:
-    """Indices of the set bits, ascending."""
-    bits = bin(bitset)[:1:-1]
-    out = []
-    j = bits.find("1")
-    while j >= 0:
-        out.append(j)
-        j = bits.find("1", j + 1)
     return out
 
 
@@ -383,7 +372,7 @@ def dominates(
     bad = [i for i in Sf | Tf if not 1 <= i <= m - 1]
     if bad:
         raise BadParams(f"rank positions {bad} outside [1, {m - 1}]")
-    match_l = _injection([_members(mask) for mask in classes[Tf][0]], classes[Sf])
+    match_l = _injection([list(_bits(mask)) for mask in classes[Tf][0]], classes[Sf])
     if match_l is None:
         return False, None
     perms = descent_classes(m)
@@ -397,7 +386,7 @@ def dominance_table(m: int) -> frozenset[tuple[frozenset[int], frozenset[int]]]:
     classes = _class_masks(m)
     table = set()
     for T, (masks, _) in classes.items():
-        left = [_members(mask) for mask in masks]
+        left = [list(_bits(mask)) for mask in masks]
         table.update(
             (S, T) for S, right in classes.items() if S == T or _injection(left, right) is not None
         )

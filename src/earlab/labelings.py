@@ -170,10 +170,8 @@ def verify_sr(p: Poset, lab: EdgeLabeling) -> bool:
     return not any(p.up_mask(p.index(b)) & starts[v] for (_, b), v in lab.labels.items())
 
 
-def derive_sn_labeling(
-    lat: Lattice, mchain: Optional[Sequence[str]] = None
-) -> EdgeLabeling:
-    """Labeling from an M-chain z_0 < … < z_r by the min-join rule
+def derive_sn_labeling(lat: Lattice) -> EdgeLabeling:
+    """Labeling from the lattice's M-chain z_0 < … < z_r by the min-join rule
     λ(x, y) = min{ i : y ≤ x ∨ z_i }, then verified EL and S_r.
 
     The verification is also the M-chain test: a saturated chain from
@@ -181,12 +179,11 @@ def derive_sn_labeling(
     EL-labeling (McNamara, JCTA 101 (2003), Thm 1), so a chain that fails
     it raises NotMChain. check_mchain tests the definition directly.
     """
-    chain = list(mchain) if mchain is not None else list(lat.mchain or ())
-    if not chain:
-        raise BadParams("no M-chain given and none stored on the lattice")
+    if not lat.mchain:
+        raise BadParams("no M-chain stored on the lattice")
     p = lat.poset
-    _check_saturated(p, chain)
-    z = [p.index(e) for e in chain]
+    _check_saturated(p, lat.mchain)
+    z = [p.index(e) for e in lat.mchain]
     labels = {}
     for a, b in p.cover_pairs():
         ia, ib = p.index(a), p.index(b)

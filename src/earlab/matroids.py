@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .complexes import face_name
 from .errors import BadParams, ExchangeAxiomFailed, Inconsistent, NotSimple
 from .lattices import Lattice
-from .posets import build_poset
+from .posets import _array, build_poset
 
 __all__ = [
     "Matroid",
@@ -292,13 +292,13 @@ def matroid_from_json(data: Mapping) -> Matroid:
     try:
         if "graph" in data:
             g = data["graph"]
-            edges = [(int(u), int(v)) for u, v in g["edges"]]
+            edges = [(int(u), int(v)) for u, v in map(_array, _array(g["edges"]))]
             return graphic_matroid(int(g["vertices"]), edges)
-        ground = [str(x) for x in data["ground"]]
+        ground = [str(x) for x in _array(data["ground"])]
         if "bases" in data:
-            return build_matroid(ground, bases=data["bases"])
+            return build_matroid(ground, bases=[_array(b) for b in _array(data["bases"])])
         if "circuits" in data:
-            return build_matroid(ground, circuits=data["circuits"])
+            return build_matroid(ground, circuits=[_array(c) for c in _array(data["circuits"])])
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParams(f"malformed matroid JSON: {exc}") from exc
     raise BadParams("matroid JSON needs bases, circuits, or graph")

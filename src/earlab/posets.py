@@ -54,7 +54,7 @@ class Poset:
     Not constructed directly; use :func:`build_poset` or one of the family
     constructors. ``ranks`` follows the longest-chain-from-a-minimal-element
     convention unless the poset came out of :func:`rank_select`, which
-    renumbers ranks 1..|S| and keeps the originals in ``orig_ranks``.
+    renumbers ranks 1..|S|.
     """
 
     __slots__ = (
@@ -62,7 +62,6 @@ class Poset:
         "covers",
         "ranks",
         "graded",
-        "orig_ranks",
         "_index",
         "_up",
         "_down",
@@ -73,12 +72,11 @@ class Poset:
         "_mobius_memo",
     )
 
-    def __init__(self, elements, covers, ranks, graded, up, down, orig_ranks=None):
+    def __init__(self, elements, covers, ranks, graded, up, down):
         self.elements: tuple[str, ...] = elements
         self.covers: tuple[tuple[int, int], ...] = covers
         self.ranks: tuple[int, ...] = ranks
         self.graded: bool = graded
-        self.orig_ranks: Optional[tuple[int, ...]] = orig_ranks
         self._index = {e: i for i, e in enumerate(elements)}
         self._up = up
         self._down = down
@@ -248,8 +246,10 @@ def induced_subposet(p: Poset, keep: Iterable[str]) -> Poset:
     return build_poset([p.elements[i] for i in _bits(kept)], pairs, graded=False)
 
 
-def with_bounds(p: Poset, bottom: str = VIRTUAL_BOTTOM, top: str = VIRTUAL_TOP) -> Poset:
-    """Adjoin a new bottom and top (used to take flag vectors of selections)."""
+def with_bounds(p: Poset) -> Poset:
+    """Adjoin VIRTUAL_BOTTOM and VIRTUAL_TOP (used to take flag vectors of
+    selections)."""
+    bottom, top = VIRTUAL_BOTTOM, VIRTUAL_TOP
     if p.has_element(bottom) or p.has_element(top):
         raise BadParams("bound names collide with existing elements")
     pairs = list(p.cover_pairs())
@@ -273,8 +273,8 @@ def proper_part(p: Poset) -> Poset:
 def rank_select(p: Poset, ranks: Iterable[int]) -> Poset:
     """Induced subposet on the elements whose rank lies in ``ranks``.
 
-    New ranks are renumbered 1..|S| (position within sorted(S)); the original
-    ranks are kept on ``orig_ranks``. The input poset must be graded.
+    New ranks are renumbered 1..|S| (position within sorted(S)). The input
+    poset must be graded.
     """
     if not p.graded:
         raise NotGraded("rank selection requires a graded poset")
@@ -291,9 +291,8 @@ def rank_select(p: Poset, ranks: Iterable[int]) -> Poset:
     q = induced_subposet(p, keep)
     pos = {s: k + 1 for k, s in enumerate(S)}
     new_ranks = tuple(pos[p.rank_of(e)] for e in q.elements)
-    orig = tuple(p.rank_of(e) for e in q.elements)
     graded = all(new_ranks[b] == new_ranks[a] + 1 for a, b in q.covers)
-    return Poset(q.elements, q.covers, new_ranks, graded, q._up, q._down, orig_ranks=orig)
+    return Poset(q.elements, q.covers, new_ranks, graded, q._up, q._down)
 
 
 def _bits(mask: int):
@@ -359,28 +358,28 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=True, separators=(",", ":"), sort_keys=False) + "\n"
 
 
-def poset_to_json(p: Poset, labels: Optional[Mapping[tuple[str, str], int]] = None) -> dict:
-    out = {
+def poset_to_json(p: Poset) -> dict:
+    """The poset document, without labels."""
+    return {
         "schema": "earlab.poset/1",
         "elements": list(p.elements),
         "covers": [[a, b] for a, b in p.cover_pairs()],
         "graded": p.graded,
     }
-    if labels is not None:
-        for (a, b) in labels:
-            if "|" in a or "|" in b:
-                raise BadParams("element names used in label keys must not contain '|'")
-        out["labels"] = {
-            f"{a}|{b}": int(v)
-            for (a, b), v in sorted(labels.items())
-        }
-    return out
+
+
+def _array(value) -> Sequence:
+    """``value`` when it is a JSON array; a string, which would iterate as
+    one too, raises TypeError."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected an array, got {value!r}")
+    return value
 
 
 def poset_from_json(data: Mapping) -> Poset:
     try:
-        elements = list(data["elements"])
-        covers = [(a, b) for a, b in data["covers"]]
+        elements = list(_array(data["elements"]))
+        covers = [(a, b) for a, b in map(_array, _array(data["covers"]))]
         graded = bool(data.get("graded", True))
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParams(f"malformed poset JSON: {exc}") from exc

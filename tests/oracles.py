@@ -11,8 +11,15 @@ needs them, so they live with the tests:
   ``flag_f_from_complex_fvector``: flag vectors by descent sets, by
   summing over rank sets of one size, and from the f-vector alone;
 * ``weak_leq``: the weak order by inversion-set containment;
-* ``is_distributive``, ``is_mchain`` and ``is_geometric``: the brute-force
-  lattice properties, as booleans;
+* ``join_table`` and ``meet_table``: every pair's join and meet by
+  up-mask and down-mask lookup, the two tables ``Lattice`` once built;
+* ``is_distributive`` and ``is_mchain``: the brute-force lattice
+  properties, as booleans;
+* ``is_geometric``: graded, every element the join of the atoms below it,
+  and rank submodular on every pair;
+* ``is_subcomplex``: every facet of one complex is a face of the other;
+* ``ear_coords`` and ``switch_closure_violations``: an ear's chains in
+  copy coordinates, and the chains whose ascent switches leave their ear;
 * ``ambient_by_permutations``: an ear's reference sphere by walking the
   permutations of each interval's pool in host names, per copy and frame;
 * ``polytope_entries_by_ambients``: the polytope axiom of ``verify_ced``
@@ -49,8 +56,15 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from earlab.complexes import SimplicialComplex, _reduce, build_complex, is_subcomplex
-from earlab.decompositions import EarDecomposition, _certify, _frame_of, intervals_of
+from earlab.complexes import SimplicialComplex, _reduce, build_complex
+from earlab.decompositions import (
+    Ear,
+    EarDecomposition,
+    _certify,
+    _fill_word,
+    _frame_of,
+    intervals_of,
+)
 from earlab.errors import (
     BadParams,
     NotComparable,
@@ -59,7 +73,6 @@ from earlab.errors import (
     LabelingInvalid,
     LengthMismatch,
     MobiusMismatch,
-    NotGeometric,
     NotMChain,
     RangeError,
 )
@@ -68,7 +81,6 @@ from earlab.labelings import EdgeLabeling, descent_set
 from earlab.lattices import (
     Lattice,
     _distributive_on,
-    check_geometric,
     check_mchain,
     closure_under_ops,
 )
@@ -131,6 +143,24 @@ def weak_leq(sigma: Sequence[int], tau: Sequence[int]) -> bool:
     return a & ~b == 0
 
 
+def _mask_table(masks: Sequence[int]) -> list[list[Optional[int]]]:
+    """table[i][j] = the k with masks[k] == masks[i] & masks[j], or None."""
+    owner = {mask: k for k, mask in enumerate(masks)}
+    return [[owner.get(mi & mj) for mj in masks] for mi in masks]
+
+
+def join_table(p: Poset) -> list[list[Optional[int]]]:
+    """The join of every pair, None where the upper bounds have no least
+    element."""
+    return _mask_table([p.up_mask(i) for i in range(p.n)])
+
+
+def meet_table(p: Poset) -> list[list[Optional[int]]]:
+    """The meet of every pair, None where the lower bounds have no
+    greatest element."""
+    return _mask_table([p.down_mask(i) for i in range(p.n)])
+
+
 def is_distributive(lat: Lattice) -> bool:
     """Brute-force distributivity over all triples."""
     return _distributive_on(lat, lat.poset.elements) is None
@@ -146,12 +176,58 @@ def is_mchain(lat: Lattice, chain: Sequence[str]) -> bool:
 
 
 def is_geometric(lat: Lattice) -> bool:
-    """``lattices.check_geometric`` as a boolean."""
-    try:
-        check_geometric(lat)
-    except NotGeometric:
+    """Graded, each element the join of the atoms below it, and
+    r(x) + r(y) >= r(x ∨ y) + r(x ∧ y) on every pair."""
+    p = lat.poset
+    if not p.graded:
         return False
-    return True
+    atoms = [p.index(a) for a in lat.atoms()]
+    if any(lat.join_of(p.elements[a] for a in atoms if p.leq_i(a, i)) != x
+           for i, x in enumerate(p.elements)):
+        return False
+    r = p.ranks
+    return all(r[i] + r[j] >= r[lat.join_i(i, j)] + r[lat.meet_i(i, j)]
+               for i, j in combinations(range(p.n), 2))
+
+
+def is_subcomplex(small: SimplicialComplex, big: SimplicialComplex) -> bool:
+    """Every facet of ``small`` is a face of ``big``. A facet of ``big`` is
+    found by one set lookup; only the others are scanned by ``has_face``."""
+    tops = set(big.facets)
+    return all(f in tops or big.has_face(f) for f in small.facets)
+
+
+def ear_coords(ear: Ear) -> list[tuple[frozenset[int], ...]]:
+    """Each chain of the ear as its flag of copy coordinates, through the
+    inverse of ``coord_names``, which a copy keeps injective."""
+    coord = {name: a for a, name in ear.coord_names.items()}
+    return [tuple(coord[x] for x in names) for names in ear.chains]
+
+
+def switch_closure_violations(dec: EarDecomposition) -> list[dict]:
+    """Chains whose ascent switches leave their ear (empty on sound output).
+
+    A switch replaces the element at a selected rank by the other middle
+    element of the surrounding two-element open interval, which turns one
+    ascent of the gap-filled word into a descent.
+    """
+    violations = []
+    for ei, ear in enumerate(dec.ears):
+        chain_set = set(ear.chains)
+        for fl, names in zip(ear_coords(ear), ear.chains):
+            w = _fill_word(fl, dec.ranks, dec.rho)
+            by_rank = dict(zip(dec.ranks, fl))
+            for m in dec.ranks:
+                if w[m - 1] >= w[m]:
+                    continue
+                swapped = (by_rank[m] - {w[m - 1]}) | {w[m]}
+                new_fl = tuple(swapped if s == m else by_rank[s] for s in dec.ranks)
+                new_names = tuple(ear.coord_names[x] for x in new_fl)
+                if new_names not in chain_set:
+                    violations.append(
+                        {"ear": ei + 1, "chain": list(names), "rank": m, "switched": list(new_names)}
+                    )
+    return violations
 
 
 def ambient_by_permutations(

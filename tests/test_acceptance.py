@@ -32,7 +32,6 @@ from earlab.decompositions import (
     decompose_rank_selected_boolean,
     decompose_rank_selected_supersolvable,
     decompose_supersolvable,
-    switch_closure_violations,
     verify_ced,
 )
 from earlab.errors import TopRankSelected
@@ -50,7 +49,7 @@ from earlab.lattices import boolean_lattice, partition_lattice
 from earlab.matroids import graphic_matroid, lattice_of_flats, nbc_bases, uniform_matroid
 from earlab.posets import mobius, proper_part, rank_select, with_bounds
 from earlab.complexes import face_poset
-from oracles import weak_leq
+from oracles import switch_closure_violations, weak_leq
 
 
 # -- shared corpus ----------------------------------------------------------------

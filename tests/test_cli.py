@@ -394,6 +394,33 @@ def test_complex_documents_must_hold_arrays_of_strings(doc, tmp_path, capsys):
     assert "BadParams: malformed complex JSON: vertices and each facet must be arrays of strings" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"elements": ["a", "b"], "covers": ["ab"]},
+    {"elements": "ab", "covers": [["a", "b"]]},
+], ids=["cover-string", "elements-string"])
+def test_poset_documents_must_hold_arrays(doc, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"schema": "earlab.poset/1", **doc}))
+    code, _, err = run_cli(capsys, "verify", "--what", "flag-inequalities", "--input", str(path))
+    assert code == 2
+    assert "BadParams: malformed poset JSON: expected an array, got 'ab'" in err
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["gen", "flats"], {"ground": ["1", "2", "3"], "bases": ["12", "13", "23"]}),
+    (["gen", "flats"], {"ground": ["1", "2", "3"], "circuits": ["123"]}),
+    (["gen", "flats"], {"ground": "123", "bases": [["1", "2"], ["1", "3"], ["2", "3"]]}),
+    (["decompose", "--construction", "geometric"],
+     {"graph": {"vertices": 3, "edges": ["01", "12", "02"]}}),
+], ids=["basis-string", "circuit-string", "ground-string", "edge-string"])
+def test_matroid_documents_must_hold_arrays(argv, doc, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"schema": "earlab.matroid/1", **doc}))
+    code, _, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 2
+    assert "BadParams: malformed matroid JSON: expected an array, got '" in err
+
+
 def test_verify_reciprocity(tmp_path, capsys):
     report = tmp_path / "run.json"
     run_cli(capsys, "decompose", "--construction", "rank-boolean",

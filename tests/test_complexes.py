@@ -24,7 +24,6 @@ from earlab.complexes import (
     homology_ranks,
     intersection_complexes,
     is_cm_and_2cm,
-    is_subcomplex,
     link_of,
     order_complex,
     search_shelling,
@@ -33,7 +32,7 @@ from earlab.complexes import (
 )
 from earlab.lattices import boolean_lattice
 from earlab.posets import proper_part
-from oracles import reduced_euler
+from oracles import is_subcomplex, reduced_euler
 
 
 # -- Fixtures ------------------------------------------------------------------

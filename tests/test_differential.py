@@ -8,12 +8,17 @@ against the brute-force routes they replaced, on random inputs.
   on the sparsest row, one full boundary matrix per dimension;
 * ``build_complex`` (maximality tested against larger sets only) against
   the all-pairs filter;
-* ``is_subcomplex`` (facets of the big complex by set lookup) against a
-  ``has_face`` scan of every facet;
+* the ``is_subcomplex`` oracle (facets of the big complex by set lookup)
+  against a ``has_face`` scan of every facet;
 * the boundary axiom of ``verify_ced`` (one running face set) against
   rebuilding the union and its intersection with each ear;
-* ``Lattice``'s join/meet tables (principal-filter lookup) against a bit
-  scan for the unique extremal common bound of each pair;
+* ``Lattice``'s join table (principal-filter lookup) and its meets (by
+  down-mask when asked) against a bit scan for the unique extremal common
+  bound of each pair, and its refusals against the join and meet tables
+  it used to build;
+* ``check_geometric`` (no lone lower cover above rank 1, upper covers of
+  one element joining two ranks up) against atoms joined per element and
+  rank submodularity on every pair;
 * the M-chain test of ``derive_sn_labeling`` (its min-join labeling is an
   S_r EL-labeling) against ``is_mchain`` (distributivity of the sublattice
   generated with every maximal chain, by brute force);
@@ -82,7 +87,6 @@ from earlab.complexes import (
     face_name,
     homology_ranks,
     intersection_complexes,
-    is_subcomplex,
     order_complex,
     union_complexes,
     verify_shelling,
@@ -107,6 +111,7 @@ from earlab.errors import (
     EarlabError,
     ExchangeAxiomFailed,
     Inconsistent,
+    NotGeometric,
     NotMChain,
     NotShelling,
     NotSimple,
@@ -133,6 +138,7 @@ from earlab.labelings import (
 from earlab.lattices import (
     Lattice,
     boolean_lattice,
+    check_geometric,
     lattice_to_json,
     partition_lattice,
     partition_name,
@@ -163,7 +169,11 @@ from oracles import (
     geometric_bases_by_joins,
     graphic_matroid_by_all_sizes,
     induced_subposet_by_names,
+    is_geometric,
     is_mchain,
+    is_subcomplex,
+    join_table,
+    meet_table,
     polytope_entries_by_ambients,
     reduced_euler,
     reference_sphere,
@@ -660,6 +670,25 @@ def test_lattice_tables_agree_with_bit_scan_on_families(name):
     assert (want is None) == (name == "bowtie")
 
 
+@settings(max_examples=300, deadline=None)
+@given(bounded_posets())
+def test_lattice_refuses_exactly_what_the_two_tables_refused(p):
+    """A finite bounded poset with every join has every meet (EC1, §3.3),
+    so checking the joins alone refuses the same posets, and the meets read
+    off down-masks equal the old meet table."""
+    joins, meets = join_table(p), meet_table(p)
+    refused = any(None in row for row in joins + meets)
+    try:
+        lat = Lattice(p)
+    except Inconsistent:
+        assert refused
+        return
+    assert not refused
+    ids = range(p.n)
+    assert [[lat.join_i(i, j) for j in ids] for i in ids] == joins
+    assert [[lat.meet_i(i, j) for j in ids] for i in ids] == meets
+
+
 # -- M-chains by the S_r EL-labeling ----------------------------------------------------
 
 
@@ -709,7 +738,7 @@ def test_derived_labeling_accepts_exactly_the_mchains(name):
     for c in maximal_chains(lat.poset):
         want = is_mchain(lat, c)
         try:
-            derive_sn_labeling(lat, c)
+            derive_sn_labeling(Lattice(lat.poset, mchain=c))
         except NotMChain:
             assert not want, c
         else:
@@ -889,6 +918,48 @@ def test_exchange_negative_control():
         build_matroid("abcd", bases=["ab", "cd"])
 
 
+# -- geometricity by local forms -----------------------------------------------------
+
+
+def geometric_verdict(lat: Lattice) -> bool:
+    try:
+        check_geometric(lat)
+    except NotGeometric:
+        return False
+    return True
+
+
+@st.composite
+def union_closed_lattices(draw):
+    """The union-closure of random subsets of [n], n ≤ 5, with ∅ and [n]:
+    closed under union with a least element, so a lattice under inclusion,
+    graded or not."""
+    n = draw(st.integers(1, 5))
+    family = {0, (1 << n) - 1}
+    for s in draw(st.lists(st.integers(1, (1 << n) - 1), max_size=8)):
+        family |= {s | t for t in family}
+    name = {s: subset_name(k + 1 for k in range(n) if s >> k & 1) for s in family}
+    covers = [(name[s], name[t]) for s in family for t in family if s != t and s | t == t]
+    return Lattice(build_poset(name.values(), covers, graded=False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(union_closed_lattices())
+def test_geometric_check_agrees_with_the_definition_on_union_closed_families(lat):
+    assert geometric_verdict(lat) == is_geometric(lat)
+
+
+@pytest.mark.parametrize("name", ["B3", "Pi4", "Pi5", *FLAT_MATROIDS, "hexagon", "N5"])
+def test_geometric_check_agrees_with_the_definition_on_families(name):
+    if name in FLAT_MATROIDS:
+        lat = lattice_of_flats(FLAT_MATROIDS[name])
+    elif name in ("hexagon", "N5"):
+        lat = _mchain_lattices()[name][0]
+    else:
+        lat = boolean_lattice(3) if name == "B3" else partition_lattice(int(name[2:]))
+    assert geometric_verdict(lat) == is_geometric(lat) == (name not in ("hexagon", "N5"))
+
+
 # -- dominance ------------------------------------------------------------------
 
 
@@ -1028,7 +1099,7 @@ def test_first_ear_missing_a_facet_is_not_the_whole_sphere():
     dec = ambient_corpus()["Pi5"]
     ear = dec.ears[0]
     chains = ear.chains[:-1]
-    bad = _with_ear(dec, 0, chains=chains, shelling=_shelled(chains), coords=ear.coords[:-1])
+    bad = _with_ear(dec, 0, chains=chains, shelling=_shelled(chains))
     report = verify_ced(bad.complex, bad)
     entry = report["axiom_polytope"]["per_ear"][0]
     assert entry["equals_ambient"] is False
@@ -1267,7 +1338,7 @@ def test_sr_masks_agree_with_every_maximal_chain(case, shift):
 
 
 def _poset_parts(q: Poset) -> tuple:
-    return q.elements, q.covers, q.ranks, q.graded, q.orig_ranks, q._up, q._down
+    return q.elements, q.covers, q.ranks, q.graded, q._up, q._down
 
 
 @settings(max_examples=200, deadline=None)
@@ -1283,7 +1354,6 @@ def test_subposets_agree_with_leq_by_name(data):
     q = rank_select(g, ranks)
     want = induced_subposet_by_names(g, [e for e in g.elements if g.rank_of(e) in ranks])
     assert (q.elements, q.covers, q._up, q._down) == (want.elements, want.covers, want._up, want._down)
-    assert q.orig_ranks == tuple(g.rank_of(e) for e in q.elements)
 
 
 def _copy_pairs(lat, lab):
@@ -1295,9 +1365,9 @@ def _copy_pairs(lat, lab):
 def test_boolean_copies_agree_with_closure_under_any_mchain(perm):
     """In B_r every maximal chain is an M-chain; the drawn one is the
     chain of initial segments of ``perm``."""
-    lat = boolean_lattice(len(perm))
     chain = [subset_name(perm[:k]) for k in range(len(perm) + 1)]
-    lab = derive_sn_labeling(lat, chain)
+    lat = Lattice(boolean_lattice(len(perm)).poset, mchain=chain)
+    lab = derive_sn_labeling(lat)
     assert _copy_pairs(lat, lab) == supersolvable_copies_by_closure(lat, lab)
 
 
@@ -1312,9 +1382,9 @@ def test_partition_copies_agree_with_closure_under_a_permuted_mchain(perm):
     """The standard M-chain of Π_n, (1)(2)...(n) up to (12...n), with [n]
     relabelled by ``perm``: an automorphism keeps it an M-chain."""
     n = len(perm)
-    lat = _partition_lattice(n)
     chain = [partition_name([perm[:k]] + [(j,) for j in perm[k:]]) for k in range(1, n + 1)]
-    lab = derive_sn_labeling(lat, chain)
+    lat = Lattice(_partition_lattice(n).poset, mchain=chain)
+    lab = derive_sn_labeling(lat)
     pairs = _copy_pairs(lat, lab)
     assert len(pairs) == factorial(n - 1)
     assert pairs == supersolvable_copies_by_closure(lat, lab)

@@ -13,6 +13,7 @@ from earlab.lattices import (
     Lattice,
     _set_partitions,
     boolean_lattice,
+    check_geometric,
     check_mchain,
     lattice_from_json,
     lattice_to_json,
@@ -173,8 +174,9 @@ def test_some_partition_chains_are_not_mchains():
 # -- Geometricity ---------------------------------------------------------------
 
 def test_boolean_and_partition_lattices_are_geometric():
-    assert is_geometric(boolean_lattice(3))
-    assert is_geometric(partition_lattice(4))
+    for lat in (boolean_lattice(3), partition_lattice(4)):
+        assert is_geometric(lat)
+        check_geometric(lat)
 
 
 def test_nonatomistic_lattice_is_not_geometric():
@@ -185,8 +187,6 @@ def test_nonatomistic_lattice_is_not_geometric():
 
 def test_geometric_check_raises_with_reason():
     p = build_poset(["0", "a", "1"], [("0", "a"), ("a", "1")], graded=True)
-    from earlab.lattices import check_geometric
-
     with pytest.raises(NotGeometric):
         check_geometric(Lattice(p))
 
