@@ -56,6 +56,7 @@ from .decompositions import (
     decompose_rank_selected_boolean,
     decompose_rank_selected_supersolvable,
     decompose_supersolvable,
+    pulled_back_keys,
     verify_ced,
 )
 from .errors import BadParams, EarlabError, SizeLimit
@@ -420,21 +421,24 @@ def _verify_ced(args) -> tuple[dict, bool]:
 
 def _verify_reciprocity(args) -> tuple[dict, bool]:
     dec, rec, chains_match = _rebuild_from_report(args)
-    colors = {
-        v: dec.poset.rank_of(v) for ear in dec.ears for v in ear.complex.vertices
-    }
+    colors = {v: dec.poset.rank_of(v) for ear in dec.ears for v in ear.complex.vertices}
+    rows = _reciprocity_rows(dec, colors)
+    body = {"construction": rec["construction"], "chains_match": chains_match, "ears": rows}
+    return body, chains_match and all(row["ok"] for row in rows)
+
+
+def _reciprocity_rows(dec: EarDecomposition, colors: dict[str, int]) -> list[dict]:
+    """Each ear's verdict, computed once per key of ``pulled_back_keys``."""
+    verdicts: dict[frozenset, bool] = {}
     rows = []
-    ok = chains_match
-    for k, ear in enumerate(dec.ears):
-        good = ball_flag_reciprocity(ear.complex, colors, len(dec.ranks))
+    for k, (ear, key) in enumerate(zip(dec.ears, pulled_back_keys(dec, colors))):
+        good = verdicts.get(key)
+        if good is None:
+            good = ball_flag_reciprocity(ear.complex, colors, len(dec.ranks))
+            if key is not None:
+                verdicts[key] = good
         rows.append({"ear": k + 1, "ok": good})
-        ok = ok and good
-    body = {
-        "construction": rec["construction"],
-        "chains_match": chains_match,
-        "ears": rows,
-    }
-    return body, ok
+    return rows
 
 
 def _h_source(args) -> list[int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .complexes import (
     SimplicialComplex,
@@ -607,6 +607,7 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
     its own verdict.
     An ear without a class word, or whose map is undefined or not injective
     on K, has no reference sphere and fails every polytope entry.
+    Ears with one key of ``pulled_back_keys`` are isomorphic and share one certificate.
     """
     ears = dec.ears
     report: dict = {
@@ -636,21 +637,26 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
     witnesses = []
     running: set[frozenset[str]] = set()
     sphere, coord = _coordinate_sphere(dec.ranks)
-    sphere_facets = set(sphere.facets)
+    sphere_facets = {f: f for f in sphere.facets}  # stored keys share K's own facet objects
     sphere_kind: Optional[str] = None
+    certified: dict[frozenset, str] = {}
     for i, ear in enumerate(ears):
-        kind, boundary = _certify(ear.complex, ear.shelling)
+        pulled = _pulled_back(ear, coord)
+        key = _key(pulled)
+        kind, boundary = certified.get(key), None
+        if kind is None:
+            kind, boundary = _certify(ear.complex, ear.shelling)
+            if key is not None:
+                certified[frozenset(sphere_facets.get(f, f) for f in key)] = kind
         kinds.append(kind)
         entry = {"ear": i + 1}
-        pulled = _pulled_back(ear, coord)
         if pulled is None:
             entry.update(dict.fromkeys(
                 ("ambient_is_sphere", "full_dimensional", "subcomplex", "proper" if i else "equals_ambient"),
                 False,
             ))
         else:
-            inside = sum(f in sphere_facets for f in pulled)
-            whole = inside == len(pulled) == len(sphere_facets)
+            whole = pulled == sphere_facets.keys()
             if sphere_kind is None:
                 # an injective relabelling keeps homology and the closed
                 # pseudomanifold property, and the sphere verdict never reads
@@ -662,7 +668,7 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
             if i == 0:
                 entry["equals_ambient"] = whole
             else:
-                entry["proper"] = inside == len(pulled) < len(sphere_facets)
+                entry["proper"] = pulled < sphere_facets.keys()
         entries.append(entry)
         if len(ears) == 1:
             continue
@@ -670,7 +676,7 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
         ear_faces = ear.complex.faces()
         if i:
             have = ear_faces & running
-            if boundary is None:  # only a BALL certificate carries its boundary
+            if boundary is None:  # only a fresh BALL certificate carries its boundary
                 boundary = boundary_complex(ear.complex)
             want = boundary.faces()
             if have != want:
@@ -733,23 +739,40 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
     return report
 
 
-def _pulled_back(ear: Ear, coord: dict[str, frozenset[int]]) -> Optional[list[frozenset]]:
-    """The ear's facets in K's vertex names, through the inverse of its
-    relabelling A -> coord_names[w(A)] for the class word w; None when the
-    ear has no reference sphere: no class word, or a map that is undefined
-    or not injective on K. A host vertex outside K's image pulls back to
-    None, so no facet holding it is a face of K."""
+def pulled_back_keys(
+    dec: EarDecomposition, colors: Optional[Mapping[str, int]] = None
+) -> list[Optional[frozenset]]:
+    """Each ear's ``_pulled_back`` facet set: ears with one key are isomorphic,
+    colors included, since the map is injective. None for an ear with no map
+    or with a vertex outside K's image."""
+    _, coord = _coordinate_sphere(dec.ranks)
+    return [_key(_pulled_back(ear, coord, colors)) for ear in dec.ears]
+
+
+def _key(pulled: Optional[frozenset]) -> Optional[frozenset]:
+    return None if pulled is None or any(None in f for f in pulled) else pulled
+
+
+def _pulled_back(
+    ear: Ear, coord: dict[str, frozenset[int]], colors: Optional[Mapping[str, int]] = None
+) -> Optional[frozenset]:
+    """The ear's facet set in K's vertex names (each paired with its host's
+    color when ``colors`` is given), through the inverse of the relabelling
+    A -> coord_names[w(A)] for the class word w; None when the ear has no
+    reference sphere: no class word, or a map undefined or not injective on
+    K. A host vertex outside K's image pulls back to None, so no facet
+    holding it is a face of K."""
     word = ear.provenance.get("class_word")
     if word is None:
         return None
     letter = dict(enumerate(word, start=1))
-    back: dict[str, str] = {}
+    back: dict[str, object] = {}
     for v, a in coord.items():
         name = ear.coord_names.get(frozenset(letter.get(i) for i in a))
         if name is None or name in back:
             return None
-        back[name] = v
-    return [frozenset(back.get(x) for x in f) for f in ear.complex.facets]
+        back[name] = v if colors is None else (v, colors.get(name))
+    return frozenset(frozenset(back.get(x) for x in f) for f in ear.complex.facets)
 
 
 def _certify(

@@ -10,7 +10,7 @@ order is the sorted order of the ground names and is what
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .complexes import face_name
@@ -292,8 +292,11 @@ def matroid_from_json(data: Mapping) -> Matroid:
     try:
         if "graph" in data:
             g = data["graph"]
-            edges = [(int(u), int(v)) for u, v in map(_array, _array(g["edges"]))]
-            return graphic_matroid(int(g["vertices"]), edges)
+            edges = [(u, v) for u, v in map(_array, _array(g["edges"]))]
+            bad = [x for x in (g["vertices"], *chain(*edges)) if type(x) is not int]
+            if bad:  # a float, a string or a bool is no JSON integer
+                raise TypeError(f"expected an integer, got {bad[0]!r}")
+            return graphic_matroid(g["vertices"], edges)
         ground = [str(x) for x in _array(data["ground"])]
         if "bases" in data:
             return build_matroid(ground, bases=[_array(b) for b in _array(data["bases"])])

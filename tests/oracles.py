@@ -26,6 +26,11 @@ needs them, so they live with the tests:
   per ear, by building each ear's reference sphere with
   ``ambient_by_permutations``, certifying it on its own and comparing the
   ear with it by ``is_subcomplex`` and facet sets;
+* ``ced_axioms_certifying_each_ear``: the kinds, polytope entries and
+  gluing witnesses of ``verify_ced`` with every ear certified on its own,
+  not once per pulled-back ear;
+* ``reciprocity_rows_per_ear``: the rows of ``verify --what reciprocity``
+  with the identity checked on every ear, not once per colored pull-back;
 * ``subset_novelty_scan``: a chain is new when no earlier copy's name set
   contains it, by scanning every earlier copy;
 * ``graphic_matroid_by_all_sizes``: the bases of a cycle matroid as the
@@ -56,13 +61,15 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from earlab.complexes import SimplicialComplex, _reduce, build_complex
+from earlab.complexes import SimplicialComplex, _reduce, boundary_complex, build_complex
 from earlab.decompositions import (
     Ear,
     EarDecomposition,
     _certify,
+    _coordinate_sphere,
     _fill_word,
     _frame_of,
+    _pulled_back,
     intervals_of,
 )
 from earlab.errors import (
@@ -76,7 +83,7 @@ from earlab.errors import (
     NotMChain,
     RangeError,
 )
-from earlab.flags import FlagVector, inversion_mask
+from earlab.flags import FlagVector, ball_flag_reciprocity, inversion_mask
 from earlab.labelings import EdgeLabeling, descent_set
 from earlab.lattices import (
     Lattice,
@@ -281,6 +288,60 @@ def polytope_entries_by_ambients(dec: EarDecomposition) -> list[dict]:
             entry["proper"] = set(ear.complex.facets) < set(ambient.facets)
         entries.append(entry)
     return entries
+
+
+def ced_axioms_certifying_each_ear(dec: EarDecomposition) -> dict:
+    """``axiom_balls.kinds``, ``axiom_polytope.per_ear`` and
+    ``axiom_boundary.witnesses`` of ``verify_ced``, with every ear certified
+    on its own and each BALL certificate's boundary read for the gluing
+    axiom against one running face set of the earlier ears."""
+    ears = dec.ears
+    kinds, entries, witnesses = [], [], []
+    running: set[frozenset[str]] = set()
+    sphere, coord = _coordinate_sphere(dec.ranks)
+    sphere_facets = set(sphere.facets)
+    sphere_kind = _certify(sphere)[0]
+    for i, ear in enumerate(ears):
+        kind, boundary = _certify(ear.complex, ear.shelling)
+        kinds.append(kind)
+        entry = {"ear": i + 1}
+        pulled = _pulled_back(ear, coord)
+        if pulled is None:
+            entry.update(dict.fromkeys(
+                ("ambient_is_sphere", "full_dimensional", "subcomplex", "proper" if i else "equals_ambient"),
+                False,
+            ))
+        else:
+            inside = sum(f in sphere_facets for f in pulled)
+            entry["ambient_is_sphere"] = sphere_kind == "SPHERE"
+            entry["full_dimensional"] = ear.complex.dim == sphere.dim
+            entry["subcomplex"] = all(f in sphere_facets or sphere.has_face(f) for f in pulled)
+            if i == 0:
+                entry["equals_ambient"] = inside == len(pulled) == len(sphere_facets)
+            else:
+                entry["proper"] = inside == len(pulled) < len(sphere_facets)
+        entries.append(entry)
+        ear_faces = ear.complex.faces()
+        if i:
+            have = ear_faces & running
+            if boundary is None:
+                boundary = boundary_complex(ear.complex)
+            want = boundary.faces()
+            if have != want:
+                diff = sorted(have ^ want, key=lambda f: (len(f), sorted(f)))
+                witnesses.append({"ear": i + 1, "faces": [sorted(f) for f in diff[:3]]})
+        running |= ear_faces
+    return {"kinds": kinds, "per_ear": entries, "witnesses": witnesses}
+
+
+def reciprocity_rows_per_ear(
+    dec: EarDecomposition, colors: dict[str, int], check=ball_flag_reciprocity
+) -> list[dict]:
+    """``verify --what reciprocity``'s rows, with ``check`` run on every ear."""
+    return [
+        {"ear": k + 1, "ok": check(ear.complex, colors, len(dec.ranks))}
+        for k, ear in enumerate(dec.ears)
+    ]
 
 
 def subset_novelty_scan(copies):

@@ -421,6 +421,20 @@ def test_matroid_documents_must_hold_arrays(argv, doc, tmp_path, capsys):
     assert "BadParams: malformed matroid JSON: expected an array, got '" in err
 
 
+@pytest.mark.parametrize("graph, shown", [
+    ({"vertices": 3, "edges": [[0, 1], [1, 2.9], [0, 2]]}, "2.9"),
+    ({"vertices": "3", "edges": [[0, 1], [1, 2], [0, 2]]}, "'3'"),
+    ({"vertices": 3, "edges": [[0, 1], [1, True], [0, 2]]}, "True"),
+], ids=["float-edge-end", "string-vertex-count", "bool-edge-end"])
+def test_matroid_graphs_must_hold_integers(graph, shown, tmp_path, capsys):
+    # int() would read 2.9 as 2, "3" as 3 and True as 1, and gen flats would exit 0
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"schema": "earlab.matroid/1", "graph": graph}))
+    code, _, err = run_cli(capsys, "gen", "flats", "--input", str(path))
+    assert code == 2
+    assert f"BadParams: malformed matroid JSON: expected an integer, got {shown}" in err
+
+
 def test_verify_reciprocity(tmp_path, capsys):
     report = tmp_path / "run.json"
     run_cli(capsys, "decompose", "--construction", "rank-boolean",

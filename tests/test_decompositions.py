@@ -424,13 +424,12 @@ def test_boundary_characterization_oracle():
         earlier_facets.extend(ear.complex.facets)
 
 
-def test_fake_decomposition_fails_boundary_axiom():
-    # square boundary sphere plus a path that overlaps it along a whole
-    # facet: the intersection with the sphere is bigger than the path's
-    # boundary, which axiom checking must catch with a face witness
+def square_and_path() -> EarDecomposition:
+    """A square boundary sphere plus a path that overlaps it along a whole
+    facet, as handmade ears with no class word."""
     sphere = build_complex([["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]])
     path = build_complex([["a", "c"], ["c", "d"]])
-    fake = EarDecomposition(
+    return EarDecomposition(
         construction="handmade",
         params={},
         poset=None,
@@ -451,6 +450,12 @@ def test_fake_decomposition_fails_boundary_axiom():
         ranks=(1,),
         rho=2,
     )
+
+
+def test_fake_decomposition_fails_boundary_axiom():
+    # the path's intersection with the square is bigger than the path's
+    # boundary, which axiom checking must catch with a face witness
+    fake = square_and_path()
     report = verify_ced(fake.complex, fake)
     assert not report["ok"]
     assert report["axiom_boundary"] == {
@@ -493,6 +498,22 @@ def test_verify_ced_certifies_the_first_ear_once(monkeypatch):
     dec = decompose_rank_selected_boolean(4, [1, 3])
     assert verify_ced(dec.complex, dec)["ok"]
     assert len(calls) == len(dec.ears)
+
+
+def test_verify_ced_certifies_each_distinct_pulled_back_ear_once(monkeypatch):
+    # rank-boolean (7, {2, 4, 6}): 272 ears pull back onto 13 distinct facet
+    # sets of K, and ear 1 is K's whole image, so 13 certificates serve all
+    calls = []
+
+    def counted(c, *args):
+        calls.append(c)
+        return certify_sphere_or_ball(c, *args)
+
+    monkeypatch.setattr("earlab.decompositions.certify_sphere_or_ball", counted)
+    dec = decompose_rank_selected_boolean(7, [2, 4, 6])
+    report = verify_ced(dec.complex, dec)
+    assert report["ok"] and len(dec.ears) == 272
+    assert len(calls) == 13
 
 
 def _count_calls(monkeypatch, fn):

@@ -39,6 +39,10 @@ against the brute-force routes they replaced, on random inputs.
   and ``verify_ced``'s polytope entries (each ear pulled back into K, K
   certified once) against building, certifying and comparing each ear's
   reference sphere on its own;
+* ``verify_ced``'s kinds, polytope entries and gluing witnesses (one
+  certificate per distinct pull-back into K) and ``verify --what
+  reciprocity``'s rows (one check per colored pull-back) against
+  certifying and checking every ear;
 * ``_subset_novelty`` (one copy bitmask per host element) against the
   scan of every earlier copy;
 * ``graphic_matroid`` (forests of the rank's size only) against trying
@@ -79,11 +83,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from earlab.cli import _edge_list
+from earlab.cli import _edge_list, _reciprocity_rows
 from earlab.complexes import (
     SimplicialComplex,
     boundary_complex,
     build_complex,
+    certify_sphere_or_ball,
     face_name,
     homology_ranks,
     intersection_complexes,
@@ -104,6 +109,7 @@ from earlab.decompositions import (
     decompose_rank_selected_supersolvable,
     decompose_supersolvable,
     intervals_of,
+    pulled_back_keys,
     sigma_word,
     verify_ced,
 )
@@ -111,6 +117,7 @@ from earlab.errors import (
     EarlabError,
     ExchangeAxiomFailed,
     Inconsistent,
+    NotBall,
     NotGeometric,
     NotMChain,
     NotShelling,
@@ -118,6 +125,7 @@ from earlab.errors import (
 )
 from earlab.flags import (
     _match,
+    ball_flag_reciprocity,
     descent_classes,
     dominance_table,
     dominates,
@@ -162,6 +170,7 @@ from earlab.posets import (
 )
 from oracles import (
     ambient_by_permutations,
+    ced_axioms_certifying_each_ear,
     chains_by_filter,
     el_by_intervals,
     exact_rank,
@@ -175,13 +184,14 @@ from oracles import (
     join_table,
     meet_table,
     polytope_entries_by_ambients,
+    reciprocity_rows_per_ear,
     reduced_euler,
     reference_sphere,
     sr_by_maximal_chains,
     subset_novelty_scan,
     supersolvable_copies_by_closure,
 )
-from test_decompositions import mu_zero_lattice
+from test_decompositions import mu_zero_lattice, square_and_path
 
 
 # -- oracles ------------------------------------------------------------------
@@ -1176,6 +1186,164 @@ def test_ear_without_a_defined_map_has_no_reference_sphere(tamper):
         "ear": 2, "ambient_is_sphere": False, "full_dimensional": False,
         "subcomplex": False, "proper": False,
     }
+
+
+# -- one certificate per pulled-back ear -----------------------------------------------
+
+
+def ced_axioms(dec) -> dict:
+    report = verify_ced(dec.complex, dec)
+    return {
+        "kinds": report["axiom_balls"]["kinds"],
+        "per_ear": report["axiom_polytope"]["per_ear"],
+        "witnesses": report["axiom_boundary"]["witnesses"],
+    }
+
+
+def reciprocity_colors(dec) -> dict[str, int]:
+    return {v: dec.poset.rank_of(v) for ear in dec.ears for v in ear.complex.vertices}
+
+
+def lenient_reciprocity(ear, colors, d) -> bool:
+    """The identity's verdict, with a coloring it refuses read as a failure."""
+    try:
+        return ball_flag_reciprocity(ear, colors, d)
+    except NotBall:
+        return False
+
+
+@pytest.mark.parametrize("name", ["B5", "Pi5", "K33", "prism", "cross4-123", "bool7-246", "K5-13"])
+def test_keyed_checks_agree_with_checking_each_ear(name):
+    dec = ambient_corpus()[name]
+    assert ced_axioms(dec) == ced_axioms_certifying_each_ear(dec)
+    colors = reciprocity_colors(dec)
+    assert _reciprocity_rows(dec, colors) == reciprocity_rows_per_ear(dec, colors)
+
+
+def test_keyed_certificates_agree_on_handmade_ears():
+    # handmade ears have no class word, so no key: each is certified alone
+    fake = square_and_path()
+    square, path = fake.ears
+    for dec in fake, replace(fake, ears=[path, square]), replace(fake, ears=[square, path, path]):
+        assert pulled_back_keys(dec) == [None] * len(dec.ears)
+        assert ced_axioms(dec) == ced_axioms_certifying_each_ear(dec)
+    assert ced_axioms(fake)["witnesses"]
+
+
+@st.composite
+def moved_chain_decompositions(draw):
+    """A rank-selected Boolean decomposition (r <= 6), mostly with the last
+    chain of one ear moved to the end of another ear that it still shells."""
+    r = draw(st.integers(2, 6))
+    ranks = sorted(draw(st.frozensets(st.integers(1, r - 1), min_size=1)))
+    dec = decompose_rank_selected_boolean(r, ranks)
+    ears = list(dec.ears)
+    sources = [i for i, ear in enumerate(ears) if len(ear.chains) > 1]
+    if not sources or not draw(st.integers(0, 4)):
+        return dec
+    i = draw(st.sampled_from(sources))
+    chain = ears[i].chains[-1]
+    targets = []
+    for j, ear in enumerate(ears):
+        if j == i:
+            continue
+        try:
+            targets.append((j, _shelled(ear.chains + [chain])))
+        except NotShelling:
+            pass
+    if not targets:
+        return dec
+    j, shelling = draw(st.sampled_from(targets))
+    ears[i] = replace(ears[i], chains=ears[i].chains[:-1], shelling=_shelled(ears[i].chains[:-1]))
+    ears[j] = replace(ears[j], chains=ears[j].chains + [chain], shelling=shelling)
+    return replace(dec, ears=ears)
+
+
+@settings(max_examples=60, deadline=None)
+@given(moved_chain_decompositions())
+def test_keyed_checks_agree_on_moved_chains(dec):
+    assert ced_axioms(dec) == ced_axioms_certifying_each_ear(dec)
+    colors = reciprocity_colors(dec)
+    rows = reciprocity_rows_per_ear(dec, colors, lenient_reciprocity)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("earlab.cli.ball_flag_reciprocity", lenient_reciprocity)
+        assert _reciprocity_rows(dec, colors) == rows
+
+
+def twin_ear(dec) -> tuple[int, int]:
+    """(first, later): two ears of ``dec`` with one key."""
+    first: dict = {}
+    for j, key in enumerate(pulled_back_keys(dec)):
+        if key in first:
+            return first[key], j
+        first[key] = j
+    raise AssertionError("no two ears share a pull-back")
+
+
+def count_certificates(monkeypatch) -> list:
+    calls = []
+
+    def counted(c, *args):
+        calls.append(c)
+        return certify_sphere_or_ball(c, *args)
+
+    monkeypatch.setattr("earlab.decompositions.certify_sphere_or_ball", counted)
+    return calls
+
+
+def test_ear_with_a_vertex_outside_K_has_no_key_and_is_certified_alone(monkeypatch):
+    dec = ambient_corpus()["bool7-246"]
+    _, j = twin_ear(dec)
+    ear = dec.ears[j]
+    names = dict(ear.coord_names)
+    (a,) = [a for a, x in names.items() if x == ear.complex.vertices[0]]
+    names[a] = "moved"
+    bad = _with_ear(dec, j, coord_names=names)
+    assert pulled_back_keys(bad)[j] is None
+    calls = count_certificates(monkeypatch)
+    axioms = ced_axioms(bad)
+    assert sum(c is ear.complex for c in calls) == 1
+    assert len(calls) == len(set(pulled_back_keys(dec))) + 1
+    assert axioms == ced_axioms_certifying_each_ear(bad)
+
+
+def test_non_injective_copy_has_no_key_and_is_certified_alone(monkeypatch):
+    dec = ambient_corpus()["bool7-246"]
+    _, j = twin_ear(dec)
+    ear = dec.ears[j]
+    word = ear.provenance["class_word"]
+    _, coord = _coordinate_sphere(dec.ranks)
+    moved = {v: frozenset(word[i - 1] for i in a) for v, a in coord.items()}
+    first, second = sorted(v for v, a in coord.items() if len(a) == 2)[:2]
+    names = dict(ear.coord_names)
+    names[moved[second]] = names[moved[first]]
+    bad = _with_ear(dec, j, coord_names=names)
+    assert pulled_back_keys(bad)[j] is None
+    calls = count_certificates(monkeypatch)
+    axioms = ced_axioms(bad)
+    assert sum(c is ear.complex for c in calls) == 1
+    assert axioms == ced_axioms_certifying_each_ear(bad)
+
+
+def test_recolored_twin_has_its_own_key_and_fails_alone(monkeypatch):
+    # one vertex of a repeated ear renamed in its chains and its copy, so
+    # only that ear holds it, and given another rank's color: the ear still
+    # pulls back onto its twin's facets, but not with its twin's colors
+    dec = ambient_corpus()["bool7-246"]
+    i, j = twin_ear(dec)
+    ear = dec.ears[j]
+    x = ear.complex.vertices[0]
+    chains = [tuple("fresh" if v == x else v for v in c) for c in ear.chains]
+    names = {a: "fresh" if v == x else v for a, v in ear.coord_names.items()}
+    bad = _with_ear(dec, j, chains=chains, shelling=_shelled(chains), coord_names=names)
+    colors = reciprocity_colors(dec)
+    colors["fresh"] = colors[x] % len(dec.ranks) + 1
+    plain, colored = pulled_back_keys(bad), pulled_back_keys(bad, colors)
+    assert plain[j] == plain[i] and colored[j] != colored[i]
+    rows = reciprocity_rows_per_ear(bad, colors, lenient_reciprocity)
+    assert [row["ear"] for row in rows if not row["ok"]] == [j + 1]
+    monkeypatch.setattr("earlab.cli.ball_flag_reciprocity", lenient_reciprocity)
+    assert _reciprocity_rows(bad, colors) == rows
 
 
 # -- novelty by copy bitmasks ----------------------------------------------------------
