@@ -5,18 +5,19 @@ Conventions used throughout:
   * Permutations live in S_rho; descent positions are 1-based.
   * Dominance of S over T means an injection D_T -> D_S that moves every
     permutation weakly up in the (right) weak order (Nyman–Swartz, DCG 32
-    (2004)), compared by inversion-set containment. It depends only on
-    (S, T, m), so ``dominance_table(m)`` decides every pair once per m:
-    each class's inversion masks are computed once, with one bitset per
-    inversion bit of the members that have it; τ's candidates in D_S are
-    the AND of those bitsets over τ's inversions. Only when |D_T| ≤ |D_S|
-    and every τ has a candidate does a matching run, by augmenting paths
-    read straight off the candidate bitsets, τ by τ, stopping at the first
-    τ that has none. ``dominates`` matches on the same masks and returns
-    the injection. The tests diff both against the per-pair scan they
-    replaced, the matching against a Hopcroft–Karp oracle, and replay
-    witnesses through ``weak_leq_by_switches``, a breadth-first search
-    over switches.
+    (2004)), compared by inversion-set containment. ``dominance_table(m)``
+    decides every pair once per m. One pass over S_m reads each inversion
+    mask off a table of the bits each value makes with the smaller values
+    to its right, and keeps per class and inversion bit the bitset of the
+    members with it; τ's candidates in D_S are the AND of those bitsets
+    over τ's inversions. A matching (augmenting paths on those bitsets)
+    runs only when |D_T| ≤ |D_S| and every τ has a candidate, most
+    inverted τ first, so a failing pair fails early. w ↦ w0·w·w0 is a
+    weak-order automorphism carrying D_S onto D_{m-S}, so (S, T) and
+    (m-S, m-T) are decided together. ``dominates`` matches on the same
+    masks and returns the injection; the tests diff all of it against the
+    routes it replaced and replay witnesses through
+    ``weak_leq_by_switches``, a breadth-first search over switches.
 
 The h-vector side: g = the first differences of the lower half of h, and
 the M-vector test is the Macaulay binomial growth bound, all in exact
@@ -104,29 +105,27 @@ def _flag_h(f: Mapping[frozenset[int], int], n: int) -> dict[frozenset[int], int
 
 def flag_f_and_h(p: Poset) -> tuple[FlagVector, FlagVector]:
     """Flag f and h of a bounded graded poset, by chain DP and
-    inclusion-exclusion; the f = Σ h round trip is asserted."""
+    inclusion-exclusion; the f = Σ h round trip is asserted. Each S
+    extends the chain counts of S minus its largest rank by one layer."""
     if not (p.graded and p.bounded):
         raise BadParams("flag vectors need a graded bounded poset")
     rho = p.rank_of(p.top)
     layers = _rank_layers(p)
     f_entries: dict[frozenset[int], int] = {}
-    for k in range(0, rho):
-        for S in combinations(range(1, rho), k):
-            # chains hitting exactly the ranks in S, counted layer by layer
-            counts = {p._bottom: 1}
-            for s in S:
-                nxt: dict[int, int] = {}
-                for j in layers.get(s, []):
-                    total = 0
-                    for i, c in counts.items():
-                        if p.leq_i(i, j):
-                            total += c
-                    if total:
-                        nxt[j] = total
-                counts = nxt
-                if not counts:
-                    break
-            f_entries[frozenset(S)] = sum(counts.values())
+    # (S, the number of chains hitting exactly the ranks in S and ending at
+    # each element of rank max S)
+    stack: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {p._bottom: 1})]
+    while stack:
+        S, counts = stack.pop()
+        f_entries[frozenset(S)] = sum(counts.values())
+        for s in range(S[-1] + 1 if S else 1, rho):
+            nxt: dict[int, int] = {}
+            for j in layers.get(s, []):
+                down = p._down[j]
+                total = sum(c for i, c in counts.items() if (down >> i) & 1)
+                if total:
+                    nxt[j] = total
+            stack.append((S + (s,), nxt))
     h_entries = _flag_h(f_entries, rho - 1)
     for S in f_entries:
         back = sum(
@@ -268,6 +267,8 @@ def weak_leq_by_switches(sigma: Sequence[int], tau: Sequence[int]) -> bool:
 @lru_cache(maxsize=None)
 def descent_classes(m: int) -> dict[frozenset[int], list[tuple[int, ...]]]:
     """All of S_m grouped by descent set."""
+    if m < 0:
+        raise BadParams(f"m = {m} is negative")
     if m > DOMINANCE_CAP:
         raise SizeLimit(f"descent classes capped at m = {DOMINANCE_CAP}")
     out: dict[frozenset[int], list[tuple[int, ...]]] = {}
@@ -280,15 +281,32 @@ def descent_classes(m: int) -> dict[frozenset[int], list[tuple[int, ...]]]:
 def _class_masks(m: int) -> dict[frozenset[int], tuple[tuple[int, ...], tuple[int, ...]]]:
     """Per descent class of S_m, in ``descent_classes`` order: the members'
     inversion masks, and for each bit of ``inversion_mask`` the bitset of
-    the members that have it."""
+    the members that have it.
+
+    ``gain[v][rest]`` holds the bits of the pairs (a, v) with a < v in
+    ``rest``, the values still to the right of v, so a mask is the OR of
+    one lookup per position. Written as rows of m² binary digits, last
+    member first, the masks give each bit's bitset as a column."""
+    classes = descent_classes(m)  # refuses m < 0 and m > DOMINANCE_CAP
+    gain = [
+        [
+            sum(1 << ((a - 1) * m + v - 1) for a in range(1, v) if (rest >> (a - 1)) & 1)
+            for rest in range(1 << m)
+        ]
+        for v in range(m + 1)
+    ]
+    w = m * m
     out = {}
-    for S, perms in descent_classes(m).items():
-        masks = tuple(inversion_mask(perm) for perm in perms)
-        having = [0] * (m * m)
-        for j, mask in enumerate(masks):
-            for k in _bits(mask):
-                having[k] |= 1 << j
-        out[S] = (masks, tuple(having))
+    for S, perms in classes.items():
+        masks = []
+        for perm in perms:
+            rest, mask = (1 << m) - 1, 0
+            for v in perm:
+                rest ^= 1 << (v - 1)
+                mask |= gain[v][rest]
+            masks.append(mask)
+        rows = "".join([format(mask, f"0{w}b") for mask in reversed(masks)])
+        out[S] = (tuple(masks), tuple(int(rows[w - 1 - k :: w], 2) for k in range(w)))
     return out
 
 
@@ -367,7 +385,7 @@ def dominates(
     """Does S dominate T in S_m? Decided by maximum bipartite matching on
     the weak-order relation between descent classes; the injection comes
     back as the witness."""
-    classes = _class_masks(m)  # raises SizeLimit above DOMINANCE_CAP
+    classes = _class_masks(m)  # refuses m < 0 and m > DOMINANCE_CAP
     Sf, Tf = frozenset(S), frozenset(T)
     bad = [i for i in Sf | Tf if not 1 <= i <= m - 1]
     if bad:
@@ -382,14 +400,23 @@ def dominates(
 @lru_cache(maxsize=None)
 def dominance_table(m: int) -> frozenset[tuple[frozenset[int], frozenset[int]]]:
     """Every pair (S, T) of subsets of [m-1] with S dominating T in S_m,
-    the diagonal included; built once per m."""
+    the diagonal included; built once per m, deciding (S, T) and
+    (m-S, m-T) together and trying each D_T's most inverted τ first."""
     classes = _class_masks(m)
+    order = {S: k for k, S in enumerate(classes)}
+    mirror = {S: frozenset(m - i for i in S) for S in classes}
     table = set()
     for T, (masks, _) in classes.items():
-        left = [list(_bits(mask)) for mask in masks]
-        table.update(
-            (S, T) for S, right in classes.items() if S == T or _injection(left, right) is not None
-        )
+        mT = mirror[T]
+        if order[mT] < order[T]:
+            continue  # decided as (m-S, m-T)
+        left = sorted((list(_bits(mask)) for mask in masks), key=len, reverse=True)
+        for S, right in classes.items():
+            mS = mirror[S]
+            if (T != mT or order[S] <= order[mS]) and (
+                S == T or _injection(left, right) is not None
+            ):
+                table.update([(S, T), (mS, mT)])
     return frozenset(table)
 
 
@@ -474,25 +501,16 @@ def ball_flag_reciprocity(
         if frozenset(colors[v] for v in f) != full:
             raise NotBall("facet misses a rank color")
     bd = boundary_complex(ear)
-    ear_faces = ear.faces()
     bd_faces = bd.faces() if not bd.is_void else {frozenset()}
-    interior = [f for f in ear_faces if f and f not in bd_faces]
-
-    def color_set(face: frozenset[str]) -> frozenset[int]:
-        cs = frozenset(colors[v] for v in face)
-        if len(cs) != len(face):
-            raise NotBall("two vertices of one face share a color")
-        return cs
-
-    # flag f of the ball and of its interior
+    # flag f of the ball and of its interior; every facet carries all d
+    # colors, so no two vertices of one face share one
     fS: dict[frozenset[int], int] = {}
-    for f in ear_faces:
-        cs = color_set(f)
-        fS[cs] = fS.get(cs, 0) + 1
     f_int: dict[frozenset[int], int] = {}
-    for f in interior:
-        cs = color_set(f)
-        f_int[cs] = f_int.get(cs, 0) + 1
+    for f in ear.faces():
+        cs = frozenset(colors[v] for v in f)
+        fS[cs] = fS.get(cs, 0) + 1
+        if f and f not in bd_faces:
+            f_int[cs] = f_int.get(cs, 0) + 1
     hS = _flag_h(fS, d)  # flag h of the ball
     lhs: dict[frozenset[int], int] = {}
     rhs: dict[frozenset[int], int] = {}

@@ -11,6 +11,11 @@ needs them, so they live with the tests:
   ``flag_f_from_complex_fvector``: flag vectors by descent sets, by
   summing over rank sets of one size, and from the f-vector alone;
 * ``weak_leq``: the weak order by inversion-set containment;
+* ``class_masks_per_permutation``, ``dominance_table_all_pairs`` and
+  ``flag_f_per_subset``: the inversion masks of each descent class by
+  ``inversion_mask`` member by member, the dominance table by deciding
+  every ordered pair with each D_T in class order, and each flag f entry
+  counted from the bottom rank on its own;
 * ``join_table`` and ``meet_table``: every pair's join and meet by
   up-mask and down-mask lookup, the two tables ``Lattice`` once built;
 * ``is_distributive`` and ``is_mchain``: the brute-force lattice
@@ -83,7 +88,13 @@ from earlab.errors import (
     NotMChain,
     RangeError,
 )
-from earlab.flags import FlagVector, ball_flag_reciprocity, inversion_mask
+from earlab.flags import (
+    FlagVector,
+    _injection,
+    ball_flag_reciprocity,
+    descent_classes,
+    inversion_mask,
+)
 from earlab.labelings import EdgeLabeling, descent_set
 from earlab.lattices import (
     Lattice,
@@ -92,7 +103,7 @@ from earlab.lattices import (
     closure_under_ops,
 )
 from earlab.matroids import Matroid, build_matroid, nbc_bases
-from earlab.posets import Poset, _chain_extensions, build_poset, maximal_chains, mobius
+from earlab.posets import Poset, _bits, _chain_extensions, build_poset, maximal_chains, mobius
 
 
 def exact_rank(rows: list[dict[int, int]]) -> int:
@@ -148,6 +159,61 @@ def weak_leq(sigma: Sequence[int], tau: Sequence[int]) -> bool:
         raise LengthMismatch("permutations must have the same length")
     a, b = inversion_mask(sigma), inversion_mask(tau)
     return a & ~b == 0
+
+
+def class_masks_per_permutation(m: int) -> dict:
+    """``flags._class_masks``: each member's mask by ``inversion_mask``, and
+    each bit's bitset filled member by member."""
+    out = {}
+    for S, perms in descent_classes(m).items():
+        masks = tuple(inversion_mask(perm) for perm in perms)
+        having = [0] * (m * m)
+        for j, mask in enumerate(masks):
+            for k in _bits(mask):
+                having[k] |= 1 << j
+        out[S] = (masks, tuple(having))
+    return out
+
+
+def dominance_table_all_pairs(m: int) -> frozenset:
+    """``flags.dominance_table`` deciding every ordered pair (S, T) on its
+    own, each D_T in class order, on the masks of
+    ``class_masks_per_permutation``."""
+    classes = class_masks_per_permutation(m)
+    table = set()
+    for T, (masks, _) in classes.items():
+        left = [list(_bits(mask)) for mask in masks]
+        table.update(
+            (S, T) for S, right in classes.items() if S == T or _injection(left, right) is not None
+        )
+    return frozenset(table)
+
+
+def flag_f_per_subset(p: Poset) -> dict[frozenset[int], int]:
+    """The flag f entries of ``flags.flag_f_and_h``, each S counted layer
+    by layer from the bottom with ``leq_i``."""
+    rho = p.rank_of(p.top)
+    layers: dict[int, list[int]] = {}
+    for i, r in enumerate(p.ranks):
+        layers.setdefault(r, []).append(i)
+    f_entries: dict[frozenset[int], int] = {}
+    for k in range(0, rho):
+        for S in combinations(range(1, rho), k):
+            counts = {p._bottom: 1}
+            for s in S:
+                nxt: dict[int, int] = {}
+                for j in layers.get(s, []):
+                    total = 0
+                    for i, c in counts.items():
+                        if p.leq_i(i, j):
+                            total += c
+                    if total:
+                        nxt[j] = total
+                counts = nxt
+                if not counts:
+                    break
+            f_entries[frozenset(S)] = sum(counts.values())
+    return f_entries
 
 
 def _mask_table(masks: Sequence[int]) -> list[list[Optional[int]]]:

@@ -32,6 +32,14 @@ against the brute-force routes they replaced, on random inputs.
 * ``dominance_table`` and ``dominates`` (inversion masks cached per m,
   candidates by AND of per-bit bitsets) against the per-pair scan they
   replaced, and each witness against the switch-walk weak order;
+* ``_class_masks`` (masks by lookups in one table of per-value gains,
+  bitsets read off as columns) against ``inversion_mask`` member by
+  member, and ``dominance_table`` (one decision per pair up to
+  w ↦ w0·w·w0, most inverted τ first) against deciding every pair, with
+  the symmetry checked on random permutations;
+* ``flag_f_and_h`` (chain counts extended from the prefix S minus its
+  largest rank) against counting each S from the bottom, on random
+  bounded rank selections and on face posets;
 * ``_match`` (augmenting paths on candidate bitsets, τ by τ) against
   Hopcroft–Karp with a recursive augmenting step;
 * each ear's reference sphere (the coordinate sphere K relabelled by the
@@ -83,7 +91,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from earlab.cli import _edge_list, _reciprocity_rows
+from earlab.cli import _edge_list, _flag_face_poset, _reciprocity_rows
 from earlab.complexes import (
     SimplicialComplex,
     boundary_complex,
@@ -124,11 +132,13 @@ from earlab.errors import (
     NotSimple,
 )
 from earlab.flags import (
+    _class_masks,
     _match,
     ball_flag_reciprocity,
     descent_classes,
     dominance_table,
     dominates,
+    flag_f_and_h,
     inversion_mask,
     weak_leq_by_switches,
 )
@@ -167,14 +177,18 @@ from earlab.posets import (
     maximal_chains,
     proper_part,
     rank_select,
+    with_bounds,
 )
 from oracles import (
     ambient_by_permutations,
     ced_axioms_certifying_each_ear,
     chains_by_filter,
+    class_masks_per_permutation,
+    dominance_table_all_pairs,
     el_by_intervals,
     exact_rank,
     first_zero_mobius,
+    flag_f_per_subset,
     geometric_bases_by_joins,
     graphic_matroid_by_all_sizes,
     induced_subposet_by_names,
@@ -190,7 +204,9 @@ from oracles import (
     sr_by_maximal_chains,
     subset_novelty_scan,
     supersolvable_copies_by_closure,
+    weak_leq,
 )
+from test_acceptance import FACE_FIXTURES
 from test_decompositions import mu_zero_lattice, square_and_path
 
 
@@ -987,6 +1003,50 @@ def test_dominance_table_agrees_with_the_per_pair_scan(m):
     assert len(table) == held
 
 
+@pytest.mark.parametrize("m", range(8))
+def test_class_masks_agree_with_inversion_mask_per_member(m):
+    assert list(_class_masks(m).items()) == list(class_masks_per_permutation(m).items())
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_dominance_table_agrees_with_deciding_every_pair(m):
+    assert dominance_table(m) == dominance_table_all_pairs(m)
+
+
+def conjugate_by_w0(w: tuple[int, ...]) -> tuple[int, ...]:
+    """w0·w·w0, that is i ↦ m+1 - w(m+1-i)."""
+    m = len(w)
+    return tuple(m + 1 - w[m - i] for i in range(1, m + 1))
+
+
+@st.composite
+def permutation_pairs(draw):
+    """σ in S_m, m ≤ 8, and τ either drawn on its own or σ moved up by
+    random ascent switches, so that both answers of σ ≤ τ occur."""
+    m = draw(st.integers(1, 8))
+    perms = st.permutations(list(range(1, m + 1)))
+    sigma = tuple(draw(perms))
+    if draw(st.booleans()):
+        return sigma, tuple(draw(perms))
+    tau = list(sigma)
+    for i in draw(st.lists(st.integers(0, max(m - 2, 0)), max_size=12)):
+        if i + 1 < m and tau[i] < tau[i + 1]:
+            tau[i], tau[i + 1] = tau[i + 1], tau[i]
+    return sigma, tuple(tau)
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_pairs())
+def test_conjugating_by_w0_mirrors_descents_and_keeps_the_weak_order(pair):
+    sigma, tau = pair
+    m = len(sigma)
+    cs, ct = conjugate_by_w0(sigma), conjugate_by_w0(tau)
+    assert conjugate_by_w0(cs) == sigma
+    assert descent_set(cs) == frozenset(m - i for i in descent_set(sigma))
+    assert weak_leq(cs, ct) == weak_leq(sigma, tau)
+    assert weak_leq(ct, cs) == weak_leq(tau, sigma)
+
+
 @st.composite
 def bipartite_graphs(draw):
     """Up to 9 left and 9 right vertices, each left vertex with a random
@@ -1029,6 +1089,40 @@ def test_dominance_witness_replays_through_switches(case):
     for tau, sigma in inj.items():
         assert descent_set(sigma) == S
         assert weak_leq_by_switches(tau, sigma), (tau, sigma)
+
+
+# -- flag f from shared prefixes ---------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def flag_lattice(kind: str, n: int) -> Lattice:
+    return boolean_lattice(n) if kind == "B" else partition_lattice(n)
+
+
+@st.composite
+def bounded_rank_selections(draw):
+    """A nonempty rank selection of B_r (r ≤ 6) or Π_n (n ≤ 5), bounded."""
+    kind = draw(st.sampled_from("BP"))
+    n = draw(st.integers(2, 6) if kind == "B" else st.integers(3, 5))
+    rank = n if kind == "B" else n - 1
+    ranks = draw(st.frozensets(st.integers(1, rank - 1), min_size=1))
+    return with_bounds(rank_select(flag_lattice(kind, n).poset, ranks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bounded_rank_selections())
+def test_flag_f_agrees_with_counting_each_subset(p):
+    assert flag_f_and_h(p)[0].entries == flag_f_per_subset(p)
+
+
+@pytest.mark.parametrize("name", [*FACE_FIXTURES, "octahedron", "cross4"])
+def test_flag_f_agrees_with_counting_each_subset_on_face_posets(name):
+    if name in FACE_FIXTURES:
+        c = build_complex(FACE_FIXTURES[name])
+    else:
+        c = cross_polytope_boundary(3 if name == "octahedron" else 4)
+    p = _flag_face_poset(c)
+    assert flag_f_and_h(p)[0].entries == flag_f_per_subset(p)
 
 
 # -- reference spheres from the coordinate sphere -----------------------------------

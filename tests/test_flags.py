@@ -18,6 +18,7 @@ from earlab.complexes import (
 )
 from earlab.flags import (
     FlagVector,
+    _class_masks,
     _match,
     ball_flag_reciprocity,
     corollary_gap_coefficients,
@@ -254,6 +255,17 @@ def test_dominance_table_needs_the_cap():
         dominance_table(9)
 
 
+def test_negative_m_is_refused():
+    for fn in (descent_classes, _class_masks, dominance_table):
+        with pytest.raises(BadParams):
+            fn(-1)
+    with pytest.raises(BadParams):
+        dominates(set(), set(), -1)
+    # S_0 has one class, the empty permutation's
+    assert descent_classes(0) == {frozenset(): [()]}
+    assert dominance_table(0) == {(frozenset(), frozenset())}
+
+
 def test_dominance_table_holds_the_diagonal_and_the_s4_pairs():
     table = dominance_table(4)
     subsets = [frozenset(S) for k in range(4) for S in combinations((1, 2, 3), k)]
@@ -351,6 +363,14 @@ def test_reciprocity_rejects_uncolored_facet():
     ear = build_complex([["a1", "a2"]])
     with pytest.raises(NotBall):
         ball_flag_reciprocity(ear, {"a1": 1, "a2": 1}, 2)
+
+
+def test_reciprocity_rejects_a_recolored_facet():
+    # the colored circle with b2 recolored 1: its two facets miss color 2
+    ear = build_complex([["a1", "b1"], ["b1", "a2"], ["a2", "b2"], ["b2", "a1"]])
+    colors = {"a1": 1, "a2": 1, "b1": 2, "b2": 1}
+    with pytest.raises(NotBall, match="facet misses a rank color"):
+        ball_flag_reciprocity(ear, colors, 2)
 
 
 def test_reciprocity_rejects_wrong_dimension():
