@@ -48,13 +48,13 @@ def main() -> None:
 
     banner("Full decomposition (one ear: the complex is itself a sphere)")
     dec = decompose_supersolvable(lat)
-    report = verify_ced(dec.complex, dec)
+    report = verify_ced(dec)
     print(f"ears: {len(dec.ears)}, axioms ok: {report['ok']}")
     print(f"h: {report['h_checks']['h']}, g: {report['h_checks']['g']}")
 
     banner("Rank selection S = {1, 3}")
     sel = decompose_rank_selected_boolean(4, [1, 3])
-    report = verify_ced(sel.complex, sel)
+    report = verify_ced(sel)
     words = descent_classes(4)[frozenset({1, 3})]
     print(f"descent class words for S: {sorted(words)}")
     print(f"ears: {len(sel.ears)} (one per class word)")

@@ -43,7 +43,7 @@ def main() -> None:
 
     banner("Geometric decomposition, one ear per nbc-basis")
     dec = decompose_geometric(lat)
-    report = verify_ced(dec.complex, dec)
+    report = verify_ced(dec)
     for ear in dec.ears:
         prov = ear.provenance
         print(
@@ -64,7 +64,7 @@ def main() -> None:
     banner("Rank selection keeps the machinery intact")
     for ranks in [(1,), (2,)]:
         sel = decompose_geometric(lat, ranks=ranks)
-        rep = verify_ced(sel.complex, sel)
+        rep = verify_ced(sel)
         print(
             f"  S={set(ranks)}: ears {len(sel.ears)}, dropped classes "
             f"{len(sel.dropped)}, axioms ok {rep['ok']}, h {rep['h_checks']['h']}"

@@ -36,7 +36,6 @@ from .decompositions import (
     decompose_rank_selected_boolean,
     decompose_rank_selected_supersolvable,
     decompose_supersolvable,
-    sigma_word,
     verify_ced,
 )
 from .errors import EarlabError
@@ -168,7 +167,6 @@ __all__ = [
     # decompositions
     "Ear",
     "EarDecomposition",
-    "sigma_word",
     "decompose_supersolvable",
     "decompose_rank_selected_boolean",
     "decompose_rank_selected_supersolvable",

@@ -342,7 +342,7 @@ def cmd_decompose(args) -> int:
     rec = _args_record(args)
     doc = _load_document(args.input) if args.input else None
     dec = _run_construction(rec, doc, _cap_checker(args))
-    ced = verify_ced(dec.complex, dec)
+    ced = verify_ced(dec)
 
     report = {
         "schema": RUN_SCHEMA,
@@ -408,7 +408,7 @@ def _rebuild_from_report(args) -> tuple[EarDecomposition, dict, bool]:
 
 def _verify_ced(args) -> tuple[dict, bool]:
     dec, rec, chains_match = _rebuild_from_report(args)
-    ced = verify_ced(dec.complex, dec)
+    ced = verify_ced(dec)
     if not chains_match:
         _warn("stored ear chains differ from the reconstruction")
     body = {

@@ -1,11 +1,13 @@
 """Convex-ear decompositions of order complexes.
 
 Five constructions share one engine. Each ear lives inside a copy of the
-Boolean lattice B_rho embedded in a host poset; a selected chain is written
-in copy coordinates (subsets of [rho]), classified by the permutation read
-off its gap-filled label word, and shelled by reverse-lex order of its
-frame words. The constructions differ only in their copies' generators and
-in when a chain counts as new. Both lattice constructions read them off the
+Boolean lattice B_rho embedded in a host poset, and is cut out in copy
+coordinates (subsets of [rho]) as Chari's are: for each class word w, in
+lex order over the descent class D_S of the selected ranks, the selected
+flags of the sphere Sigma_w that no earlier word's sphere holds, listed in
+reverse lex order of their frame words, which shells them. The
+constructions differ only in their copies' generators and in when a chain
+counts as new. Both lattice constructions read them off the
 strictly decreasing maximal chains of one EL-labeling; for the minimal
 labeling of a geometric lattice these are the nbc bases (Björner 1992).
 """
@@ -13,7 +15,7 @@ labeling of a geometric lattice these are the nbc bases (Björner 1992).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .complexes import (
@@ -47,7 +49,6 @@ from .labelings import (
     EdgeLabeling,
     check_el,
     derive_sn_labeling,
-    descent_set,
     increasing_and_decreasing_chains,
     minimal_labeling,
     verify_sr,
@@ -58,7 +59,6 @@ from .posets import Poset, maximal_chains, rank_select
 __all__ = [
     "Ear",
     "EarDecomposition",
-    "sigma_word",
     "decompose_supersolvable",
     "decompose_rank_selected_boolean",
     "decompose_rank_selected_supersolvable",
@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 
-# -- chain words in copy coordinates ----------------------------------------
+# -- class words and their spheres in copy coordinates ---------------------
 
 
 def intervals_of(ranks: Sequence[int]) -> list[tuple[int, int]]:
@@ -82,115 +82,56 @@ def intervals_of(ranks: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _fill_word(chain: Sequence[frozenset[int]], ranks: Sequence[int], rho: int) -> list[int]:
-    """Label word of the chain completed by ascending fills in every gap.
+def _descent_class(rho: int, ranks: Sequence[int]) -> list[tuple[int, ...]]:
+    """D_S, the words of [rho] whose descent set is exactly the ranks, in
+    lex order: increasing runs cut at the ranks, each run starting below the
+    end of the run before it."""
+    cuts = [0, *ranks, rho]
+    words: list[tuple[int, ...]] = [()]
+    for lo, hi in zip(cuts, cuts[1:]):
+        words = [
+            w + run
+            for w in words
+            for run in combinations(sorted(set(range(1, rho + 1)).difference(w)), hi - lo)
+            if not w or w[-1] > run[0]
+        ]
+    return words
 
-    ``chain`` holds one subset of [rho] per selected rank; the unique
-    completion with increasing labels adds the missing elements of each gap
-    in ascending order, so the word can be read off without building the
-    intermediate sets.
+
+def _sphere(word: Sequence[int], ranks: Sequence[int]) -> list[tuple[frozenset[int], ...]]:
+    """The selected flags of Sigma_word, in reverse lex order of their frame
+    words.
+
+    Sigma_word holds the flags through word([k]) at every unselected rank k:
+    the join, over the intervals [a, b] of the ranks, of the chains that go
+    up from word([a - 1]) through the letters word(a..b+1), taken largest
+    first. Chains grow one letter at a time, so each set is shared by every
+    chain that passes through it.
     """
-    word: list[int] = []
-    prev: frozenset[int] = frozenset()
-    full = frozenset(range(1, rho + 1))
-    for s, xs in zip(ranks, chain):
-        if len(xs) != s or not prev <= xs:
-            raise BadParams("chain is not a flag over the selected ranks")
-        word.extend(sorted(xs - prev))
-        prev = xs
-    word.extend(sorted(full - prev))
-    if len(word) != rho:
-        raise BadParams("chain does not live inside [rho]")
-    return word
+    flags: list[tuple[frozenset[int], ...]] = [()]
+    for a, b in intervals_of(ranks):
+        pool = sorted(word[a - 1 : b + 1], reverse=True)
+        level = [((), frozenset(word[: a - 1]))]
+        for _ in range(a, b + 1):
+            level = [
+                (c + (s,), s) for c, top in level for s in (top | {x} for x in pool if x not in top)
+            ]
+        flags = [f + c for f in flags for c, _ in level]
+    return flags
 
 
-def sigma_word(
-    chain: Sequence[Iterable[int]], ranks: Iterable[int], rho: int
-) -> tuple[int, ...]:
-    """Classifying permutation of a selected chain in a B_rho copy.
-
-    The gap-filled word is cut into runs: ascending runs over the filled
-    stretches, descending runs across each interval of the selected ranks
-    (two letters for a singleton interval). The result always has descent
-    set exactly the selected ranks, and is the lex-least classifier whose
-    frame is compatible with the chain.
-    """
-    sel = sorted(set(int(s) for s in ranks))
-    if not sel:
-        raise EmptySelection("no ranks selected")
-    sets = [frozenset(x) for x in chain]
-    w = _fill_word(sets, sel, rho)
-    word: list[int] = []
-    pos = 1  # next unconsumed step, 1-based
-    for a, b in intervals_of(sel):
-        word.extend(sorted(w[pos - 1 : a - 1]))
-        word.extend(sorted(w[a - 1 : b + 1], reverse=True))
-        pos = b + 2
-    word.extend(sorted(w[pos - 1 : rho]))
-    got = descent_set(word)
-    if got != frozenset(sel):
-        raise Inconsistent(
-            f"classifier {word} has descents {sorted(got)}, wanted {sel}"
-        )
-    return tuple(word)
-
-
-def _frame_of(word: Sequence[int], ranks: Sequence[int], rho: int) -> dict[int, frozenset[int]]:
-    """Fixed flag elements at the non-selected ranks of a classifier word."""
-    fixed = {0: frozenset()}
-    acc: set[int] = set()
-    for k, letter in enumerate(word, start=1):
-        acc.add(letter)
-        if k not in ranks:
-            fixed[k] = frozenset(acc)
-    return fixed
-
-
-def _frame_word(
-    chain: Sequence[frozenset[int]],
-    ranks: Sequence[int],
-    intervals: Sequence[tuple[int, int]],
-    frame: dict[int, frozenset[int]],
-) -> tuple[int, ...]:
-    """Shelling key: concatenated labels through each interval, including
-    the edges down from and up to the frame."""
-    by_rank = dict(zip(ranks, chain))
-    word: list[int] = []
-    for a, b in intervals:
-        seq = [frame[a - 1]] + [by_rank[s] for s in range(a, b + 1)] + [frame[b + 1]]
-        for lo, hi in zip(seq, seq[1:]):
-            diff = hi - lo
-            if len(diff) != 1:
-                raise Inconsistent("chain is incompatible with its frame")
-            word.append(next(iter(diff)))
-    return tuple(word)
-
-
-def _selected_flags(rho: int, ranks: Sequence[int]) -> list[tuple[frozenset[int], ...]]:
-    """All flags of subsets of [rho] with sizes equal to the selected ranks."""
-    out: list[tuple[frozenset[int], ...]] = []
-    _flag_extensions(frozenset(range(1, rho + 1)), ranks, frozenset(), [], out)
-    return out
-
-
-def _flag_extensions(
-    universe: frozenset[int],
-    ranks: Sequence[int],
-    prev: frozenset[int],
-    acc: list[frozenset[int]],
-    out: list[tuple[frozenset[int], ...]],
-) -> None:
-    """Append to ``out`` every flag that extends ``acc``, whose last set is
-    ``prev``, through the selected ranks still to come."""
-    idx = len(acc)
-    if idx == len(ranks):
-        out.append(tuple(acc))
-        return
-    for extra in combinations(sorted(universe - prev), ranks[idx] - len(prev)):
-        nxt = prev | frozenset(extra)
-        acc.append(nxt)
-        _flag_extensions(universe, ranks, nxt, acc, out)
-        acc.pop()
+def _class_map(
+    rho: int, ranks: Sequence[int]
+) -> dict[tuple[int, ...], list[tuple[frozenset[int], ...]]]:
+    """Each word w of D_S, in lex order, with the flags of Sigma_w that no
+    earlier word's sphere holds, in ``_sphere``'s order: Chari's ears
+    (Trans. AMS 349, 1997) in copy coordinates."""
+    class_map: dict[tuple[int, ...], list[tuple[frozenset[int], ...]]] = {}
+    claimed: set[tuple[frozenset[int], ...]] = set()
+    for word in _descent_class(rho, ranks):
+        class_map[word] = [fl for fl in _sphere(word, ranks) if fl not in claimed]
+        claimed.update(class_map[word])
+    return class_map
 
 
 def _coordinate_sphere(
@@ -198,28 +139,18 @@ def _coordinate_sphere(
 ) -> tuple[SimplicialComplex, dict[str, frozenset[int]]]:
     """K, the reference sphere in copy coordinates, with each vertex's set.
 
-    K is the join, over the intervals [a, b] of the selected ranks, of the
-    chains strictly between [a - 1] and [b + 1]: the full barycentric
-    subdivision of a simplex boundary per interval. The reference sphere of
-    class word w in a copy is K's image under A -> copy[w(A)], since the
-    frame of w is w([k]) at each unselected rank k, so one K serves every
-    copy and class word of a decomposition.
+    K is the sphere of the identity word: the join, over the intervals
+    [a, b] of the selected ranks, of the chains strictly between [a - 1]
+    and [b + 1], the full barycentric subdivision of a simplex boundary per
+    interval. The reference sphere of class word w in a copy is K's image
+    under A -> copy[w(A)], since the frame of w is w([k]) at each
+    unselected rank k, so one K serves every copy and class word of a
+    decomposition.
     """
-    coord: dict[str, frozenset[int]] = {}
-    facets: list[tuple[str, ...]] = [()]
-    for a, b in intervals_of(ranks):
-        chains: set[tuple[str, ...]] = set()
-        for perm in permutations(range(a, b + 2)):
-            acc = set(range(1, a))
-            names = []
-            for letter in perm[: b - a + 1]:
-                acc.add(letter)
-                name = "+".join(map(str, sorted(acc)))
-                coord[name] = frozenset(acc)
-                names.append(name)
-            chains.add(tuple(names))
-        facets = [f + c for f in facets for c in sorted(chains)]
-    return build_complex(facets), coord
+    flags = _sphere(range(1, ranks[-1] + 2), ranks)
+    name = {a: "+".join(map(str, sorted(a))) for a in {a for fl in flags for a in fl}}
+    facets = [tuple(name[a] for a in fl) for fl in flags]
+    return build_complex(facets), {v: a for a, v in name.items()}
 
 
 # -- decomposition containers ------------------------------------------------
@@ -307,27 +238,19 @@ def _assemble(
     rho: int,
     is_new: Callable[[int, tuple[frozenset[int], ...], tuple[str, ...]], bool],
 ) -> EarDecomposition:
-    """Classify every copy's selected chains, keep the new ones, shell each
-    class reverse-lex, and check that the ears partition the maximal chains.
-
-    The class words are the classifiers of the selected flags: every word
-    of the descent class is the classifier of its own prefix flag."""
-    ivs = intervals_of(ranks)
-    class_map: dict[tuple[int, ...], list[tuple[frozenset[int], ...]]] = {}
-    for fl in _selected_flags(rho, ranks):
-        class_map.setdefault(sigma_word(fl, ranks, rho), []).append(fl)
-    words = sorted(class_map)
-
+    """Cut every copy's selected chains into ears by ``_class_map``, keep the
+    new ones, and check that the ears partition the maximal chains."""
+    class_map = _class_map(rho, ranks)
     ears: list[Ear] = []
     dropped: list[dict] = []
     seen: set[tuple[str, ...]] = set()
     for ci, copy in enumerate(copies):
-        for wj, word in enumerate(words):
-            kept: list[tuple[tuple[frozenset[int], ...], tuple[str, ...]]] = []
-            for fl in class_map[word]:
+        for wj, (word, flags) in enumerate(class_map.items()):
+            kept: list[tuple[str, ...]] = []
+            for fl in flags:
                 names = tuple(copy.elem[x] for x in fl)
                 if is_new(ci, fl, names):
-                    kept.append((fl, names))
+                    kept.append(names)
             prov = dict(copy.provenance)
             prov["copy_index"] = ci + 1
             prov["class_word"] = list(word)
@@ -335,19 +258,17 @@ def _assemble(
             if not kept:
                 dropped.append(prov)
                 continue
-            frame = _frame_of(word, ranks, rho)
-            kept.sort(key=lambda t: _frame_word(t[0], ranks, ivs, frame), reverse=True)
-            facets = [frozenset(names) for _, names in kept]
+            facets = [frozenset(names) for names in kept]
             comp = build_complex(facets)
             where = {f: k for k, f in enumerate(comp.facets)}
             shelling = verify_shelling(comp, [where[f] for f in facets])
             ear = Ear(
-                chains=[names for _, names in kept],
+                chains=kept,
                 shelling=shelling,
                 provenance=prov,
                 coord_names=copy.elem,
             )
-            for _, names in kept:
+            for names in kept:
                 if names in seen:
                     raise Inconsistent(f"chain {names} lands in two ears")
                 seen.add(names)
@@ -594,8 +515,9 @@ def decompose_geometric(
 # -- the axiom verifier ---------------------------------------------------------
 
 
-def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
-    """Check the four decomposition axioms plus the resulting h-vector facts.
+def verify_ced(dec: EarDecomposition) -> dict:
+    """Check the four decomposition axioms on ``dec.complex``, plus the
+    resulting h-vector facts.
 
     Report-style: never raises on a failed axiom; every section carries an
     ``ok`` flag and a witness when something is wrong.
@@ -609,7 +531,7 @@ def verify_ced(delta: SimplicialComplex, dec: EarDecomposition) -> dict:
     on K, has no reference sphere and fails every polytope entry.
     Ears with one key of ``pulled_back_keys`` are isomorphic and share one certificate.
     """
-    ears = dec.ears
+    delta, ears = dec.complex, dec.ears
     report: dict = {
         "schema": "earlab.ced-verify/1",
         "construction": dec.construction,

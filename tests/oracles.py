@@ -23,6 +23,12 @@ needs them, so they live with the tests:
 * ``is_geometric``: graded, every element the join of the atoms below it,
   and rank submodular on every pair;
 * ``is_subcomplex``: every facet of one complex is a face of the other;
+* ``sigma_word`` and ``class_map_by_classifier``: the class word of a
+  selected flag read off its gap-filled label word (the lex-least word of
+  the descent class whose sphere holds the flag), and the class map by
+  classifying every selected flag and sorting each class by reverse lex
+  order of its frame words (``_fill_word``, ``_frame_of``, ``_frame_word``
+  and ``_selected_flags`` are its helpers);
 * ``ear_coords`` and ``switch_closure_violations``: an ear's chains in
   copy coordinates, and the chains whose ascent switches leave their ear;
 * ``ambient_by_permutations``: an ear's reference sphere by walking the
@@ -72,13 +78,12 @@ from earlab.decompositions import (
     EarDecomposition,
     _certify,
     _coordinate_sphere,
-    _fill_word,
-    _frame_of,
     _pulled_back,
     intervals_of,
 )
 from earlab.errors import (
     BadParams,
+    EmptySelection,
     NotComparable,
     NotGraded,
     Inconsistent,
@@ -268,6 +273,133 @@ def is_subcomplex(small: SimplicialComplex, big: SimplicialComplex) -> bool:
     found by one set lookup; only the others are scanned by ``has_face``."""
     tops = set(big.facets)
     return all(f in tops or big.has_face(f) for f in small.facets)
+
+
+def _fill_word(chain: Sequence[frozenset[int]], ranks: Sequence[int], rho: int) -> list[int]:
+    """Label word of the chain completed by ascending fills in every gap.
+
+    ``chain`` holds one subset of [rho] per selected rank; the unique
+    completion with increasing labels adds the missing elements of each gap
+    in ascending order, so the word can be read off without building the
+    intermediate sets.
+    """
+    word: list[int] = []
+    prev: frozenset[int] = frozenset()
+    full = frozenset(range(1, rho + 1))
+    for s, xs in zip(ranks, chain):
+        if len(xs) != s or not prev <= xs:
+            raise BadParams("chain is not a flag over the selected ranks")
+        word.extend(sorted(xs - prev))
+        prev = xs
+    word.extend(sorted(full - prev))
+    if len(word) != rho:
+        raise BadParams("chain does not live inside [rho]")
+    return word
+
+
+def sigma_word(
+    chain: Sequence[Iterable[int]], ranks: Iterable[int], rho: int
+) -> tuple[int, ...]:
+    """Classifying permutation of a selected chain in a B_rho copy.
+
+    The gap-filled word is cut into runs: ascending runs over the filled
+    stretches, descending runs across each interval of the selected ranks
+    (two letters for a singleton interval). The result always has descent
+    set exactly the selected ranks, and is the lex-least classifier whose
+    frame is compatible with the chain.
+    """
+    sel = sorted(set(int(s) for s in ranks))
+    if not sel:
+        raise EmptySelection("no ranks selected")
+    sets = [frozenset(x) for x in chain]
+    w = _fill_word(sets, sel, rho)
+    word: list[int] = []
+    pos = 1  # next unconsumed step, 1-based
+    for a, b in intervals_of(sel):
+        word.extend(sorted(w[pos - 1 : a - 1]))
+        word.extend(sorted(w[a - 1 : b + 1], reverse=True))
+        pos = b + 2
+    word.extend(sorted(w[pos - 1 : rho]))
+    got = descent_set(word)
+    if got != frozenset(sel):
+        raise Inconsistent(
+            f"classifier {word} has descents {sorted(got)}, wanted {sel}"
+        )
+    return tuple(word)
+
+
+def _frame_of(word: Sequence[int], ranks: Sequence[int], rho: int) -> dict[int, frozenset[int]]:
+    """Fixed flag elements at the non-selected ranks of a classifier word."""
+    fixed = {0: frozenset()}
+    acc: set[int] = set()
+    for k, letter in enumerate(word, start=1):
+        acc.add(letter)
+        if k not in ranks:
+            fixed[k] = frozenset(acc)
+    return fixed
+
+
+def _frame_word(
+    chain: Sequence[frozenset[int]],
+    ranks: Sequence[int],
+    intervals: Sequence[tuple[int, int]],
+    frame: dict[int, frozenset[int]],
+) -> tuple[int, ...]:
+    """Shelling key: concatenated labels through each interval, including
+    the edges down from and up to the frame."""
+    by_rank = dict(zip(ranks, chain))
+    word: list[int] = []
+    for a, b in intervals:
+        seq = [frame[a - 1]] + [by_rank[s] for s in range(a, b + 1)] + [frame[b + 1]]
+        for lo, hi in zip(seq, seq[1:]):
+            diff = hi - lo
+            if len(diff) != 1:
+                raise Inconsistent("chain is incompatible with its frame")
+            word.append(next(iter(diff)))
+    return tuple(word)
+
+
+def _selected_flags(rho: int, ranks: Sequence[int]) -> list[tuple[frozenset[int], ...]]:
+    """All flags of subsets of [rho] with sizes equal to the selected ranks."""
+    out: list[tuple[frozenset[int], ...]] = []
+    _flag_extensions(frozenset(range(1, rho + 1)), ranks, frozenset(), [], out)
+    return out
+
+
+def _flag_extensions(
+    universe: frozenset[int],
+    ranks: Sequence[int],
+    prev: frozenset[int],
+    acc: list[frozenset[int]],
+    out: list[tuple[frozenset[int], ...]],
+) -> None:
+    """Append to ``out`` every flag that extends ``acc``, whose last set is
+    ``prev``, through the selected ranks still to come."""
+    idx = len(acc)
+    if idx == len(ranks):
+        out.append(tuple(acc))
+        return
+    for extra in combinations(sorted(universe - prev), ranks[idx] - len(prev)):
+        nxt = prev | frozenset(extra)
+        acc.append(nxt)
+        _flag_extensions(universe, ranks, nxt, acc, out)
+        acc.pop()
+
+
+def class_map_by_classifier(
+    rho: int, ranks: Sequence[int]
+) -> dict[tuple[int, ...], list[tuple[frozenset[int], ...]]]:
+    """The class map of ``_assemble`` by classifying every selected flag with
+    ``sigma_word``, words in lex order, and sorting each class by reverse lex
+    order of its frame words."""
+    ivs = intervals_of(ranks)
+    class_map: dict[tuple[int, ...], list[tuple[frozenset[int], ...]]] = {}
+    for fl in _selected_flags(rho, ranks):
+        class_map.setdefault(sigma_word(fl, ranks, rho), []).append(fl)
+    for word, flags in class_map.items():
+        frame = _frame_of(word, ranks, rho)
+        flags.sort(key=lambda fl: _frame_word(fl, ranks, ivs, frame), reverse=True)
+    return dict(sorted(class_map.items()))
 
 
 def ear_coords(ear: Ear) -> list[tuple[frozenset[int], ...]]:

@@ -120,7 +120,7 @@ def corpus() -> list[tuple[str, EarDecomposition]]:
 
 @lru_cache(maxsize=1)
 def corpus_reports() -> list[tuple[str, EarDecomposition, dict]]:
-    return [(label, dec, verify_ced(dec.complex, dec)) for label, dec in corpus()]
+    return [(label, dec, verify_ced(dec)) for label, dec in corpus()]
 
 
 # -- 1: three-way h-vector agreement ---------------------------------------------------
@@ -326,7 +326,7 @@ def test_8_negative_controls():
 
     # handmade decomposition trips the gluing axiom with a face witness
     fake = _fake_decomposition()
-    report = verify_ced(fake.complex, fake)
+    report = verify_ced(fake)
     assert not report["ok"]
     assert not report["axiom_boundary"]["ok"]
     witnesses = report["axiom_boundary"]["witnesses"]

@@ -1,12 +1,14 @@
-"""Tests for the ear decompositions: the classifier word, the five
-constructions, the axiom verifier, switch closure, and the membership
-oracles that re-derive ear contents by an independent route."""
+"""Tests for the ear decompositions: class words and their spheres (and
+the classifier word of the test oracles), the five constructions, the
+axiom verifier, switch closure, and the membership oracles that re-derive
+ear contents by an independent route."""
 
 from __future__ import annotations
 
 import gc
 import json
 import sys
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -32,14 +34,14 @@ from earlab.decompositions import (
     Ear,
     EarDecomposition,
     _concatenated_histogram,
-    _selected_flags,
+    _descent_class,
+    _sphere,
     decompose_face_poset,
     decompose_geometric,
     decompose_rank_selected_boolean,
     decompose_rank_selected_supersolvable,
     decompose_supersolvable,
     intervals_of,
-    sigma_word,
     verify_ced,
 )
 from earlab.flags import ball_flag_reciprocity, descent_classes
@@ -47,7 +49,7 @@ from earlab.labelings import EdgeLabeling, descent_set, minimal_labeling
 from earlab.lattices import Lattice, boolean_lattice, partition_lattice
 from earlab.matroids import graphic_matroid, lattice_of_flats, uniform_matroid
 from earlab.posets import build_poset, canonical_dumps, mobius
-from oracles import ear_coords, reference_sphere, switch_closure_violations
+from oracles import _frame_of, ear_coords, reference_sphere, sigma_word, switch_closure_violations
 
 
 # -- Fixtures ------------------------------------------------------------------
@@ -72,12 +74,25 @@ def rank_colors(dec: EarDecomposition) -> dict[str, int]:
     return {v: dec.poset.rank_of(v) for e in dec.ears for v in e.complex.vertices}
 
 
-# -- Classifier word -------------------------------------------------------------
+# -- Class words, spheres and the classifier word ----------------------------------
 
 def test_intervals_of():
     assert intervals_of([1, 2, 3]) == [(1, 3)]
     assert intervals_of([1, 3]) == [(1, 1), (3, 3)]
     assert intervals_of([2, 3, 5]) == [(2, 3), (5, 5)]
+
+
+def test_sphere_examples():
+    # word 2 1 4 3 at ranks {1, 3} fixes {1, 2} at rank 2; each interval
+    # takes one letter of its pool, the larger first
+    assert _sphere((2, 1, 4, 3), (1, 3)) == [
+        ({2}, {1, 2, 4}), ({2}, {1, 2, 3}), ({1}, {1, 2, 4}), ({1}, {1, 2, 3})
+    ]
+    # one interval: the chains of [3] rise through 3, 2, 1 largest first
+    assert _sphere((3, 2, 1), (1, 2)) == [
+        ({3}, {2, 3}), ({3}, {1, 3}), ({2}, {2, 3}), ({2}, {1, 2}), ({1}, {1, 3}), ({1}, {1, 2})
+    ]
+    assert _descent_class(4, (1, 3)) == [(2, 1, 4, 3), (3, 1, 4, 2), (3, 2, 4, 1), (4, 1, 3, 2), (4, 2, 3, 1)]
 
 
 def test_sigma_word_examples():
@@ -104,8 +119,6 @@ def test_sigma_word_rejects_empty_selection():
 def test_sigma_word_is_lex_least_compatible_classifier():
     # the classifier of a chain is the smallest descent-class word whose
     # implied frame (fixed elements at unselected ranks) nests with it
-    from earlab.decompositions import _frame_of
-
     for r, S in [(4, (1, 3)), (4, (2,)), (5, (1, 3))]:
         dec = decompose_rank_selected_boolean(r, S)
         words = sorted(
@@ -137,7 +150,7 @@ def test_boolean_ear_count_is_descent_class_size():
 def test_boolean_r4_s13_frozen_values():
     dec = decompose_rank_selected_boolean(4, [1, 3])
     assert len(dec.ears) == 5
-    report = verify_ced(dec.complex, dec)
+    report = verify_ced(dec)
     assert report["ok"], report
     assert report["h_checks"]["h"] == [1, 6, 5]
 
@@ -145,7 +158,7 @@ def test_boolean_r4_s13_frozen_values():
 def test_boolean_first_ear_is_whole_sphere():
     dec = decompose_rank_selected_boolean(4, [1, 3])
     assert dec.ears[0].complex == reference_sphere(dec, 0)
-    assert verify_ced(dec.complex, dec)["axiom_polytope"]["per_ear"][0]["equals_ambient"] is True
+    assert verify_ced(dec)["axiom_polytope"]["per_ear"][0]["equals_ambient"] is True
 
 
 def test_boolean_rank_guards():
@@ -156,11 +169,11 @@ def test_boolean_rank_guards():
 
 
 def test_boolean_rank_nine_is_not_capped_by_descent_classes():
-    # descent_classes stops at m = 8; the ears read their class words
-    # from the classifier instead
+    # descent_classes stops at m = 8; the ears build their class words
+    # run by run instead
     dec = decompose_rank_selected_boolean(9, [4])
     assert len(dec.ears) == 125
-    assert verify_ced(dec.complex, dec)["ok"]
+    assert verify_ced(dec)["ok"]
 
 
 def test_boolean_full_selection_matches_supersolvable():
@@ -188,14 +201,14 @@ def test_supersolvable_frozen_h_vectors():
     ]
     for lat, h in cases:
         dec = decompose_supersolvable(lat)
-        report = verify_ced(dec.complex, dec)
+        report = verify_ced(dec)
         assert report["ok"], report
         assert report["h_checks"]["h"] == h
 
 
 def test_supersolvable_histogram_matches_when_concatenation_shells():
     dec = decompose_supersolvable(boolean_lattice(3))
-    report = verify_ced(dec.complex, dec)
+    report = verify_ced(dec)
     assert report["h_checks"]["restriction_histogram"] == [1, 4, 1]
     assert report["h_checks"]["histogram_matches"] is True
 
@@ -261,7 +274,7 @@ def test_rank_selected_supersolvable_pi4():
     lat = partition_lattice(4)
     for S, h, n_dropped in [((1,), [1, 5], 7), ((2,), [1, 6], 6)]:
         dec = decompose_rank_selected_supersolvable(lat, ranks=S)
-        report = verify_ced(dec.complex, dec)
+        report = verify_ced(dec)
         assert report["ok"], report
         assert report["h_checks"]["h"] == h
         assert len(dec.dropped) == n_dropped
@@ -292,7 +305,7 @@ def test_face_poset_two_triangles_selections():
     for S, ears, h in [((1, 2), 2, [1, 7, 2]), ((1,), 3, [1, 3]), ((2,), 4, [1, 4])]:
         dec = decompose_face_poset(c, ranks=S)
         assert len(dec.ears) == ears
-        report = verify_ced(dec.complex, dec)
+        report = verify_ced(dec)
         assert report["ok"], report
         assert report["h_checks"]["h"] == h
 
@@ -308,7 +321,7 @@ def test_face_poset_rejects_top_rank():
 def test_face_poset_accepts_given_shelling():
     c = two_triangles()
     dec = decompose_face_poset(c, shelling=[1, 0], ranks=[1, 2])
-    assert verify_ced(dec.complex, dec)["ok"]
+    assert verify_ced(dec)["ok"]
 
 
 def test_face_poset_novelty_requires_restriction_in_top_face():
@@ -350,7 +363,7 @@ def test_geometric_two_triangle_values():
     lat = two_triangle_flats()
     dec = decompose_geometric(lat)
     assert len(dec.ears) == 4
-    report = verify_ced(dec.complex, dec)
+    report = verify_ced(dec)
     assert report["ok"], report
     assert report["h_checks"]["h"] == [1, 9, 4]
 
@@ -360,7 +373,7 @@ def test_geometric_rank_selected():
     for S, ears, dropped, h in [((1,), 4, 4, [1, 4]), ((2,), 5, 3, [1, 5])]:
         dec = decompose_geometric(lat, ranks=S)
         assert (len(dec.ears), len(dec.dropped)) == (ears, dropped)
-        report = verify_ced(dec.complex, dec)
+        report = verify_ced(dec)
         assert report["ok"], report
         assert report["h_checks"]["h"] == h
 
@@ -396,7 +409,7 @@ def test_geometric_boolean_lattice_reduces_to_single_ear():
 
 def test_verify_ced_report_shape():
     dec = decompose_supersolvable(boolean_lattice(3))
-    report = verify_ced(dec.complex, dec)
+    report = verify_ced(dec)
     for key in (
         "axiom_union",
         "axiom_polytope",
@@ -456,7 +469,7 @@ def test_fake_decomposition_fails_boundary_axiom():
     # the path's intersection with the square is bigger than the path's
     # boundary, which axiom checking must catch with a face witness
     fake = square_and_path()
-    report = verify_ced(fake.complex, fake)
+    report = verify_ced(fake)
     assert not report["ok"]
     assert report["axiom_boundary"] == {
         "ok": False, "witnesses": [{"ear": 2, "faces": [["c"], ["c", "d"]]}]
@@ -477,7 +490,7 @@ def test_verify_ced_lets_programming_errors_propagate(monkeypatch):
     monkeypatch.setattr("earlab.decompositions.certify_sphere_or_ball", broken)
     dec = decompose_rank_selected_boolean(3, [1])
     with pytest.raises(TypeError, match="bug in the certifier"):
-        verify_ced(dec.complex, dec)
+        verify_ced(dec)
 
 
 def test_verify_ced_certifies_the_first_ear_once(monkeypatch):
@@ -490,13 +503,13 @@ def test_verify_ced_certifies_the_first_ear_once(monkeypatch):
 
     monkeypatch.setattr("earlab.decompositions.certify_sphere_or_ball", counted)
     dec = decompose_supersolvable(boolean_lattice(4))
-    report = verify_ced(dec.complex, dec)
+    report = verify_ced(dec)
     assert report["ok"] and report["axiom_balls"]["kinds"] == ["SPHERE"]
     assert len(calls) == 1
     # with several ears, ear 1 still stands in for the coordinate sphere
     calls.clear()
     dec = decompose_rank_selected_boolean(4, [1, 3])
-    assert verify_ced(dec.complex, dec)["ok"]
+    assert verify_ced(dec)["ok"]
     assert len(calls) == len(dec.ears)
 
 
@@ -511,7 +524,7 @@ def test_verify_ced_certifies_each_distinct_pulled_back_ear_once(monkeypatch):
 
     monkeypatch.setattr("earlab.decompositions.certify_sphere_or_ball", counted)
     dec = decompose_rank_selected_boolean(7, [2, 4, 6])
-    report = verify_ced(dec.complex, dec)
+    report = verify_ced(dec)
     assert report["ok"] and len(dec.ears) == 272
     assert len(calls) == 13
 
@@ -535,16 +548,16 @@ def test_verify_ced_shells_only_the_concatenation(monkeypatch):
     one = decompose_supersolvable(boolean_lattice(4))
     many = decompose_supersolvable(partition_lattice(4))
     calls = _count_calls(monkeypatch, verify_shelling)
-    assert verify_ced(one.complex, one)["ok"]
+    assert verify_ced(one)["ok"]
     assert calls == []
-    assert verify_ced(many.complex, many)["ok"]
+    assert verify_ced(many)["ok"]
     assert len(calls) == 1 and calls[0] is many.complex
 
 
 def test_verify_ced_builds_each_later_boundary_once(monkeypatch):
     dec = decompose_supersolvable(partition_lattice(4))
     calls = _count_calls(monkeypatch, boundary_complex)
-    assert verify_ced(dec.complex, dec)["ok"]
+    assert verify_ced(dec)["ok"]
     assert len(dec.ears) > 2 and len(calls) == len(dec.ears) - 1
     assert all(c is ear.complex for c, ear in zip(calls, dec.ears[1:]))
 
@@ -561,7 +574,7 @@ def test_verify_ced_builds_no_face_set_for_one_ear(monkeypatch):
 
     monkeypatch.setattr(SimplicialComplex, "faces", counted)
     dec = decompose_supersolvable(boolean_lattice(4))
-    report = verify_ced(dec.complex, dec)
+    report = verify_ced(dec)
     assert len(dec.ears) == 1 and report["ok"]
     assert report["axiom_boundary"] == {"ok": True, "witnesses": []}
     assert glue == []
@@ -574,15 +587,18 @@ def test_histogram_is_that_of_the_concatenated_shelling():
         order = [where[frozenset(c)] for ear in dec.ears for c in ear.chains]
         want = h_from_shelling(verify_shelling(dec.complex, order))
         assert _concatenated_histogram(dec.complex, dec.ears) == want
-        h_checks = verify_ced(dec.complex, dec)["h_checks"]
+        h_checks = verify_ced(dec)["h_checks"]
         assert h_checks["restriction_histogram"] == list(want)
 
 
-def test_selected_flags_leave_no_cyclic_garbage():
+def test_sphere_and_descent_class_leave_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        assert len(_selected_flags(5, (1, 3))) == 5 * 6
+        words = _descent_class(5, (1, 3))
+        assert len(words) == 16
+        assert len(_sphere(words[0], (1, 3))) == 2 * 2
+        assert len(_sphere(range(1, 6), (1, 2, 3))) == 4 * 3 * 2
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -591,7 +607,7 @@ def test_selected_flags_leave_no_cyclic_garbage():
 def test_verify_ced_flags_missing_facets():
     dec = decompose_supersolvable(boolean_lattice(3))
     bigger = union_complexes(dec.complex, build_complex([["zz", "ww"]]))
-    report = verify_ced(bigger, dec)
+    report = verify_ced(replace(dec, complex=bigger))
     assert not report["axiom_union"]["ok"]
     assert report["axiom_union"]["missing"]
 

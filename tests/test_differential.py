@@ -22,8 +22,11 @@ against the brute-force routes they replaced, on random inputs.
 * the M-chain test of ``derive_sn_labeling`` (its min-join labeling is an
   S_r EL-labeling) against ``is_mchain`` (distributivity of the sublattice
   generated with every maximal chain, by brute force);
-* the class words of the ears (classifiers of the selected flags) against
-  ``descent_classes`` (all of S_rho grouped by descent set);
+* the class words of the classifier oracle and ``_descent_class``
+  (increasing runs cut at the ranks) against ``descent_classes`` (all of
+  S_rho grouped by descent set), and ``_class_map`` (each class the new
+  part of its word's sphere) against classifying every selected flag and
+  sorting each class by frame word;
 * ``lattice_of_flats`` (flats grown by closure extension on bitmasks)
   against the closure of every subset and a pairwise cover scan, both by
   a basis-scan rank;
@@ -105,10 +108,10 @@ from earlab.complexes import (
     verify_shelling,
 )
 from earlab.decompositions import (
+    _class_map,
     _coordinate_sphere,
-    _frame_of,
+    _descent_class,
     _pulled_back,
-    _selected_flags,
     _subset_novelty,
     _supersolvable_copies,
     decompose_face_poset,
@@ -118,7 +121,6 @@ from earlab.decompositions import (
     decompose_supersolvable,
     intervals_of,
     pulled_back_keys,
-    sigma_word,
     verify_ced,
 )
 from earlab.errors import (
@@ -180,9 +182,12 @@ from earlab.posets import (
     with_bounds,
 )
 from oracles import (
+    _frame_of,
+    _selected_flags,
     ambient_by_permutations,
     ced_axioms_certifying_each_ear,
     chains_by_filter,
+    class_map_by_classifier,
     class_masks_per_permutation,
     dominance_table_all_pairs,
     el_by_intervals,
@@ -201,6 +206,7 @@ from oracles import (
     reciprocity_rows_per_ear,
     reduced_euler,
     reference_sphere,
+    sigma_word,
     sr_by_maximal_chains,
     subset_novelty_scan,
     supersolvable_copies_by_closure,
@@ -624,14 +630,14 @@ def test_boundary_axiom_agrees_with_intersections(data):
     dec = data.draw(st.sampled_from(small_decompositions()))
     ears = data.draw(st.permutations(dec.ears))
     dec = replace(dec, ears=list(ears))
-    assert verify_ced(dec.complex, dec)["axiom_boundary"] == boundary_by_intersections(ears)
+    assert verify_ced(dec)["axiom_boundary"] == boundary_by_intersections(ears)
 
 
 def test_reordered_ears_fail_with_the_same_witnesses():
     dec = decompose_rank_selected_boolean(4, [1, 3])
-    assert verify_ced(dec.complex, dec)["axiom_boundary"]["ok"]
+    assert verify_ced(dec)["axiom_boundary"]["ok"]
     ears = dec.ears[1:] + dec.ears[:1]
-    report = verify_ced(dec.complex, replace(dec, ears=ears))["axiom_boundary"]
+    report = verify_ced(replace(dec, ears=ears))["axiom_boundary"]
     assert not report["ok"]
     assert report["witnesses"]
     assert report == boundary_by_intersections(ears)
@@ -780,10 +786,10 @@ def test_supersolvable_decomposition_skips_the_distributivity_brute_force(monkey
 
     monkeypatch.setattr("earlab.lattices._distributive_on", refuse)
     dec = decompose_supersolvable(boolean_lattice(4))
-    assert verify_ced(dec.complex, dec)["ok"]
+    assert verify_ced(dec)["ok"]
 
 
-# -- class words by the classifier -------------------------------------------------
+# -- class words by the classifier oracle --------------------------------------------
 
 
 @pytest.mark.parametrize("rho", range(2, 8))
@@ -795,6 +801,34 @@ def test_classifier_words_are_the_descent_class(rho):
         for S in combinations(range(1, rho), k):
             words = sorted({sigma_word(fl, S, rho) for fl in _selected_flags(rho, S)})
             assert words == descent_classes(rho)[frozenset(S)], (rho, S)
+
+
+# -- class words and ears by spheres --------------------------------------------------
+
+
+@pytest.mark.parametrize("rho", range(1, 9))
+def test_descent_class_by_runs_is_the_descent_class(rho):
+    classes = descent_classes(rho)
+    for k in range(rho):
+        for S in combinations(range(1, rho), k):
+            assert _descent_class(rho, S) == classes[frozenset(S)], (rho, S)
+
+
+@pytest.mark.parametrize("rho", range(2, 8))
+def test_class_map_by_spheres_is_the_classifiers(rho):
+    """Each class is the new part of its word's sphere, listed in the
+    classifier route's shelling order."""
+    for k in range(1, rho):
+        for S in combinations(range(1, rho), k):
+            got, want = _class_map(rho, S), class_map_by_classifier(rho, S)
+            assert list(got.items()) == list(want.items()), (rho, S)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.frozensets(st.integers(1, 7), min_size=1))
+def test_class_map_by_spheres_is_the_classifiers_at_rank_8(ranks):
+    S = sorted(ranks)
+    assert list(_class_map(8, S).items()) == list(class_map_by_classifier(8, S).items())
 
 
 # -- cover pairs of the lattice of flats --------------------------------------------
@@ -1148,7 +1182,7 @@ def ambient_corpus() -> dict:
 
 
 def polytope_entries(dec) -> list[dict]:
-    return verify_ced(dec.complex, dec)["axiom_polytope"]["per_ear"]
+    return verify_ced(dec)["axiom_polytope"]["per_ear"]
 
 
 @pytest.mark.parametrize("name", ["B5", "Pi5", "K33", "prism", "cross4-123", "bool7-246", "K5-13"])
@@ -1204,7 +1238,7 @@ def test_first_ear_missing_a_facet_is_not_the_whole_sphere():
     ear = dec.ears[0]
     chains = ear.chains[:-1]
     bad = _with_ear(dec, 0, chains=chains, shelling=_shelled(chains))
-    report = verify_ced(bad.complex, bad)
+    report = verify_ced(bad)
     entry = report["axiom_polytope"]["per_ear"][0]
     assert entry["equals_ambient"] is False
     assert entry["subcomplex"] is True and entry["ambient_is_sphere"] is True
@@ -1286,7 +1320,7 @@ def test_ear_without_a_defined_map_has_no_reference_sphere(tamper):
 
 
 def ced_axioms(dec) -> dict:
-    report = verify_ced(dec.complex, dec)
+    report = verify_ced(dec)
     return {
         "kinds": report["axiom_balls"]["kinds"],
         "per_ear": report["axiom_polytope"]["per_ear"],
