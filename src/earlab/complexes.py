@@ -5,6 +5,10 @@ The two degenerate complexes both occur here and are kept distinct: the
 void complex (no faces at all, ``facets == ()``) and the empty complex
 ``{∅}`` (one empty facet), which plays the role of a sphere of dimension -1.
 
+Names appear only at the API. The kernels read facets as masks over the
+sorted ``vertices`` (bit i is ``vertices[i]``, so bit order is name order),
+and a shelling keeps per vertex the bitset of the placed facets holding it.
+
 All homology is reduced and over the rationals, computed by integer
 pivot-column reduction with clearing (its oracle in the tests: fraction-free
 elimination), so there are no floating-point numbers anywhere.
@@ -13,9 +17,8 @@ elimination), so there are no floating-point numbers anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, gcd
-from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     BadParams,
@@ -25,7 +28,7 @@ from .errors import (
     NotShelling,
     SizeLimit,
 )
-from .posets import Poset, build_poset, maximal_chains
+from .posets import Poset, _bits, build_poset, maximal_chains
 
 __all__ = [
     "SimplicialComplex",
@@ -53,15 +56,22 @@ __all__ = [
 
 
 class SimplicialComplex:
-    """An abstract simplicial complex given by its facets."""
+    """An abstract simplicial complex given by its facets, and by their
+    masks over ``vertices``."""
 
-    __slots__ = ("vertices", "facets", "dim", "pure")
+    __slots__ = ("vertices", "facets", "dim", "pure", "masks")
 
     def __init__(self, vertices: tuple[str, ...], facets: tuple[frozenset[str], ...]):
         self.vertices = vertices
         self.facets = facets
         self.dim = max((len(f) for f in facets), default=0) - 1
         self.pure = len({len(f) for f in facets}) <= 1
+        bit = {v: 1 << i for i, v in enumerate(vertices)}
+        self.masks = tuple(sum(map(bit.__getitem__, f)) for f in facets)
+
+    def face(self, mask: int) -> frozenset[str]:
+        """The vertex names of a mask."""
+        return frozenset(map(self.vertices.__getitem__, _bits(mask)))
 
     @property
     def is_void(self) -> bool:
@@ -74,10 +84,7 @@ class SimplicialComplex:
 
     def faces(self) -> set[frozenset[str]]:
         """Every face, the empty set included (unless void)."""
-        out: set[frozenset[str]] = set()
-        for f in self.facets:
-            out.update(_subfaces(f))
-        return out
+        return {self.face(m) for size in _faces_by_size(self.masks, self.dim + 1) for m in size}
 
     def has_face(self, face: Iterable[str]) -> bool:
         s = frozenset(face)
@@ -111,9 +118,15 @@ def build_complex(facets: Iterable[Iterable[str]]) -> SimplicialComplex:
         group = by_size[size]
         maximal.extend(f for f in group if not any(f < g for g in larger))
         larger.extend(group)
-    maximal.sort(key=lambda f: (len(f), sorted(f)))
+    maximal.sort(key=facet_key)
     vertices = tuple(sorted({v for f in maximal for v in f}))
     return SimplicialComplex(vertices, tuple(maximal))
+
+
+def facet_key(f: Iterable[str]) -> tuple[int, list[str]]:
+    """The order of ``build_complex``'s facets: by size, then by sorted names."""
+    names = sorted(f)
+    return len(names), names
 
 
 def order_complex(p: Poset) -> SimplicialComplex:
@@ -146,10 +159,21 @@ def face_poset(
     return build_poset(list(names.values()), covers, graded=graded)
 
 
-def _faces_by_size(c: SimplicialComplex) -> Iterator[set[tuple[str, ...]]]:
-    """The faces of each size 0..dim+1 as sets of sorted tuples, one set at a time."""
-    facets = [sorted(f) for f in c.facets]
-    return ({g for f in facets for g in combinations(f, k)} for k in range(c.dim + 2))
+def _faces_by_size(masks: Iterable[int], top: int) -> list[set[int]]:
+    """The submasks of ``masks`` (of at most ``top`` bits) by size 0..top,
+    each size's from the masks of that size and one bit cleared one size up."""
+    sizes: list[set[int]] = [set() for _ in range(top + 1)]
+    for m in masks:
+        sizes[m.bit_count()].add(m)
+    for k in range(top, 0, -1):
+        below = sizes[k - 1]
+        for f in sizes[k]:
+            rest = f
+            while rest:
+                low = rest & -rest
+                below.add(f ^ low)
+                rest ^= low
+    return sizes
 
 
 def f_h_vectors(c: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -162,8 +186,8 @@ def f_h_vectors(c: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]
         raise NotPure("h-vector needs a pure complex")
     if c.is_void:
         raise BadParams("void complex has no h-vector")
-    f = [len(s) for s in _faces_by_size(c)]  # f[i]: faces of cardinality i
     d = c.dim + 1
+    f = [len(s) for s in _faces_by_size(c.masks, d)]  # f[i]: faces of cardinality i
     h = []
     for k in range(d + 1):
         h.append(sum((-1) ** (k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1)))
@@ -188,23 +212,23 @@ class ShellingOrder:
         return [self.complex.facets[i] for i in self.order]
 
 
-def _ridges(f: frozenset[str]) -> list[frozenset[str]]:
-    return [f - {v} for v in f]
-
-
-def _subfaces(f: frozenset[str]) -> list[frozenset[str]]:
-    fl = sorted(f)
-    return [frozenset(c) for k in range(len(fl) + 1) for c in combinations(fl, k)]
-
-
-def _shelling_step(
-    f: frozenset[str], ridges: set[frozenset[str]], faces: set[frozenset[str]]
-) -> tuple[frozenset[str], bool]:
-    """One shelling step: the restriction face r(f) given the ridges and
-    faces of the facets placed before ``f``, and whether ``f`` may come
-    next, which it may iff r(f) is not a face of an earlier facet."""
-    r = frozenset(x for x in f if f - {x} in ridges)
-    return r, r not in faces
+def _shelling_step(f: Sequence[int], holders: Sequence[int], earlier: int) -> tuple[list[int], int]:
+    """r(f), the vertices x of f (sorted vertex indices) with f - x inside a
+    placed facet, and the placed facets holding r(f): f may come next iff
+    none. Bit k of holders[v] marks that the k-th placed facet holds v, and
+    ANDs start at ``earlier``, the mask of the placed facets."""
+    suffix = [earlier]
+    for v in reversed(f):
+        suffix.append(suffix[-1] & holders[v])
+    r, prefix = [], earlier
+    for v, rest in zip(f, suffix[-2::-1]):  # rest: the AND over f's vertices after v
+        if prefix & rest:
+            r.append(v)
+        prefix &= holders[v]
+    common = earlier
+    for v in r:
+        common &= holders[v]
+    return r, common
 
 
 def verify_shelling(c: SimplicialComplex, order: Sequence[int]) -> ShellingOrder:
@@ -212,9 +236,9 @@ def verify_shelling(c: SimplicialComplex, order: Sequence[int]) -> ShellingOrder
 
     ``order`` is a permutation of facet indices. The restriction face
     r(F_j) collects the vertices x with F_j - x a ridge of an earlier facet
-    (read from a hash set of earlier ridges). The order is a shelling iff
-    no r(F_j) with j >= 1 is a face of an earlier facet, which is
-    equivalent to the pairwise criterion: for every i < j some k < j has
+    (read from per-vertex bitsets of the earlier facets). The order is a
+    shelling iff no r(F_j) with j >= 1 is a face of an earlier facet, which
+    is equivalent to the pairwise criterion: for every i < j some k < j has
     F_i ∩ F_j ⊆ F_k ∩ F_j and |F_k ∩ F_j| = |F_j| - 1. On failure the
     witness is the first failing j and the first i < j whose facet contains
     r(F_j), a pair that violates the pairwise criterion.
@@ -223,26 +247,23 @@ def verify_shelling(c: SimplicialComplex, order: Sequence[int]) -> ShellingOrder
         raise NotPure("shellings are defined here for pure complexes only")
     if c.is_void:
         raise BadParams("void complex cannot be shelled")
-    n = len(c.facets)
-    if sorted(order) != list(range(n)):
+    if sorted(order) != list(range(len(c.facets))):
         raise BadParams("order must be a permutation of all facet indices")
-    seq = [c.facets[i] for i in order]
-    ridges: set[frozenset[str]] = set()
-    faces: set[frozenset[str]] = set()
+    rows, holders = [list(_bits(m)) for m in c.masks], [0] * len(c.vertices)
     restrictions = []
-    for j, fj in enumerate(seq):
-        r, ok = _shelling_step(fj, ridges, faces)
-        if not ok:
-            i = next(i for i in range(j) if r <= seq[i])
+    for j, k in enumerate(order):
+        r, common = _shelling_step(rows[k], holders, (1 << j) - 1)
+        if common:
+            i = order[(common & -common).bit_length() - 1]
             raise NotShelling(
-                f"facets {sorted(seq[i])} and {sorted(fj)} violate the "
+                f"facets {sorted(c.facets[i])} and {sorted(c.facets[k])} violate the "
                 "pairwise criterion",
-                i=order[i],
-                j=order[j],
+                i=i,
+                j=k,
             )
-        restrictions.append(r)
-        ridges.update(_ridges(fj))
-        faces.update(_subfaces(fj))
+        restrictions.append(frozenset(map(c.vertices.__getitem__, r)))
+        for v in rows[k]:
+            holders[v] |= 1 << j
     return ShellingOrder(c, tuple(order), tuple(restrictions))
 
 
@@ -267,32 +288,32 @@ def search_shelling(c: SimplicialComplex) -> Optional[ShellingOrder]:
     if n > _SEARCH_CAP:
         raise SizeLimit(f"shelling search capped at {_SEARCH_CAP} facets ({n} given)")
     prefix: list[int] = []
-    if not _extend_shelling(c.facets, prefix, [False] * n, set(), set()):
+    rows = [list(_bits(m)) for m in c.masks]
+    if not _extend_shelling(rows, prefix, [False] * n, [0] * len(c.vertices)):
         return None
     return verify_shelling(c, prefix)
 
 
 def _extend_shelling(
-    facets: Sequence[frozenset[str]],
-    prefix: list[int],
-    used: list[bool],
-    ridges: set[frozenset[str]],
-    faces: set[frozenset[str]],
+    rows: Sequence[Sequence[int]], prefix: list[int], used: list[bool], holders: list[int]
 ) -> bool:
-    """Extend the shelling ``prefix`` (facet indices, marked in ``used``,
-    whose ridges and faces are given) to all of ``facets`` by backtracking,
-    in place; False, with ``prefix`` as it was, when no extension exists."""
-    if len(prefix) == len(facets):
+    """Extend the shelling ``prefix`` (facet indices, marked in ``used`` and
+    in bits 0.. of ``holders``) to all of ``rows`` by backtracking, in place;
+    False, with ``prefix`` as it was, when no extension exists."""
+    bit = 1 << len(prefix)
+    if len(prefix) == len(rows):
         return True
-    for j, f in enumerate(facets):
-        if used[j] or not _shelling_step(f, ridges, faces)[1]:
+    for j, f in enumerate(rows):
+        if used[j] or _shelling_step(f, holders, bit - 1)[1]:
             continue
         used[j] = True
         prefix.append(j)
-        if _extend_shelling(
-            facets, prefix, used, ridges.union(_ridges(f)), faces.union(_subfaces(f))
-        ):
+        for v in f:
+            holders[v] |= bit
+        if _extend_shelling(rows, prefix, used, holders):
             return True
+        for v in f:
+            holders[v] ^= bit  # backtrack: clear facet j's bit
         prefix.pop()
         used[j] = False
     return False
@@ -307,15 +328,17 @@ def boundary_complex(c: SimplicialComplex) -> SimplicialComplex:
         raise NotPure("boundary of a non-pure complex is not defined here")
     if c.is_void:
         return c
-    counts: dict[frozenset[str], int] = {}
-    for f in c.facets:
-        for v in f:
-            ridge = f - {v}
-            counts[ridge] = counts.get(ridge, 0) + 1
-    ridges = [r for r, k in counts.items() if k == 1]
-    if not ridges:
-        return SimplicialComplex((), ())
-    return build_complex(ridges)
+    ridges = sorted((c.face(r) for r, ids in _ridge_map(c).items() if len(ids) == 1), key=facet_key)
+    return SimplicialComplex(tuple(sorted(set().union(*ridges))), tuple(ridges))
+
+
+def _ridge_map(c: SimplicialComplex) -> dict[int, list[int]]:
+    """Each ridge mask f ^ bit of a facet f, with the indices of its facets."""
+    on_ridge: dict[int, list[int]] = {}
+    for k, f in enumerate(c.masks):
+        for i in _bits(f):
+            on_ridge.setdefault(f ^ 1 << i, []).append(k)
+    return on_ridge
 
 
 def link_of(c: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
@@ -391,26 +414,26 @@ def _reduce(
 def homology_ranks(c: SimplicialComplex) -> tuple[int, ...]:
     """Reduced Betti numbers (β̃_0, …, β̃_dim) over the rationals.
 
-    Faces are sorted tuples, and each dimension's faces are listed in
-    sorted order, which indexes both the rows of ∂_k and the columns of
-    ∂_{k+1}. The boundary maps are reduced from the top dimension down,
-    with clearing: a pivot τ of a reduced ∂_{k+1} row is the largest term
-    of a k-boundary, hence of a k-cycle, so row τ of ∂_k lies in the span
-    of the rows before it, and skipping every such row (never building it)
-    leaves rank ∂_k unchanged. That needs the pivot to be the largest
-    column, which ``_reduce`` guarantees.
+    Faces are masks, and each dimension's faces are listed in integer
+    order (the ranks do not depend on it), which indexes both the rows of
+    ∂_k and the columns of ∂_{k+1}. The boundary maps are reduced from the
+    top dimension down, with clearing: a pivot τ of a reduced ∂_{k+1} row
+    is the largest term of a k-boundary, hence of a k-cycle, so row τ of
+    ∂_k lies in the span of the rows before it, and skipping every such
+    row (never building it) leaves rank ∂_k unchanged. That needs the
+    pivot to be the largest column, which ``_reduce`` guarantees.
     """
     if c.is_void or c.is_irrelevant:
         return ()
     d = c.dim
-    faces = [sorted(s) for s in _faces_by_size(c)]  # faces[k + 1]: the k-faces
+    faces = [sorted(s) for s in _faces_by_size(c.masks, d + 1)]  # faces[k + 1]: the k-faces
     # ranks[k]: rank of ∂_k : C_k -> C_{k-1}, with C_{-1} the empty-face line
     ranks = [0] * (d + 2)
     cleared: Container[int] = ()
     for k in range(d, -1, -1):
         index = {f: i for i, f in enumerate(faces[k])}
         rows = (
-            ((index[f[:j] + f[j + 1 :]], -1 if j & 1 else 1) for j in range(len(f)))
+            ((index[f ^ 1 << v], -1 if j & 1 else 1) for j, v in enumerate(_bits(f)))
             for f in faces[k + 1]
         )
         cleared = _reduce(rows, cleared)
@@ -477,19 +500,16 @@ def _is_closed_pseudomanifold(c: SimplicialComplex) -> bool:
         return False
     if c.dim == 0:
         return len(c.facets) == 2
-    on_ridge: dict[frozenset[str], list[int]] = {}
-    for i, f in enumerate(c.facets):
-        for ridge in _ridges(f):
-            on_ridge.setdefault(ridge, []).append(i)
+    on_ridge = _ridge_map(c)
     if any(len(ids) != 2 for ids in on_ridge.values()):
         return False
     # strong connectivity through ridges
     seen = {0}
     stack = [0]
     while stack:
-        i = stack.pop()
-        for ridge in _ridges(c.facets[i]):
-            for j in on_ridge[ridge]:
+        f = c.masks[stack.pop()]
+        for i in _bits(f):
+            for j in on_ridge[f ^ 1 << i]:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)

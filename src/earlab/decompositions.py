@@ -21,17 +21,18 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .complexes import (
     SimplicialComplex,
     ShellingOrder,
-    boundary_complex,
-    build_complex,
     certify_sphere_or_ball,
     complex_to_json,
     f_h_vectors,
     face_name,
     face_poset,
+    facet_key,
     h_from_shelling,
     search_shelling,
     union_complexes,
     verify_shelling,
+    _faces_by_size,
+    _ridge_map,
 )
 from .errors import (
     BadParams,
@@ -53,7 +54,7 @@ from .labelings import (
     minimal_labeling,
     verify_sr,
 )
-from .lattices import Lattice, boolean_lattice, subset_name
+from .lattices import Lattice, boolean_poset, subset_name
 from .posets import Poset, maximal_chains, rank_select
 
 __all__ = [
@@ -150,7 +151,7 @@ def _coordinate_sphere(
     flags = _sphere(range(1, ranks[-1] + 2), ranks)
     name = {a: "+".join(map(str, sorted(a))) for a in {a for fl in flags for a in fl}}
     facets = [tuple(name[a] for a in fl) for fl in flags]
-    return build_complex(facets), {v: a for a, v in name.items()}
+    return _chain_complex(facets)[0], {v: a for a, v in name.items()}
 
 
 # -- decomposition containers ------------------------------------------------
@@ -248,7 +249,7 @@ def _assemble(
         for wj, (word, flags) in enumerate(class_map.items()):
             kept: list[tuple[str, ...]] = []
             for fl in flags:
-                names = tuple(copy.elem[x] for x in fl)
+                names = tuple(map(copy.elem.__getitem__, fl))
                 if is_new(ci, fl, names):
                     kept.append(names)
             prov = dict(copy.provenance)
@@ -258,13 +259,9 @@ def _assemble(
             if not kept:
                 dropped.append(prov)
                 continue
-            facets = [frozenset(names) for names in kept]
-            comp = build_complex(facets)
-            where = {f: k for k, f in enumerate(comp.facets)}
-            shelling = verify_shelling(comp, [where[f] for f in facets])
             ear = Ear(
                 chains=kept,
-                shelling=shelling,
+                shelling=verify_shelling(*_chain_complex(kept)),
                 provenance=prov,
                 coord_names=copy.elem,
             )
@@ -285,12 +282,21 @@ def _assemble(
         construction=construction,
         params=params,
         poset=sel_poset,
-        complex=build_complex(all_chains),
+        complex=_chain_complex(list(all_chains))[0],
         ears=ears,
         dropped=dropped,
         ranks=ranks,
         rho=rho,
     )
+
+
+def _chain_complex(chains: Sequence[tuple[str, ...]]) -> tuple[SimplicialComplex, list[int]]:
+    """The complex whose facets are ``chains``, distinct maximal chains (so
+    none lies inside another), in build_complex's order; and each chain's index."""
+    facets = sorted(map(frozenset, chains), key=facet_key)
+    where = {f: k for k, f in enumerate(facets)}
+    comp = SimplicialComplex(tuple(sorted(set().union(*facets))), tuple(facets))
+    return comp, [where[frozenset(c)] for c in chains]
 
 
 # -- constructions -------------------------------------------------------------
@@ -324,13 +330,13 @@ def _selection(ranks: Optional[Iterable[int]], r: int) -> tuple[int, ...]:
 
 def decompose_rank_selected_boolean(r: int, ranks: Iterable[int]) -> EarDecomposition:
     """Ears of the rank-selected Boolean lattice, one per descent-class word."""
-    lat = boolean_lattice(r)
+    p = boolean_poset(r)
     sel = _check_ranks(ranks, r)
     copy = _generated_copy(range(1, r + 1), subset_name, {"copy": "boolean"})
     return _assemble(
         "rank-boolean",
         {"r": r, "ranks": list(sel)},
-        rank_select(lat.poset, sel),
+        rank_select(p, sel),
         [copy],
         sel,
         r,
@@ -543,21 +549,21 @@ def verify_ced(dec: EarDecomposition) -> dict:
         return report
 
     union = union_complexes(*[e.complex for e in ears])
-    missing = sorted(set(delta.facets) - set(union.facets))
-    extra = sorted(set(union.facets) - set(delta.facets))
+    missing = sorted(set(delta.facets) - set(union.facets), key=facet_key)
+    extra = sorted(set(union.facets) - set(delta.facets), key=facet_key)
+    del union  # a copy of every facet, not to be held through the certificates
     report["axiom_union"] = {
         "ok": not missing and not extra,
         "missing": [sorted(f) for f in missing[:3]],
         "extra": [sorted(f) for f in extra[:3]],
     }
 
-    # The faces common to ear i and the earlier union are those of the
-    # complex generated by pairwise facet intersections, so one running face
-    # set replaces rebuilding the union and the intersection per ear.
+    # bit k of holders[v]: the k-th facet of the earlier ears holds v
     kinds = []
     entries = []
     witnesses = []
-    running: set[frozenset[str]] = set()
+    holders: dict[str, int] = {}
+    placed = 0
     sphere, coord = _coordinate_sphere(dec.ranks)
     sphere_facets = {f: f for f in sphere.facets}  # stored keys share K's own facet objects
     sphere_kind: Optional[str] = None
@@ -565,9 +571,9 @@ def verify_ced(dec: EarDecomposition) -> dict:
     for i, ear in enumerate(ears):
         pulled = _pulled_back(ear, coord)
         key = _key(pulled)
-        kind, boundary = certified.get(key), None
+        kind = certified.get(key)
         if kind is None:
-            kind, boundary = _certify(ear.complex, ear.shelling)
+            kind = _certify(ear.complex, ear.shelling)
             if key is not None:
                 certified[frozenset(sphere_facets.get(f, f) for f in key)] = kind
         kinds.append(kind)
@@ -583,7 +589,7 @@ def verify_ced(dec: EarDecomposition) -> dict:
                 # an injective relabelling keeps homology and the closed
                 # pseudomanifold property, and the sphere verdict never reads
                 # the shelling, so an ear that is K's whole image certifies as K does
-                sphere_kind = kind if whole else _certify(sphere)[0]
+                sphere_kind = kind if whole else _certify(sphere)
             entry["ambient_is_sphere"] = sphere_kind == "SPHERE"
             entry["full_dimensional"] = ear.complex.dim == sphere.dim
             entry["subcomplex"] = all(f in sphere_facets or sphere.has_face(f) for f in pulled)
@@ -595,17 +601,15 @@ def verify_ced(dec: EarDecomposition) -> dict:
         if len(ears) == 1:
             continue
 
-        ear_faces = ear.complex.faces()
         if i:
-            have = ear_faces & running
-            if boundary is None:  # only a fresh BALL certificate carries its boundary
-                boundary = boundary_complex(ear.complex)
-            want = boundary.faces()
-            if have != want:
-                diff = sorted(have ^ want, key=lambda f: (len(f), sorted(f)))
+            diff = _gluing_diff(ear.complex, holders, (1 << placed) - 1)
+            if diff:
                 witnesses.append({"ear": i + 1, "faces": [sorted(f) for f in diff[:3]]})
-        if i < len(ears) - 1:  # no later ear reads the last one's faces
-            running |= ear_faces
+        if i < len(ears) - 1:  # no later ear reads the last one's facets
+            for f in ear.complex.facets:
+                for v in f:
+                    holders[v] = holders.get(v, 0) | 1 << placed
+                placed += 1
 
     axiom_sphere_ok = kinds[0] == "SPHERE" and all(
         v for e in entries for k, v in e.items() if k != "ear"
@@ -697,17 +701,33 @@ def _pulled_back(
     return frozenset(frozenset(back.get(x) for x in f) for f in ear.complex.facets)
 
 
-def _certify(
-    c: SimplicialComplex, shelling: Optional[ShellingOrder] = None
-) -> tuple[str, Optional[SimplicialComplex]]:
-    """The kind ``certify_sphere_or_ball`` gives and the boundary a BALL
-    certificate carries; "UNCERTIFIED(reason)" and None for a complex it
-    refuses. Any error other than an EarlabError is a bug and propagates."""
+def _gluing_diff(
+    ear: SimplicialComplex, holders: Mapping[str, int], earlier: int
+) -> list[frozenset[str]]:
+    """The faces of ``ear`` in the earlier ears or in its boundary but not
+    both, in build_complex's order: in the earlier ears when the AND of
+    ``holders`` over the face, started at ``earlier``, is non-zero; in the
+    boundary when inside a ridge that lies in one facet only."""
+    hold = [holders.get(v, 0) for v in ear.vertices]
+    common = {0: earlier}  # each face of the ear with its AND, by size
+    for size in _faces_by_size(ear.masks, ear.dim + 1)[1:]:
+        for s in size:
+            low = s & -s
+            common[s] = common[s ^ low] & hold[low.bit_length() - 1]
+    once = [r for r, ids in _ridge_map(ear).items() if len(ids) == 1]
+    want = set().union(*_faces_by_size(once, ear.dim))
+    have = {s for s, a in common.items() if a}
+    return sorted(map(ear.face, have ^ want), key=facet_key)
+
+
+def _certify(c: SimplicialComplex, shelling: Optional[ShellingOrder] = None) -> str:
+    """The kind ``certify_sphere_or_ball`` gives; "UNCERTIFIED(reason)" for
+    a complex it refuses. Any error other than an EarlabError is a bug and
+    propagates."""
     try:
-        cert = certify_sphere_or_ball(c, shelling)
+        return certify_sphere_or_ball(c, shelling).kind
     except EarlabError as exc:  # report, don't raise
-        return f"UNCERTIFIED({exc})", None
-    return cert.kind, cert.boundary
+        return f"UNCERTIFIED({exc})"
 
 
 def _concatenated_histogram(

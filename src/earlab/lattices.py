@@ -34,6 +34,7 @@ from .posets import (
 
 __all__ = [
     "Lattice",
+    "boolean_poset",
     "boolean_lattice",
     "partition_lattice",
     "closure_under_ops",
@@ -130,23 +131,22 @@ def subset_name(s: Iterable[int]) -> str:
     return "".join(str(d) for d in digits) if digits else "0"
 
 
-def boolean_lattice(r: int) -> Lattice:
-    """All subsets of [r] ordered by inclusion."""
+def boolean_poset(r: int) -> Poset:
+    """All subsets of [r] ordered by inclusion, each named once by subset_name."""
     if r < 1:
         raise BadParams("rank must be at least 1")
     if r > 9:
         raise SizeLimit("boolean lattice supported up to rank 9")
-    elements = []
-    covers = []
-    universe = list(range(1, r + 1))
-    for k in range(r + 1):
-        for s in combinations(universe, k):
-            elements.append(subset_name(s))
-            for extra in universe:
-                if extra not in s:
-                    covers.append((subset_name(s), subset_name(set(s) | {extra})))
+    universe = range(1, r + 1)
+    name = {frozenset(s): subset_name(s) for k in range(r + 1) for s in combinations(universe, k)}
+    covers = [(n, name[s | {x}]) for s, n in name.items() for x in universe if x not in s]
+    return build_poset(list(name.values()), covers)
+
+
+def boolean_lattice(r: int) -> Lattice:
+    """All subsets of [r] ordered by inclusion."""
     mchain = [subset_name(range(1, k + 1)) for k in range(r + 1)]
-    return Lattice(build_poset(elements, covers), mchain=mchain)
+    return Lattice(boolean_poset(r), mchain=mchain)
 
 
 def partition_name(blocks: Iterable[Iterable[int]]) -> str:

@@ -23,6 +23,15 @@ needs them, so they live with the tests:
 * ``is_geometric``: graded, every element the join of the atoms below it,
   and rank submodular on every pair;
 * ``is_subcomplex``: every facet of one complex is a face of the other;
+* ``faces_by_subsets``, ``boundary_by_name_sets`` and
+  ``closed_pseudomanifold_by_name_sets``: faces, boundary and the closed
+  pseudomanifold test on frozensets of names (``subfaces`` and ``ridges``
+  are their helpers), the routes the mask kernels replaced;
+* ``shelling_by_face_sets`` and ``search_by_face_sets``: the shelling
+  check and the backtracking search with every face and ridge of the
+  placed facets in hash sets (``shelling_step_by_face_sets``), and
+  ``gluing_witnesses_by_face_sets``: the gluing axiom of ``verify_ced``
+  against one running face set of the earlier ears;
 * ``sigma_word`` and ``class_map_by_classifier``: the class word of a
   selected flag read off its gap-filled label word (the lex-least word of
   the descent class whose sphere holds the flag), and the class map by
@@ -39,7 +48,7 @@ needs them, so they live with the tests:
   ear with it by ``is_subcomplex`` and facet sets;
 * ``ced_axioms_certifying_each_ear``: the kinds, polytope entries and
   gluing witnesses of ``verify_ced`` with every ear certified on its own,
-  not once per pulled-back ear;
+  not once per pulled-back ear, and the witnesses by running face sets;
 * ``reciprocity_rows_per_ear``: the rows of ``verify --what reciprocity``
   with the identity checked on every ear, not once per colored pull-back;
 * ``subset_novelty_scan``: a chain is new when no earlier copy's name set
@@ -72,7 +81,7 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from earlab.complexes import SimplicialComplex, _reduce, boundary_complex, build_complex
+from earlab.complexes import SimplicialComplex, _reduce, build_complex
 from earlab.decompositions import (
     Ear,
     EarDecomposition,
@@ -91,6 +100,7 @@ from earlab.errors import (
     LengthMismatch,
     MobiusMismatch,
     NotMChain,
+    NotShelling,
     RangeError,
 )
 from earlab.flags import (
@@ -118,7 +128,7 @@ def exact_rank(rows: list[dict[int, int]]) -> int:
 
 def reduced_euler(c: SimplicialComplex) -> int:
     """Σ over faces F, the empty one included, of (-1)^dim F; 0 if void."""
-    return sum((-1) ** (len(f) + 1) for f in c.faces())
+    return sum((-1) ** (len(f) + 1) for f in faces_by_subsets(c))
 
 
 def flag_h_from_descents(p: Poset, lab: EdgeLabeling) -> FlagVector:
@@ -273,6 +283,119 @@ def is_subcomplex(small: SimplicialComplex, big: SimplicialComplex) -> bool:
     found by one set lookup; only the others are scanned by ``has_face``."""
     tops = set(big.facets)
     return all(f in tops or big.has_face(f) for f in small.facets)
+
+
+def subfaces(f: frozenset[str]) -> list[frozenset[str]]:
+    """Every subset of f, by combinations of its sorted names."""
+    fl = sorted(f)
+    return [frozenset(c) for k in range(len(fl) + 1) for c in combinations(fl, k)]
+
+
+def ridges(f: frozenset[str]) -> list[frozenset[str]]:
+    return [f - {v} for v in f]
+
+
+def faces_by_subsets(c: SimplicialComplex) -> set[frozenset[str]]:
+    """Every face of c as a set of names: the subsets of each facet."""
+    return {g for f in c.facets for g in subfaces(f)}
+
+
+def boundary_by_name_sets(c: SimplicialComplex) -> SimplicialComplex:
+    """The complex of the ridges, as name sets, that lie in exactly one facet."""
+    counts: dict[frozenset[str], int] = {}
+    for f in c.facets:
+        for r in ridges(f):
+            counts[r] = counts.get(r, 0) + 1
+    once = [r for r, k in counts.items() if k == 1]
+    return build_complex(once) if once else SimplicialComplex((), ())
+
+
+def closed_pseudomanifold_by_name_sets(c: SimplicialComplex) -> bool:
+    """Pure, every ridge (a name set) in exactly two facets, and the facets
+    connected through ridges; two points in dimension 0."""
+    if c.is_void or not c.pure:
+        return False
+    if c.dim == 0:
+        return len(c.facets) == 2
+    on_ridge: dict[frozenset[str], list[int]] = {}
+    for i, f in enumerate(c.facets):
+        for r in ridges(f):
+            on_ridge.setdefault(r, []).append(i)
+    if any(len(ids) != 2 for ids in on_ridge.values()):
+        return False
+    seen, stack = {0}, [0]
+    while stack:
+        for r in ridges(c.facets[stack.pop()]):
+            for j in on_ridge[r]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return len(seen) == len(c.facets)
+
+
+def shelling_step_by_face_sets(
+    f: frozenset[str], earlier_ridges: set[frozenset[str]], earlier_faces: set[frozenset[str]]
+) -> tuple[frozenset[str], bool]:
+    """r(f) from the ridges of the earlier facets, and whether f may come
+    next: r(f) is not a face of an earlier facet."""
+    r = frozenset(x for x in f if f - {x} in earlier_ridges)
+    return r, r not in earlier_faces
+
+
+def shelling_by_face_sets(c: SimplicialComplex, order: Sequence[int]) -> tuple[frozenset[str], ...]:
+    """The restriction faces of ``order`` with every face and ridge of the
+    placed facets kept in hash sets; NotShelling(i, j) with the first
+    failing j and the first i < j whose facet contains r(F_j)."""
+    seq = [c.facets[i] for i in order]
+    earlier_ridges: set[frozenset[str]] = set()
+    earlier_faces: set[frozenset[str]] = set()
+    restrictions = []
+    for j, fj in enumerate(seq):
+        r, ok = shelling_step_by_face_sets(fj, earlier_ridges, earlier_faces)
+        if not ok:
+            i = next(i for i in range(j) if r <= seq[i])
+            raise NotShelling("pairwise criterion", i=order[i], j=order[j])
+        restrictions.append(r)
+        earlier_ridges.update(ridges(fj))
+        earlier_faces.update(subfaces(fj))
+    return tuple(restrictions)
+
+
+def search_by_face_sets(c: SimplicialComplex) -> Optional[list[int]]:
+    """The first shelling order that backtracking over facet indices finds,
+    with the earlier faces and ridges as hash sets; None when there is none."""
+    def extend(prefix: list[int], ridge_set: set, face_set: set) -> bool:
+        if len(prefix) == len(c.facets):
+            return True
+        for j, f in enumerate(c.facets):
+            if j in prefix or not shelling_step_by_face_sets(f, ridge_set, face_set)[1]:
+                continue
+            prefix.append(j)
+            if extend(prefix, ridge_set.union(ridges(f)), face_set.union(subfaces(f))):
+                return True
+            prefix.pop()
+        return False
+
+    prefix: list[int] = []
+    return prefix if extend(prefix, set(), set()) else None
+
+
+def gluing_witnesses_by_face_sets(ears: Sequence[Ear]) -> list[dict]:
+    """``axiom_boundary.witnesses`` of ``verify_ced`` with every face of the
+    earlier ears kept in one running set, and each later ear's boundary
+    built by ``boundary_by_name_sets``."""
+    witnesses = []
+    running: set[frozenset[str]] = set()
+    for i, ear in enumerate(ears):
+        ear_faces = faces_by_subsets(ear.complex)
+        if i:
+            have = ear_faces & running
+            want = faces_by_subsets(boundary_by_name_sets(ear.complex))
+            if have != want:
+                diff = sorted(have ^ want, key=lambda f: (len(f), sorted(f)))
+                witnesses.append({"ear": i + 1, "faces": [sorted(f) for f in diff[:3]]})
+        running |= ear_faces
+    return witnesses
 
 
 def _fill_word(chain: Sequence[frozenset[int]], ranks: Sequence[int], rho: int) -> list[int]:
@@ -476,7 +599,7 @@ def polytope_entries_by_ambients(dec: EarDecomposition) -> list[dict]:
         ambient = reference_sphere(dec, i)
         entry = {
             "ear": i + 1,
-            "ambient_is_sphere": _certify(ambient)[0] == "SPHERE",
+            "ambient_is_sphere": _certify(ambient) == "SPHERE",
             "full_dimensional": ear.complex.dim == ambient.dim,
             "subcomplex": is_subcomplex(ear.complex, ambient),
         }
@@ -491,17 +614,14 @@ def polytope_entries_by_ambients(dec: EarDecomposition) -> list[dict]:
 def ced_axioms_certifying_each_ear(dec: EarDecomposition) -> dict:
     """``axiom_balls.kinds``, ``axiom_polytope.per_ear`` and
     ``axiom_boundary.witnesses`` of ``verify_ced``, with every ear certified
-    on its own and each BALL certificate's boundary read for the gluing
-    axiom against one running face set of the earlier ears."""
+    on its own and the gluing axiom read off running face sets."""
     ears = dec.ears
-    kinds, entries, witnesses = [], [], []
-    running: set[frozenset[str]] = set()
+    kinds, entries = [], []
     sphere, coord = _coordinate_sphere(dec.ranks)
     sphere_facets = set(sphere.facets)
-    sphere_kind = _certify(sphere)[0]
+    sphere_kind = _certify(sphere)
     for i, ear in enumerate(ears):
-        kind, boundary = _certify(ear.complex, ear.shelling)
-        kinds.append(kind)
+        kinds.append(_certify(ear.complex, ear.shelling))
         entry = {"ear": i + 1}
         pulled = _pulled_back(ear, coord)
         if pulled is None:
@@ -519,17 +639,7 @@ def ced_axioms_certifying_each_ear(dec: EarDecomposition) -> dict:
             else:
                 entry["proper"] = inside == len(pulled) < len(sphere_facets)
         entries.append(entry)
-        ear_faces = ear.complex.faces()
-        if i:
-            have = ear_faces & running
-            if boundary is None:
-                boundary = boundary_complex(ear.complex)
-            want = boundary.faces()
-            if have != want:
-                diff = sorted(have ^ want, key=lambda f: (len(f), sorted(f)))
-                witnesses.append({"ear": i + 1, "faces": [sorted(f) for f in diff[:3]]})
-        running |= ear_faces
-    return {"kinds": kinds, "per_ear": entries, "witnesses": witnesses}
+    return {"kinds": kinds, "per_ear": entries, "witnesses": gluing_witnesses_by_face_sets(ears)}
 
 
 def reciprocity_rows_per_ear(

@@ -1,8 +1,13 @@
 """Differential tests: the fast paths of the complex and lattice layers
 against the brute-force routes they replaced, on random inputs.
 
-* ``verify_shelling`` (restriction faces from hash sets) against the
-  pairwise shelling criterion, O(n^3);
+* ``verify_shelling`` (restriction faces from per-vertex facet bitsets)
+  against the pairwise shelling criterion, O(n^3), and it and
+  ``search_shelling`` against the face- and ridge-set step they replaced,
+  on random pure complexes of dimension 0 to 3;
+* ``faces()``, ``f_h_vectors``, ``boundary_complex`` and the closed
+  pseudomanifold test (submasks, ridges by clearing one bit) against the
+  same on frozensets of names;
 * ``exact_rank`` and ``homology_ranks`` (pivot-column reduction, with
   clearing from the top dimension down) against fraction-free elimination
   on the sparsest row, one full boundary matrix per dimension;
@@ -10,8 +15,9 @@ against the brute-force routes they replaced, on random inputs.
   the all-pairs filter;
 * the ``is_subcomplex`` oracle (facets of the big complex by set lookup)
   against a ``has_face`` scan of every facet;
-* the boundary axiom of ``verify_ced`` (one running face set) against
-  rebuilding the union and its intersection with each ear;
+* the boundary axiom of ``verify_ced`` (face masks against per-vertex
+  facet bitsets of the earlier ears) against rebuilding the union and its
+  intersection with each ear, and against one running face set;
 * ``Lattice``'s join table (principal-filter lookup) and its meets (by
   down-mask when asked) against a bit scan for the unique extremal common
   bound of each pair, and its refusals against the join and meet tables
@@ -97,17 +103,22 @@ from hypothesis import strategies as st
 from earlab.cli import _edge_list, _flag_face_poset, _reciprocity_rows
 from earlab.complexes import (
     SimplicialComplex,
+    _extend_shelling,
+    _is_closed_pseudomanifold,
     boundary_complex,
     build_complex,
     certify_sphere_or_ball,
+    f_h_vectors,
     face_name,
     homology_ranks,
     intersection_complexes,
     order_complex,
+    search_shelling,
     union_complexes,
     verify_shelling,
 )
 from earlab.decompositions import (
+    Ear,
     _class_map,
     _coordinate_sphere,
     _descent_class,
@@ -185,16 +196,20 @@ from oracles import (
     _frame_of,
     _selected_flags,
     ambient_by_permutations,
+    boundary_by_name_sets,
     ced_axioms_certifying_each_ear,
+    closed_pseudomanifold_by_name_sets,
     chains_by_filter,
     class_map_by_classifier,
     class_masks_per_permutation,
     dominance_table_all_pairs,
     el_by_intervals,
     exact_rank,
+    faces_by_subsets,
     first_zero_mobius,
     flag_f_per_subset,
     geometric_bases_by_joins,
+    gluing_witnesses_by_face_sets,
     graphic_matroid_by_all_sizes,
     induced_subposet_by_names,
     is_geometric,
@@ -206,6 +221,8 @@ from oracles import (
     reciprocity_rows_per_ear,
     reduced_euler,
     reference_sphere,
+    search_by_face_sets,
+    shelling_by_face_sets,
     sigma_word,
     sr_by_maximal_chains,
     subset_novelty_scan,
@@ -510,6 +527,104 @@ def test_known_orders_are_shellings_and_others_are_not():
         assert pairwise_shelling(c, order)[1] is not None
         with pytest.raises(NotShelling):
             verify_shelling(c, order)
+
+
+@st.composite
+def pure_complexes(draw, max_facets: int = 10):
+    """A pure complex of dimension 0 to 3 on at most 7 vertices and an order
+    of its facets. Half of them grow facet by facet across a ridge of an
+    earlier one and are ordered by that growth (mostly shellings; the rest
+    meet the earlier facets in an old face); the others draw their facets
+    freely and take a random order (often with an empty restriction face)."""
+    d = draw(st.integers(0, 3))
+    pool = "abcdefg"[: draw(st.integers(d + 1, 7))]
+    if draw(st.booleans()):
+        grown = [frozenset(draw(st.permutations(pool))[: d + 1])]
+        for _ in range(draw(st.integers(0, max_facets - 1))):
+            base = draw(st.sampled_from(grown))
+            new = base - {draw(st.sampled_from(sorted(base)))} | {draw(st.sampled_from(pool))}
+            if len(new) == d + 1 and new not in grown:
+                grown.append(new)
+        c = build_complex(grown)
+        return c, [c.facets.index(f) for f in grown]
+    sets = st.frozensets(st.sampled_from(pool), min_size=d + 1, max_size=d + 1)
+    c = build_complex(draw(st.lists(sets, min_size=1, max_size=max_facets)))
+    return c, draw(st.permutations(range(len(c.facets))))
+
+
+def shelling_verdict(shell, c, order):
+    """The restriction faces ``shell`` gives, or the (i, j) of its NotShelling."""
+    try:
+        return tuple(shell(c, order))
+    except NotShelling as exc:
+        return exc.i, exc.j
+
+
+@settings(max_examples=400, deadline=None)
+@given(pure_complexes())
+def test_shelling_bitsets_agree_with_face_and_ridge_sets(case):
+    c, order = case
+    got = shelling_verdict(lambda c, o: verify_shelling(c, o).restrictions, c, order)
+    assert got == shelling_verdict(shelling_by_face_sets, c, order)
+
+
+@pytest.mark.parametrize("facets, order, want", [
+    # dimension 0: r(F_0) is empty, every later r(F_j) is F_j itself
+    ([["a"], ["b"], ["c"]], [2, 0, 1], ((), ("a",), ("b",))),
+    ([["a"]], [0], ((),)),
+    # F_1 meets F_0 in the empty face only: r(F_1) is empty and lies in F_0
+    ([["a", "b"], ["c", "d"]], [0, 1], (0, 1)),
+    ([["a", "b", "c"], ["a", "d", "e"]], [1, 0], (1, 0)),
+    ([["a", "b", "c"], ["b", "c", "d"], ["c", "d", "e"]], [2, 0, 1], (2, 0)),
+    ([["a", "b", "c"], ["b", "c", "d"], ["c", "d", "e"]], [1, 2, 0], ((), ("e",), ("a",))),
+])
+def test_shelling_edge_cases_agree_with_face_and_ridge_sets(facets, order, want):
+    c = build_complex(facets)
+    where = [c.facets.index(frozenset(f)) for f in facets]
+    order = [where[k] for k in order]
+    got = shelling_verdict(lambda c, o: verify_shelling(c, o).restrictions, c, order)
+    assert got == shelling_verdict(shelling_by_face_sets, c, order)
+    if isinstance(want[0], tuple):
+        assert got == tuple(frozenset(r) for r in want)
+    else:  # (i, j) as indices into ``facets``
+        assert got == tuple(where[k] for k in want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pure_complexes(max_facets=7))
+def test_shelling_search_agrees_with_face_and_ridge_sets(case):
+    c, _ = case
+    found = search_shelling(c)
+    assert (None if found is None else list(found.order)) == search_by_face_sets(c)
+    # a search that backtracks out clears every bit it set
+    rows = [sorted(c.vertices.index(v) for v in f) for f in c.facets]
+    prefix, holders = [], [0] * len(c.vertices)
+    if _extend_shelling(rows, prefix, [False] * len(rows), holders):
+        assert holders == [
+            sum(1 << k for k, j in enumerate(prefix) if v in rows[j]) for v in range(len(holders))
+        ]
+    else:
+        assert prefix == [] and not any(holders)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pure_complexes())
+def test_mask_kernels_agree_with_name_sets(case):
+    c, _ = case
+    faces = faces_by_subsets(c)
+    assert c.faces() == faces
+    assert f_h_vectors(c)[0] == tuple(sum(len(f) == k for f in faces) for k in range(c.dim + 2))
+    bd, want = boundary_complex(c), boundary_by_name_sets(c)
+    assert (bd.vertices, bd.facets) == (want.vertices, want.facets)
+    assert _is_closed_pseudomanifold(c) == closed_pseudomanifold_by_name_sets(c)
+    assert homology_ranks(c) == homology_by_elimination(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.frozensets(st.sampled_from("abcdefg"), max_size=5), max_size=10))
+def test_faces_agree_with_name_sets_on_impure_complexes(facets):
+    c = build_complex(facets)
+    assert c.faces() == faces_by_subsets(c)
 
 
 # -- exact homology ------------------------------------------------------------------
@@ -1356,6 +1471,20 @@ def test_keyed_certificates_agree_on_handmade_ears():
         assert pulled_back_keys(dec) == [None] * len(dec.ears)
         assert ced_axioms(dec) == ced_axioms_certifying_each_ear(dec)
     assert ced_axioms(fake)["witnesses"]
+
+
+def test_gluing_witnesses_agree_with_face_sets_around_a_vertex_outside_the_complex():
+    # e lies in no facet of the decomposition's complex, only in one ear
+    fake = square_and_path()
+    square, path = fake.ears
+    fan = build_complex([["a", "e"], ["c", "e"]])
+    ear = Ear(chains=[("q6",), ("q7",)], shelling=verify_shelling(fan, [0, 1]), provenance={})
+    seen = []
+    for ears in ([square, ear], [square, path, ear], [ear, square], [path, ear, square]):
+        witnesses = verify_ced(replace(fake, ears=ears))["axiom_boundary"]["witnesses"]
+        assert witnesses == gluing_witnesses_by_face_sets(ears)
+        seen.append(bool(witnesses))
+    assert seen == [False, True, True, True]
 
 
 @st.composite
