@@ -43,6 +43,7 @@ __all__ = [
     "h_from_shelling",
     "search_shelling",
     "boundary_complex",
+    "gluing_diff",
     "homology_ranks",
     "is_cm_and_2cm",
     "certify_sphere_or_ball",
@@ -339,6 +340,28 @@ def _ridge_map(c: SimplicialComplex) -> dict[int, list[int]]:
         for i in _bits(f):
             on_ridge.setdefault(f ^ 1 << i, []).append(k)
     return on_ridge
+
+
+def gluing_diff(
+    ear: SimplicialComplex, holders: Mapping[str, int], earlier: int
+) -> list[frozenset[str]]:
+    """The faces of ``ear`` in the earlier ears or in its boundary but not
+    both, in build_complex's order (empty iff the ear meets the earlier ears
+    exactly in its boundary). Bit k of ``holders[v]`` marks that the k-th
+    facet of the earlier ears holds v, and ``earlier`` is the mask of those
+    facets: a face is in the earlier ears when the AND of ``holders`` over
+    it, started at ``earlier``, is non-zero, and in the boundary when inside
+    a ridge that lies in one facet only."""
+    hold = [holders.get(v, 0) for v in ear.vertices]
+    common = {0: earlier}  # each face of the ear with its AND, by size
+    for size in _faces_by_size(ear.masks, ear.dim + 1)[1:]:
+        for s in size:
+            low = s & -s
+            common[s] = common[s ^ low] & hold[low.bit_length() - 1]
+    once = [r for r, ids in _ridge_map(ear).items() if len(ids) == 1]
+    want = set().union(*_faces_by_size(once, ear.dim))
+    have = {s for s, a in common.items() if a}
+    return sorted(map(ear.face, have ^ want), key=facet_key)
 
 
 def link_of(c: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:

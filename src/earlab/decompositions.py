@@ -21,18 +21,18 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .complexes import (
     SimplicialComplex,
     ShellingOrder,
+    build_complex,
     certify_sphere_or_ball,
     complex_to_json,
     f_h_vectors,
     face_name,
     face_poset,
     facet_key,
+    gluing_diff,
     h_from_shelling,
     search_shelling,
     union_complexes,
     verify_shelling,
-    _faces_by_size,
-    _ridge_map,
 )
 from .errors import (
     BadParams,
@@ -151,7 +151,7 @@ def _coordinate_sphere(
     flags = _sphere(range(1, ranks[-1] + 2), ranks)
     name = {a: "+".join(map(str, sorted(a))) for a in {a for fl in flags for a in fl}}
     facets = [tuple(name[a] for a in fl) for fl in flags]
-    return _chain_complex(facets)[0], {v: a for a, v in name.items()}
+    return build_complex(facets), {v: a for a, v in name.items()}
 
 
 # -- decomposition containers ------------------------------------------------
@@ -249,7 +249,7 @@ def _assemble(
         for wj, (word, flags) in enumerate(class_map.items()):
             kept: list[tuple[str, ...]] = []
             for fl in flags:
-                names = tuple(map(copy.elem.__getitem__, fl))
+                names = tuple(copy.elem[x] for x in fl)
                 if is_new(ci, fl, names):
                     kept.append(names)
             prov = dict(copy.provenance)
@@ -259,9 +259,13 @@ def _assemble(
             if not kept:
                 dropped.append(prov)
                 continue
+            facets = [frozenset(names) for names in kept]
+            comp = build_complex(facets)
+            where = {f: k for k, f in enumerate(comp.facets)}
+            shelling = verify_shelling(comp, [where[f] for f in facets])
             ear = Ear(
                 chains=kept,
-                shelling=verify_shelling(*_chain_complex(kept)),
+                shelling=shelling,
                 provenance=prov,
                 coord_names=copy.elem,
             )
@@ -282,21 +286,12 @@ def _assemble(
         construction=construction,
         params=params,
         poset=sel_poset,
-        complex=_chain_complex(list(all_chains))[0],
+        complex=build_complex(all_chains),
         ears=ears,
         dropped=dropped,
         ranks=ranks,
         rho=rho,
     )
-
-
-def _chain_complex(chains: Sequence[tuple[str, ...]]) -> tuple[SimplicialComplex, list[int]]:
-    """The complex whose facets are ``chains``, distinct maximal chains (so
-    none lies inside another), in build_complex's order; and each chain's index."""
-    facets = sorted(map(frozenset, chains), key=facet_key)
-    where = {f: k for k, f in enumerate(facets)}
-    comp = SimplicialComplex(tuple(sorted(set().union(*facets))), tuple(facets))
-    return comp, [where[frozenset(c)] for c in chains]
 
 
 # -- constructions -------------------------------------------------------------
@@ -602,7 +597,7 @@ def verify_ced(dec: EarDecomposition) -> dict:
             continue
 
         if i:
-            diff = _gluing_diff(ear.complex, holders, (1 << placed) - 1)
+            diff = gluing_diff(ear.complex, holders, (1 << placed) - 1)
             if diff:
                 witnesses.append({"ear": i + 1, "faces": [sorted(f) for f in diff[:3]]})
         if i < len(ears) - 1:  # no later ear reads the last one's facets
@@ -699,25 +694,6 @@ def _pulled_back(
             return None
         back[name] = v if colors is None else (v, colors.get(name))
     return frozenset(frozenset(back.get(x) for x in f) for f in ear.complex.facets)
-
-
-def _gluing_diff(
-    ear: SimplicialComplex, holders: Mapping[str, int], earlier: int
-) -> list[frozenset[str]]:
-    """The faces of ``ear`` in the earlier ears or in its boundary but not
-    both, in build_complex's order: in the earlier ears when the AND of
-    ``holders`` over the face, started at ``earlier``, is non-zero; in the
-    boundary when inside a ridge that lies in one facet only."""
-    hold = [holders.get(v, 0) for v in ear.vertices]
-    common = {0: earlier}  # each face of the ear with its AND, by size
-    for size in _faces_by_size(ear.masks, ear.dim + 1)[1:]:
-        for s in size:
-            low = s & -s
-            common[s] = common[s ^ low] & hold[low.bit_length() - 1]
-    once = [r for r, ids in _ridge_map(ear).items() if len(ids) == 1]
-    want = set().union(*_faces_by_size(once, ear.dim))
-    have = {s for s, a in common.items() if a}
-    return sorted(map(ear.face, have ^ want), key=facet_key)
 
 
 def _certify(c: SimplicialComplex, shelling: Optional[ShellingOrder] = None) -> str:
