@@ -518,7 +518,9 @@ def decompose_geometric(
 
 def verify_ced(dec: EarDecomposition) -> dict:
     """Check the four decomposition axioms on ``dec.complex``, plus the
-    resulting h-vector facts.
+    resulting h-vector facts. Once the axioms hold, ``ear_sum`` reads h(Δ)
+    off the ears' verified shellings (Chari, Trans. AMS 349, 1997), so no
+    complex is shelled here; ``ear_sum_matches`` joins ``ok``.
 
     Report-style: never raises on a failed axiom; every section carries an
     ``ok`` flag and a witness when something is wrong.
@@ -534,7 +536,7 @@ def verify_ced(dec: EarDecomposition) -> dict:
     """
     delta, ears = dec.complex, dec.ears
     report: dict = {
-        "schema": "earlab.ced-verify/1",
+        "schema": "earlab.ced-verify/2",
         "construction": dec.construction,
         "ears": len(ears),
     }
@@ -649,14 +651,19 @@ def verify_ced(dec: EarDecomposition) -> dict:
             "g_is_m_vector": m_ok,
         }
         if axioms_ok:
-            hist = _concatenated_histogram(delta, ears)
-            h_section["restriction_histogram"] = list(hist) if hist else None
-            h_section["histogram_matches"] = hist == tuple(h) if hist else None
+            # h(Δ) = h(Σ_1) + Σ_{i≥2} h(Σ_i, ∂Σ_i), and h_k(B, ∂B) = h_{d−k}(B) for a ball
+            ear_sum = list(h_from_shelling(ears[0].shelling))
+            for ear in ears[1:]:
+                for k, n in enumerate(reversed(h_from_shelling(ear.shelling))):
+                    ear_sum[k] += n
+            h_section["ear_sum"] = ear_sum
+            h_section["ear_sum_matches"] = ear_sum == list(h)
     except EarlabError as exc:
         h_section = {"error": str(exc)}
     report["h_checks"] = h_section
 
-    report["ok"] = bool(axioms_ok and h_section.get("inequalities_ok") and h_section.get("g_is_m_vector"))
+    h_ok = all(h_section.get(k) for k in ("ear_sum_matches", "inequalities_ok", "g_is_m_vector"))
+    report["ok"] = axioms_ok and h_ok
     return report
 
 
@@ -705,24 +712,3 @@ def _certify(c: SimplicialComplex, shelling: Optional[ShellingOrder] = None) -> 
     except EarlabError as exc:  # report, don't raise
         return f"UNCERTIFIED({exc})"
 
-
-def _concatenated_histogram(
-    delta: SimplicialComplex, ears: Sequence[Ear]
-) -> Optional[tuple[int, ...]]:
-    """h-vector read off the concatenated ear shellings, when the
-    concatenation happens to shell the whole complex; None when it does not
-    (observed for some rank selections, where the glue order is right for
-    the ears but not for the union). With one ear, the union axiom has made
-    Δ that ear's complex and the concatenation is its verified order."""
-    if len(ears) == 1:
-        return h_from_shelling(ears[0].shelling)
-    where = {f: i for i, f in enumerate(delta.facets)}
-    order = []
-    for ear in ears:
-        for names in ear.chains:
-            order.append(where[frozenset(names)])
-    try:
-        sh = verify_shelling(delta, order)
-    except NotShelling:
-        return None
-    return h_from_shelling(sh)

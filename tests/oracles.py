@@ -49,6 +49,10 @@ needs them, so they live with the tests:
 * ``ced_axioms_certifying_each_ear``: the kinds, polytope entries and
   gluing witnesses of ``verify_ced`` with every ear certified on its own,
   not once per pulled-back ear, and the witnesses by running face sets;
+* ``_concatenated_histogram``: h(Δ) as the restriction histogram of the
+  whole complex shelled in the concatenated ear order, where that order
+  shells it (None elsewhere), against which ``verify_ced``'s ear sum is
+  diffed;
 * ``reciprocity_rows_per_ear``: the rows of ``verify --what reciprocity``
   with the identity checked on every ear, not once per colored pull-back;
 * ``subset_novelty_scan``: a chain is new when no earlier copy's name set
@@ -81,7 +85,13 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from earlab.complexes import SimplicialComplex, _reduce, build_complex
+from earlab.complexes import (
+    SimplicialComplex,
+    _reduce,
+    build_complex,
+    h_from_shelling,
+    verify_shelling,
+)
 from earlab.decompositions import (
     Ear,
     EarDecomposition,
@@ -640,6 +650,28 @@ def ced_axioms_certifying_each_ear(dec: EarDecomposition) -> dict:
                 entry["proper"] = inside == len(pulled) < len(sphere_facets)
         entries.append(entry)
     return {"kinds": kinds, "per_ear": entries, "witnesses": gluing_witnesses_by_face_sets(ears)}
+
+
+def _concatenated_histogram(
+    delta: SimplicialComplex, ears: Sequence[Ear]
+) -> Optional[tuple[int, ...]]:
+    """h-vector read off the concatenated ear shellings, when the
+    concatenation happens to shell the whole complex; None when it does not
+    (observed for some rank selections, where the glue order is right for
+    the ears but not for the union). With one ear, the union axiom has made
+    Δ that ear's complex and the concatenation is its verified order."""
+    if len(ears) == 1:
+        return h_from_shelling(ears[0].shelling)
+    where = {f: i for i, f in enumerate(delta.facets)}
+    order = []
+    for ear in ears:
+        for names in ear.chains:
+            order.append(where[frozenset(names)])
+    try:
+        sh = verify_shelling(delta, order)
+    except NotShelling:
+        return None
+    return h_from_shelling(sh)
 
 
 def reciprocity_rows_per_ear(

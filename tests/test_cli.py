@@ -474,8 +474,15 @@ def test_run1_reports_verify_like_their_run2_counterparts(name, tmp_path, capsys
     assert code == 0
     doc2 = json.loads(new.read_text())
 
-    # /2 drops the ear keys complex, shelling and ambient; the rest is equal
+    # /2 drops the ear keys complex, shelling and ambient, and ced-verify/2
+    # reads h off the ears instead of the concatenated shelling; the rest is equal
     assert (doc1["schema"], doc2["schema"]) == ("earlab.run/1", "earlab.run/2")
+    ced1, ced2 = doc1["ced"], doc2["ced"]
+    assert (ced1.pop("schema"), ced2.pop("schema")) == ("earlab.ced-verify/1", "earlab.ced-verify/2")
+    h1, h2 = ced1.pop("h_checks"), ced2.pop("h_checks")
+    assert h2.pop("ear_sum") == h2["h"] and h2.pop("ear_sum_matches") is True
+    del h1["restriction_histogram"], h1["histogram_matches"]
+    assert h1 == h2
     dec1, dec2 = doc1.pop("decomposition"), doc2.pop("decomposition")
     assert {k: v for k, v in doc1.items() if k != "schema"} == {
         k: v for k, v in doc2.items() if k != "schema"
@@ -487,7 +494,9 @@ def test_run1_reports_verify_like_their_run2_counterparts(name, tmp_path, capsys
             del ear[key]
     assert dec1 == dec2
 
-    for what in ("ced", "reciprocity"):
+    # ced and reciprocity rebuild the decomposition and h-inequalities reads
+    # only ced.h_checks.h, which /2 keeps: /1 reports verify as /2 ones do
+    for what in ("ced", "reciprocity", "h-inequalities"):
         outs = [
             run_cli(capsys, "verify", "--what", what, "--input", str(path))
             for path in (old, new)

@@ -35,7 +35,6 @@ from earlab.complexes import (
 from earlab.decompositions import (
     Ear,
     EarDecomposition,
-    _concatenated_histogram,
     _descent_class,
     _sphere,
     decompose_face_poset,
@@ -52,7 +51,14 @@ from earlab.labelings import EdgeLabeling, descent_set, minimal_labeling
 from earlab.lattices import Lattice, boolean_lattice, partition_lattice
 from earlab.matroids import graphic_matroid, lattice_of_flats, uniform_matroid
 from earlab.posets import build_poset, canonical_dumps, mobius
-from oracles import _frame_of, ear_coords, reference_sphere, sigma_word, switch_closure_violations
+from oracles import (
+    _concatenated_histogram,
+    _frame_of,
+    ear_coords,
+    reference_sphere,
+    sigma_word,
+    switch_closure_violations,
+)
 
 
 # -- Fixtures ------------------------------------------------------------------
@@ -209,11 +215,11 @@ def test_supersolvable_frozen_h_vectors():
         assert report["h_checks"]["h"] == h
 
 
-def test_supersolvable_histogram_matches_when_concatenation_shells():
-    dec = decompose_supersolvable(boolean_lattice(3))
-    report = verify_ced(dec)
-    assert report["h_checks"]["restriction_histogram"] == [1, 4, 1]
-    assert report["h_checks"]["histogram_matches"] is True
+def test_supersolvable_ear_sum_matches_the_h_vector():
+    for lat, h in ((boolean_lattice(3), [1, 4, 1]), (partition_lattice(4), [1, 11, 6])):
+        report = verify_ced(decompose_supersolvable(lat))
+        assert report["h_checks"]["ear_sum"] == h
+        assert report["h_checks"]["ear_sum_matches"] is True
 
 
 def _chain_lattice() -> Lattice:
@@ -545,16 +551,15 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
-def test_verify_ced_shells_only_the_concatenation(monkeypatch):
-    # every ear arrives with a verified shelling; only the concatenated
-    # order of several ears is new, and one ear's concatenation is its own
+def test_verify_ced_shells_nothing(monkeypatch):
+    # every ear arrives with a verified shelling, and the ear sum reads h(Δ)
+    # off those, so Δ is never shelled in the concatenated order
     one = decompose_supersolvable(boolean_lattice(4))
     many = decompose_supersolvable(partition_lattice(4))
     calls = _count_calls(monkeypatch, verify_shelling)
     assert verify_ced(one)["ok"]
-    assert calls == []
     assert verify_ced(many)["ok"]
-    assert len(calls) == 1 and calls[0] is many.complex
+    assert len(many.ears) > 1 and calls == []
 
 
 def test_verify_ced_builds_boundaries_only_in_ball_certificates(monkeypatch):
@@ -592,15 +597,20 @@ def test_verify_ced_builds_no_face_set_for_one_ear(monkeypatch):
     assert glue == []
 
 
-def test_histogram_is_that_of_the_concatenated_shelling():
-    for lat in (boolean_lattice(4), partition_lattice(4)):
-        dec = decompose_supersolvable(lat)
-        where = {f: i for i, f in enumerate(dec.complex.facets)}
-        order = [where[frozenset(c)] for ear in dec.ears for c in ear.chains]
-        want = h_from_shelling(verify_shelling(dec.complex, order))
-        assert _concatenated_histogram(dec.complex, dec.ears) == want
+def test_ear_sum_is_ear_one_plus_every_later_ear_reversed():
+    # h(Σ_i, ∂Σ_i) is h(Σ_i) reversed for a ball; where the concatenated ear
+    # order happens to shell Δ, its histogram is the same vector
+    for dec in (
+        decompose_supersolvable(boolean_lattice(4)),
+        decompose_supersolvable(partition_lattice(4)),
+        decompose_rank_selected_boolean(4, (1, 3)),
+    ):
+        first, *later = (h_from_shelling(ear.shelling) for ear in dec.ears)
+        want = [a + sum(h[-1 - k] for h in later) for k, a in enumerate(first)]
         h_checks = verify_ced(dec)["h_checks"]
-        assert h_checks["restriction_histogram"] == list(want)
+        assert h_checks["ear_sum"] == h_checks["h"] == want
+        concatenated = _concatenated_histogram(dec.complex, dec.ears)
+        assert concatenated is None or list(concatenated) == want
 
 
 def test_sphere_and_descent_class_leave_no_cyclic_garbage():

@@ -60,6 +60,10 @@ against the brute-force routes they replaced, on random inputs.
   certificate per distinct pull-back into K) and ``verify --what
   reciprocity``'s rows (one check per colored pull-back) against
   certifying and checking every ear;
+* ``verify_ced``'s ear sum (h of ear 1 plus the reversed h of every
+  later ear, off their own shellings) against ``f_h_vectors`` and against
+  the histogram of Δ shelled in the concatenated ear order, where that
+  order shells it;
 * ``_subset_novelty`` (one copy bitmask per host element) against the
   scan of every earlier copy;
 * ``graphic_matroid`` (forests of the rank's size only) against trying
@@ -91,7 +95,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import factorial, gcd
 from types import SimpleNamespace
@@ -193,6 +197,7 @@ from earlab.posets import (
     with_bounds,
 )
 from oracles import (
+    _concatenated_histogram,
     _frame_of,
     _selected_flags,
     ambient_by_permutations,
@@ -1601,6 +1606,71 @@ def test_recolored_twin_has_its_own_key_and_fails_alone(monkeypatch):
     assert [row["ear"] for row in rows if not row["ok"]] == [j + 1]
     monkeypatch.setattr("earlab.cli.ball_flag_reciprocity", lenient_reciprocity)
     assert _reciprocity_rows(bad, colors) == rows
+
+
+# -- h(Δ) as the ear sum ---------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def ear_sum_hosts() -> dict:
+    """Each host's number of ranks and its decomposition for a rank set:
+    rank-selected B_r (r <= 6), Π4, the flats of U(3,5), and the face
+    posets of the acceptance fixtures."""
+    hosts = {f"B{r}": (r, partial(decompose_rank_selected_boolean, r)) for r in range(2, 7)}
+    pi4, u35 = partition_lattice(4), lattice_of_flats(uniform_matroid(3, 5))
+    hosts["Pi4"] = (pi4.rank, partial(decompose_rank_selected_supersolvable, pi4))
+    hosts["U35"] = (u35.rank, partial(decompose_geometric, u35))
+    for name, facets in FACE_FIXTURES.items():
+        c = build_complex(facets)
+        hosts[name] = (c.dim + 1, partial(decompose_face_poset, c))
+    return hosts
+
+
+@lru_cache(maxsize=None)
+def ear_sum_decomposition(host: str, ranks: tuple[int, ...]):
+    _, make = ear_sum_hosts()[host]
+    return make(ranks=list(ranks))
+
+
+@st.composite
+def ear_sum_cases(draw):
+    host = draw(st.sampled_from(sorted(ear_sum_hosts())))
+    rank, _ = ear_sum_hosts()[host]
+    ranks = draw(st.frozensets(st.integers(1, rank - 1), min_size=1))
+    return ear_sum_decomposition(host, tuple(sorted(ranks)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(ear_sum_cases())
+def test_ear_sum_agrees_with_the_h_vector_and_the_concatenated_shelling(dec):
+    h_checks = verify_ced(dec)["h_checks"]
+    assert h_checks["ear_sum"] == list(f_h_vectors(dec.complex)[1])
+    assert h_checks["ear_sum_matches"] is True
+    concatenated = _concatenated_histogram(dec.complex, dec.ears)
+    assert concatenated is None or list(concatenated) == h_checks["ear_sum"]
+
+
+def test_ear_with_a_tampered_restriction_face_breaks_the_ear_sum():
+    # the ear's shelling is trusted, not re-checked, so the axioms still hold
+    # and only the ear sum sees that one restriction face has grown
+    dec = ear_sum_decomposition("B5", (2, 4))
+    ear = dec.ears[-1]
+    grown = (ear.shelling.facet_sequence()[0], *ear.shelling.restrictions[1:])
+    bad = _with_ear(dec, len(dec.ears) - 1, shelling=replace(ear.shelling, restrictions=grown))
+    report = verify_ced(bad)
+    for axiom in ("axiom_union", "axiom_polytope", "axiom_balls", "axiom_boundary", "chain_partition"):
+        assert report[axiom]["ok"], axiom
+    assert report["h_checks"]["ear_sum"] != report["h_checks"]["h"]
+    assert report["h_checks"]["ear_sum_matches"] is False
+    assert report["ok"] is False
+
+
+def test_dropped_ear_fails_the_axioms_and_has_no_ear_sum():
+    dec = ear_sum_decomposition("B5", (2, 4))
+    report = verify_ced(replace(dec, ears=dec.ears[:-1]))
+    assert not report["axiom_union"]["ok"] and report["ok"] is False
+    assert "ear_sum" not in report["h_checks"]
+    assert "ear_sum_matches" not in report["h_checks"]
 
 
 # -- novelty by copy bitmasks ----------------------------------------------------------
