@@ -53,6 +53,10 @@ needs them, so they live with the tests:
   whole complex shelled in the concatenated ear order, where that order
   shells it (None elsewhere), against which ``verify_ced``'s ear sum is
   diffed;
+* ``partition_problems``: whether the ears partition the maximal chains
+  of the selected poset, by a set of every chain placed so far and the
+  set of every maximal chain, against which ``verify_ced``'s
+  ``axiom_union`` and ``chain_partition`` are diffed;
 * ``reciprocity_rows_per_ear``: the rows of ``verify --what reciprocity``
   with the identity checked on every ear, not once per colored pull-back;
 * ``subset_novelty_scan``: a chain is new when no earlier copy's name set
@@ -672,6 +676,28 @@ def _concatenated_histogram(
     except NotShelling:
         return None
     return h_from_shelling(sh)
+
+
+def partition_problems(dec: EarDecomposition) -> list[str]:
+    """Why the ears do not partition the maximal chains of ``dec.poset``: a
+    chain that lands in two ears, or chains missing from the ears or extra
+    to the poset. Empty when they partition them."""
+    problems = []
+    seen: set[tuple[str, ...]] = set()
+    for ear in dec.ears:
+        for names in ear.chains:
+            if names in seen:
+                problems.append(f"chain {names} lands in two ears")
+            seen.add(names)
+
+    all_chains = set(maximal_chains(dec.poset))
+    if seen != all_chains:
+        missing = sorted(all_chains - seen)[:3]
+        extra = sorted(seen - all_chains)[:3]
+        problems.append(
+            f"ears do not partition the maximal chains (missing {missing}, extra {extra})"
+        )
+    return problems
 
 
 def reciprocity_rows_per_ear(

@@ -105,6 +105,22 @@ def test_decompose_rank_boolean(capsys):
     assert len(doc["decomposition"]["ears"]) == 5
 
 
+def test_decompose_reports_ears_that_do_not_partition_the_chains(tmp_path, capsys, monkeypatch):
+    # with every chain new in every copy, chains land in several ears: the
+    # constructor proposes them anyway, and verify_ced's witnesses fail the run
+    lat = tmp_path / "pi4.json"
+    run_cli(capsys, "gen", "partition", "--n", "4", "--output", str(lat))
+    monkeypatch.setattr("earlab.decompositions._subset_novelty", lambda copies: lambda *args: True)
+    code, out, _ = run_cli(
+        capsys, "decompose", "--construction", "supersolvable", "--input", str(lat),
+    )
+    assert code == 3
+    ced = json.loads(out)["ced"]
+    assert ced["ok"] is False and ced["axiom_union"]["ok"] is True
+    assert ced["chain_partition"]["ok"] is False
+    assert ced["chain_partition"]["total"] > ced["chain_partition"]["facets"]
+
+
 def test_decompose_is_deterministic(capsys):
     argv = ("decompose", "--construction", "rank-boolean", "--rank", "4",
             "--ranks", "2")

@@ -35,6 +35,7 @@ from earlab.complexes import (
 from earlab.decompositions import (
     Ear,
     EarDecomposition,
+    _coordinate_sphere,
     _descent_class,
     _sphere,
     decompose_face_poset,
@@ -560,6 +561,19 @@ def test_verify_ced_shells_nothing(monkeypatch):
     assert verify_ced(one)["ok"]
     assert verify_ced(many)["ok"]
     assert len(many.ears) > 1 and calls == []
+
+
+def test_verify_ced_builds_only_the_coordinate_sphere(monkeypatch):
+    # the union axiom reads the ears' own facet objects, so the one complex
+    # verify_ced builds is K, for one ear and for many
+    one = decompose_supersolvable(boolean_lattice(4))
+    many = decompose_supersolvable(partition_lattice(4))
+    assert len(one.ears) == 1 < len(many.ears)
+    for dec in (one, many):
+        sphere, _ = _coordinate_sphere(dec.ranks)
+        calls = _count_calls(monkeypatch, build_complex)
+        assert verify_ced(dec)["ok"]
+        assert len(calls) == 1 and build_complex(calls[0]) == sphere
 
 
 def test_verify_ced_builds_boundaries_only_in_ball_certificates(monkeypatch):

@@ -222,6 +222,7 @@ from oracles import (
     is_subcomplex,
     join_table,
     meet_table,
+    partition_problems,
     polytope_entries_by_ambients,
     reciprocity_rows_per_ear,
     reduced_euler,
@@ -1671,6 +1672,44 @@ def test_dropped_ear_fails_the_axioms_and_has_no_ear_sum():
     assert not report["axiom_union"]["ok"] and report["ok"] is False
     assert "ear_sum" not in report["h_checks"]
     assert "ear_sum_matches" not in report["h_checks"]
+
+
+# -- the chain partition, decided by verify_ced alone -----------------------------------
+
+
+@st.composite
+def partition_edits(draw):
+    """A decomposition from ``ear_sum_cases``, as built or with ear k dropped,
+    ear j duplicated at a drawn place, or both (k first, then j among the
+    ears left), with the dropped ear (or None) and whether one was
+    duplicated."""
+    dec = draw(ear_sum_cases())
+    edits = ["none", "duplicate"] + (["drop", "both"] if len(dec.ears) > 1 else [])
+    edit = draw(st.sampled_from(edits))
+    ears = list(dec.ears)
+    dropped = ears.pop(draw(st.integers(0, len(ears) - 1))) if edit in ("drop", "both") else None
+    if edit in ("duplicate", "both"):
+        twin = ears[draw(st.integers(0, len(ears) - 1))]
+        ears.insert(draw(st.integers(0, len(ears))), twin)
+    return replace(dec, ears=ears), dropped, edit in ("duplicate", "both")
+
+
+@settings(max_examples=120, deadline=None)
+@given(partition_edits())
+def test_verify_ced_decides_the_partition_as_the_chain_sets_do(case):
+    dec, dropped, duplicated = case
+    report = verify_ced(dec)
+    union, partition = report["axiom_union"], report["chain_partition"]
+    assert (union["ok"] and partition["ok"]) == (not partition_problems(dec))
+    if duplicated:
+        assert not partition["ok"]
+        if dropped is None:
+            assert union["ok"] and partition["total"] > partition["facets"]
+    if dropped is not None:
+        assert union["missing"] and not union["extra"]
+        assert {frozenset(f) for f in union["missing"]} <= set(dropped.complex.facets)
+    if dropped is None and not duplicated:
+        assert union["ok"] and partition["ok"]
 
 
 # -- novelty by copy bitmasks ----------------------------------------------------------
