@@ -22,8 +22,8 @@ Four subcommands:
 Reports are canonical JSON on stdout (or ``--output``); repeated runs with
 identical inputs and flags produce byte-identical documents.  Wall time,
 digests of stdout reports, and warnings go to stderr.  Exit codes: 0 all
-checks passed, 2 a precondition failed, 3 a check ran and failed, 4 I/O or
-schema trouble.
+checks passed, 2 a precondition failed, 3 a check ran and failed (an
+internal self-check included), 4 I/O or schema trouble.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .decompositions import (
     pulled_back_keys,
     verify_ced,
 )
-from .errors import BadParams, EarlabError, SizeLimit
+from .errors import BadParams, EarlabError, SelfCheckFailed, SizeLimit
 from .flags import (
     DOMINANCE_CAP,
     ball_flag_reciprocity,
@@ -681,7 +681,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_IO
     except EarlabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return EXIT_FAILED if isinstance(exc, SelfCheckFailed) else EXIT_PRECONDITION
     finally:
         print(f"wall {time.monotonic() - t0:.3f}s", file=sys.stderr)
 

@@ -38,11 +38,11 @@ from .errors import (
     BadParams,
     EarlabError,
     EmptySelection,
-    Inconsistent,
     LabelingInvalid,
     NonzeroMobiusViolated,
     NotShelling,
     RangeError,
+    SelfCheckFailed,
     TopRankSelected,
 )
 from .flags import g_and_m_check, verify_h_inequalities
@@ -293,7 +293,7 @@ def _generated_copy(
     }
     names = frozenset(elem.values())
     if len(names) != len(elem):
-        raise Inconsistent("copy embedding is not injective")
+        raise SelfCheckFailed("copy embedding is not injective")
     return _Copy(elem, provenance, names)
 
 
@@ -336,7 +336,7 @@ def _supersolvable_copies(lat: Lattice, lab: EdgeLabeling) -> list[_Copy]:
             for b in set(range(1, r + 1)) - a:
                 y = copy.elem[a | {b}]
                 if lab.labels.get((x, y)) != b:
-                    raise Inconsistent(f"copy cover {x!r} < {y!r} is not a host cover labelled {b}")
+                    raise SelfCheckFailed(f"copy cover {x!r} < {y!r} is not a host cover labelled {b}")
         copies.append(copy)
     return copies
 

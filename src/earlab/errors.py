@@ -2,7 +2,8 @@
 
 Every precondition failure raises a subclass of :class:`EarlabError`, so
 callers (the CLI in particular) can distinguish bad inputs from genuine
-verification failures.
+verification failures. :class:`SelfCheckFailed` is the one subclass that
+blames the program, not the input.
 """
 
 __all__ = [
@@ -14,6 +15,7 @@ __all__ = [
     "EmptySelection",
     "SizeLimit",
     "Inconsistent",
+    "SelfCheckFailed",
     "NotSimple",
     "ExchangeAxiomFailed",
     "NotPure",
@@ -62,6 +64,11 @@ class SizeLimit(EarlabError):
 
 class Inconsistent(EarlabError):
     """Structurally inconsistent input (e.g. joins fail to exist)."""
+
+
+class SelfCheckFailed(EarlabError):
+    """An internal self-check failed on input that passed every
+    precondition: a fault in the program, not in the input."""
 
 
 class NotSimple(EarlabError):

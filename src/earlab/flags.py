@@ -6,18 +6,22 @@ Conventions used throughout:
   * Dominance of S over T means an injection D_T -> D_S that moves every
     permutation weakly up in the (right) weak order (Nyman–Swartz, DCG 32
     (2004)), compared by inversion-set containment. ``dominance_table(m)``
-    decides every pair once per m. One pass over S_m reads each inversion
-    mask off a table of the bits each value makes with the smaller values
-    to its right, and keeps per class and inversion bit the bitset of the
-    members with it; τ's candidates in D_S are the AND of those bitsets
-    over τ's inversions. A matching (augmenting paths on those bitsets)
-    runs only when |D_T| ≤ |D_S| and every τ has a candidate, most
-    inverted τ first, so a failing pair fails early. w ↦ w0·w·w0 is a
-    weak-order automorphism carrying D_S onto D_{m-S}, so (S, T) and
-    (m-S, m-T) are decided together. ``dominates`` matches on the same
-    masks and returns the injection; the tests diff all of it against the
-    routes it replaced and replay witnesses through
-    ``weak_leq_by_switches``, a breadth-first search over switches.
+    decides every pair once per m. One lexicographic sweep of S_m extends
+    each prefix once: placing a value ORs in, from one table lookup, the
+    bits it makes with the smaller values still to its right, and appends
+    them to the prefix's inversion list. Each leaf lands in its descent
+    class, and no permutation is built. Per class the sweep keeps the
+    masks, each member's inversion list as ``bytes``, and per inversion
+    bit the bitset of the members with it; τ's candidates in D_S are the
+    AND of those bitsets over τ's list. A matching (augmenting paths on
+    those bitsets) runs only when |D_T| ≤ |D_S| and every τ has a
+    candidate, most inverted τ first, so a failing pair fails early.
+    w ↦ w0·w·w0 is a weak-order automorphism carrying D_S onto D_{m-S}, so
+    (S, T) and (m-S, m-T) are decided together. ``dominates`` matches on
+    the same lists and names the injection's permutations through
+    ``descent_classes``; the tests diff all of it against the routes it
+    replaced and replay witnesses through ``weak_leq_by_switches``, a
+    breadth-first search over switches.
 
 The h-vector side: g = the first differences of the lower half of h, and
 the M-vector test is the Macaulay binomial growth bound, all in exact
@@ -35,9 +39,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .complexes import SimplicialComplex, boundary_complex
 from .errors import (
     BadParams,
-    Inconsistent,
     LengthMismatch,
     NotBall,
+    SelfCheckFailed,
     SizeLimit,
 )
 from .labelings import descent_set
@@ -134,7 +138,7 @@ def flag_f_and_h(p: Poset) -> tuple[FlagVector, FlagVector]:
             for T in combinations(sorted(S), k)
         )
         if back != f_entries[S]:
-            raise Inconsistent("flag f/h round trip failed")
+            raise SelfCheckFailed("flag f/h round trip failed")
     return (
         FlagVector("f", rho, f_entries),
         FlagVector("h", rho, h_entries),
@@ -278,16 +282,27 @@ def descent_classes(m: int) -> dict[frozenset[int], list[tuple[int, ...]]]:
 
 
 @lru_cache(maxsize=None)
-def _class_masks(m: int) -> dict[frozenset[int], tuple[tuple[int, ...], tuple[int, ...]]]:
+def _class_masks(
+    m: int,
+) -> dict[frozenset[int], tuple[tuple[int, ...], tuple[int, ...], tuple[bytes, ...]]]:
     """Per descent class of S_m, in ``descent_classes`` order: the members'
-    inversion masks, and for each bit of ``inversion_mask`` the bitset of
-    the members that have it.
+    inversion masks, for each bit of ``inversion_mask`` the bitset of the
+    members that have it, and each member's inversion bits as ``bytes``.
 
-    ``gain[v][rest]`` holds the bits of the pairs (a, v) with a < v in
-    ``rest``, the values still to the right of v, so a mask is the OR of
-    one lookup per position. Written as rows of m² binary digits, last
-    member first, the masks give each bit's bitset as a column."""
-    classes = descent_classes(m)  # refuses m < 0 and m > DOMINANCE_CAP
+    One lexicographic sweep of S_m extends each prefix once, carrying the
+    values still unplaced, the inversion mask and bits so far, and the
+    descent bits. ``gain[v][rest]`` holds the bits of the pairs (a, v) with
+    a < v in ``rest``, the values still to the right of v, so placing v ORs
+    in one lookup and appends its bits, lowest first (a member's list runs
+    by placement, not sorted). Leaves land in their class in lex order, and
+    classes are met in the order of their lex-first members, as
+    ``descent_classes`` lists them; no permutation is built. Written as rows
+    of m² binary digits, last member first, the masks give each bit's bitset
+    as a column."""
+    if m < 0:
+        raise BadParams(f"m = {m} is negative")
+    if m > DOMINANCE_CAP:
+        raise SizeLimit(f"descent classes capped at m = {DOMINANCE_CAP}")
     gain = [
         [
             sum(1 << ((a - 1) * m + v - 1) for a in range(1, v) if (rest >> (a - 1)) & 1)
@@ -295,30 +310,67 @@ def _class_masks(m: int) -> dict[frozenset[int], tuple[tuple[int, ...], tuple[in
         ]
         for v in range(m + 1)
     ]
+    gained = [[bytes(_bits(bits)) for bits in row] for row in gain]
+    found: dict[int, tuple[list[int], list[bytes]]] = {}  # descent bits -> members
+    if m:
+        _extend_prefix((1 << m) - 1, 0, b"", 0, 0, 0, gain, gained, found)
+    else:
+        found[0] = ([0], [b""])  # S_0 holds the empty permutation
     w = m * m
+    digits = f"0{w}b"
     out = {}
-    for S, perms in classes.items():
-        masks = []
-        for perm in perms:
-            rest, mask = (1 << m) - 1, 0
-            for v in perm:
-                rest ^= 1 << (v - 1)
-                mask |= gain[v][rest]
-            masks.append(mask)
-        rows = "".join([format(mask, f"0{w}b") for mask in reversed(masks)])
-        out[S] = (tuple(masks), tuple(int(rows[w - 1 - k :: w], 2) for k in range(w)))
+    for desc, (masks, invs) in found.items():
+        rows = "".join([format(mask, digits) for mask in reversed(masks)])
+        out[frozenset(_bits(desc))] = (
+            tuple(masks),
+            tuple(int(rows[w - 1 - k :: w], 2) for k in range(w)),
+            tuple(invs),
+        )
     return out
 
 
+def _extend_prefix(
+    rest: int,
+    mask: int,
+    inv: bytes,
+    desc: int,
+    last: int,
+    pos: int,
+    gain: list[list[int]],
+    gained: list[list[bytes]],
+    found: dict[int, tuple[list[int], list[bytes]]],
+) -> None:
+    """``_class_masks``' sweep below one prefix: place each value of the
+    bitmask ``rest``, smallest first, at 0-based position ``pos`` after
+    ``last``, and file each finished permutation's mask and inversion bits
+    under its descent bits in ``found``."""
+    todo = rest
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length()
+        right = rest ^ low
+        d = desc | 1 << pos if last > v else desc
+        if right:
+            _extend_prefix(
+                right, mask | gain[v][right], inv + gained[v][right], d, v, pos + 1, gain, gained, found
+            )
+        else:
+            masks, invs = found.get(d) or found.setdefault(d, ([], []))
+            masks.append(mask)
+            invs.append(inv)
+
+
 def _injection(
-    left: list[list[int]], right: tuple[tuple[int, ...], tuple[int, ...]]
+    left: Sequence[Iterable[int]],
+    right: tuple[tuple[int, ...], tuple[int, ...], tuple[bytes, ...]],
 ) -> Optional[list[int]]:
     """A matching of D_T, given as each τ's inversion bits, into D_S, given
     as its ``_class_masks`` entry, that moves every permutation weakly up:
     member indices into D_S in D_T's order, or None when there is none.
     Each τ's candidates are the AND of D_S's bitsets over τ's inversion
     bits; the maximum matching runs only when every τ has one."""
-    masks, having = right
+    masks, having, _ = right
     if len(left) > len(masks):
         return None
     full = (1 << len(masks)) - 1
@@ -384,13 +436,13 @@ def dominates(
 ) -> tuple[bool, Optional[dict[tuple[int, ...], tuple[int, ...]]]]:
     """Does S dominate T in S_m? Decided by maximum bipartite matching on
     the weak-order relation between descent classes; the injection comes
-    back as the witness."""
-    classes = _class_masks(m)  # refuses m < 0 and m > DOMINANCE_CAP
+    back as the witness, its permutations listed by ``descent_classes``."""
     Sf, Tf = frozenset(S), frozenset(T)
     bad = [i for i in Sf | Tf if not 1 <= i <= m - 1]
     if bad:
         raise BadParams(f"rank positions {bad} outside [1, {m - 1}]")
-    match_l = _injection([list(_bits(mask)) for mask in classes[Tf][0]], classes[Sf])
+    classes = _class_masks(m)  # refuses m < 0 and m > DOMINANCE_CAP
+    match_l = _injection(classes[Tf][2], classes[Sf])
     if match_l is None:
         return False, None
     perms = descent_classes(m)
@@ -406,11 +458,11 @@ def dominance_table(m: int) -> frozenset[tuple[frozenset[int], frozenset[int]]]:
     order = {S: k for k, S in enumerate(classes)}
     mirror = {S: frozenset(m - i for i in S) for S in classes}
     table = set()
-    for T, (masks, _) in classes.items():
+    for T, (_, _, invs) in classes.items():
         mT = mirror[T]
         if order[mT] < order[T]:
             continue  # decided as (m-S, m-T)
-        left = sorted((list(_bits(mask)) for mask in masks), key=len, reverse=True)
+        left = sorted(invs, key=len, reverse=True)
         for S, right in classes.items():
             mS = mirror[S]
             if (T != mT or order[S] <= order[mS]) and (

@@ -12,10 +12,11 @@ needs them, so they live with the tests:
   summing over rank sets of one size, and from the f-vector alone;
 * ``weak_leq``: the weak order by inversion-set containment;
 * ``class_masks_per_permutation``, ``dominance_table_all_pairs`` and
-  ``flag_f_per_subset``: the inversion masks of each descent class by
-  ``inversion_mask`` member by member, the dominance table by deciding
-  every ordered pair with each D_T in class order, and each flag f entry
-  counted from the bottom rank on its own;
+  ``flag_f_per_subset``: the inversion masks and inversion bits of each
+  descent class by ``inversion_mask`` and by reading each permutation,
+  member by member, the dominance table by deciding every ordered pair
+  with each D_T in class order, and each flag f entry counted from the
+  bottom rank on its own;
 * ``join_table`` and ``meet_table``: every pair's join and meet by
   up-mask and down-mask lookup, the two tables ``Lattice`` once built;
 * ``is_distributive`` and ``is_mchain``: the brute-force lattice
@@ -191,8 +192,10 @@ def weak_leq(sigma: Sequence[int], tau: Sequence[int]) -> bool:
 
 
 def class_masks_per_permutation(m: int) -> dict:
-    """``flags._class_masks``: each member's mask by ``inversion_mask``, and
-    each bit's bitset filled member by member."""
+    """``flags._class_masks``: each member's mask by ``inversion_mask``, each
+    bit's bitset filled member by member, and each member's inversion bits
+    read off the permutation, position by position and, for each, the
+    smaller values to its right lowest first."""
     out = {}
     for S, perms in descent_classes(m).items():
         masks = tuple(inversion_mask(perm) for perm in perms)
@@ -200,7 +203,16 @@ def class_masks_per_permutation(m: int) -> dict:
         for j, mask in enumerate(masks):
             for k in _bits(mask):
                 having[k] |= 1 << j
-        out[S] = (masks, tuple(having))
+        invs = tuple(
+            bytes(
+                (a - 1) * m + b - 1
+                for i, b in enumerate(perm)
+                for a in sorted(perm[i + 1 :])
+                if a < b
+            )
+            for perm in perms
+        )
+        out[S] = (masks, tuple(having), invs)
     return out
 
 
@@ -210,7 +222,7 @@ def dominance_table_all_pairs(m: int) -> frozenset:
     ``class_masks_per_permutation``."""
     classes = class_masks_per_permutation(m)
     table = set()
-    for T, (masks, _) in classes.items():
+    for T, (masks, _, _) in classes.items():
         left = [list(_bits(mask)) for mask in masks]
         table.update(
             (S, T) for S, right in classes.items() if S == T or _injection(left, right) is not None

@@ -18,8 +18,8 @@ import pytest
 
 from earlab.cli import COMPLEX_FIXTURES, _flag_count, main
 from earlab.complexes import build_complex, face_poset, order_complex
-from earlab.decompositions import decompose_rank_selected_boolean
-from earlab.flags import m_vector_witness
+from earlab.decompositions import _generated_copy, decompose_rank_selected_boolean
+from earlab.flags import _flag_h, m_vector_witness
 from earlab.posets import canonical_dumps, rank_select
 
 
@@ -119,6 +119,46 @@ def test_decompose_reports_ears_that_do_not_partition_the_chains(tmp_path, capsy
     assert ced["ok"] is False and ced["axiom_union"]["ok"] is True
     assert ced["chain_partition"]["ok"] is False
     assert ced["chain_partition"]["total"] > ced["chain_partition"]["facets"]
+
+
+# A failed internal self-check blames the program, not the input: exit 3,
+# like a check that ran and failed, and no report.
+
+
+def test_a_non_injective_copy_is_a_failed_self_check(capsys, monkeypatch):
+    monkeypatch.setattr("earlab.decompositions.subset_name", lambda atoms: "x")
+    code, out, err = run_cli(
+        capsys, "decompose", "--construction", "rank-boolean", "--rank", "3", "--ranks", "1",
+    )
+    assert (code, out) == (3, "")
+    assert "SelfCheckFailed: copy embedding is not injective" in err
+
+
+def test_a_copy_off_the_labelled_covers_is_a_failed_self_check(tmp_path, capsys, monkeypatch):
+    # generators taken in reverse: coordinate b lands on a cover labelled r + 1 - b
+    monkeypatch.setattr(
+        "earlab.decompositions._generated_copy",
+        lambda gens, name_of, provenance: _generated_copy(list(gens)[::-1], name_of, provenance),
+    )
+    lat = tmp_path / "b3.json"
+    run_cli(capsys, "gen", "boolean", "--rank", "3", "--output", str(lat))
+    code, out, err = run_cli(
+        capsys, "decompose", "--construction", "supersolvable", "--input", str(lat),
+    )
+    assert (code, out) == (3, "")
+    assert "SelfCheckFailed: copy cover" in err and "is not a host cover labelled" in err
+
+
+def test_a_flag_round_trip_failure_is_a_failed_self_check(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        "earlab.flags._flag_h",
+        lambda f, n: {S: h + (S == frozenset({1})) for S, h in _flag_h(f, n).items()},
+    )
+    c = tmp_path / "c.json"
+    run_cli(capsys, "gen", "complex-fixture", "--name", "two-triangles", "--output", str(c))
+    code, out, err = run_cli(capsys, "verify", "--what", "flag-inequalities", "--input", str(c))
+    assert (code, out) == (3, "")
+    assert "SelfCheckFailed: flag f/h round trip failed" in err
 
 
 def test_decompose_is_deterministic(capsys):

@@ -41,11 +41,13 @@ against the brute-force routes they replaced, on random inputs.
 * ``dominance_table`` and ``dominates`` (inversion masks cached per m,
   candidates by AND of per-bit bitsets) against the per-pair scan they
   replaced, and each witness against the switch-walk weak order;
-* ``_class_masks`` (masks by lookups in one table of per-value gains,
-  bitsets read off as columns) against ``inversion_mask`` member by
-  member, and ``dominance_table`` (one decision per pair up to
-  w ↦ w0·w·w0, most inverted τ first) against deciding every pair, with
-  the symmetry checked on random permutations;
+* ``_class_masks`` (one lexicographic sweep of S_m, each mask and
+  inversion list extended by lookups in one table of per-value gains,
+  bitsets read off as columns, no permutation built) against
+  ``inversion_mask`` and each permutation member by member, class order
+  and member order included, and ``dominance_table`` (one decision per
+  pair up to w ↦ w0·w·w0, most inverted τ first) against deciding every
+  pair, with the symmetry checked on random permutations;
 * ``flag_f_and_h`` (chain counts extended from the prefix S minus its
   largest rank) against counting each S from the bottom, on random
   bounded rank selections and on face posets;
@@ -147,6 +149,7 @@ from earlab.errors import (
     NotMChain,
     NotShelling,
     NotSimple,
+    SelfCheckFailed,
 )
 from earlab.flags import (
     _class_masks,
@@ -189,6 +192,7 @@ from earlab.matroids import (
 )
 from earlab.posets import (
     Poset,
+    _bits,
     build_poset,
     induced_subposet,
     maximal_chains,
@@ -1158,9 +1162,37 @@ def test_dominance_table_agrees_with_the_per_pair_scan(m):
     assert len(table) == held
 
 
-@pytest.mark.parametrize("m", range(8))
+@pytest.mark.parametrize("m", range(9))
 def test_class_masks_agree_with_inversion_mask_per_member(m):
     assert list(_class_masks(m).items()) == list(class_masks_per_permutation(m).items())
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_class_inversion_lists_hold_the_mask_bits(m):
+    for masks, _, invs in _class_masks(m).values():
+        assert len(masks) == len(invs)
+        for mask, inv in zip(masks, invs):
+            assert sorted(inv) == list(_bits(mask))
+
+
+@pytest.fixture
+def fresh_dominance_caches():
+    """Empty ``_class_masks`` and ``dominance_table`` caches before and after."""
+    for fn in (_class_masks, dominance_table):
+        fn.cache_clear()
+    yield
+    for fn in (_class_masks, dominance_table):
+        fn.cache_clear()
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_class_masks_build_no_permutation(m, monkeypatch, fresh_dominance_caches):
+    def refuse(*args):
+        raise AssertionError("descent_classes reached")
+
+    monkeypatch.setattr("earlab.flags.descent_classes", refuse)
+    assert len(dominance_table(m)) >= 1 << max(m - 1, 0)
+    assert sum(len(masks) for masks, _, _ in _class_masks(m).values()) == factorial(m)
 
 
 @pytest.mark.parametrize("m", range(9))
@@ -1984,7 +2016,7 @@ def test_copy_cover_with_another_label_is_inconsistent(name):
                 for v in set(range(-1, r + 2)) - {b}:
                     bad = EdgeLabeling(p, {**lab.labels, (x, y): v})
                     if _outcome(increasing_and_decreasing_chains, p, bad, lat.bottom, lat.top) == want:
-                        with pytest.raises(Inconsistent, match="is not a host cover labelled"):
+                        with pytest.raises(SelfCheckFailed, match="is not a host cover labelled"):
                             _supersolvable_copies(lat, bad)
                         tried += 1
                         break

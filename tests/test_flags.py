@@ -17,6 +17,7 @@ from earlab.complexes import (
     f_h_vectors,
 )
 from earlab.flags import (
+    DOMINANCE_CAP,
     FlagVector,
     _class_masks,
     _match,
@@ -243,6 +244,17 @@ def test_dominates_cap_and_range():
         dominates({7}, set(), 4)
 
 
+def test_dominates_checks_positions_before_building_the_classes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("class masks built")
+
+    monkeypatch.setattr("earlab.flags._class_masks", refuse)
+    with pytest.raises(BadParams):
+        dominates({9}, {1}, 8)
+    with pytest.raises(BadParams):
+        dominates({1}, {0}, 8)
+
+
 def test_dominance_is_reflexive_like_on_classes():
     # S dominates itself via the identity injection
     ok, inj = dominates({2}, {2}, 4)
@@ -251,8 +263,10 @@ def test_dominance_is_reflexive_like_on_classes():
 
 
 def test_dominance_table_needs_the_cap():
-    with pytest.raises(SizeLimit):
-        dominance_table(9)
+    # _class_masks checks the cap itself, as it never calls descent_classes
+    for fn in (_class_masks, dominance_table):
+        with pytest.raises(SizeLimit):
+            fn(DOMINANCE_CAP + 1)
 
 
 def test_negative_m_is_refused():
