@@ -40,6 +40,7 @@ from typing import Mapping, Optional
 
 from .complexes import (
     SimplicialComplex,
+    _faces_by_size,
     build_complex,
     complex_from_json,
     complex_to_json,
@@ -263,7 +264,7 @@ def _run_construction(rec: Mapping, doc: Optional[Mapping], cap) -> EarDecomposi
         if doc.get("schema") != "earlab.complex/1":
             raise SchemaTrouble("face-poset needs a complex document")
         c = complex_from_json(doc)
-        cap("lattice", len(c.faces()))
+        cap("lattice", sum(map(len, _faces_by_size(c.masks, c.dim + 1))))  # the face poset
         return decompose_face_poset(c, rec.get("shelling"), ranks or ())
     if name == "geometric":
         lat = _geometric_input(doc, cap)

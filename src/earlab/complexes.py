@@ -8,6 +8,7 @@ void complex (no faces at all, ``facets == ()``) and the empty complex
 Names appear only at the API. The kernels read facets as masks over the
 sorted ``vertices`` (bit i is ``vertices[i]``, so bit order is name order),
 and a shelling keeps per vertex the bitset of the placed facets holding it.
+Only ``faces()`` lists faces as name sets; the face poset names its masks.
 
 All homology is reduced and over the rationals, computed by integer
 pivot-column reduction with clearing (its oracle in the tests: fraction-free
@@ -143,20 +144,18 @@ def face_name(face: Iterable[str]) -> str:
 def face_poset(
     c: SimplicialComplex, include_empty: bool = False, graded: bool = False
 ) -> Poset:
-    """Faces under inclusion; names via face_name. Rank ends up being
-    cardinality (minus one without the empty face). Pass ``graded=True``
-    when a rank function is needed downstream; non-pure complexes may then
-    be rejected."""
-    faces = c.faces()
-    if not include_empty:
-        faces = {f for f in faces if f}
-    names = {f: face_name(f) for f in faces}
-    covers = []
-    for f in faces:
-        for v in sorted(f):
-            sub = f - {v}
-            if sub in names:
-                covers.append((names[sub], names[f]))
+    """Faces under inclusion, named by face_name from their masks; a face
+    covers its masks with one bit cleared. Rank ends up being cardinality
+    (minus one without the empty face). Pass ``graded=True`` when a rank
+    function is needed downstream; non-pure complexes may then be rejected."""
+    names = {
+        s: face_name(map(c.vertices.__getitem__, _bits(s)))
+        for size in _faces_by_size(c.masks, c.dim + 1)[0 if include_empty else 1 :]
+        for s in size
+    }
+    covers = [
+        (names[s ^ 1 << i], x) for s, x in names.items() for i in _bits(s) if s ^ 1 << i in names
+    ]
     return build_poset(list(names.values()), covers, graded=graded)
 
 
@@ -329,7 +328,7 @@ def boundary_complex(c: SimplicialComplex) -> SimplicialComplex:
         raise NotPure("boundary of a non-pure complex is not defined here")
     if c.is_void:
         return c
-    ridges = sorted((c.face(r) for r, ids in _ridge_map(c).items() if len(ids) == 1), key=facet_key)
+    ridges = sorted(map(c.face, _boundary_ridges(c)), key=facet_key)
     return SimplicialComplex(tuple(sorted(set().union(*ridges))), tuple(ridges))
 
 
@@ -340,6 +339,11 @@ def _ridge_map(c: SimplicialComplex) -> dict[int, list[int]]:
         for i in _bits(f):
             on_ridge.setdefault(f ^ 1 << i, []).append(k)
     return on_ridge
+
+
+def _boundary_ridges(c: SimplicialComplex) -> list[int]:
+    """The ridge masks that lie in exactly one facet of c."""
+    return [r for r, ids in _ridge_map(c).items() if len(ids) == 1]
 
 
 def gluing_diff(
@@ -358,8 +362,7 @@ def gluing_diff(
         for s in size:
             low = s & -s
             common[s] = common[s ^ low] & hold[low.bit_length() - 1]
-    once = [r for r, ids in _ridge_map(ear).items() if len(ids) == 1]
-    want = set().union(*_faces_by_size(once, ear.dim))
+    want = set().union(*_faces_by_size(_boundary_ridges(ear), ear.dim))
     have = {s for s, a in common.items() if a}
     return sorted(map(ear.face, have ^ want), key=facet_key)
 
@@ -467,16 +470,10 @@ def homology_ranks(c: SimplicialComplex) -> tuple[int, ...]:
 def is_cm_and_2cm(c: SimplicialComplex) -> tuple[bool, bool]:
     """Cohen-Macaulayness over the rationals by link homology, and the
     doubly-CM refinement (vertex deletions keep dimension and stay CM)."""
-    cm = _is_cm(c)
-    if not cm:
+    if not _is_cm(c):
         return False, False
-    two = True
-    for v in c.vertices:
-        dv = deletion(c, v)
-        if dv.is_void or dv.dim != c.dim or not _is_cm(dv):
-            two = False
-            break
-    return True, two
+    deleted = (deletion(c, v) for v in c.vertices)
+    return True, all(not dv.is_void and dv.dim == c.dim and _is_cm(dv) for dv in deleted)
 
 
 def _is_cm(c: SimplicialComplex) -> bool:
@@ -484,17 +481,12 @@ def _is_cm(c: SimplicialComplex) -> bool:
         return False
     if c.is_irrelevant:
         return True
-    for f in sorted(c.faces(), key=lambda f: (len(f), sorted(f))):
-        lk = link_of(c, f)
-        if lk.is_void:
-            continue
-        h = homology_ranks(lk)
-        for i in range(len(h) - 1):
-            if h[i] != 0:
+    for size, faces in enumerate(_faces_by_size(c.masks, c.dim + 1)):
+        for s in sorted(faces, key=lambda s: list(_bits(s))):  # by size, then names
+            lk = build_complex(c.face(f ^ s) for f in c.masks if f & s == s)
+            # a CM link has no homology below its top, of dimension dim c - |s|
+            if any(homology_ranks(lk)[:-1]) or lk.dim != c.dim - size:
                 return False
-        # links in a CM complex must have the right dimension too
-        if lk.dim != c.dim - len(f):
-            return False
     return True
 
 

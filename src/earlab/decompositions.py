@@ -214,7 +214,6 @@ class _Copy:
 
     elem: dict[frozenset[int], str]
     provenance: dict
-    names: frozenset[str]
 
 
 # -- the shared engine --------------------------------------------------------
@@ -291,10 +290,9 @@ def _generated_copy(
         for size in range(r + 1)
         for a in combinations(range(1, r + 1), size)
     }
-    names = frozenset(elem.values())
-    if len(names) != len(elem):
+    if len(set(elem.values())) != len(elem):
         raise SelfCheckFailed("copy embedding is not injective")
-    return _Copy(elem, provenance, names)
+    return _Copy(elem, provenance)
 
 
 def _selection(ranks: Optional[Iterable[int]], r: int) -> tuple[int, ...]:
@@ -347,7 +345,7 @@ def _subset_novelty(copies: Sequence[_Copy]):
     chain's elements must have no bit below ci."""
     holders: dict[str, int] = {}
     for m, c in enumerate(copies):
-        for x in c.names:
+        for x in c.elem.values():
             holders[x] = holders.get(x, 0) | 1 << m
 
     def is_new(ci: int, fl, chain_names) -> bool:

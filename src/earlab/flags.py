@@ -26,17 +26,22 @@ Conventions used throughout:
 The h-vector side: g = the first differences of the lower half of h, and
 the M-vector test is the Macaulay binomial growth bound, all in exact
 integer arithmetic.
+
+Flag reciprocity, the flag form of h_k(B, ∂B) = h_{d-k}(B) (Stanley,
+*Combinatorics and Commutative Algebra*, §II.7), compares two ``_flag_h``
+results entry by entry, from face counts by color set off the ear's masks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .complexes import SimplicialComplex, boundary_complex
+from .complexes import SimplicialComplex, _boundary_ridges, _faces_by_size
 from .errors import (
     BadParams,
     LengthMismatch,
@@ -522,64 +527,38 @@ def verify_flag_inequalities(p: Poset) -> dict:
 # -- ball flag reciprocity -------------------------------------------------------
 
 
-def _poly_add_term(
-    poly: dict[frozenset[int], int],
-    coeff: int,
-    plain: frozenset[int],
-    shifted: frozenset[int],
-) -> None:
-    """Add coeff * Π_{i in plain} ν_i * Π_{i in shifted} (ν_i - 1)."""
-    shifted_list = sorted(shifted)
-    for k in range(len(shifted_list) + 1):
-        for U in combinations(shifted_list, k):
-            key = plain | frozenset(U)
-            sign = (-1) ** (len(shifted_list) - k)
-            poly[key] = poly.get(key, 0) + coeff * sign
-
-
 def ball_flag_reciprocity(
     ear: SimplicialComplex,
     colors: Mapping[str, int],
     d: int,
 ) -> bool:
-    """The flag reciprocity identity for a rank-colored (d-1)-ball or sphere:
-    interior flag f against ν-1 factors (plus the reduced-Euler correction,
-    which vanishes for balls) equals complementary flag h against ν factors,
-    compared coefficient by coefficient."""
+    """The flag reciprocity identity of a rank-colored (d-1)-ball or
+    sphere: for every W ⊆ [d], h_int(W) = h([d] - W) + χ̃·(-1)^(d-|W|),
+    with h the ear's flag h, h_int its interior's (the nonempty faces in
+    no boundary ridge) and χ̃ its reduced Euler characteristic, which
+    vanishes on a ball. Both flag h's come from ``_flag_h`` on face counts
+    by color set, read off the ear's masks."""
     if ear.is_void or ear.dim != d - 1 or not ear.pure:
         raise NotBall(f"expected a pure complex of dimension {d - 1}")
-    full = frozenset(range(1, d + 1))
-    for f in ear.facets:
-        if frozenset(colors[v] for v in f) != full:
-            raise NotBall("facet misses a rank color")
-    bd = boundary_complex(ear)
-    bd_faces = bd.faces() if not bd.is_void else {frozenset()}
-    # flag f of the ball and of its interior; every facet carries all d
-    # colors, so no two vertices of one face share one
-    fS: dict[frozenset[int], int] = {}
-    f_int: dict[frozenset[int], int] = {}
-    for f in ear.faces():
-        cs = frozenset(colors[v] for v in f)
-        fS[cs] = fS.get(cs, 0) + 1
-        if f and f not in bd_faces:
-            f_int[cs] = f_int.get(cs, 0) + 1
-    hS = _flag_h(fS, d)  # flag h of the ball
-    lhs: dict[frozenset[int], int] = {}
-    rhs: dict[frozenset[int], int] = {}
-    for k in range(d + 1):
-        for S in combinations(range(1, d + 1), k):
-            Sf = frozenset(S)
-            comp = full - Sf
-            _poly_add_term(lhs, f_int.get(Sf, 0), frozenset(), comp)
-            _poly_add_term(rhs, hS.get(full - Sf, 0), comp, frozenset())
-    chi = sum((-1) ** (len(S) + 1) * n for S, n in fS.items())  # reduced Euler
-    if chi:
-        # boundaryless case: the reduced Euler characteristic enters once,
-        # against the full product of (ν_i - 1) factors
-        _poly_add_term(lhs, chi * (-1) ** (d - 1), frozenset(), full)
-    lhs = {k: v for k, v in lhs.items() if v}
-    rhs = {k: v for k, v in rhs.items() if v}
-    return lhs == rhs
+    full = (2 << d) - 2  # color c is bit c, so [d] is bits 1..d
+    bit = {c: 1 << c for c in range(1, d + 1)}
+    hue = [bit.get(colors[v], 0) for v in ear.vertices]
+    paint = {0: 0}  # each face's color set; a face one bit smaller is painted first
+    for size in _faces_by_size(ear.masks, d)[1:]:
+        for s in size:
+            low = s & -s
+            paint[s] = paint[s ^ low] | hue[low.bit_length() - 1]
+    if any(paint[f] != full for f in ear.masks):
+        raise NotBall("facet misses a rank color")
+    # every facet carries all d colors, so no two vertices of a face share one
+    counts = Counter(paint.values())
+    bd = set().union(*_faces_by_size(_boundary_ridges(ear), d - 1))
+    inside = Counter(cs for s, cs in paint.items() if s and s not in bd)
+    chi = sum((-1) ** (cs.bit_count() + 1) * n for cs, n in counts.items())
+    h = _flag_h({frozenset(_bits(cs)): n for cs, n in counts.items()}, d)
+    h_int = _flag_h({frozenset(_bits(cs)): n for cs, n in inside.items()}, d)
+    top = frozenset(range(1, d + 1))
+    return all(h_int[W] == h[top - W] + chi * (-1) ** (d - len(W)) for W in h_int)
 
 
 def corollary_gap_coefficients(

@@ -380,9 +380,11 @@ def poset_from_json(data: Mapping) -> Poset:
     try:
         elements = list(_array(data["elements"]))
         covers = [(a, b) for a, b in map(_array, _array(data["covers"]))]
-        graded = bool(data.get("graded", True))
+        graded = data.get("graded", True)
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParams(f"malformed poset JSON: {exc}") from exc
+    if not isinstance(graded, bool):
+        raise BadParams(f"malformed poset JSON: graded is {graded!r}, not true or false")
     bad = [x for x in elements + [x for c in covers for x in c] if not isinstance(x, str)]
     if bad:
         raise BadParams(f"malformed poset JSON: element {bad[0]!r} is not a string")

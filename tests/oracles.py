@@ -28,6 +28,10 @@ needs them, so they live with the tests:
   ``closed_pseudomanifold_by_name_sets``: faces, boundary and the closed
   pseudomanifold test on frozensets of names (``subfaces`` and ``ridges``
   are their helpers), the routes the mask kernels replaced;
+* ``face_poset_by_name_sets`` and ``cm_and_2cm_by_name_sets``: the face
+  poset with covers found by removing each name from each face, and the
+  CM and doubly-CM checks walking every face as a sorted name set through
+  ``link_of``, the routes the mask kernels replaced;
 * ``shelling_by_face_sets`` and ``search_by_face_sets``: the shelling
   check and the backtracking search with every face and ridge of the
   placed facets in hash sets (``shelling_step_by_face_sets``), and
@@ -58,6 +62,10 @@ needs them, so they live with the tests:
   of the selected poset, by a set of every chain placed so far and the
   set of every maximal chain, against which ``verify_ced``'s
   ``axiom_union`` and ``chain_partition`` are diffed;
+* ``reciprocity_by_polynomials``: the flag reciprocity identity as two
+  polynomials in ν_i, expanded term by term (``_poly_add_term``) from the
+  name sets of the ear's faces and of its ``boundary_complex``, compared
+  coefficient by coefficient;
 * ``reciprocity_rows_per_ear``: the rows of ``verify --what reciprocity``
   with the identity checked on every ear, not once per colored pull-back;
 * ``subset_novelty_scan``: a chain is new when no earlier copy's name set
@@ -93,8 +101,13 @@ from typing import Iterable, Optional, Sequence
 from earlab.complexes import (
     SimplicialComplex,
     _reduce,
+    boundary_complex,
     build_complex,
+    deletion,
+    face_name,
     h_from_shelling,
+    homology_ranks,
+    link_of,
     verify_shelling,
 )
 from earlab.decompositions import (
@@ -114,12 +127,14 @@ from earlab.errors import (
     LabelingInvalid,
     LengthMismatch,
     MobiusMismatch,
+    NotBall,
     NotMChain,
     NotShelling,
     RangeError,
 )
 from earlab.flags import (
     FlagVector,
+    _flag_h,
     _injection,
     ball_flag_reciprocity,
     descent_classes,
@@ -357,6 +372,54 @@ def closed_pseudomanifold_by_name_sets(c: SimplicialComplex) -> bool:
                     seen.add(j)
                     stack.append(j)
     return len(seen) == len(c.facets)
+
+
+def face_poset_by_name_sets(
+    c: SimplicialComplex, include_empty: bool = False, graded: bool = False
+) -> Poset:
+    """Faces as name sets under inclusion, each covering its faces with one
+    name removed."""
+    faces = c.faces()
+    if not include_empty:
+        faces = {f for f in faces if f}
+    names = {f: face_name(f) for f in faces}
+    covers = []
+    for f in faces:
+        for v in sorted(f):
+            sub = f - {v}
+            if sub in names:
+                covers.append((names[sub], names[f]))
+    return build_poset(list(names.values()), covers, graded=graded)
+
+
+def is_cm_by_name_sets(c: SimplicialComplex) -> bool:
+    """Every link, of the faces as sorted name sets, has the right dimension
+    and no reduced homology below its top."""
+    if c.is_void:
+        return False
+    if c.is_irrelevant:
+        return True
+    for f in sorted(c.faces(), key=lambda f: (len(f), sorted(f))):
+        lk = link_of(c, f)
+        if lk.is_void:
+            continue
+        h = homology_ranks(lk)
+        for i in range(len(h) - 1):
+            if h[i] != 0:
+                return False
+        if lk.dim != c.dim - len(f):
+            return False
+    return True
+
+
+def cm_and_2cm_by_name_sets(c: SimplicialComplex) -> tuple[bool, bool]:
+    """CM, and CM with every vertex deletion CM of the same dimension."""
+    if not is_cm_by_name_sets(c):
+        return False, False
+    return True, all(
+        not dv.is_void and dv.dim == c.dim and is_cm_by_name_sets(dv)
+        for dv in (deletion(c, v) for v in c.vertices)
+    )
 
 
 def shelling_step_by_face_sets(
@@ -712,6 +775,58 @@ def partition_problems(dec: EarDecomposition) -> list[str]:
     return problems
 
 
+def _poly_add_term(
+    poly: dict[frozenset[int], int],
+    coeff: int,
+    plain: frozenset[int],
+    shifted: frozenset[int],
+) -> None:
+    """Add coeff * Π_{i in plain} ν_i * Π_{i in shifted} (ν_i - 1)."""
+    shifted_list = sorted(shifted)
+    for k in range(len(shifted_list) + 1):
+        for U in combinations(shifted_list, k):
+            key = plain | frozenset(U)
+            sign = (-1) ** (len(shifted_list) - k)
+            poly[key] = poly.get(key, 0) + coeff * sign
+
+
+def reciprocity_by_polynomials(ear: SimplicialComplex, colors, d: int) -> bool:
+    """Interior flag f against ν-1 factors (plus the reduced-Euler term,
+    which vanishes for balls) equals complementary flag h against ν
+    factors, compared coefficient by coefficient."""
+    if ear.is_void or ear.dim != d - 1 or not ear.pure:
+        raise NotBall(f"expected a pure complex of dimension {d - 1}")
+    full = frozenset(range(1, d + 1))
+    for f in ear.facets:
+        if frozenset(colors[v] for v in f) != full:
+            raise NotBall("facet misses a rank color")
+    bd = boundary_complex(ear)
+    bd_faces = bd.faces() if not bd.is_void else {frozenset()}
+    fS: dict[frozenset[int], int] = {}
+    f_int: dict[frozenset[int], int] = {}
+    for f in ear.faces():
+        cs = frozenset(colors[v] for v in f)
+        fS[cs] = fS.get(cs, 0) + 1
+        if f and f not in bd_faces:
+            f_int[cs] = f_int.get(cs, 0) + 1
+    hS = _flag_h(fS, d)
+    lhs: dict[frozenset[int], int] = {}
+    rhs: dict[frozenset[int], int] = {}
+    for k in range(d + 1):
+        for S in combinations(range(1, d + 1), k):
+            Sf = frozenset(S)
+            comp = full - Sf
+            _poly_add_term(lhs, f_int.get(Sf, 0), frozenset(), comp)
+            _poly_add_term(rhs, hS.get(full - Sf, 0), comp, frozenset())
+    chi = sum((-1) ** (len(S) + 1) * n for S, n in fS.items())
+    if chi:
+        # boundaryless: χ̃ enters once, against the full product of (ν_i - 1)
+        _poly_add_term(lhs, chi * (-1) ** (d - 1), frozenset(), full)
+    lhs = {k: v for k, v in lhs.items() if v}
+    rhs = {k: v for k, v in rhs.items() if v}
+    return lhs == rhs
+
+
 def reciprocity_rows_per_ear(
     dec: EarDecomposition, colors: dict[str, int], check=ball_flag_reciprocity
 ) -> list[dict]:
@@ -724,7 +839,7 @@ def reciprocity_rows_per_ear(
 
 def subset_novelty_scan(copies):
     """``is_new(ci, flag, chain_names)``: no copy before ci holds every name."""
-    names = [c.names for c in copies]
+    names = [set(c.elem.values()) for c in copies]
 
     def is_new(ci: int, fl, chain_names) -> bool:
         s = set(chain_names)

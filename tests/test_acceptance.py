@@ -271,7 +271,7 @@ def test_6_ball_flag_reciprocity():
         for ear in dec.ears:
             assert ball_flag_reciprocity(ear.complex, colors, d), label
             ears += 1
-    print(f"ACCEPTANCE 6 PASS: flag reciprocity holds coefficientwise on "
+    print(f"ACCEPTANCE 6 PASS: flag reciprocity holds entry by entry on "
           f"{ears} ears")
 
 

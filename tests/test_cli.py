@@ -462,6 +462,16 @@ def test_poset_documents_must_hold_arrays(doc, tmp_path, capsys):
     assert "BadParams: malformed poset JSON: expected an array, got 'ab'" in err
 
 
+def test_a_graded_field_that_is_not_a_boolean_is_a_precondition_failure(tmp_path, capsys):
+    # "false" as a string once read as true and raised NotGraded on this poset
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"schema": "earlab.poset/1", "elements": ["a", "b", "c", "d"],
+                                "covers": [["a", "b"], ["b", "c"], ["d", "c"]], "graded": "false"}))
+    code, _, err = run_cli(capsys, "verify", "--what", "flag-inequalities", "--input", str(path))
+    assert code == 2
+    assert "BadParams: malformed poset JSON: graded is 'false', not true or false" in err
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["gen", "flats"], {"ground": ["1", "2", "3"], "bases": ["12", "13", "23"]}),
     (["gen", "flats"], {"ground": ["1", "2", "3"], "circuits": ["123"]}),

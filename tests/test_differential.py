@@ -7,7 +7,9 @@ against the brute-force routes they replaced, on random inputs.
   on random pure complexes of dimension 0 to 3;
 * ``faces()``, ``f_h_vectors``, ``boundary_complex`` and the closed
   pseudomanifold test (submasks, ridges by clearing one bit) against the
-  same on frozensets of names;
+  same on frozensets of names, and ``face_poset`` (covers by clearing one
+  bit, all four flag combinations) and ``is_cm_and_2cm`` (faces walked by
+  mask) against the name-set routes, on pure and impure complexes;
 * ``exact_rank`` and ``homology_ranks`` (pivot-column reduction, with
   clearing from the top dimension down) against fraction-free elimination
   on the sparsest row, one full boundary matrix per dimension;
@@ -58,6 +60,10 @@ against the brute-force routes they replaced, on random inputs.
   and ``verify_ced``'s polytope entries (each ear pulled back into K, K
   certified once) against building, certifying and comparing each ear's
   reference sphere on its own;
+* ``ball_flag_reciprocity`` (one flag-h identity on face counts by color
+  set, off the masks) against the polynomial identity in ν_i it
+  replaced, on colored complexes whose facets are transversals of the
+  color classes, some recolored, and on every ear of the corpus;
 * ``verify_ced``'s kinds, polytope entries and gluing witnesses (one
   certificate per distinct pull-back into K) and ``verify --what
   reciprocity``'s rows (one check per colored pull-back) against
@@ -116,8 +122,10 @@ from earlab.complexes import (
     certify_sphere_or_ball,
     f_h_vectors,
     face_name,
+    face_poset,
     homology_ranks,
     intersection_complexes,
+    is_cm_and_2cm,
     order_complex,
     search_shelling,
     union_complexes,
@@ -202,6 +210,7 @@ from earlab.posets import (
 )
 from oracles import (
     _concatenated_histogram,
+    face_poset_by_name_sets,
     _frame_of,
     _selected_flags,
     ambient_by_permutations,
@@ -211,6 +220,7 @@ from oracles import (
     chains_by_filter,
     class_map_by_classifier,
     class_masks_per_permutation,
+    cm_and_2cm_by_name_sets,
     dominance_table_all_pairs,
     el_by_intervals,
     exact_rank,
@@ -228,6 +238,7 @@ from oracles import (
     meet_table,
     partition_problems,
     polytope_entries_by_ambients,
+    reciprocity_by_polynomials,
     reciprocity_rows_per_ear,
     reduced_euler,
     reference_sphere,
@@ -635,6 +646,31 @@ def test_mask_kernels_agree_with_name_sets(case):
 def test_faces_agree_with_name_sets_on_impure_complexes(facets):
     c = build_complex(facets)
     assert c.faces() == faces_by_subsets(c)
+
+
+any_complexes = pure_complexes().map(lambda case: case[0]) | st.lists(
+    st.frozensets(st.sampled_from("abcdefg"), max_size=5), max_size=10
+).map(build_complex)
+
+
+def _poset_outcome(route, c, include_empty, graded):
+    """The parts of ``route``'s face poset, or the error it raises."""
+    p = _outcome(route, c, include_empty, graded)
+    return p if isinstance(p, tuple) else (p.elements, p.cover_pairs(), p.ranks, p.graded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_complexes, st.booleans(), st.booleans())
+def test_face_poset_by_masks_agrees_with_name_sets(c, include_empty, graded):
+    assert _poset_outcome(face_poset, c, include_empty, graded) == _poset_outcome(
+        face_poset_by_name_sets, c, include_empty, graded
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_complexes)
+def test_cm_by_masks_agrees_with_sorted_name_sets(c):
+    assert is_cm_and_2cm(c) == cm_and_2cm_by_name_sets(c)
 
 
 # -- exact homology ------------------------------------------------------------------
@@ -1493,6 +1529,61 @@ def lenient_reciprocity(ear, colors, d) -> bool:
         return False
 
 
+def reciprocity_outcome(check, ear, colors, d):
+    """``check``'s verdict, or NotBall when it refuses the coloring."""
+    try:
+        return check(ear, colors, d)
+    except NotBall:
+        return NotBall
+
+
+@st.composite
+def colored_complexes(draw):
+    """A pure complex whose facets are transversals of d color classes
+    (d = 1..4, at most three vertices a class), its coloring, and d; one
+    vertex is sometimes recolored, to any color in 1..d+1."""
+    d = draw(st.integers(1, 4))
+    classes = [[f"{c}{k}" for k in range(draw(st.integers(1, 3)))] for c in range(1, d + 1)]
+    transversal = st.tuples(*map(st.sampled_from, classes)).map(frozenset)
+    c = build_complex(draw(st.lists(transversal, min_size=1, max_size=8)))
+    colors = {v: int(v[0]) for v in c.vertices}
+    if draw(st.booleans()):
+        colors[draw(st.sampled_from(c.vertices))] = draw(st.integers(1, d + 1))
+    return c, colors, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(colored_complexes())
+def test_reciprocity_on_masks_agrees_with_the_polynomials(case):
+    c, colors, d = case
+    assert reciprocity_outcome(ball_flag_reciprocity, c, colors, d) == reciprocity_outcome(
+        reciprocity_by_polynomials, c, colors, d
+    )
+
+
+@pytest.mark.parametrize("name", ["B5", "Pi5", "K33", "prism", "cross4-123", "bool7-246", "K5-13"])
+def test_reciprocity_on_masks_agrees_with_the_polynomials_on_every_ear(name):
+    dec = ambient_corpus()[name]
+    colors, d = reciprocity_colors(dec), len(dec.ranks)
+    for ear in dec.ears:
+        for dd in (d, d + 1):  # at d + 1 both refuse the dimension
+            want = reciprocity_outcome(reciprocity_by_polynomials, ear.complex, colors, dd)
+            assert reciprocity_outcome(ball_flag_reciprocity, ear.complex, colors, dd) == want
+            assert want is (True if dd == d else NotBall)
+
+
+@pytest.mark.parametrize("facets, colors, d", [
+    # two colored triangles sharing one vertex: acyclic, but no ball
+    ([["a", "b", "c"], ["a", "d", "e"]], {"a": 1, "b": 2, "c": 3, "d": 2, "e": 3}, 3),
+    # three colored edges sharing one vertex: a tree, but no path, so no ball
+    ([["a", "b"], ["a", "c"], ["a", "e"]], {"a": 1, "b": 2, "c": 2, "e": 2}, 2),
+], ids=["bowtie", "claw"])
+def test_reciprocity_fails_off_balls_and_spheres(facets, colors, d):
+    c = build_complex(facets)
+    assert ball_flag_reciprocity(c, colors, d) is False
+    assert reciprocity_by_polynomials(c, colors, d) is False
+
+
 @pytest.mark.parametrize("name", ["B5", "Pi5", "K33", "prism", "cross4-123", "bool7-246", "K5-13"])
 def test_keyed_checks_agree_with_checking_each_ear(name):
     dec = ambient_corpus()[name]
@@ -1749,13 +1840,13 @@ def test_verify_ced_decides_the_partition_as_the_chain_sets_do(case):
 
 @st.composite
 def copy_families(draw):
-    """Up to eight copies as name sets over eight names, a copy index and a
-    chain drawn from that copy's names."""
+    """Up to eight copies, each embedding onto a name set over eight names,
+    a copy index and a chain drawn from that copy's names."""
     names = st.frozensets(st.sampled_from("abcdefgh"), min_size=1)
     sets = draw(st.lists(names, min_size=1, max_size=8))
     ci = draw(st.integers(0, len(sets) - 1))
     chain = draw(st.lists(st.sampled_from(sorted(sets[ci])), unique=True))
-    return [SimpleNamespace(names=s) for s in sets], ci, tuple(chain)
+    return [SimpleNamespace(elem=dict(enumerate(sorted(s)))) for s in sets], ci, tuple(chain)
 
 
 @settings(max_examples=300, deadline=None)

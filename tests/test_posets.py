@@ -243,3 +243,22 @@ def test_labels_from_json_reads_a_handwritten_document():
 def test_from_json_rejects_missing_fields():
     with pytest.raises(BadParams):
         poset_from_json({"elements": ["a"]})
+
+
+# c covers b, which covers a, and c also covers the minimal d: the cover
+# d < c spans two ranks, so the poset is not graded
+UNGRADED = {"elements": ["a", "b", "c", "d"], "covers": [["a", "b"], ["b", "c"], ["d", "c"]]}
+
+
+def test_from_json_reads_graded_as_a_json_boolean():
+    assert not poset_from_json({**UNGRADED, "graded": False}).graded
+    with pytest.raises(NotGraded):
+        poset_from_json({**UNGRADED, "graded": True})
+    with pytest.raises(NotGraded):
+        poset_from_json(UNGRADED)  # absent means true
+
+
+@pytest.mark.parametrize("value", ["false", 0, [], None])
+def test_from_json_rejects_a_graded_field_that_is_not_a_boolean(value):
+    with pytest.raises(BadParams, match="graded"):
+        poset_from_json({**UNGRADED, "graded": value})
