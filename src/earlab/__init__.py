@@ -23,7 +23,6 @@ from .complexes import (
     h_from_shelling,
     homology_ranks,
     is_cm_and_2cm,
-    link_of,
     order_complex,
     search_shelling,
     verify_shelling,
@@ -135,7 +134,6 @@ __all__ = [
     "search_shelling",
     "h_from_shelling",
     "boundary_complex",
-    "link_of",
     "homology_ranks",
     "is_cm_and_2cm",
     "certify_sphere_or_ball",

@@ -7,8 +7,9 @@ void complex (no faces at all, ``facets == ()``) and the empty complex
 
 Names appear only at the API. The kernels read facets as masks over the
 sorted ``vertices`` (bit i is ``vertices[i]``, so bit order is name order),
-and a shelling keeps per vertex the bitset of the placed facets holding it.
-Only ``faces()`` lists faces as name sets; the face poset names its masks.
+a shelling keeps per vertex the bitset of the placed facets holding it, and
+the CM check reads each link off the masks after one purity test. Only
+``faces()`` lists faces as name sets; the face poset names its masks.
 
 All homology is reduced and over the rationals, computed by integer
 pivot-column reduction with clearing (its oracle in the tests: fraction-free
@@ -48,7 +49,6 @@ __all__ = [
     "homology_ranks",
     "is_cm_and_2cm",
     "certify_sphere_or_ball",
-    "link_of",
     "deletion",
     "union_complexes",
     "intersection_complexes",
@@ -367,14 +367,6 @@ def gluing_diff(
     return sorted(map(ear.face, have ^ want), key=facet_key)
 
 
-def link_of(c: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
-    s = frozenset(face)
-    facets = [f - s for f in c.facets if s <= f]
-    if not facets:
-        return SimplicialComplex((), ())
-    return build_complex(facets)
-
-
 def deletion(c: SimplicialComplex, vertex: str) -> SimplicialComplex:
     facets = [f for f in c.facets if vertex not in f]
     kept = [f - {vertex} for f in c.facets if vertex in f]
@@ -438,21 +430,21 @@ def _reduce(
 
 
 def homology_ranks(c: SimplicialComplex) -> tuple[int, ...]:
-    """Reduced Betti numbers (β̃_0, …, β̃_dim) over the rationals.
+    """Reduced Betti numbers (β̃_0, …, β̃_dim) over the rationals, () for void and {∅}."""
+    return _betti(c.masks, c.dim)
 
-    Faces are masks, and each dimension's faces are listed in integer
-    order (the ranks do not depend on it), which indexes both the rows of
-    ∂_k and the columns of ∂_{k+1}. The boundary maps are reduced from the
-    top dimension down, with clearing: a pivot τ of a reduced ∂_{k+1} row
-    is the largest term of a k-boundary, hence of a k-cycle, so row τ of
-    ∂_k lies in the span of the rows before it, and skipping every such
-    row (never building it) leaves rank ∂_k unchanged. That needs the
-    pivot to be the largest column, which ``_reduce`` guarantees.
-    """
-    if c.is_void or c.is_irrelevant:
-        return ()
-    d = c.dim
-    faces = [sorted(s) for s in _faces_by_size(c.masks, d + 1)]  # faces[k + 1]: the k-faces
+
+def _betti(masks: Iterable[int], d: int) -> tuple[int, ...]:
+    """Reduced Betti numbers (β̃_0, …, β̃_d) of the complex generated by
+    ``masks``, () when d = -1 (void or {∅}). The ranks depend neither on the
+    bits the masks use nor on the face order: each dimension's faces are
+    listed in integer order, indexing the rows of ∂_k and the columns of
+    ∂_{k+1}. The boundary maps are reduced from the top down, with
+    clearing: a pivot τ of a reduced ∂_{k+1} row is the largest term of a
+    k-boundary, hence of a k-cycle, so row τ of ∂_k lies in the span of the
+    rows before it, and skipping such rows (never building them) leaves
+    rank ∂_k unchanged; ``_reduce`` keeps each pivot the largest column."""
+    faces = [sorted(s) for s in _faces_by_size(masks, d + 1)]  # faces[k + 1]: the k-faces
     # ranks[k]: rank of ∂_k : C_k -> C_{k-1}, with C_{-1} the empty-face line
     ranks = [0] * (d + 2)
     cleared: Container[int] = ()
@@ -468,24 +460,23 @@ def homology_ranks(c: SimplicialComplex) -> tuple[int, ...]:
 
 
 def is_cm_and_2cm(c: SimplicialComplex) -> tuple[bool, bool]:
-    """Cohen-Macaulayness over the rationals by link homology, and the
-    doubly-CM refinement (vertex deletions keep dimension and stay CM)."""
-    if not _is_cm(c):
+    """CM by link homology, and doubly CM: each vertex deletion CM at dim c."""
+    if not _is_cm(c.masks, c.dim):
         return False, False
-    deleted = (deletion(c, v) for v in c.vertices)
-    return True, all(not dv.is_void and dv.dim == c.dim and _is_cm(dv) for dv in deleted)
+    return True, all(_is_cm(deletion(c, v).masks, c.dim) for v in c.vertices)
 
 
-def _is_cm(c: SimplicialComplex) -> bool:
-    if c.is_void:
+def _is_cm(masks: Sequence[int], d: int) -> bool:
+    """Reisner's criterion on facet masks: nonempty, pure of dimension d
+    (a lower facet's link {∅} is too small), and no link with homology
+    below its top. Pure, the f ^ s for f ⊇ s are distinct of d + 1 - |s|
+    bits, so they are the link's facets. Links with |s| ≥ d (points or {∅})
+    cannot fail, so [:d] skips them; for {∅} itself, d = -1, it is empty."""
+    if not masks or any(f.bit_count() != d + 1 for f in masks):
         return False
-    if c.is_irrelevant:
-        return True
-    for size, faces in enumerate(_faces_by_size(c.masks, c.dim + 1)):
-        for s in sorted(faces, key=lambda s: list(_bits(s))):  # by size, then names
-            lk = build_complex(c.face(f ^ s) for f in c.masks if f & s == s)
-            # a CM link has no homology below its top, of dimension dim c - |s|
-            if any(homology_ranks(lk)[:-1]) or lk.dim != c.dim - size:
+    for size, faces in enumerate(_faces_by_size(masks, d + 1)[:d]):
+        for s in faces:
+            if any(_betti([f ^ s for f in masks if f & s == s], d - size)[:-1]):
                 return False
     return True
 

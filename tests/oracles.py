@@ -31,7 +31,8 @@ needs them, so they live with the tests:
 * ``face_poset_by_name_sets`` and ``cm_and_2cm_by_name_sets``: the face
   poset with covers found by removing each name from each face, and the
   CM and doubly-CM checks walking every face as a sorted name set through
-  ``link_of``, the routes the mask kernels replaced;
+  ``link_of`` (each link as a complex of its own), the routes the mask
+  kernels replaced;
 * ``shelling_by_face_sets`` and ``search_by_face_sets``: the shelling
   check and the backtracking search with every face and ridge of the
   placed facets in hash sets (``shelling_step_by_face_sets``), and
@@ -107,7 +108,6 @@ from earlab.complexes import (
     face_name,
     h_from_shelling,
     homology_ranks,
-    link_of,
     verify_shelling,
 )
 from earlab.decompositions import (
@@ -390,6 +390,15 @@ def face_poset_by_name_sets(
             if sub in names:
                 covers.append((names[sub], names[f]))
     return build_poset(list(names.values()), covers, graded=graded)
+
+
+def link_of(c: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
+    """The link of ``face``: the facets holding it, with it removed."""
+    s = frozenset(face)
+    facets = [f - s for f in c.facets if s <= f]
+    if not facets:
+        return SimplicialComplex((), ())
+    return build_complex(facets)
 
 
 def is_cm_by_name_sets(c: SimplicialComplex) -> bool:

@@ -24,7 +24,6 @@ from earlab.complexes import (
     homology_ranks,
     intersection_complexes,
     is_cm_and_2cm,
-    link_of,
     order_complex,
     search_shelling,
     union_complexes,
@@ -32,7 +31,7 @@ from earlab.complexes import (
 )
 from earlab.lattices import boolean_lattice
 from earlab.posets import proper_part
-from oracles import is_subcomplex, reduced_euler
+from oracles import is_subcomplex, link_of, reduced_euler
 
 
 # -- Fixtures ------------------------------------------------------------------
@@ -284,6 +283,33 @@ def test_bowtie_is_not_cm():
     # the link of the cut vertex is disconnected
     cm, _ = is_cm_and_2cm(bowtie())
     assert not cm
+
+
+@pytest.mark.parametrize(
+    "facets, verdict",
+    [
+        ([], (False, False)),  # the void complex
+        ([[]], (True, True)),  # {∅}, the (-1)-sphere
+        ([["a"]], (True, False)),  # deleting the point leaves {∅}, of dimension -1
+        ([["a"], ["b"]], (True, True)),  # the 0-sphere
+        ([["a", "b", "c"], ["c", "d"]], (False, False)),  # impure
+    ],
+)
+def test_cm_verdicts_of_small_complexes(facets, verdict):
+    assert is_cm_and_2cm(build_complex(facets)) == verdict
+
+
+def test_cm_builds_a_complex_per_vertex_deletion_and_none_per_link(monkeypatch):
+    calls = []
+
+    def counting(facets):
+        calls.append(1)
+        return build_complex(facets)
+
+    monkeypatch.setattr("earlab.complexes.build_complex", counting)
+    c = tetra_boundary()
+    assert is_cm_and_2cm(c) == (True, True)
+    assert len(calls) == len(c.vertices)  # one per deletion, none for any link
 
 
 # -- Certificates ----------------------------------------------------------------------------

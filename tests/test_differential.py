@@ -8,8 +8,10 @@ against the brute-force routes they replaced, on random inputs.
 * ``faces()``, ``f_h_vectors``, ``boundary_complex`` and the closed
   pseudomanifold test (submasks, ridges by clearing one bit) against the
   same on frozensets of names, and ``face_poset`` (covers by clearing one
-  bit, all four flag combinations) and ``is_cm_and_2cm`` (faces walked by
-  mask) against the name-set routes, on pure and impure complexes;
+  bit, all four flag combinations) and ``is_cm_and_2cm`` (each link read
+  off the facet masks) against the name-set routes, on pure and impure
+  complexes, and ``is_cm_and_2cm`` also on every rank selection of the
+  face posets of the CLI fixtures, the octahedron and the 4-simplex;
 * ``exact_rank`` and ``homology_ranks`` (pivot-column reduction, with
   clearing from the top dimension down) against fraction-free elimination
   on the sparsest row, one full boundary matrix per dimension;
@@ -102,6 +104,7 @@ oracles written below serve this file alone.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache, partial
 from itertools import combinations
@@ -112,7 +115,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from earlab.cli import _edge_list, _flag_face_poset, _reciprocity_rows
+from earlab.cli import COMPLEX_FIXTURES, _edge_list, _flag_face_poset, _reciprocity_rows
 from earlab.complexes import (
     SimplicialComplex,
     _extend_shelling,
@@ -671,6 +674,24 @@ def test_face_poset_by_masks_agrees_with_name_sets(c, include_empty, graded):
 @given(any_complexes)
 def test_cm_by_masks_agrees_with_sorted_name_sets(c):
     assert is_cm_and_2cm(c) == cm_and_2cm_by_name_sets(c)
+
+
+def test_cm_by_masks_agrees_with_name_sets_on_rank_selected_face_posets():
+    # random complexes are almost never doubly CM above dimension 0; the
+    # order complexes of the rank selections of face posets often are
+    corpus = [build_complex(f) for f in COMPLEX_FIXTURES.values()]
+    corpus += [cross_polytope_boundary(3), build_complex(["abcde"])]
+    seen = Counter()
+    for c in corpus:
+        fp = face_poset(c, include_empty=True, graded=True)
+        ranks = range(1, c.dim + 2)
+        for S in (S for k in ranks for S in combinations(ranks, k)):
+            delta = order_complex(rank_select(fp, S))
+            want = cm_and_2cm_by_name_sets(delta)
+            assert is_cm_and_2cm(delta) == want, (c, S)
+            if delta.dim >= 1:
+                seen[want] += 1
+    assert seen == {(True, True): 22, (True, False): 23, (False, False): 2}
 
 
 # -- exact homology ------------------------------------------------------------------
