@@ -24,7 +24,6 @@ from .complexes import (
     build_complex,
     certify_sphere_or_ball,
     complex_to_json,
-    f_h_vectors,
     face_name,
     face_poset,
     facet_key,
@@ -45,7 +44,7 @@ from .errors import (
     SelfCheckFailed,
     TopRankSelected,
 )
-from .flags import g_and_m_check, verify_h_inequalities
+from .flags import flag_f_and_h, g_and_m_check, verify_h_inequalities
 from .labelings import (
     EdgeLabeling,
     check_el,
@@ -55,7 +54,7 @@ from .labelings import (
     verify_sr,
 )
 from .lattices import Lattice, boolean_poset, subset_name
-from .posets import Poset, rank_select
+from .posets import Poset, rank_select, with_bounds
 
 __all__ = [
     "Ear",
@@ -499,9 +498,11 @@ def decompose_geometric(
 
 def verify_ced(dec: EarDecomposition) -> dict:
     """Check the four decomposition axioms on ``dec.complex``, plus the
-    resulting h-vector facts. Once the axioms hold, ``ear_sum`` reads h(Δ)
-    off the ears' verified shellings (Chari, Trans. AMS 349, 1997), so no
-    complex is shelled here; ``ear_sum_matches`` joins ``ok``.
+    resulting h-vector facts. h(Δ) is read off the flag h of ``dec.poset``,
+    whose order complex Δ is (no poset: ``h_checks.error``). Once the axioms
+    hold, ``ear_sum`` reads h(Δ) off the ears' verified shellings (Chari,
+    Trans. AMS 349, 1997), so no complex is shelled here;
+    ``ear_sum_matches`` joins ``ok``.
 
     Report-style: never raises on a failed axiom; every section carries an
     ``ok`` flag and a witness when something is wrong.
@@ -611,7 +612,6 @@ def verify_ced(dec: EarDecomposition) -> dict:
         "facets": len(delta.facets),
     }
 
-    h_section: dict = {}
     axioms_ok = (
         report["axiom_union"]["ok"]
         and axiom_sphere_ok
@@ -620,11 +620,16 @@ def verify_ced(dec: EarDecomposition) -> dict:
         and report["chain_partition"]["ok"]
     )
     try:
-        _, h = f_h_vectors(delta)
+        # h_k(Δ) = Σ over k-sets S of ranks of the flag h_S of Δ's poset with
+        # bounds added (Stanley, EC1 §3.13), so no face of Δ is listed
+        if dec.poset is None:
+            raise BadParams("the decomposition carries no poset to count chains in")
+        _, fh = flag_f_and_h(with_bounds(dec.poset))
+        h = [sum(n for S, n in fh.entries.items() if len(S) == k) for k in range(fh.rho)]
         ineq_ok, failures = verify_h_inequalities(h)
         g, m_ok = g_and_m_check(h)
-        h_section = {
-            "h": list(h),
+        h_section: dict = {
+            "h": h,
             "inequalities_ok": ineq_ok,
             "failures": failures,
             "g": list(g),
@@ -637,7 +642,7 @@ def verify_ced(dec: EarDecomposition) -> dict:
                 for k, n in enumerate(reversed(h_from_shelling(ear.shelling))):
                     ear_sum[k] += n
             h_section["ear_sum"] = ear_sum
-            h_section["ear_sum_matches"] = ear_sum == list(h)
+            h_section["ear_sum_matches"] = ear_sum == h
     except EarlabError as exc:
         h_section = {"error": str(exc)}
     report["h_checks"] = h_section

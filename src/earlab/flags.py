@@ -27,14 +27,15 @@ The h-vector side: g = the first differences of the lower half of h, and
 the M-vector test is the Macaulay binomial growth bound, all in exact
 integer arithmetic.
 
-Flag reciprocity, the flag form of h_k(B, ∂B) = h_{d-k}(B) (Stanley,
-*Combinatorics and Commutative Algebra*, §II.7), compares two ``_flag_h``
-results entry by entry, from face counts by color set off the ear's masks.
+Flag vectors are lists over rank masks (bit i - 1 for rank i) until
+returned; ``_subset_transform`` turns flag f into flag h and back. Flag
+reciprocity, the flag form of h_k(B, ∂B) = h_{d-k}(B) (Stanley,
+*Combinatorics and Commutative Algebra*, §II.7), runs it on face counts by
+color mask off the ear's masks.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -91,63 +92,51 @@ class FlagVector:
         return self.entries.get(frozenset(S), default)
 
 
-def _rank_layers(p: Poset) -> dict[int, list[int]]:
-    layers: dict[int, list[int]] = {}
-    for i, r in enumerate(p.ranks):
-        layers.setdefault(r, []).append(i)
-    return layers
-
-
-def _flag_h(f: Mapping[frozenset[int], int], n: int) -> dict[frozenset[int], int]:
-    """Flag h from flag f on the subsets S of [n], by inclusion-exclusion:
-    h_S = Σ over T ⊆ S of (-1)^|S - T| f_T, a missing f_T counting 0."""
-    return {
-        frozenset(S): sum(
-            (-1) ** (len(S) - j) * f.get(frozenset(T), 0)
-            for j in range(len(S) + 1)
-            for T in combinations(S, j)
-        )
-        for k in range(n + 1)
-        for S in combinations(range(1, n + 1), k)
-    }
+def _subset_transform(v: list[int], sign: int) -> list[int]:
+    """v[S] becomes Σ over T ⊆ S of sign^|S - T| v[T], in place and returned,
+    for S ⊆ [n] as a bitmask (bit i - 1 for i) and len(v) = 2^n. Sign -1
+    turns flag f into flag h (inclusion-exclusion), +1 turns h back."""
+    bit = 1
+    while bit < len(v):
+        for S in range(len(v)):
+            if S & bit:
+                v[S] += sign * v[S ^ bit]
+        bit <<= 1
+    return v
 
 
 def flag_f_and_h(p: Poset) -> tuple[FlagVector, FlagVector]:
     """Flag f and h of a bounded graded poset, by chain DP and
-    inclusion-exclusion; the f = Σ h round trip is asserted. Each S
+    ``_subset_transform``; the f = Σ h round trip is asserted. Each S
     extends the chain counts of S minus its largest rank by one layer."""
     if not (p.graded and p.bounded):
         raise BadParams("flag vectors need a graded bounded poset")
     rho = p.rank_of(p.top)
-    layers = _rank_layers(p)
-    f_entries: dict[frozenset[int], int] = {}
-    # (S, the number of chains hitting exactly the ranks in S and ending at
-    # each element of rank max S)
-    stack: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {p._bottom: 1})]
+    if rho < 1:
+        raise BadParams("flag vectors need a poset of rank at least 1")
+    layers: list[list[int]] = [[] for _ in range(rho + 1)]
+    for i, r in enumerate(p.ranks):
+        layers[r].append(i)
+    f = [0] * (1 << (rho - 1))
+    # (S as a rank mask, the number of chains hitting exactly the ranks in S
+    # and ending at each element of rank max S)
+    stack: list[tuple[int, dict[int, int]]] = [(0, {p._bottom: 1})]
     while stack:
         S, counts = stack.pop()
-        f_entries[frozenset(S)] = sum(counts.values())
-        for s in range(S[-1] + 1 if S else 1, rho):
+        f[S] = sum(counts.values())
+        for s in range(S.bit_length() + 1, rho):
             nxt: dict[int, int] = {}
-            for j in layers.get(s, []):
+            for j in layers[s]:
                 down = p._down[j]
                 total = sum(c for i, c in counts.items() if (down >> i) & 1)
                 if total:
                     nxt[j] = total
-            stack.append((S + (s,), nxt))
-    h_entries = _flag_h(f_entries, rho - 1)
-    for S in f_entries:
-        back = sum(
-            h_entries[frozenset(T)]
-            for k in range(len(S) + 1)
-            for T in combinations(sorted(S), k)
-        )
-        if back != f_entries[S]:
-            raise SelfCheckFailed("flag f/h round trip failed")
-    return (
-        FlagVector("f", rho, f_entries),
-        FlagVector("h", rho, h_entries),
-    )
+            stack.append((S | 1 << (s - 1), nxt))
+    h = _subset_transform(f.copy(), -1)
+    if _subset_transform(h.copy(), 1) != f:
+        raise SelfCheckFailed("flag f/h round trip failed")
+    ranks = [frozenset(i + 1 for i in _bits(S)) for S in range(len(f))]
+    return FlagVector("f", rho, dict(zip(ranks, f))), FlagVector("h", rho, dict(zip(ranks, h)))
 
 
 # -- h-vector side -------------------------------------------------------------
@@ -536,14 +525,15 @@ def ball_flag_reciprocity(
     sphere: for every W ⊆ [d], h_int(W) = h([d] - W) + χ̃·(-1)^(d-|W|),
     with h the ear's flag h, h_int its interior's (the nonempty faces in
     no boundary ridge) and χ̃ its reduced Euler characteristic, which
-    vanishes on a ball. Both flag h's come from ``_flag_h`` on face counts
-    by color set, read off the ear's masks."""
+    vanishes on a ball. Both flag h's come from ``_subset_transform`` on
+    face counts by color mask (color c is bit c - 1), read off the ear's
+    masks."""
     if ear.is_void or ear.dim != d - 1 or not ear.pure:
         raise NotBall(f"expected a pure complex of dimension {d - 1}")
-    full = (2 << d) - 2  # color c is bit c, so [d] is bits 1..d
-    bit = {c: 1 << c for c in range(1, d + 1)}
+    full = (1 << d) - 1
+    bit = {c: 1 << (c - 1) for c in range(1, d + 1)}
     hue = [bit.get(colors[v], 0) for v in ear.vertices]
-    paint = {0: 0}  # each face's color set; a face one bit smaller is painted first
+    paint = {0: 0}  # each face's color mask; a face one bit smaller is painted first
     for size in _faces_by_size(ear.masks, d)[1:]:
         for s in size:
             low = s & -s
@@ -551,14 +541,18 @@ def ball_flag_reciprocity(
     if any(paint[f] != full for f in ear.masks):
         raise NotBall("facet misses a rank color")
     # every facet carries all d colors, so no two vertices of a face share one
-    counts = Counter(paint.values())
     bd = set().union(*_faces_by_size(_boundary_ridges(ear), d - 1))
-    inside = Counter(cs for s, cs in paint.items() if s and s not in bd)
-    chi = sum((-1) ** (cs.bit_count() + 1) * n for cs, n in counts.items())
-    h = _flag_h({frozenset(_bits(cs)): n for cs, n in counts.items()}, d)
-    h_int = _flag_h({frozenset(_bits(cs)): n for cs, n in inside.items()}, d)
-    top = frozenset(range(1, d + 1))
-    return all(h_int[W] == h[top - W] + chi * (-1) ** (d - len(W)) for W in h_int)
+    h = [0] * (full + 1)
+    h_int = [0] * (full + 1)
+    for s, cs in paint.items():
+        h[cs] += 1
+        if s and s not in bd:
+            h_int[cs] += 1
+    chi = sum((-1) ** (cs.bit_count() + 1) * n for cs, n in enumerate(h))
+    h, h_int = _subset_transform(h, -1), _subset_transform(h_int, -1)
+    return all(
+        h_int[W] == h[full ^ W] + chi * (-1) ** (d - W.bit_count()) for W in range(full + 1)
+    )
 
 
 def corollary_gap_coefficients(

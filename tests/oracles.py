@@ -10,6 +10,9 @@ needs them, so they live with the tests:
 * ``flag_h_from_descents``, ``h_from_flag_h`` and
   ``flag_f_from_complex_fvector``: flag vectors by descent sets, by
   summing over rank sets of one size, and from the f-vector alone;
+* ``flag_h_by_inclusion_exclusion``: each flag h entry as its own
+  signed sum over the subsets of S, the route ``flags._subset_transform``
+  replaced;
 * ``weak_leq``: the weak order by inversion-set containment;
 * ``class_masks_per_permutation``, ``dominance_table_all_pairs`` and
   ``flag_f_per_subset``: the inversion masks and inversion bits of each
@@ -97,7 +100,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from earlab.complexes import (
     SimplicialComplex,
@@ -134,7 +137,6 @@ from earlab.errors import (
 )
 from earlab.flags import (
     FlagVector,
-    _flag_h,
     _injection,
     ball_flag_reciprocity,
     descent_classes,
@@ -173,6 +175,22 @@ def flag_h_from_descents(p: Poset, lab: EdgeLabeling) -> FlagVector:
         S = descent_set(lab.word(c))
         entries[S] = entries.get(S, 0) + 1
     return FlagVector("h", rho, entries)
+
+
+def flag_h_by_inclusion_exclusion(
+    f: Mapping[frozenset[int], int], n: int
+) -> dict[frozenset[int], int]:
+    """Flag h from flag f on the subsets S of [n], by inclusion-exclusion:
+    h_S = Σ over T ⊆ S of (-1)^|S - T| f_T, a missing f_T counting 0."""
+    return {
+        frozenset(S): sum(
+            (-1) ** (len(S) - j) * f.get(frozenset(T), 0)
+            for j in range(len(S) + 1)
+            for T in combinations(S, j)
+        )
+        for k in range(n + 1)
+        for S in combinations(range(1, n + 1), k)
+    }
 
 
 def h_from_flag_h(fh: FlagVector) -> tuple[int, ...]:
@@ -818,7 +836,7 @@ def reciprocity_by_polynomials(ear: SimplicialComplex, colors, d: int) -> bool:
         fS[cs] = fS.get(cs, 0) + 1
         if f and f not in bd_faces:
             f_int[cs] = f_int.get(cs, 0) + 1
-    hS = _flag_h(fS, d)
+    hS = flag_h_by_inclusion_exclusion(fS, d)
     lhs: dict[frozenset[int], int] = {}
     rhs: dict[frozenset[int], int] = {}
     for k in range(d + 1):

@@ -19,7 +19,7 @@ import pytest
 from earlab.cli import COMPLEX_FIXTURES, _flag_count, main
 from earlab.complexes import build_complex, face_poset, order_complex
 from earlab.decompositions import _generated_copy, decompose_rank_selected_boolean
-from earlab.flags import _flag_h, m_vector_witness
+from earlab.flags import _subset_transform, m_vector_witness
 from earlab.posets import canonical_dumps, rank_select
 
 
@@ -150,10 +150,12 @@ def test_a_copy_off_the_labelled_covers_is_a_failed_self_check(tmp_path, capsys,
 
 
 def test_a_flag_round_trip_failure_is_a_failed_self_check(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(
-        "earlab.flags._flag_h",
-        lambda f, n: {S: h + (S == frozenset({1})) for S, h in _flag_h(f, n).items()},
-    )
+    def off_by_one(v, sign):
+        _subset_transform(v, sign)
+        v[1] += sign < 0  # flag h of {1} one too large
+        return v
+
+    monkeypatch.setattr("earlab.flags._subset_transform", off_by_one)
     c = tmp_path / "c.json"
     run_cli(capsys, "gen", "complex-fixture", "--name", "two-triangles", "--output", str(c))
     code, out, err = run_cli(capsys, "verify", "--what", "flag-inequalities", "--input", str(c))
@@ -640,6 +642,17 @@ def test_verify_flag_inequalities(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["result"]["violations"] == 0
     assert doc["result"]["rho"] == 3
+
+
+def test_verify_flag_inequalities_refuses_a_one_element_poset(tmp_path, capsys):
+    # a one-element poset is bounded and graded, but of rank 0: no rank set
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"schema": "earlab.poset/1", "elements": ["a"], "covers": []}))
+    code, out, err = run_cli(capsys, "verify", "--what", "flag-inequalities",
+                             "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "BadParams: flag vectors need a poset of rank at least 1" in err
+    assert "Traceback" not in err
 
 
 def test_verify_needs_a_source(capsys):

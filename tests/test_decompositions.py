@@ -15,6 +15,7 @@ from itertools import permutations
 
 import pytest
 
+from earlab import complexes
 from earlab.errors import (
     EmptySelection,
     Inconsistent,
@@ -609,6 +610,36 @@ def test_verify_ced_builds_no_face_set_for_one_ear(monkeypatch):
     assert len(dec.ears) == 1 and report["ok"]
     assert report["axiom_boundary"] == {"ok": True, "witnesses": []}
     assert glue == []
+
+
+def test_verify_ced_lists_no_face_of_delta(monkeypatch):
+    # h(Δ) is summed from the flag h of the selected poset, so Δ's masks reach
+    # no face listing; B4's one ear is a complex of its own on the same facets
+    faces_by_size = complexes._faces_by_size
+    for dec in (
+        decompose_supersolvable(boolean_lattice(4)),
+        decompose_supersolvable(partition_lattice(4)),
+    ):
+        seen = []
+
+        def counted(masks, top):
+            seen.append(masks)
+            return faces_by_size(masks, top)
+
+        monkeypatch.setattr("earlab.complexes._faces_by_size", counted)
+        assert verify_ced(dec)["ok"]
+        assert seen and not any(masks is dec.complex.masks for masks in seen)
+
+
+def test_verify_ced_without_a_poset_reports_an_h_error():
+    # h(Δ) is counted in the decomposition's poset, and handmade ears have none
+    error = {"error": "the decomposition carries no poset to count chains in"}
+    report = verify_ced(square_and_path())
+    assert report["ok"] is False and report["h_checks"] == error
+    report = verify_ced(replace(decompose_supersolvable(boolean_lattice(3)), poset=None))
+    axioms = ("axiom_union", "axiom_polytope", "axiom_balls", "axiom_boundary", "chain_partition")
+    assert all(report[k]["ok"] for k in axioms)
+    assert report["ok"] is False and report["h_checks"] == error
 
 
 def test_ear_sum_is_ear_one_plus_every_later_ear_reversed():

@@ -54,7 +54,9 @@ against the brute-force routes they replaced, on random inputs.
   pair, with the symmetry checked on random permutations;
 * ``flag_f_and_h`` (chain counts extended from the prefix S minus its
   largest rank) against counting each S from the bottom, on random
-  bounded rank selections and on face posets;
+  bounded rank selections and on face posets, and ``_subset_transform``
+  (one in-place pass per bit over a list by rank mask) against each flag
+  h entry's own signed sum, in both directions;
 * ``_match`` (augmenting paths on candidate bitsets, τ by τ) against
   Hopcroft–Karp with a recursive augmenting step;
 * each ear's reference sphere (the coordinate sphere K relabelled by the
@@ -70,8 +72,9 @@ against the brute-force routes they replaced, on random inputs.
   certificate per distinct pull-back into K) and ``verify --what
   reciprocity``'s rows (one check per colored pull-back) against
   certifying and checking every ear;
-* ``verify_ced``'s ear sum (h of ear 1 plus the reversed h of every
-  later ear, off their own shellings) against ``f_h_vectors`` and against
+* ``verify_ced``'s h(Δ) (summed from the flag h of the selected poset)
+  and its ear sum (h of ear 1 plus the reversed h of every later ear, off
+  their own shellings) against ``f_h_vectors``, and the ear sum against
   the histogram of Δ shelled in the concatenated ear order, where that
   order shells it;
 * ``_subset_novelty`` (one copy bitmask per host element) against the
@@ -165,6 +168,7 @@ from earlab.errors import (
 from earlab.flags import (
     _class_masks,
     _match,
+    _subset_transform,
     ball_flag_reciprocity,
     descent_classes,
     dominance_table,
@@ -230,6 +234,7 @@ from oracles import (
     faces_by_subsets,
     first_zero_mobius,
     flag_f_per_subset,
+    flag_h_by_inclusion_exclusion,
     geometric_bases_by_joins,
     gluing_witnesses_by_face_sets,
     graphic_matroid_by_all_sizes,
@@ -1369,6 +1374,23 @@ def test_flag_f_agrees_with_counting_each_subset_on_face_posets(name):
     assert flag_f_and_h(p)[0].entries == flag_f_per_subset(p)
 
 
+def _by_rank_set(v: list[int]) -> dict[frozenset[int], int]:
+    return {frozenset(i + 1 for i in _bits(S)): x for S, x in enumerate(v)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 7).flatmap(
+    lambda n: st.lists(st.integers(-10**6, 10**6), min_size=1 << n, max_size=1 << n)
+))
+def test_subset_transform_agrees_with_inclusion_exclusion(v):
+    n = len(v).bit_length() - 1
+    h = _subset_transform(v.copy(), -1)
+    assert _by_rank_set(h) == flag_h_by_inclusion_exclusion(_by_rank_set(v), n)
+    f = _subset_transform(v.copy(), 1)
+    assert flag_h_by_inclusion_exclusion(_by_rank_set(f), n) == _by_rank_set(v)
+    assert _subset_transform(h, 1) == v
+
+
 # -- reference spheres from the coordinate sphere -----------------------------------
 
 
@@ -1789,7 +1811,8 @@ def ear_sum_cases(draw):
 @given(ear_sum_cases())
 def test_ear_sum_agrees_with_the_h_vector_and_the_concatenated_shelling(dec):
     h_checks = verify_ced(dec)["h_checks"]
-    assert h_checks["ear_sum"] == list(f_h_vectors(dec.complex)[1])
+    assert h_checks["h"] == list(f_h_vectors(dec.complex)[1])
+    assert h_checks["ear_sum"] == h_checks["h"]
     assert h_checks["ear_sum_matches"] is True
     concatenated = _concatenated_histogram(dec.complex, dec.ears)
     assert concatenated is None or list(concatenated) == h_checks["ear_sum"]

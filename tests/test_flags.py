@@ -86,6 +86,12 @@ def test_flag_vectors_need_bounds():
         flag_f_and_h(proper_part(boolean_lattice(3).poset))
 
 
+def test_flag_vectors_need_rank_at_least_one():
+    # one element is its own bottom and top, so no rank set lies between
+    with pytest.raises(BadParams, match="rank at least 1"):
+        flag_f_and_h(build_poset(["a"], []))
+
+
 # -- h-vector side -----------------------------------------------------------------
 
 def test_g_vector_takes_lower_half_differences():
