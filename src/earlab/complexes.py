@@ -8,7 +8,7 @@ void complex (no faces at all, ``facets == ()``) and the empty complex
 Names appear only at the API. The kernels read facets as masks over the
 sorted ``vertices`` (bit i is ``vertices[i]``, so bit order is name order),
 a shelling keeps per vertex the bitset of the placed facets holding it, and
-the CM check reads each link off the masks after one purity test. Only
+the CM check reads each link and each vertex deletion off the masks. Only
 ``faces()`` lists faces as name sets; the face poset names its masks.
 
 All homology is reduced and over the rationals, computed by integer
@@ -28,6 +28,7 @@ from .errors import (
     NotCertified,
     NotPure,
     NotShelling,
+    SelfCheckFailed,
     SizeLimit,
 )
 from .posets import Poset, _bits, build_poset, maximal_chains
@@ -49,7 +50,6 @@ __all__ = [
     "homology_ranks",
     "is_cm_and_2cm",
     "certify_sphere_or_ball",
-    "deletion",
     "union_complexes",
     "intersection_complexes",
     "complex_to_json",
@@ -193,7 +193,7 @@ def f_h_vectors(c: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]
         h.append(sum((-1) ** (k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1)))
     chi = sum((-1) ** (i + 1) * n for i, n in enumerate(f))  # reduced Euler characteristic
     if h[d] != (-1) ** (d + 1) * chi:
-        raise Inconsistent("h_d does not match the Euler characteristic")
+        raise SelfCheckFailed("h_d does not match the Euler characteristic")
     return tuple(f), tuple(h)
 
 
@@ -367,25 +367,13 @@ def gluing_diff(
     return sorted(map(ear.face, have ^ want), key=facet_key)
 
 
-def deletion(c: SimplicialComplex, vertex: str) -> SimplicialComplex:
-    facets = [f for f in c.facets if vertex not in f]
-    kept = [f - {vertex} for f in c.facets if vertex in f]
-    return build_complex(facets + kept)
-
-
 def union_complexes(*cs: SimplicialComplex) -> SimplicialComplex:
-    facets = [f for c in cs for f in c.facets]
-    if not facets:
-        return SimplicialComplex((), ())
-    return build_complex(facets)
+    return build_complex(f for c in cs for f in c.facets)
 
 
 def intersection_complexes(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """Faces common to both; generated by pairwise facet intersections."""
-    if a.is_void or b.is_void:
-        return SimplicialComplex((), ())
-    pieces = {f & g for f in a.facets for g in b.facets}
-    return build_complex(pieces)
+    return build_complex({f & g for f in a.facets for g in b.facets})
 
 
 # -- exact homology ------------------------------------------------------------
@@ -460,10 +448,19 @@ def _betti(masks: Iterable[int], d: int) -> tuple[int, ...]:
 
 
 def is_cm_and_2cm(c: SimplicialComplex) -> tuple[bool, bool]:
-    """CM by link homology, and doubly CM: each vertex deletion CM at dim c."""
+    """CM by link homology, and doubly CM: each vertex deletion c - v CM at
+    dim c, read in c's own bits. A CM c is pure, so c - v is pure of dim c
+    iff no facet f through v has its ridge f - v on the boundary (lying in
+    no other facet, f - v would be a smaller facet of c - v); then the
+    facets of c - v are the masks without bit v."""
     if not _is_cm(c.masks, c.dim):
         return False, False
-    return True, all(_is_cm(deletion(c, v).masks, c.dim) for v in c.vertices)
+    facets, boundary = set(c.masks), _boundary_ridges(c)
+    return True, all(
+        not any((r | b) in facets for r in boundary)
+        and _is_cm([f for f in c.masks if not f & b], c.dim)
+        for b in (1 << i for i in range(len(c.vertices)))
+    )
 
 
 def _is_cm(masks: Sequence[int], d: int) -> bool:
@@ -504,9 +501,7 @@ class Certificate:
 def _is_closed_pseudomanifold(c: SimplicialComplex) -> bool:
     if c.is_void or not c.pure:
         return False
-    if c.dim == 0:
-        return len(c.facets) == 2
-    on_ridge = _ridge_map(c)
+    on_ridge = _ridge_map(c)  # in dimension 0, the empty ridge of every point
     if any(len(ids) != 2 for ids in on_ridge.values()):
         return False
     # strong connectivity through ridges

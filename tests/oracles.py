@@ -34,8 +34,9 @@ needs them, so they live with the tests:
 * ``face_poset_by_name_sets`` and ``cm_and_2cm_by_name_sets``: the face
   poset with covers found by removing each name from each face, and the
   CM and doubly-CM checks walking every face as a sorted name set through
-  ``link_of`` (each link as a complex of its own), the routes the mask
-  kernels replaced;
+  ``link_of`` (each link as a complex of its own) and every vertex
+  deletion through ``deletion`` (each c - v rebuilt by ``build_complex``),
+  the routes the mask kernels replaced;
 * ``shelling_by_face_sets`` and ``search_by_face_sets``: the shelling
   check and the backtracking search with every face and ridge of the
   placed facets in hash sets (``shelling_step_by_face_sets``), and
@@ -107,7 +108,6 @@ from earlab.complexes import (
     _reduce,
     boundary_complex,
     build_complex,
-    deletion,
     face_name,
     h_from_shelling,
     homology_ranks,
@@ -417,6 +417,11 @@ def link_of(c: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
     if not facets:
         return SimplicialComplex((), ())
     return build_complex(facets)
+
+
+def deletion(c: SimplicialComplex, vertex: str) -> SimplicialComplex:
+    """c - v: the faces of c without ``vertex``, as a complex of its own."""
+    return build_complex([f - {vertex} for f in c.facets])
 
 
 def is_cm_by_name_sets(c: SimplicialComplex) -> bool:

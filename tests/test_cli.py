@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,20 @@ def test_a_flag_round_trip_failure_is_a_failed_self_check(tmp_path, capsys, monk
     code, out, err = run_cli(capsys, "verify", "--what", "flag-inequalities", "--input", str(c))
     assert (code, out) == (3, "")
     assert "SelfCheckFailed: flag f/h round trip failed" in err
+
+
+def test_an_h_vector_off_the_euler_characteristic_is_a_failed_self_check(
+    tmp_path, capsys, monkeypatch
+):
+    # comb(n, 0) one too large adds f_k to each h_k, so h_d misses χ̃ by f_d
+    monkeypatch.setattr("earlab.complexes.comb", lambda n, k: comb(n, k) + (k == 0))
+    c, report = tmp_path / "c.json", tmp_path / "report.json"
+    run_cli(capsys, "gen", "complex-fixture", "--name", "two-triangles", "--output", str(c))
+    code, out, err = run_cli(
+        capsys, "verify", "--what", "h-inequalities", "--input", str(c), "--output", str(report)
+    )
+    assert (code, out) == (3, "") and not report.exists()
+    assert "SelfCheckFailed: h_d does not match the Euler characteristic" in err
 
 
 def test_decompose_is_deterministic(capsys):

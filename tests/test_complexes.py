@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from earlab.errors import BadParams, NotCertified, NotPure, NotShelling
 from earlab.complexes import (
+    _is_closed_pseudomanifold,
     boundary_complex,
     build_complex,
     certify_sphere_or_ball,
     complex_from_json,
     complex_to_json,
-    deletion,
     f_h_vectors,
     face_poset,
     h_from_shelling,
@@ -31,7 +31,7 @@ from earlab.complexes import (
 )
 from earlab.lattices import boolean_lattice
 from earlab.posets import proper_part
-from oracles import is_subcomplex, link_of, reduced_euler
+from oracles import deletion, is_subcomplex, link_of, reduced_euler
 
 
 # -- Fixtures ------------------------------------------------------------------
@@ -201,6 +201,17 @@ def test_union_and_intersection():
     assert i.facets == (frozenset({"a", "b", "c"}),)
 
 
+def test_union_and_intersection_with_void_inputs():
+    void, t = build_complex([]), triangle()
+    assert union_complexes().is_void and union_complexes(void, void).is_void
+    assert union_complexes(void, t) == t
+    assert intersection_complexes(void, t).is_void
+    assert intersection_complexes(t, void).is_void
+    assert intersection_complexes(void, void).is_void
+    # disjoint facets meet in the empty face: {∅}, not void
+    assert intersection_complexes(t, build_complex([["d"]])).is_irrelevant
+
+
 def test_is_subcomplex():
     assert is_subcomplex(triangle_boundary(), triangle())
     assert not is_subcomplex(triangle(), triangle_boundary())
@@ -299,7 +310,13 @@ def test_cm_verdicts_of_small_complexes(facets, verdict):
     assert is_cm_and_2cm(build_complex(facets)) == verdict
 
 
-def test_cm_builds_a_complex_per_vertex_deletion_and_none_per_link(monkeypatch):
+@pytest.mark.parametrize(
+    "facets, verdict",
+    [(["abc", "abd", "acd", "bcd"], (True, True)), (["abcde"], (True, False))],
+    ids=["tetra_boundary", "simplex4"],
+)
+def test_cm_builds_no_complex_for_a_link_or_a_vertex_deletion(monkeypatch, facets, verdict):
+    c = build_complex(facets)
     calls = []
 
     def counting(facets):
@@ -307,12 +324,17 @@ def test_cm_builds_a_complex_per_vertex_deletion_and_none_per_link(monkeypatch):
         return build_complex(facets)
 
     monkeypatch.setattr("earlab.complexes.build_complex", counting)
-    c = tetra_boundary()
-    assert is_cm_and_2cm(c) == (True, True)
-    assert len(calls) == len(c.vertices)  # one per deletion, none for any link
+    assert is_cm_and_2cm(c) == verdict
+    assert calls == []  # each deletion clears a bit of c's own masks
 
 
 # -- Certificates ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("points, closed", [(1, False), (2, True), (3, False)])
+def test_points_are_a_closed_pseudomanifold_just_when_two(points, closed):
+    # the ridge map decides dimension 0: the empty ridge lies in every point
+    assert _is_closed_pseudomanifold(build_complex([[v] for v in "abc"[:points]])) is closed
+
 
 def test_certify_spheres():
     assert certify_sphere_or_ball(triangle_boundary()).kind == "SPHERE"
