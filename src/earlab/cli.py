@@ -238,10 +238,11 @@ def _flag_face_poset(c: SimplicialComplex):
     """The graded bounded poset whose flag vectors the dominance suite
     checks for a complex: proper face ranks only, with the facet rank
     dropped (the suite's guarantees stop below the facets)."""
-    fp = face_poset(c, include_empty=True, graded=True)
     d = c.dim + 1
+    _check_rank(d)  # the rank the suite sees, refused before any face is listed
     if d < 2:
         raise BadParams("the complex has no proper face ranks below the facets")
+    fp = face_poset(c, include_empty=True, graded=True)
     return with_bounds(rank_select(fp, range(1, d)))
 
 

@@ -6,10 +6,11 @@ void complex (no faces at all, ``facets == ()``) and the empty complex
 ``{∅}`` (one empty facet), which plays the role of a sphere of dimension -1.
 
 Names appear only at the API. The kernels read facets as masks over the
-sorted ``vertices`` (bit i is ``vertices[i]``, so bit order is name order),
-a shelling keeps per vertex the bitset of the placed facets holding it, and
-the CM check reads each link and each vertex deletion off the masks. Only
-``faces()`` lists faces as name sets; the face poset names its masks.
+sorted ``vertices`` (bit i is ``vertices[i]``, so bit order is name order):
+a shelling keeps per vertex the bitset of the placed facets holding it, the
+CM check reads links and vertex deletions off the masks, and a ball's
+boundary is certified as ridge masks in its own bits, no complex kept.
+Only ``faces()`` lists faces as name sets; the face poset names its masks.
 
 All homology is reduced and over the rationals, computed by integer
 pivot-column reduction with clearing (its oracle in the tests: fraction-free
@@ -326,24 +327,21 @@ def boundary_complex(c: SimplicialComplex) -> SimplicialComplex:
     """Complex generated by the codimension-1 faces lying in exactly one facet."""
     if not c.pure:
         raise NotPure("boundary of a non-pure complex is not defined here")
-    if c.is_void:
-        return c
-    ridges = sorted(map(c.face, _boundary_ridges(c)), key=facet_key)
-    return SimplicialComplex(tuple(sorted(set().union(*ridges))), tuple(ridges))
+    return build_complex(map(c.face, _boundary_ridges(c.masks)))
 
 
-def _ridge_map(c: SimplicialComplex) -> dict[int, list[int]]:
-    """Each ridge mask f ^ bit of a facet f, with the indices of its facets."""
+def _ridge_map(masks: Sequence[int]) -> dict[int, list[int]]:
+    """Each ridge mask f ^ bit of a facet mask f, with the indices of its facets."""
     on_ridge: dict[int, list[int]] = {}
-    for k, f in enumerate(c.masks):
+    for k, f in enumerate(masks):
         for i in _bits(f):
             on_ridge.setdefault(f ^ 1 << i, []).append(k)
     return on_ridge
 
 
-def _boundary_ridges(c: SimplicialComplex) -> list[int]:
-    """The ridge masks that lie in exactly one facet of c."""
-    return [r for r, ids in _ridge_map(c).items() if len(ids) == 1]
+def _boundary_ridges(masks: Sequence[int]) -> list[int]:
+    """The ridge masks that lie in exactly one of the facet masks."""
+    return [r for r, ids in _ridge_map(masks).items() if len(ids) == 1]
 
 
 def gluing_diff(
@@ -362,7 +360,7 @@ def gluing_diff(
         for s in size:
             low = s & -s
             common[s] = common[s ^ low] & hold[low.bit_length() - 1]
-    want = set().union(*_faces_by_size(_boundary_ridges(ear), ear.dim))
+    want = set().union(*_faces_by_size(_boundary_ridges(ear.masks), ear.dim))
     have = {s for s, a in common.items() if a}
     return sorted(map(ear.face, have ^ want), key=facet_key)
 
@@ -455,7 +453,7 @@ def is_cm_and_2cm(c: SimplicialComplex) -> tuple[bool, bool]:
     facets of c - v are the masks without bit v."""
     if not _is_cm(c.masks, c.dim):
         return False, False
-    facets, boundary = set(c.masks), _boundary_ridges(c)
+    facets, boundary = set(c.masks), _boundary_ridges(c.masks)
     return True, all(
         not any((r | b) in facets for r in boundary)
         and _is_cm([f for f in c.masks if not f & b], c.dim)
@@ -487,34 +485,39 @@ class Certificate:
 
     ``kind`` is "SPHERE" or "BALL" and ``betti`` holds the reduced Betti
     numbers (none for {∅}). A BALL of positive dimension also carries its
-    verified ``shelling`` and its ``boundary`` complex, which certified as a
-    SPHERE. Ambient polytopality of reference spheres is an assumption of
-    the callers, not something this code proves.
+    verified ``shelling``; its boundary, ridge masks in its own bits, passed
+    the sphere test and is not kept. Ambient polytopality of reference
+    spheres is an assumption of the callers, not something this code proves.
     """
 
     kind: str
     betti: tuple[int, ...] = ()
     shelling: Optional[ShellingOrder] = None
-    boundary: Optional[SimplicialComplex] = None
 
 
-def _is_closed_pseudomanifold(c: SimplicialComplex) -> bool:
-    if c.is_void or not c.pure:
+def _is_closed_pseudomanifold(masks: Sequence[int]) -> bool:
+    """Nonempty, pure, each ridge in two facets, and ridge-connected."""
+    if not masks or len({f.bit_count() for f in masks}) > 1:
         return False
-    on_ridge = _ridge_map(c)  # in dimension 0, the empty ridge of every point
+    on_ridge = _ridge_map(masks)  # in dimension 0, the empty ridge of every point
     if any(len(ids) != 2 for ids in on_ridge.values()):
         return False
-    # strong connectivity through ridges
-    seen = {0}
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
-        f = c.masks[stack.pop()]
+        f = masks[stack.pop()]
         for i in _bits(f):
             for j in on_ridge[f ^ 1 << i]:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
-    return len(seen) == len(c.facets)
+    return len(seen) == len(masks)
+
+
+def _sphere_fault(betti: tuple[int, ...], masks: Sequence[int]) -> str:
+    """What fails the sphere test: closed pseudomanifold, homology (0, …, 0, 1)."""
+    if betti != (0,) * (len(betti) - 1) + (1,):
+        return f"homology {betti}"
+    return "" if _is_closed_pseudomanifold(masks) else "not a closed pseudomanifold"
 
 
 def certify_sphere_or_ball(
@@ -522,12 +525,11 @@ def certify_sphere_or_ball(
 ) -> Certificate:
     """Certify SPHERE or BALL, else raise NotCertified.
 
-    SPHERE: closed pseudomanifold with reduced homology (0,…,0,1); in
-    dimension 0, exactly two points; the {∅} complex is the (-1)-sphere.
-    BALL: shellable, homology all zero, boundary certified SPHERE; in
-    dimension 0, one point. The shelling is ``shelling``, a ShellingOrder
-    of ``c`` that ``verify_shelling`` made and that is not checked again,
-    or else one found by the bounded search.
+    SPHERE: passes the sphere test (in dimension 0, two points); {∅} is
+    the (-1)-sphere. BALL: shellable, acyclic, and its boundary ridges,
+    masks in c's bits, pass the sphere test; in dimension 0, one point.
+    The shelling is ``shelling``, a ShellingOrder of ``c`` from
+    ``verify_shelling`` (not checked again), else the bounded search's.
     """
     if shelling is not None and shelling.complex != c:
         raise BadParams("the shelling is of another complex")
@@ -538,24 +540,21 @@ def certify_sphere_or_ball(
     if not c.pure:
         raise NotCertified("not pure")
     betti = homology_ranks(c)
-    sphere_betti = tuple([0] * c.dim + [1])
-    if betti == sphere_betti and _is_closed_pseudomanifold(c):
+    if not _sphere_fault(betti, c.masks):
         return Certificate("SPHERE", betti)
     if any(betti):
         raise NotCertified(f"homology {betti} fits neither sphere nor ball")
-    if c.dim == 0:
-        if len(c.facets) == 1:
-            return Certificate("BALL", betti)
-        raise NotCertified("several points form neither a sphere nor a ball")
+    if c.dim == 0:  # acyclic points: one point
+        return Certificate("BALL", betti)
     sh = shelling if shelling is not None else search_shelling(c)
     if sh is None:
         raise NotCertified("no shelling found")
-    bd = boundary_complex(c)
-    if bd.is_void:
+    bd = _boundary_ridges(c.masks)
+    if not bd:
         raise NotCertified("acyclic closed complex is not a ball")
-    if certify_sphere_or_ball(bd).kind != "SPHERE":
-        raise NotCertified("boundary did not certify as a sphere")
-    return Certificate("BALL", betti, sh, bd)
+    if fault := _sphere_fault(_betti(bd, c.dim - 1), bd):
+        raise NotCertified(f"boundary is not a sphere: {fault}")
+    return Certificate("BALL", betti, sh)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -154,20 +154,22 @@ def g_vector(h: Sequence[int]) -> tuple[int, ...]:
 
 
 def macaulay_pseudopower(a: int, i: int) -> int:
-    """a^<i> via the greedy binomial representation of a in degree i."""
+    """a^<i> via the greedy binomial representation of a in degree i, each
+    of its n found by doubling and then exact integer bisection."""
     if a < 0 or i < 1:
         raise BadParams("need a >= 0 and i >= 1")
-    if a == 0:
-        return 0
     rep = []
     deg = i
     rest = a
     while rest > 0 and deg >= 1:
-        n = deg
-        while comb(n + 1, deg) <= rest:
-            n += 1
-        rep.append((n, deg))
-        rest -= comb(n, deg)
+        lo, hi = deg, deg + 1  # the largest n with comb(n, deg) <= rest is in [lo, hi)
+        while comb(hi, deg) <= rest:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if comb(mid, deg) <= rest else (lo, mid)
+        rep.append((lo, deg))
+        rest -= comb(lo, deg)
         deg -= 1
     return sum(comb(n + 1, d + 1) for n, d in rep)
 
@@ -541,7 +543,7 @@ def ball_flag_reciprocity(
     if any(paint[f] != full for f in ear.masks):
         raise NotBall("facet misses a rank color")
     # every facet carries all d colors, so no two vertices of a face share one
-    bd = set().union(*_faces_by_size(_boundary_ridges(ear), d - 1))
+    bd = set().union(*_faces_by_size(_boundary_ridges(ear.masks), d - 1))
     h = [0] * (full + 1)
     h_int = [0] * (full + 1)
     for s, cs in paint.items():

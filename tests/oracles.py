@@ -31,6 +31,9 @@ needs them, so they live with the tests:
   ``closed_pseudomanifold_by_name_sets``: faces, boundary and the closed
   pseudomanifold test on frozensets of names (``subfaces`` and ``ridges``
   are their helpers), the routes the mask kernels replaced;
+* ``certify_by_boundary_complex``: the sphere/ball certificate that built a
+  ball's ``boundary_complex`` and certified it by a recursive call, the
+  route that certifying the boundary ridges in the ball's own bits replaced;
 * ``face_poset_by_name_sets`` and ``cm_and_2cm_by_name_sets``: the face
   poset with covers found by removing each name from each face, and the
   CM and doubly-CM checks walking every face as a sorted name set through
@@ -75,6 +78,9 @@ needs them, so they live with the tests:
   with the identity checked on every ear, not once per colored pull-back;
 * ``subset_novelty_scan``: a chain is new when no earlier copy's name set
   contains it, by scanning every earlier copy;
+* ``macaulay_pseudopower_by_scan``: a^<i> with each n of the greedy
+  binomial representation found by a linear scan, the route the bisection
+  replaced;
 * ``graphic_matroid_by_all_sizes``: the bases of a cycle matroid as the
   acyclic edge sets of the largest size that has any, trying every size
   from the number of edges down;
@@ -111,6 +117,7 @@ from earlab.complexes import (
     face_name,
     h_from_shelling,
     homology_ranks,
+    search_shelling,
     verify_shelling,
 )
 from earlab.decompositions import (
@@ -124,6 +131,7 @@ from earlab.decompositions import (
 from earlab.errors import (
     BadParams,
     EmptySelection,
+    NotCertified,
     NotComparable,
     NotGraded,
     Inconsistent,
@@ -390,6 +398,35 @@ def closed_pseudomanifold_by_name_sets(c: SimplicialComplex) -> bool:
                     seen.add(j)
                     stack.append(j)
     return len(seen) == len(c.facets)
+
+
+def certify_by_boundary_complex(c: SimplicialComplex) -> str:
+    """The kind of sphere or ball that c certifies as, raising NotCertified
+    as ``certify_sphere_or_ball`` does: the boundary of an acyclic shellable
+    c is built as a complex of its own and must certify as a SPHERE here."""
+    if c.is_void:
+        raise NotCertified("void complex")
+    if c.is_irrelevant:
+        return "SPHERE"
+    if not c.pure:
+        raise NotCertified("not pure")
+    betti = homology_ranks(c)
+    if betti == tuple([0] * c.dim + [1]) and closed_pseudomanifold_by_name_sets(c):
+        return "SPHERE"
+    if any(betti):
+        raise NotCertified(f"homology {betti} fits neither sphere nor ball")
+    if c.dim == 0:
+        if len(c.facets) == 1:
+            return "BALL"
+        raise NotCertified("several points form neither a sphere nor a ball")
+    if search_shelling(c) is None:
+        raise NotCertified("no shelling found")
+    bd = boundary_complex(c)
+    if bd.is_void:
+        raise NotCertified("acyclic closed complex is not a ball")
+    if certify_by_boundary_complex(bd) != "SPHERE":
+        raise NotCertified("boundary did not certify as a sphere")
+    return "BALL"
 
 
 def face_poset_by_name_sets(
@@ -878,6 +915,20 @@ def subset_novelty_scan(copies):
         return not any(s <= names[m] for m in range(ci))
 
     return is_new
+
+
+def macaulay_pseudopower_by_scan(a: int, i: int) -> int:
+    """a^<i> from the greedy binomial representation of a in degree i, each
+    of its n found by stepping n up one at a time."""
+    rep, deg, rest = [], i, a
+    while rest > 0 and deg >= 1:
+        n = deg
+        while comb(n + 1, deg) <= rest:
+            n += 1
+        rep.append((n, deg))
+        rest -= comb(n, deg)
+        deg -= 1
+    return sum(comb(n + 1, d + 1) for n, d in rep)
 
 
 def graphic_matroid_by_all_sizes(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:

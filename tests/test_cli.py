@@ -670,6 +670,21 @@ def test_verify_flag_inequalities_refuses_a_one_element_poset(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_verify_flag_inequalities_refuses_a_high_rank_complex_before_listing_faces(
+    tmp_path, capsys, monkeypatch
+):
+    # the 13-vertex simplex has 2^13 faces; its rank 13 is refused off its dimension
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"schema": "earlab.complex/1",
+                                "facets": [[f"v{i:02}" for i in range(13)]]}))
+    calls = []
+    monkeypatch.setattr("earlab.cli.face_poset", lambda *a, **k: calls.append(a) or face_poset(*a, **k))
+    code, out, err = run_cli(capsys, "verify", "--what", "flag-inequalities",
+                             "--input", str(path))
+    assert (code, out, calls) == (2, "", [])
+    assert "SizeLimit: rank 13 exceeds the descent-class cap m = 8" in err
+
+
 def test_verify_needs_a_source(capsys):
     code, _, _ = run_cli(capsys, "verify", "--what", "h-inequalities")
     assert code == 2

@@ -333,7 +333,7 @@ def test_cm_builds_no_complex_for_a_link_or_a_vertex_deletion(monkeypatch, facet
 @pytest.mark.parametrize("points, closed", [(1, False), (2, True), (3, False)])
 def test_points_are_a_closed_pseudomanifold_just_when_two(points, closed):
     # the ridge map decides dimension 0: the empty ridge lies in every point
-    assert _is_closed_pseudomanifold(build_complex([[v] for v in "abc"[:points]])) is closed
+    assert _is_closed_pseudomanifold(build_complex([[v] for v in "abc"[:points]]).masks) is closed
 
 
 def test_certify_spheres():
@@ -347,9 +347,17 @@ def test_certify_balls():
     cert = certify_sphere_or_ball(two_triangles())
     assert cert.kind == "BALL"
     assert cert.shelling is not None and cert.shelling.complex == two_triangles()
-    assert cert.boundary == boundary_complex(two_triangles())
-    assert certify_sphere_or_ball(cert.boundary).kind == "SPHERE"
     assert certify_sphere_or_ball(triangle()).kind == "BALL"
+
+
+def test_a_ball_certificate_names_the_boundary_that_fails():
+    # shellable and contractible, but ab lies in all three pages, so the
+    # boundary is a theta graph: two loops, and the message says it is its own
+    c = build_complex(["abc", "abd", "abe"])
+    sh = verify_shelling(c, [0, 1, 2])
+    assert sh.facet_sequence() == [frozenset("abc"), frozenset("abd"), frozenset("abe")]
+    with pytest.raises(NotCertified, match=r"^boundary is not a sphere: homology \(0, 2\)$"):
+        certify_sphere_or_ball(c, sh)
 
 
 def test_certify_with_given_shelling():

@@ -45,7 +45,6 @@ from earlab.decompositions import (
     decompose_rank_selected_supersolvable,
     decompose_supersolvable,
     intervals_of,
-    pulled_back_keys,
     verify_ced,
 )
 from earlab.flags import ball_flag_reciprocity, descent_classes
@@ -577,21 +576,32 @@ def test_verify_ced_builds_only_the_coordinate_sphere(monkeypatch):
         assert len(calls) == 1 and build_complex(calls[0]) == sphere
 
 
-def test_verify_ced_builds_boundaries_only_in_ball_certificates(monkeypatch):
-    # the gluing axiom reads each ear's ridge masks, so a boundary complex is
-    # built only by a fresh BALL certificate, once per distinct pulled-back key
-    dec = decompose_supersolvable(partition_lattice(4))
-    keys = pulled_back_keys(dec)
-    callers = []
+def test_verify_ced_constructs_one_complex_and_no_boundary(monkeypatch):
+    # a ball certificate reads its boundary as ridge masks in the ball's own
+    # bits, so no boundary complex is built and the one complex verify_ced
+    # constructs is K, for one ear and for many
+    init, made, bounded = SimplicialComplex.__init__, [], []
 
-    def counted(c):
-        callers.append(sys._getframe(1).f_code.co_name)
+    def counted(self, vertices, facets):
+        made.append(facets)
+        init(self, vertices, facets)
+
+    def bounding(c):
+        bounded.append(c)
         return boundary_complex(c)
 
-    monkeypatch.setattr("earlab.complexes.boundary_complex", counted)
-    assert verify_ced(dec)["ok"]
-    assert None not in keys and len(set(keys[1:])) < len(dec.ears) - 1
-    assert callers == ["certify_sphere_or_ball"] * len(set(keys[1:]))
+    for dec in (
+        decompose_supersolvable(boolean_lattice(4)),
+        decompose_supersolvable(partition_lattice(4)),
+    ):
+        sphere, _ = _coordinate_sphere(dec.ranks)
+        made.clear()
+        with monkeypatch.context() as m:
+            m.setattr(SimplicialComplex, "__init__", counted)
+            m.setattr("earlab.complexes.boundary_complex", bounding)
+            assert verify_ced(dec)["ok"]
+        assert bounded == []
+        assert len(made) == 1 and set(made[0]) == set(sphere.facets)
 
 
 def test_verify_ced_builds_no_face_set_for_one_ear(monkeypatch):

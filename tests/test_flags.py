@@ -40,7 +40,13 @@ from earlab.flags import (
 from earlab.labelings import derive_sn_labeling
 from earlab.lattices import boolean_lattice, partition_lattice
 from earlab.posets import build_poset, rank_select, with_bounds
-from oracles import flag_f_from_complex_fvector, flag_h_from_descents, h_from_flag_h, weak_leq
+from oracles import (
+    flag_f_from_complex_fvector,
+    flag_h_from_descents,
+    h_from_flag_h,
+    macaulay_pseudopower_by_scan,
+    weak_leq,
+)
 
 
 # -- Flag f and h ---------------------------------------------------------------
@@ -107,6 +113,25 @@ def test_macaulay_pseudopower_values():
     # 4 in degree 2 is C(3,2)+C(1,1); bound C(4,3)+C(2,2) = 5
     assert macaulay_pseudopower(4, 2) == 5
     assert macaulay_pseudopower(0, 3) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**5), st.integers(1, 6))
+def test_macaulay_pseudopower_bisection_agrees_with_the_scan(a, i):
+    assert macaulay_pseudopower(a, i) == macaulay_pseudopower_by_scan(a, i)
+
+
+def test_macaulay_pseudopower_finds_each_n_in_logarithmically_many_binomials(monkeypatch):
+    # a scan for the degree-1 term of a million would evaluate a million binomials
+    calls = []
+
+    def counted(n, k):
+        calls.append(n)
+        return comb(n, k)
+
+    monkeypatch.setattr("earlab.flags.comb", counted)
+    assert macaulay_pseudopower(10**6, 1) == comb(10**6 + 1, 2)
+    assert 0 < len(calls) < 1000
 
 
 def test_is_m_vector_accepts_polynomial_growth():
