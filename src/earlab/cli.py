@@ -45,6 +45,7 @@ from .complexes import (
     complex_from_json,
     complex_to_json,
     f_h_vectors,
+    face_name,
     face_poset,
     is_cm_and_2cm,
     order_complex,
@@ -60,10 +61,12 @@ from .decompositions import (
     pulled_back_keys,
     verify_ced,
 )
-from .errors import BadParams, EarlabError, SelfCheckFailed, SizeLimit
+from .errors import BadParams, EarlabError, NotGraded, SelfCheckFailed, SizeLimit
 from .flags import (
     DOMINANCE_CAP,
+    _inequality_report,
     ball_flag_reciprocity,
+    face_poset_flags,
     g_and_m_check,
     g_vector,
     m_vector_witness,
@@ -90,7 +93,6 @@ from .posets import (
     labels_from_json,
     poset_from_json,
     rank_select,
-    with_bounds,
 )
 
 RUN_SCHEMA = "earlab.run/2"
@@ -234,16 +236,21 @@ def _geometric_input(doc: Mapping, cap) -> Lattice:
     raise SchemaTrouble(f"expected a matroid, lattice, or poset document, got {schema!r}")
 
 
-def _flag_face_poset(c: SimplicialComplex):
-    """The graded bounded poset whose flag vectors the dominance suite
-    checks for a complex: proper face ranks only, with the facet rank
-    dropped (the suite's guarantees stop below the facets)."""
+def _face_flag_h(c: SimplicialComplex):
+    """The flag h whose dominance the suite checks for a complex: that of
+    its face poset with the facet rank dropped (the suite's guarantees stop
+    below the facets) and bounds added, read off f(c)."""
     d = c.dim + 1
     _check_rank(d)  # the rank the suite sees, refused before any face is listed
     if d < 2:
         raise BadParams("the complex has no proper face ranks below the facets")
-    fp = face_poset(c, include_empty=True, graded=True)
-    return with_bounds(rank_select(fp, range(1, d)))
+    short = min(c.facets, key=len)
+    if len(short) < d - 1:
+        raise NotGraded(
+            f"facet {face_name(short)!r} has fewer than {d - 1} vertices: "
+            f"the face poset is not graded below rank {d}"
+        )
+    return face_poset_flags([len(s) for s in _faces_by_size(c.masks, d)], d)[1]
 
 
 def _run_construction(rec: Mapping, doc: Optional[Mapping], cap) -> EarDecomposition:
@@ -491,12 +498,11 @@ def _verify_flag_inequalities(args) -> tuple[dict, bool]:
     doc = _load_document(args.input)
     schema = doc.get("schema")
     if schema == "earlab.complex/1":
-        p = _flag_face_poset(complex_from_json(doc))
+        rep = _inequality_report(_face_flag_h(complex_from_json(doc)))
     elif schema in ("earlab.lattice/1", "earlab.poset/1"):
-        p = poset_from_json(doc)
+        rep = verify_flag_inequalities(poset_from_json(doc))
     else:
         raise SchemaTrouble(f"cannot take flag vectors from schema {schema!r}")
-    rep = verify_flag_inequalities(p)
     return rep, rep["violations"] == 0
 
 

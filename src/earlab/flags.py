@@ -28,7 +28,9 @@ the M-vector test is the Macaulay binomial growth bound, all in exact
 integer arithmetic.
 
 Flag vectors are lists over rank masks (bit i - 1 for rank i) until
-returned; ``_subset_transform`` turns flag f into flag h and back. Flag
+returned; ``_subset_transform`` turns flag f into flag h and back, for a
+poset's chain counts (``flag_f_and_h``) and for a complex's face poset,
+whose flag f is a product rule on f(K) (``face_poset_flags``). Flag
 reciprocity, the flag form of h_k(B, ∂B) = h_{d-k}(B) (Stanley,
 *Combinatorics and Commutative Algebra*, §II.7), runs it on face counts by
 color mask off the ear's masks.
@@ -56,6 +58,7 @@ from .posets import Poset, _bits
 __all__ = [
     "FlagVector",
     "flag_f_and_h",
+    "face_poset_flags",
     "g_vector",
     "macaulay_pseudopower",
     "m_vector_witness",
@@ -132,6 +135,29 @@ def flag_f_and_h(p: Poset) -> tuple[FlagVector, FlagVector]:
                 if total:
                     nxt[j] = total
             stack.append((S | 1 << (s - 1), nxt))
+    return _flag_vectors(f, rho)
+
+
+def face_poset_flags(f: Sequence[int], rho: int) -> tuple[FlagVector, FlagVector]:
+    """Flag f and h of a complex's faces with 1..rho-1 vertices, bounded,
+    from f[k], its number of faces with k vertices, with no poset built: the
+    chains with face sizes u_1 < … < u_j number f[u_j]·C(u_j, u_{j-1})⋯
+    C(u_2, u_1), the empty one f[0] (Stanley, EC1 §3.13); linear in f."""
+    if rho < 1:
+        raise BadParams("flag vectors need a poset of rank at least 1")
+    flag = []
+    for S in range(1 << (rho - 1)):
+        sizes = [0, *(i + 1 for i in _bits(S))]
+        n = f[sizes[-1]]
+        for lo, hi in zip(sizes, sizes[1:]):
+            n *= comb(hi, lo)
+        flag.append(n)
+    return _flag_vectors(flag, rho)
+
+
+def _flag_vectors(f: list[int], rho: int) -> tuple[FlagVector, FlagVector]:
+    """Flag f, a list over the rank masks of [rho - 1], and its flag h, as
+    ``FlagVector``s; the f = Σ h round trip is asserted."""
     h = _subset_transform(f.copy(), -1)
     if _subset_transform(h.copy(), 1) != f:
         raise SelfCheckFailed("flag f/h round trip failed")
@@ -490,29 +516,22 @@ def verify_flag_inequalities(p: Poset) -> dict:
     rho = p.rank_of(p.top)
     if rho > DOMINANCE_CAP:
         raise SizeLimit(f"rank {rho} exceeds the dominance cap {DOMINANCE_CAP}")
-    _, fh = flag_f_and_h(p)
+    return _inequality_report(flag_f_and_h(p)[1])
+
+
+def _inequality_report(fh: FlagVector) -> dict:
+    """The report of ``verify_flag_inequalities`` on a flag h of rank at
+    most ``DOMINANCE_CAP``: one row per dominating pair (S, T), S ≠ T."""
+    rho = fh.rho
     subsets = [frozenset(S) for k in range(rho) for S in combinations(range(1, rho), k)]
     table = dominance_table(rho)
-    pairs = []
-    violations = 0
-    for S in subsets:
-        for T in subsets:
-            if S == T or (S, T) not in table:
-                continue
-            hS, hT = fh.get(S), fh.get(T)
-            ok = hT <= hS
-            if not ok:
-                violations += 1
-            pairs.append(
-                {
-                    "S": sorted(S),
-                    "T": sorted(T),
-                    "h_S": hS,
-                    "h_T": hT,
-                    "ok": ok,
-                }
-            )
-    return {"rho": rho, "pairs": pairs, "violations": violations}
+    pairs = [
+        {"S": sorted(S), "T": sorted(T), "h_S": fh[S], "h_T": fh[T], "ok": fh[T] <= fh[S]}
+        for S in subsets
+        for T in subsets
+        if S != T and (S, T) in table
+    ]
+    return {"rho": rho, "pairs": pairs, "violations": sum(not row["ok"] for row in pairs)}
 
 
 # -- ball flag reciprocity -------------------------------------------------------
@@ -562,42 +581,15 @@ def corollary_gap_coefficients(
 ) -> tuple[int, ...]:
     """Coefficients a_0..a_{d+1} with
     h_S(Δ) - h_T(Δ) = Σ_i a_i h_i(K)
-    for every d-dimensional complex K, where Δ is the order complex of the
-    face poset of K minus the empty face. Exact integer algebra: expand both
-    flag h's into flag f's, collapse each flag f to a multiple of one
-    f-entry of K via the product rule, then convert f-entries to h-entries
-    by the triangular binomial transform.
-    """
+    for every d-dimensional complex K and S, T ⊆ [1, d], where Δ is the
+    order complex of the face poset of K minus the empty face. Both sides
+    are linear in h(K), so a_i is the gap ``face_poset_flags`` gives on the
+    f-vector of h = e_i, f_k = C(d + 1 - i, k - i)."""
     Sf, Tf = frozenset(S), frozenset(T)
-    if any(not 1 <= i <= d - 1 for i in Sf | Tf):
-        raise BadParams(f"rank sets must lie in [1, {d - 1}]")
-    gamma: dict[int, int] = {}
-
-    def add_flag_h(R: frozenset[int], sign: int) -> None:
-        rl = sorted(R)
-        for k in range(len(rl) + 1):
-            for U in combinations(rl, k):
-                s = sign * (-1) ** (len(R) - len(U))
-                if not U:
-                    gamma[0] = gamma.get(0, 0) + s
-                    continue
-                word = sorted(U, reverse=True)
-                c = 1
-                for prev, cur in zip(word, word[1:]):
-                    c *= comb(prev, cur)
-                top = word[0]
-                gamma[top] = gamma.get(top, 0) + s * c
-
-    add_flag_h(Sf, +1)
-    add_flag_h(Tf, -1)
-    dprime = d + 1  # K has h_0..h_{d+1}
+    if any(not 1 <= i <= d for i in Sf | Tf):
+        raise BadParams(f"rank sets must lie in [1, {d}]")
     a = []
-    for i in range(dprime + 1):
-        a.append(
-            sum(
-                g * comb(dprime - i, k - i)
-                for k, g in gamma.items()
-                if 0 <= k - i <= dprime - i
-            )
-        )
+    for i in range(d + 2):
+        _, fh = face_poset_flags([0] * i + [comb(d + 1 - i, j) for j in range(d + 2 - i)], d + 1)
+        a.append(fh[Sf] - fh[Tf])
     return tuple(a)

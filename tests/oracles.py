@@ -13,6 +13,12 @@ needs them, so they live with the tests:
 * ``flag_h_by_inclusion_exclusion``: each flag h entry as its own
   signed sum over the subsets of S, the route ``flags._subset_transform``
   replaced;
+* ``face_poset_below_facets`` and ``face_poset_flags_by_chains``: a
+  complex's face poset built, its ranks below the facets selected and
+  bounded, and its flag vectors by the chain DP of ``flag_f_and_h``, and
+  ``corollary_gap_coefficients_by_expansion``: the gap coefficients with
+  both flag h's expanded by hand into products of binomials, the two
+  routes ``flags.face_poset_flags`` replaced;
 * ``weak_leq``: the weak order by inversion-set containment;
 * ``class_masks_per_permutation``, ``dominance_table_all_pairs`` and
   ``flag_f_per_subset``: the inversion masks and inversion bits of each
@@ -115,6 +121,7 @@ from earlab.complexes import (
     boundary_complex,
     build_complex,
     face_name,
+    face_poset,
     h_from_shelling,
     homology_ranks,
     search_shelling,
@@ -148,6 +155,7 @@ from earlab.flags import (
     _injection,
     ball_flag_reciprocity,
     descent_classes,
+    flag_f_and_h,
     inversion_mask,
 )
 from earlab.labelings import EdgeLabeling, descent_set
@@ -158,7 +166,16 @@ from earlab.lattices import (
     closure_under_ops,
 )
 from earlab.matroids import Matroid, build_matroid, nbc_bases
-from earlab.posets import Poset, _bits, _chain_extensions, build_poset, maximal_chains, mobius
+from earlab.posets import (
+    Poset,
+    _bits,
+    _chain_extensions,
+    build_poset,
+    maximal_chains,
+    mobius,
+    rank_select,
+    with_bounds,
+)
 
 
 def exact_rank(rows: list[dict[int, int]]) -> int:
@@ -222,6 +239,65 @@ def flag_f_from_complex_fvector(fK: Sequence[int], S: Iterable[int]) -> int:
     for prev, cur in zip(word, word[1:]):
         b *= comb(prev, cur)
     return b
+
+
+def face_poset_below_facets(c: SimplicialComplex) -> Poset:
+    """The graded bounded poset whose flag vectors the dominance suite
+    checks for a complex: proper face ranks only, with the facet rank
+    dropped; ``with_bounds`` refuses a facet below rank d - 1 as
+    ungraded."""
+    d = c.dim + 1
+    if d < 2:
+        raise BadParams("the complex has no proper face ranks below the facets")
+    fp = face_poset(c, include_empty=True, graded=True)
+    return with_bounds(rank_select(fp, range(1, d)))
+
+
+def face_poset_flags_by_chains(c: SimplicialComplex) -> tuple[FlagVector, FlagVector]:
+    """Flag f and h of ``face_poset_below_facets(c)`` by chain counts."""
+    return flag_f_and_h(face_poset_below_facets(c))
+
+
+def corollary_gap_coefficients_by_expansion(
+    S: Iterable[int], T: Iterable[int], d: int
+) -> tuple[int, ...]:
+    """``corollary_gap_coefficients`` for S, T ⊆ [1, d - 1]: expand both
+    flag h's into flag f's, collapse each flag f to a multiple of one
+    f-entry of K via the product rule, then convert f-entries to h-entries
+    by the triangular binomial transform."""
+    Sf, Tf = frozenset(S), frozenset(T)
+    if any(not 1 <= i <= d - 1 for i in Sf | Tf):
+        raise BadParams(f"rank sets must lie in [1, {d - 1}]")
+    gamma: dict[int, int] = {}
+
+    def add_flag_h(R: frozenset[int], sign: int) -> None:
+        rl = sorted(R)
+        for k in range(len(rl) + 1):
+            for U in combinations(rl, k):
+                s = sign * (-1) ** (len(R) - len(U))
+                if not U:
+                    gamma[0] = gamma.get(0, 0) + s
+                    continue
+                word = sorted(U, reverse=True)
+                c = 1
+                for prev, cur in zip(word, word[1:]):
+                    c *= comb(prev, cur)
+                top = word[0]
+                gamma[top] = gamma.get(top, 0) + s * c
+
+    add_flag_h(Sf, +1)
+    add_flag_h(Tf, -1)
+    dprime = d + 1  # K has h_0..h_{d+1}
+    a = []
+    for i in range(dprime + 1):
+        a.append(
+            sum(
+                g * comb(dprime - i, k - i)
+                for k, g in gamma.items()
+                if 0 <= k - i <= dprime - i
+            )
+        )
+    return tuple(a)
 
 
 def weak_leq(sigma: Sequence[int], tau: Sequence[int]) -> bool:

@@ -12,16 +12,18 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import product
 from math import comb
 from pathlib import Path
 
 import pytest
 
 from earlab.cli import COMPLEX_FIXTURES, _flag_count, main
-from earlab.complexes import build_complex, face_poset, order_complex
+from earlab.complexes import _faces_by_size, build_complex, face_poset, order_complex
 from earlab.decompositions import _generated_copy, decompose_rank_selected_boolean
-from earlab.flags import _subset_transform, m_vector_witness
-from earlab.posets import canonical_dumps, rank_select
+from earlab.flags import _subset_transform, flag_f_and_h, m_vector_witness
+from earlab.posets import canonical_dumps, rank_select, with_bounds
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -678,11 +680,45 @@ def test_verify_flag_inequalities_refuses_a_high_rank_complex_before_listing_fac
     path.write_text(json.dumps({"schema": "earlab.complex/1",
                                 "facets": [[f"v{i:02}" for i in range(13)]]}))
     calls = []
-    monkeypatch.setattr("earlab.cli.face_poset", lambda *a, **k: calls.append(a) or face_poset(*a, **k))
+    monkeypatch.setattr("earlab.cli._faces_by_size", lambda *a: calls.append(a) or _faces_by_size(*a))
     code, out, err = run_cli(capsys, "verify", "--what", "flag-inequalities",
                              "--input", str(path))
     assert (code, out, calls) == (2, "", [])
     assert "SizeLimit: rank 13 exceeds the descent-class cap m = 8" in err
+
+
+def test_verify_flag_inequalities_names_the_short_facet_of_an_impure_complex(tmp_path, capsys):
+    # the point d lies below rank d - 1 = 2, so ranks 1..2 with bounds are not graded
+    path = tmp_path / "impure.json"
+    path.write_text(json.dumps({"schema": "earlab.complex/1", "facets": [["a", "b", "c"], ["d"]]}))
+    code, out, err = run_cli(capsys, "verify", "--what", "flag-inequalities",
+                             "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "NotGraded: facet 'd' has fewer than 2 vertices: the face poset is not graded below rank 3" in err
+
+
+def test_verify_flag_inequalities_on_a_complex_builds_no_poset(tmp_path, capsys, monkeypatch):
+    # flag h is read off the face counts of ∂C4; a poset document still takes the chain DP
+    calls = Counter()
+    originals = {"face_poset": face_poset, "rank_select": rank_select,
+                 "with_bounds": with_bounds, "flag_f_and_h": flag_f_and_h}
+    for name, fn in originals.items():
+        def counted(*a, _name=name, _fn=fn, **k):
+            calls[_name] += 1
+            return _fn(*a, **k)
+        for module in [m for key, m in sys.modules.items() if key.startswith("earlab")]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    c4 = tmp_path / "c4.json"
+    c4.write_text(json.dumps({"schema": "earlab.complex/1", "facets": [
+        [s + str(i) for i, s in enumerate(signs, 1)] for signs in product("np", repeat=4)
+    ]}))
+    code, out, _ = run_cli(capsys, "verify", "--what", "flag-inequalities", "--input", str(c4))
+    assert (code, json.loads(out)["result"]["rho"], calls) == (0, 4, Counter())
+    b3 = tmp_path / "b3.json"
+    run_cli(capsys, "gen", "boolean", "--rank", "3", "--output", str(b3))
+    assert run_cli(capsys, "verify", "--what", "flag-inequalities", "--input", str(b3))[0] == 0
+    assert calls == Counter(flag_f_and_h=1)
 
 
 def test_verify_needs_a_source(capsys):

@@ -61,6 +61,11 @@ against the brute-force routes they replaced, on random inputs.
   bounded rank selections and on face posets, and ``_subset_transform``
   (one in-place pass per bit over a list by rank mask) against each flag
   h entry's own signed sum, in both directions;
+* ``face_poset_flags`` (the product rule on f(K), no poset built) against
+  the chain counts of the built face poset, refusals included, on
+  shellable and on arbitrary, often impure, complexes, and
+  ``corollary_gap_coefficients`` (the same rule on the h-basis) against
+  the hand-written expansion on every pair for d ≤ 6;
 * ``_match`` (augmenting paths on candidate bitsets, τ by τ) against
   Hopcroft–Karp with a recursive augmenting step;
 * each ear's reference sphere (the coordinate sphere K relabelled by the
@@ -122,10 +127,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from earlab.cli import COMPLEX_FIXTURES, _edge_list, _flag_face_poset, _reciprocity_rows
+from earlab.cli import COMPLEX_FIXTURES, _edge_list, _face_flag_h, _reciprocity_rows
 from earlab.complexes import (
     SimplicialComplex,
     _extend_shelling,
+    _faces_by_size,
     _is_closed_pseudomanifold,
     boundary_complex,
     build_complex,
@@ -176,9 +182,11 @@ from earlab.flags import (
     _match,
     _subset_transform,
     ball_flag_reciprocity,
+    corollary_gap_coefficients,
     descent_classes,
     dominance_table,
     dominates,
+    face_poset_flags,
     flag_f_and_h,
     inversion_mask,
     weak_leq_by_switches,
@@ -235,9 +243,12 @@ from oracles import (
     class_map_by_classifier,
     class_masks_per_permutation,
     cm_and_2cm_by_name_sets,
+    corollary_gap_coefficients_by_expansion,
     dominance_table_all_pairs,
     el_by_intervals,
     exact_rank,
+    face_poset_below_facets,
+    face_poset_flags_by_chains,
     faces_by_subsets,
     first_zero_mobius,
     flag_f_per_subset,
@@ -1434,8 +1445,50 @@ def test_flag_f_agrees_with_counting_each_subset_on_face_posets(name):
         c = build_complex(FACE_FIXTURES[name])
     else:
         c = cross_polytope_boundary(3 if name == "octahedron" else 4)
-    p = _flag_face_poset(c)
-    assert flag_f_and_h(p)[0].entries == flag_f_per_subset(p)
+    p = face_poset_below_facets(c)
+    want = flag_f_per_subset(p)
+    assert flag_f_and_h(p)[0].entries == want
+    assert face_poset_flags_by_chains(c)[0].entries == want
+    counts = [len(s) for s in _faces_by_size(c.masks, c.dim + 1)]
+    assert face_poset_flags(counts, c.dim + 1)[0].entries == want
+
+
+def _face_flags(route, c):
+    """The flag f and h ``route`` gives c, or the class of the EarlabError
+    it raises."""
+    try:
+        return route(c)
+    except EarlabError as exc:
+        return type(exc)
+
+
+def _flags_from_counts(c):
+    """``verify --what flag-inequalities``'s route on a complex: its
+    refusals, then ``face_poset_flags`` on the face counts."""
+    fh = _face_flag_h(c)
+    ff, fh2 = face_poset_flags([len(s) for s in _faces_by_size(c.masks, c.dim + 1)], c.dim + 1)
+    assert fh2 == fh
+    return ff, fh
+
+
+@settings(max_examples=150, deadline=None)
+@given(shellable_complexes(max_steps=12) | st.lists(
+    st.frozensets(st.sampled_from("abcdef"), max_size=6), max_size=8
+).map(build_complex))
+def test_face_poset_flags_agree_with_chains_on_the_face_poset(c):
+    # shellable draws and arbitrary, often impure, ones: a facet below rank
+    # d - 1 is refused as ungraded by both, dimension 0 and the void
+    # complex by both as having no ranks below the facets
+    assert _face_flags(_flags_from_counts, c) == _face_flags(face_poset_flags_by_chains, c)
+
+
+def test_gap_coefficients_agree_with_the_expansion():
+    for d in range(1, 7):
+        subsets = [frozenset(S) for k in range(d) for S in combinations(range(1, d), k)]
+        for S in subsets:
+            for T in subsets:
+                want = corollary_gap_coefficients_by_expansion(S, T, d)
+                assert corollary_gap_coefficients(S, T, d) == want, (d, S, T)
 
 
 def _by_rank_set(v: list[int]) -> dict[frozenset[int], int]:

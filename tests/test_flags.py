@@ -3,7 +3,7 @@ M-vector machinery, flag inequalities, and ball flag reciprocity."""
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -439,10 +439,13 @@ def test_flag_f_from_fvector_matches_direct_count():
 
 
 def test_gap_coefficients_identity():
-    # h_S - h_T of the face-poset order complex expands exactly in h(K)
+    # h_S - h_T of the face-poset order complex expands exactly in h(K), for
+    # every S, T ⊆ [1, d]: 16 + 16 + 64 + 256 pairs
     for facets in (
         [["a", "b", "c"], ["a", "b", "d"]],
         [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]],
+        [[s + str(i) for i, s in enumerate(signs, 1)] for signs in product("np", repeat=4)],
+        [["a", "b", "c", "d", "e"]],
     ):
         K = build_complex(facets)
         d = K.dim
@@ -451,8 +454,8 @@ def test_gap_coefficients_identity():
             rank_select(face_poset(K, include_empty=True, graded=True), range(1, d + 2))
         )
         _, fh = flag_f_and_h(fp)
-        ranks = range(1, d)
-        subs = [frozenset(s) for k in range(d) for s in combinations(ranks, k)]
+        ranks = range(1, d + 1)
+        subs = [frozenset(s) for k in range(d + 1) for s in combinations(ranks, k)]
         for S in subs:
             for T in subs:
                 a = corollary_gap_coefficients(S, T, d)
@@ -470,5 +473,6 @@ def test_gap_coefficients_nonnegative_for_dominating_pair():
 
 
 def test_gap_coefficients_range_check():
-    with pytest.raises(BadParams):
-        corollary_gap_coefficients({5}, set(), 3)
+    for bad in (5, 4, 0):
+        with pytest.raises(BadParams, match=r"rank sets must lie in \[1, 3\]"):
+            corollary_gap_coefficients({bad}, set(), 3)
