@@ -58,7 +58,6 @@ from .decompositions import (
     decompose_rank_selected_boolean,
     decompose_rank_selected_supersolvable,
     decompose_supersolvable,
-    pulled_back_keys,
     verify_ced,
 )
 from .errors import BadParams, EarlabError, NotGraded, SelfCheckFailed, SizeLimit
@@ -431,23 +430,12 @@ def _verify_ced(args) -> tuple[dict, bool]:
 def _verify_reciprocity(args) -> tuple[dict, bool]:
     dec, rec, chains_match = _rebuild_from_report(args)
     colors = {v: dec.poset.rank_of(v) for ear in dec.ears for v in ear.complex.vertices}
-    rows = _reciprocity_rows(dec, colors)
+    rows = [
+        {"ear": k + 1, "ok": ball_flag_reciprocity(ear.complex, colors, len(dec.ranks))}
+        for k, ear in enumerate(dec.ears)
+    ]
     body = {"construction": rec["construction"], "chains_match": chains_match, "ears": rows}
     return body, chains_match and all(row["ok"] for row in rows)
-
-
-def _reciprocity_rows(dec: EarDecomposition, colors: dict[str, int]) -> list[dict]:
-    """Each ear's verdict, computed once per key of ``pulled_back_keys``."""
-    verdicts: dict[frozenset, bool] = {}
-    rows = []
-    for k, (ear, key) in enumerate(zip(dec.ears, pulled_back_keys(dec, colors))):
-        good = verdicts.get(key)
-        if good is None:
-            good = ball_flag_reciprocity(ear.complex, colors, len(dec.ranks))
-            if key is not None:
-                verdicts[key] = good
-        rows.append({"ear": k + 1, "ok": good})
-    return rows
 
 
 def _h_source(args) -> list[int]:
@@ -566,7 +554,12 @@ def cmd_experiment(args) -> int:
         # the most facets (each other chain extends into it)
         _cap_checker(args)("homology", _flag_count(c))
 
-    fp = face_poset(c, include_empty=True, graded=True)
+    # the rows name no face, so faces are named over vertices v0, v1, ...,
+    # where no face name can repeat a vertex name
+    renamed = {v: f"v{i}" for i, v in enumerate(c.vertices)}
+    fp = face_poset(
+        build_complex([map(renamed.get, f) for f in c.facets]), include_empty=True, graded=True
+    )
     shellable = search_shelling(c) is not None
     rows = []
     for S in subsets:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .complexes import (
     SimplicialComplex,
@@ -136,8 +136,9 @@ def _class_map(
 
 def _coordinate_sphere(
     ranks: Sequence[int],
-) -> tuple[SimplicialComplex, dict[str, frozenset[int]]]:
-    """K, the reference sphere in copy coordinates, with each vertex's set.
+) -> tuple[SimplicialComplex, list[frozenset[int]]]:
+    """K, the reference sphere in copy coordinates, with each vertex's set,
+    listed in K's vertex order (the i-th set is bit i of K's masks).
 
     K is the sphere of the identity word: the join, over the intervals
     [a, b] of the selected ranks, of the chains strictly between [a - 1]
@@ -149,8 +150,9 @@ def _coordinate_sphere(
     """
     flags = _sphere(range(1, ranks[-1] + 2), ranks)
     name = {a: "+".join(map(str, sorted(a))) for a in {a for fl in flags for a in fl}}
-    facets = [tuple(name[a] for a in fl) for fl in flags]
-    return build_complex(facets), {v: a for a, v in name.items()}
+    sphere = build_complex([tuple(name[a] for a in fl) for fl in flags])
+    coord = {v: a for a, v in name.items()}
+    return sphere, [coord[v] for v in sphere.vertices]
 
 
 # -- decomposition containers ------------------------------------------------
@@ -514,7 +516,8 @@ def verify_ced(dec: EarDecomposition) -> dict:
     its own verdict.
     An ear without a class word, or whose map is undefined or not injective
     on K, has no reference sphere and fails every polytope entry.
-    Ears with one key of ``pulled_back_keys`` are isomorphic and share one certificate.
+    Ears that pull back onto one mask set with no vertex outside K are
+    isomorphic, since the map is injective, and share one certificate.
     """
     delta, ears = dec.complex, dec.ears
     report: dict = {
@@ -545,17 +548,18 @@ def verify_ced(dec: EarDecomposition) -> dict:
     holders: dict[str, int] = {}
     placed = 0
     sphere, coord = _coordinate_sphere(dec.ranks)
-    sphere_facets = {f: f for f in sphere.facets}  # stored keys share K's own facet objects
+    sphere_facets = set(sphere.masks)
+    outside = 1 << len(coord)
     sphere_kind: Optional[str] = None
-    certified: dict[frozenset, str] = {}
+    certified: dict[frozenset[int], str] = {}
     for i, ear in enumerate(ears):
         pulled = _pulled_back(ear, coord)
-        key = _key(pulled)
+        key = pulled if pulled is not None and max(pulled, default=0) < outside else None
         kind = certified.get(key)
         if kind is None:
             kind = _certify(ear.complex, ear.shelling)
             if key is not None:
-                certified[frozenset(sphere_facets.get(f, f) for f in key)] = kind
+                certified[key] = kind
         kinds.append(kind)
         entry = {"ear": i + 1}
         if pulled is None:
@@ -564,7 +568,7 @@ def verify_ced(dec: EarDecomposition) -> dict:
                 False,
             ))
         else:
-            whole = pulled == sphere_facets.keys()
+            whole = pulled == sphere_facets
             if sphere_kind is None:
                 # an injective relabelling keeps homology and the closed
                 # pseudomanifold property, and the sphere verdict never reads
@@ -572,11 +576,13 @@ def verify_ced(dec: EarDecomposition) -> dict:
                 sphere_kind = kind if whole else _certify(sphere)
             entry["ambient_is_sphere"] = sphere_kind == "SPHERE"
             entry["full_dimensional"] = ear.complex.dim == sphere.dim
-            entry["subcomplex"] = all(f in sphere_facets or sphere.has_face(f) for f in pulled)
+            entry["subcomplex"] = all(
+                m in sphere_facets or any(m | k == k for k in sphere.masks) for m in pulled
+            )
             if i == 0:
                 entry["equals_ambient"] = whole
             else:
-                entry["proper"] = pulled < sphere_facets.keys()
+                entry["proper"] = pulled < sphere_facets
         entries.append(entry)
         if len(ears) == 1:
             continue
@@ -652,40 +658,26 @@ def verify_ced(dec: EarDecomposition) -> dict:
     return report
 
 
-def pulled_back_keys(
-    dec: EarDecomposition, colors: Optional[Mapping[str, int]] = None
-) -> list[Optional[frozenset]]:
-    """Each ear's ``_pulled_back`` facet set: ears with one key are isomorphic,
-    colors included, since the map is injective. None for an ear with no map
-    or with a vertex outside K's image."""
-    _, coord = _coordinate_sphere(dec.ranks)
-    return [_key(_pulled_back(ear, coord, colors)) for ear in dec.ears]
-
-
-def _key(pulled: Optional[frozenset]) -> Optional[frozenset]:
-    return None if pulled is None or any(None in f for f in pulled) else pulled
-
-
-def _pulled_back(
-    ear: Ear, coord: dict[str, frozenset[int]], colors: Optional[Mapping[str, int]] = None
-) -> Optional[frozenset]:
-    """The ear's facet set in K's vertex names (each paired with its host's
-    color when ``colors`` is given), through the inverse of the relabelling
-    A -> coord_names[w(A)] for the class word w; None when the ear has no
-    reference sphere: no class word, or a map undefined or not injective on
-    K. A host vertex outside K's image pulls back to None, so no facet
-    holding it is a face of K."""
+def _pulled_back(ear: Ear, coord: Sequence[frozenset[int]]) -> Optional[frozenset[int]]:
+    """The ear's facets as masks over K's bits, through the inverse of the
+    relabelling A -> coord_names[w(A)] for the class word w; None when the
+    ear has no reference sphere: no class word, or a map undefined or not
+    injective on K. A host vertex outside K's image counts as the bit just
+    above K's vertices, so a facet holding one reads at or above that bit
+    and is no face of K."""
     word = ear.provenance.get("class_word")
     if word is None:
         return None
     letter = dict(enumerate(word, start=1))
-    back: dict[str, object] = {}
-    for v, a in coord.items():
-        name = ear.coord_names.get(frozenset(letter.get(i) for i in a))
+    back: dict[str, int] = {}
+    for i, a in enumerate(coord):
+        name = ear.coord_names.get(frozenset(letter.get(j) for j in a))
         if name is None or name in back:
             return None
-        back[name] = v if colors is None else (v, colors.get(name))
-    return frozenset(frozenset(back.get(x) for x in f) for f in ear.complex.facets)
+        back[name] = 1 << i
+    outside = 1 << len(coord)
+    bit = {x: back.get(x, outside) for x in ear.complex.vertices}
+    return frozenset(sum(map(bit.__getitem__, f)) for f in ear.complex.facets)
 
 
 def _certify(c: SimplicialComplex, shelling: Optional[ShellingOrder] = None) -> str:

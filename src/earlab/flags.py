@@ -65,7 +65,6 @@ __all__ = [
     "is_m_vector",
     "g_and_m_check",
     "verify_h_inequalities",
-    "inversion_mask",
     "weak_leq_by_switches",
     "descent_classes",
     "dominates",
@@ -250,24 +249,6 @@ def verify_h_inequalities(h: Sequence[int]) -> tuple[bool, list[str]]:
 # -- weak order and dominance ---------------------------------------------------
 
 
-def inversion_mask(perm: Sequence[int]) -> int:
-    """Bitmask over value pairs (a, b), a < b, set when a appears after b.
-
-    Pair (a, b) owns bit (a - 1) * m + b - 1, so masks of one length m
-    compare by containment.
-    """
-    m = len(perm)
-    pos = {v: i for i, v in enumerate(perm)}
-    if len(pos) != m or set(pos) != set(range(1, m + 1)):
-        raise BadParams(f"{perm!r} is not a permutation of 1..{m}")
-    mask = 0
-    for a in range(1, m + 1):
-        for b in range(a + 1, m + 1):
-            if pos[a] > pos[b]:
-                mask |= 1 << ((a - 1) * m + b - 1)
-    return mask
-
-
 def weak_leq_by_switches(sigma: Sequence[int], tau: Sequence[int]) -> bool:
     """Oracle: walk ascent switches upward from σ looking for τ."""
     if len(sigma) != len(tau):
@@ -308,8 +289,10 @@ def _class_masks(
     m: int,
 ) -> dict[frozenset[int], tuple[tuple[int, ...], tuple[int, ...], tuple[bytes, ...]]]:
     """Per descent class of S_m, in ``descent_classes`` order: the members'
-    inversion masks, for each bit of ``inversion_mask`` the bitset of the
-    members that have it, and each member's inversion bits as ``bytes``.
+    inversion masks, where the pair of values a < b owns bit
+    (a - 1) * m + b - 1 and is set when a comes after b, so masks compare
+    by containment; for each bit the bitset of the members that have it;
+    and each member's inversion bits as ``bytes``.
 
     One lexicographic sweep of S_m extends each prefix once, carrying the
     values still unplaced, the inversion mask and bits so far, and the

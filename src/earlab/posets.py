@@ -24,6 +24,7 @@ from .errors import (
     CycleDetected,
     DanglingCover,
     EmptySelection,
+    Inconsistent,
     NotComparable,
     NotGraded,
     RangeError,
@@ -199,10 +200,14 @@ def build_poset(
 
     The input pairs may contain transitively implied relations; the stored
     cover relation is the transitive reduction of the generated order.
-    Raises CycleDetected / DanglingCover / NotGraded accordingly (the graded
-    check runs only when ``graded=True``).
+    Raises Inconsistent for an element listed twice, and CycleDetected /
+    DanglingCover / NotGraded accordingly (the graded check runs only when
+    ``graded=True``).
     """
-    names = sorted(set(elements))
+    names = sorted(elements)
+    twice = next((a for a, b in zip(names, names[1:]) if a == b), None)
+    if twice is not None:
+        raise Inconsistent(f"element {twice!r} is listed twice")
     index = {e: i for i, e in enumerate(names)}
     n = len(names)
     adj = [set() for _ in range(n)]

@@ -19,7 +19,8 @@ needs them, so they live with the tests:
   ``corollary_gap_coefficients_by_expansion``: the gap coefficients with
   both flag h's expanded by hand into products of binomials, the two
   routes ``flags.face_poset_flags`` replaced;
-* ``weak_leq``: the weak order by inversion-set containment;
+* ``inversion_mask`` and ``weak_leq``: a permutation's inversion set as
+  a bitmask, and the weak order by inversion-set containment;
 * ``class_masks_per_permutation``, ``dominance_table_all_pairs`` and
   ``flag_f_per_subset``: the inversion masks and inversion bits of each
   descent class by ``inversion_mask`` and by reading each permutation,
@@ -81,7 +82,11 @@ needs them, so they live with the tests:
   name sets of the ear's faces and of its ``boundary_complex``, compared
   coefficient by coefficient;
 * ``reciprocity_rows_per_ear``: the rows of ``verify --what reciprocity``
-  with the identity checked on every ear, not once per colored pull-back;
+  with a check run on every ear, which lets a test read a refused coloring
+  as a failure;
+* ``pulled_back_name_keys``: each ear's facets pulled back into K as sets
+  of K's vertex names, against which the mask keys of ``verify_ced``'s
+  certificate memo are diffed;
 * ``subset_novelty_scan``: a chain is new when no earlier copy's name set
   contains it, by scanning every earlier copy;
 * ``macaulay_pseudopower_by_scan``: a^<i> with each n of the greedy
@@ -156,7 +161,6 @@ from earlab.flags import (
     ball_flag_reciprocity,
     descent_classes,
     flag_f_and_h,
-    inversion_mask,
 )
 from earlab.labelings import EdgeLabeling, descent_set
 from earlab.lattices import (
@@ -298,6 +302,24 @@ def corollary_gap_coefficients_by_expansion(
             )
         )
     return tuple(a)
+
+
+def inversion_mask(perm: Sequence[int]) -> int:
+    """Bitmask over value pairs (a, b), a < b, set when a appears after b.
+
+    Pair (a, b) owns bit (a - 1) * m + b - 1, so masks of one length m
+    compare by containment.
+    """
+    m = len(perm)
+    pos = {v: i for i, v in enumerate(perm)}
+    if len(pos) != m or set(pos) != set(range(1, m + 1)):
+        raise BadParams(f"{perm!r} is not a permutation of 1..{m}")
+    mask = 0
+    for a in range(1, m + 1):
+        for b in range(a + 1, m + 1):
+            if pos[a] > pos[b]:
+                mask |= 1 << ((a - 1) * m + b - 1)
+    return mask
 
 
 def weak_leq(sigma: Sequence[int], tau: Sequence[int]) -> bool:
@@ -848,12 +870,14 @@ def polytope_entries_by_ambients(dec: EarDecomposition) -> list[dict]:
 def ced_axioms_certifying_each_ear(dec: EarDecomposition) -> dict:
     """``axiom_balls.kinds``, ``axiom_polytope.per_ear`` and
     ``axiom_boundary.witnesses`` of ``verify_ced``, with every ear certified
-    on its own and the gluing axiom read off running face sets."""
+    on its own, the pulled-back masks read as K's faces by name, and the
+    gluing axiom read off running face sets."""
     ears = dec.ears
     kinds, entries = [], []
     sphere, coord = _coordinate_sphere(dec.ranks)
     sphere_facets = set(sphere.facets)
     sphere_kind = _certify(sphere)
+    outside = 1 << len(coord)
     for i, ear in enumerate(ears):
         kinds.append(_certify(ear.complex, ear.shelling))
         entry = {"ear": i + 1}
@@ -864,14 +888,16 @@ def ced_axioms_certifying_each_ear(dec: EarDecomposition) -> dict:
                 False,
             ))
         else:
-            inside = sum(f in sphere_facets for f in pulled)
+            # a mask at or above the outside bit holds a vertex outside K's image
+            faces = {sphere.face(m) for m in pulled if m < outside}
+            within = len(faces) == len(pulled)
             entry["ambient_is_sphere"] = sphere_kind == "SPHERE"
             entry["full_dimensional"] = ear.complex.dim == sphere.dim
-            entry["subcomplex"] = all(f in sphere_facets or sphere.has_face(f) for f in pulled)
+            entry["subcomplex"] = within and all(map(sphere.has_face, faces))
             if i == 0:
-                entry["equals_ambient"] = inside == len(pulled) == len(sphere_facets)
+                entry["equals_ambient"] = within and faces == sphere_facets
             else:
-                entry["proper"] = inside == len(pulled) < len(sphere_facets)
+                entry["proper"] = within and faces < sphere_facets
         entries.append(entry)
     return {"kinds": kinds, "per_ear": entries, "witnesses": gluing_witnesses_by_face_sets(ears)}
 
@@ -970,6 +996,31 @@ def reciprocity_by_polynomials(ear: SimplicialComplex, colors, d: int) -> bool:
     lhs = {k: v for k, v in lhs.items() if v}
     rhs = {k: v for k, v in rhs.items() if v}
     return lhs == rhs
+
+
+def pulled_back_name_keys(dec: EarDecomposition) -> list[Optional[frozenset]]:
+    """Each ear's facets pulled back into K as sets of K's vertex names, the
+    certificate key ``verify_ced`` used before it read masks. None for an
+    ear with no class word, a map undefined or not injective on K, or a
+    vertex outside K's image."""
+    sphere, coord = _coordinate_sphere(dec.ranks)
+    return [_name_key(ear, zip(sphere.vertices, coord)) for ear in dec.ears]
+
+
+def _name_key(ear: Ear, coord: Iterable[tuple[str, frozenset[int]]]) -> Optional[frozenset]:
+    word = ear.provenance.get("class_word")
+    if word is None:
+        return None
+    letter = dict(enumerate(word, start=1))
+    back: dict[str, str] = {}
+    for v, a in coord:
+        name = ear.coord_names.get(frozenset(letter.get(i) for i in a))
+        if name is None or name in back:
+            return None
+        back[name] = v
+    if not back.keys() >= set(ear.complex.vertices):
+        return None
+    return frozenset(frozenset(map(back.__getitem__, f)) for f in ear.complex.facets)
 
 
 def reciprocity_rows_per_ear(

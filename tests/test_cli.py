@@ -13,7 +13,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
@@ -22,7 +22,7 @@ import pytest
 from earlab.cli import COMPLEX_FIXTURES, _flag_count, main
 from earlab.complexes import _faces_by_size, build_complex, face_poset, order_complex
 from earlab.decompositions import _generated_copy, decompose_rank_selected_boolean
-from earlab.flags import _subset_transform, flag_f_and_h, m_vector_witness
+from earlab.flags import _subset_transform, ball_flag_reciprocity, flag_f_and_h, m_vector_witness
 from earlab.posets import canonical_dumps, rank_select, with_bounds
 
 
@@ -531,6 +531,26 @@ def test_verify_reciprocity(tmp_path, capsys):
     assert all(row["ok"] for row in doc["result"]["ears"])
 
 
+def test_verify_reciprocity_checks_every_ear(tmp_path, capsys, monkeypatch):
+    # rank-boolean (7, {2, 4, 6}): 272 ears pull back onto 13 mask sets of
+    # K, but each ear is checked on its own
+    report = tmp_path / "run.json"
+    run_cli(capsys, "decompose", "--construction", "rank-boolean",
+            "--rank", "7", "--ranks", "2,4,6", "--output", str(report))
+    checked = []
+
+    def counted(ear, *args):
+        checked.append(ear)
+        return ball_flag_reciprocity(ear, *args)
+
+    monkeypatch.setattr("earlab.cli.ball_flag_reciprocity", counted)
+    code, out, _ = run_cli(capsys, "verify", "--what", "reciprocity",
+                           "--input", str(report))
+    assert code == 0
+    assert len(json.loads(out)["result"]["ears"]) == 272
+    assert len({id(c) for c in checked}) == len(checked) == 272
+
+
 DATA = Path(__file__).resolve().parent / "data"
 
 # earlab.run/1 reports, written before ears were serialised by reference,
@@ -807,6 +827,46 @@ def test_experiment_on_a_complex_without_vertices_has_no_rows(facets, tmp_path, 
     code, out, _ = run_cli(capsys, "experiment", "rank-selection", "--input", str(path))
     assert code == 0
     assert json.loads(out)["rows"] == []
+
+
+@pytest.mark.parametrize("facets", [[["0", "a"], ["a", "b"]], [["a", "b"], ["a+b", "c"]]],
+                         ids=["vertex-named-0", "vertex-named-a+b"])
+def test_experiment_reports_on_vertices_named_like_faces(facets, tmp_path, capsys):
+    # "0" is the empty face's name and "a+b" the edge ab's; the rows name no
+    # face, so they equal those of the same complex on other vertex names
+    rows = []
+    for names in facets, [[f"x{v}" for v in f] for f in facets]:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"schema": "earlab.complex/1", "facets": names}))
+        code, out, _ = run_cli(capsys, "experiment", "rank-selection", "--input", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["complex"]["facets"] == names
+        rows.append(doc["rows"])
+    assert rows[0] == rows[1] and [row["S"] for row in rows[0]] == [[1], [2], [1, 2]]
+
+
+@pytest.mark.parametrize("argv", [["gen", "flats"], ["decompose", "--construction", "geometric"]],
+                         ids=["gen-flats", "decompose-geometric"])
+def test_flats_named_like_an_atom_are_refused(argv, tmp_path, capsys):
+    # U(3,4) on a, b, a+b, c: the flat {a, b} is named "a+b", like an atom
+    ground = ["a", "b", "a+b", "c"]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"schema": "earlab.matroid/1", "ground": ground,
+                                "bases": [list(b) for b in combinations(ground, 3)]}))
+    code, out, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 2 and out == ""
+    assert "Inconsistent: element 'a+b' is listed twice" in err
+
+
+def test_poset_document_listing_an_element_twice_is_refused(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"schema": "earlab.poset/1", "elements": ["0", "a", "a", "1"],
+                                "covers": [["0", "a"], ["a", "1"]]}))
+    code, out, err = run_cli(capsys, "decompose", "--construction", "supersolvable",
+                             "--input", str(path))
+    assert code == 2 and out == ""
+    assert "Inconsistent: element 'a' is listed twice" in err
 
 
 def test_experiment_unknown_fixture(capsys):

@@ -78,9 +78,9 @@ against the brute-force routes they replaced, on random inputs.
   replaced, on colored complexes whose facets are transversals of the
   color classes, some recolored, and on every ear of the corpus;
 * ``verify_ced``'s kinds, polytope entries and gluing witnesses (one
-  certificate per distinct pull-back into K) and ``verify --what
-  reciprocity``'s rows (one check per colored pull-back) against
-  certifying and checking every ear;
+  certificate per distinct pull-back into K, as masks over K's bits)
+  against certifying every ear, and its mask keys against pulling each ear
+  back into K's vertex names;
 * ``verify_ced``'s h(Δ) (summed from the flag h of the selected poset)
   and its ear sum (h of ear 1 plus the reversed h of every later ear, off
   their own shellings) against ``f_h_vectors``, and the ear sum against
@@ -127,7 +127,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from earlab.cli import COMPLEX_FIXTURES, _edge_list, _face_flag_h, _reciprocity_rows
+from earlab.cli import COMPLEX_FIXTURES, _edge_list, _face_flag_h
 from earlab.complexes import (
     SimplicialComplex,
     _extend_shelling,
@@ -161,7 +161,6 @@ from earlab.decompositions import (
     decompose_rank_selected_supersolvable,
     decompose_supersolvable,
     intervals_of,
-    pulled_back_keys,
     verify_ced,
 )
 from earlab.errors import (
@@ -188,7 +187,6 @@ from earlab.flags import (
     dominates,
     face_poset_flags,
     flag_f_and_h,
-    inversion_mask,
     weak_leq_by_switches,
 )
 from earlab.labelings import (
@@ -257,6 +255,7 @@ from oracles import (
     gluing_witnesses_by_face_sets,
     graphic_matroid_by_all_sizes,
     induced_subposet_by_names,
+    inversion_mask,
     is_geometric,
     is_mchain,
     is_subcomplex,
@@ -264,6 +263,7 @@ from oracles import (
     meet_table,
     partition_problems,
     polytope_entries_by_ambients,
+    pulled_back_name_keys,
     reciprocity_by_polynomials,
     reciprocity_rows_per_ear,
     reduced_euler,
@@ -1563,7 +1563,7 @@ def test_coordinate_sphere_image_agrees_with_the_permutation_walk(case):
     walk = ambient_by_permutations(elem, intervals_of(ranks), _frame_of(word, ranks, r))
     ear = SimpleNamespace(provenance={"class_word": list(word)}, coord_names=elem, complex=walk)
     pulled = _pulled_back(ear, coord)
-    assert len(pulled) == len(walk.facets) and set(pulled) == set(sphere.facets)
+    assert len(pulled) == len(walk.facets) and {sphere.face(m) for m in pulled} == set(sphere.facets)
     dec = decompose_rank_selected_boolean(r, ranks)
     assert polytope_entries(dec) == polytope_entries_by_ambients(dec)
 
@@ -1625,8 +1625,8 @@ def test_non_injective_copy_has_no_reference_sphere():
     ear = dec.ears[1]
     word = ear.provenance["class_word"]
     sphere, coord = _coordinate_sphere(dec.ranks)
-    moved = {v: frozenset(word[i - 1] for i in a) for v, a in coord.items()}
-    first, second = sorted(v for v, a in coord.items() if len(a) == 1)[:2]
+    moved = {v: frozenset(word[i - 1] for i in a) for v, a in zip(sphere.vertices, coord)}
+    first, second = sorted(v for v, a in zip(sphere.vertices, coord) if len(a) == 1)[:2]
     names = dict(ear.coord_names)
     names[moved[second]] = names[moved[first]]
     bad = _with_ear(dec, 1, coord_names=names)
@@ -1646,6 +1646,8 @@ def test_injective_map_moving_a_vertex_of_K_leaves_the_ear_outside():
         (a,) = [a for a, x in names.items() if x == ear.complex.vertices[0]]
         names[a] = "moved"
         bad = _with_ear(dec, 1, coord_names=names)
+        _, coord = _coordinate_sphere(dec.ranks)
+        assert max(_pulled_back(bad.ears[1], coord)) >= 1 << len(coord)
         entry = polytope_entries(bad)[1]
         assert entry["ambient_is_sphere"] is True
         assert entry["subcomplex"] is False and entry["proper"] is False
@@ -1675,6 +1677,19 @@ def ced_axioms(dec) -> dict:
         "per_ear": report["axiom_polytope"]["per_ear"],
         "witnesses": report["axiom_boundary"]["witnesses"],
     }
+
+
+def mask_keys(dec) -> list:
+    """``verify_ced``'s certificate key per ear: its pulled-back masks, or
+    None when it has none or a mask reaches the bit above K's vertices."""
+    _, coord = _coordinate_sphere(dec.ranks)
+    pulled = [_pulled_back(ear, coord) for ear in dec.ears]
+    return [p if p is not None and max(p, default=0) < 1 << len(coord) else None for p in pulled]
+
+
+def first_holders(keys) -> list:
+    """For each key, the index of the first ear holding it; None for no key."""
+    return [None if k is None else keys.index(k) for k in keys]
 
 
 def reciprocity_colors(dec) -> dict[str, int]:
@@ -1748,8 +1763,6 @@ def test_reciprocity_fails_off_balls_and_spheres(facets, colors, d):
 def test_keyed_checks_agree_with_checking_each_ear(name):
     dec = ambient_corpus()[name]
     assert ced_axioms(dec) == ced_axioms_certifying_each_ear(dec)
-    colors = reciprocity_colors(dec)
-    assert _reciprocity_rows(dec, colors) == reciprocity_rows_per_ear(dec, colors)
 
 
 def test_keyed_certificates_agree_on_handmade_ears():
@@ -1757,7 +1770,7 @@ def test_keyed_certificates_agree_on_handmade_ears():
     fake = square_and_path()
     square, path = fake.ears
     for dec in fake, replace(fake, ears=[path, square]), replace(fake, ears=[square, path, path]):
-        assert pulled_back_keys(dec) == [None] * len(dec.ears)
+        assert mask_keys(dec) == [None] * len(dec.ears)
         assert ced_axioms(dec) == ced_axioms_certifying_each_ear(dec)
     assert ced_axioms(fake)["witnesses"]
 
@@ -1809,17 +1822,20 @@ def moved_chain_decompositions(draw):
 @given(moved_chain_decompositions())
 def test_keyed_checks_agree_on_moved_chains(dec):
     assert ced_axioms(dec) == ced_axioms_certifying_each_ear(dec)
-    colors = reciprocity_colors(dec)
-    rows = reciprocity_rows_per_ear(dec, colors, lenient_reciprocity)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("earlab.cli.ball_flag_reciprocity", lenient_reciprocity)
-        assert _reciprocity_rows(dec, colors) == rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(moved_chain_decompositions())
+def test_mask_keys_pair_ears_as_name_set_keys_do(dec):
+    # the map is injective on K, so masks over K's bits and K's vertex
+    # names tell the same pulled-back facet sets apart
+    assert first_holders(mask_keys(dec)) == first_holders(pulled_back_name_keys(dec))
 
 
 def twin_ear(dec) -> tuple[int, int]:
     """(first, later): two ears of ``dec`` with one key."""
     first: dict = {}
-    for j, key in enumerate(pulled_back_keys(dec)):
+    for j, key in enumerate(mask_keys(dec)):
         if key in first:
             return first[key], j
         first[key] = j
@@ -1845,11 +1861,13 @@ def test_ear_with_a_vertex_outside_K_has_no_key_and_is_certified_alone(monkeypat
     (a,) = [a for a, x in names.items() if x == ear.complex.vertices[0]]
     names[a] = "moved"
     bad = _with_ear(dec, j, coord_names=names)
-    assert pulled_back_keys(bad)[j] is None
+    _, coord = _coordinate_sphere(dec.ranks)
+    assert max(_pulled_back(bad.ears[j], coord)) >= 1 << len(coord)
+    assert mask_keys(bad)[j] is None and pulled_back_name_keys(bad)[j] is None
     calls = count_certificates(monkeypatch)
     axioms = ced_axioms(bad)
     assert sum(c is ear.complex for c in calls) == 1
-    assert len(calls) == len(set(pulled_back_keys(dec))) + 1
+    assert len(calls) == len(set(mask_keys(dec))) + 1
     assert axioms == ced_axioms_certifying_each_ear(bad)
 
 
@@ -1858,23 +1876,24 @@ def test_non_injective_copy_has_no_key_and_is_certified_alone(monkeypatch):
     _, j = twin_ear(dec)
     ear = dec.ears[j]
     word = ear.provenance["class_word"]
-    _, coord = _coordinate_sphere(dec.ranks)
-    moved = {v: frozenset(word[i - 1] for i in a) for v, a in coord.items()}
-    first, second = sorted(v for v, a in coord.items() if len(a) == 2)[:2]
+    sphere, coord = _coordinate_sphere(dec.ranks)
+    moved = {v: frozenset(word[i - 1] for i in a) for v, a in zip(sphere.vertices, coord)}
+    first, second = sorted(v for v, a in zip(sphere.vertices, coord) if len(a) == 2)[:2]
     names = dict(ear.coord_names)
     names[moved[second]] = names[moved[first]]
     bad = _with_ear(dec, j, coord_names=names)
-    assert pulled_back_keys(bad)[j] is None
+    assert _pulled_back(bad.ears[j], coord) is None and mask_keys(bad)[j] is None
     calls = count_certificates(monkeypatch)
     axioms = ced_axioms(bad)
     assert sum(c is ear.complex for c in calls) == 1
     assert axioms == ced_axioms_certifying_each_ear(bad)
 
 
-def test_recolored_twin_has_its_own_key_and_fails_alone(monkeypatch):
+def test_recolored_twin_fails_alone():
     # one vertex of a repeated ear renamed in its chains and its copy, so
     # only that ear holds it, and given another rank's color: the ear still
-    # pulls back onto its twin's facets, but not with its twin's colors
+    # pulls back onto its twin's masks, but only it fails reciprocity, so a
+    # verdict shared by key would be wrong
     dec = ambient_corpus()["bool7-246"]
     i, j = twin_ear(dec)
     ear = dec.ears[j]
@@ -1884,12 +1903,10 @@ def test_recolored_twin_has_its_own_key_and_fails_alone(monkeypatch):
     bad = _with_ear(dec, j, chains=chains, shelling=_shelled(chains), coord_names=names)
     colors = reciprocity_colors(dec)
     colors["fresh"] = colors[x] % len(dec.ranks) + 1
-    plain, colored = pulled_back_keys(bad), pulled_back_keys(bad, colors)
-    assert plain[j] == plain[i] and colored[j] != colored[i]
+    keys = mask_keys(bad)
+    assert keys[j] == keys[i] is not None
     rows = reciprocity_rows_per_ear(bad, colors, lenient_reciprocity)
     assert [row["ear"] for row in rows if not row["ok"]] == [j + 1]
-    monkeypatch.setattr("earlab.cli.ball_flag_reciprocity", lenient_reciprocity)
-    assert _reciprocity_rows(bad, colors) == rows
 
 
 # -- h(Δ) as the ear sum ---------------------------------------------------------------

@@ -29,7 +29,6 @@ from earlab.flags import (
     flag_f_and_h,
     g_and_m_check,
     g_vector,
-    inversion_mask,
     is_m_vector,
     macaulay_pseudopower,
     verify_flag_inequalities,
@@ -44,6 +43,7 @@ from oracles import (
     flag_f_from_complex_fvector,
     flag_h_from_descents,
     h_from_flag_h,
+    inversion_mask,
     macaulay_pseudopower_by_scan,
     weak_leq,
 )

@@ -12,6 +12,7 @@ from earlab.errors import (
     BadParams,
     CycleDetected,
     DanglingCover,
+    Inconsistent,
     NotComparable,
     NotGraded,
     RangeError,
@@ -55,6 +56,11 @@ def chain_poset(n: int):
 def test_build_rejects_cover_with_unknown_element():
     with pytest.raises(DanglingCover):
         build_poset(["a"], [("a", "b")])
+
+
+def test_build_rejects_an_element_listed_twice():
+    with pytest.raises(Inconsistent, match="element 'a' is listed twice"):
+        build_poset(["a", "b", "a"], [("a", "b")])
 
 
 def test_build_rejects_cycle():
