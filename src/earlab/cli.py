@@ -62,7 +62,7 @@ from .decompositions import (
 )
 from .errors import BadParams, EarlabError, NotGraded, SelfCheckFailed, SizeLimit
 from .flags import (
-    DOMINANCE_CAP,
+    _check_class_rank,
     _inequality_report,
     ball_flag_reciprocity,
     face_poset_flags,
@@ -197,12 +197,6 @@ def _cap_checker(args):
     return check
 
 
-def _check_rank(rank: int) -> None:
-    """Refuse ranks the descent-class machinery cannot reach, up front."""
-    if rank > DOMINANCE_CAP:
-        raise SizeLimit(f"rank {rank} exceeds the descent-class cap m = {DOMINANCE_CAP}")
-
-
 # -- input materialization -------------------------------------------------------
 
 
@@ -240,7 +234,7 @@ def _face_flag_h(c: SimplicialComplex):
     its face poset with the facet rank dropped (the suite's guarantees stop
     below the facets) and bounds added, read off f(c)."""
     d = c.dim + 1
-    _check_rank(d)  # the rank the suite sees, refused before any face is listed
+    _check_class_rank(d)  # the rank the suite sees, refused before any face is listed
     if d < 2:
         raise BadParams("the complex has no proper face ranks below the facets")
     short = min(c.facets, key=len)
@@ -547,7 +541,7 @@ def cmd_experiment(args) -> int:
     else:
         raise BadParams("need --input or --fixture")
     d = c.dim + 1
-    _check_rank(d)
+    _check_class_rank(d)
     subsets = [S for k in range(1, d + 1) for S in combinations(range(1, d + 1), k)]
     if subsets:
         # homology runs on the selections' order complexes; the full one has

@@ -5,9 +5,10 @@ Boolean lattice B_rho embedded in a host poset, and is cut out in copy
 coordinates (subsets of [rho]) as Chari's are: for each class word w, in
 lex order over the descent class D_S of the selected ranks, the selected
 flags of the sphere Sigma_w that no earlier word's sphere holds, listed in
-reverse lex order of their frame words, which shells them. The
-constructions differ only in their copies' generators and in when a chain
-counts as new. Both lattice constructions read them off the
+reverse lex order of their frame words, which shells them. One rule
+decides what is new: a chain that no earlier copy holds all of (for a face
+poset, the shelling's restriction rule). The constructions differ only in
+their copies' generators. Both lattice constructions read them off the
 strictly decreasing maximal chains of one EL-labeling; for the minimal
 labeling of a geometric lattice these are the nbc bases (Björner 1992).
 """
@@ -237,11 +238,11 @@ def _assemble(
     copies: Sequence[_Copy],
     ranks: tuple[int, ...],
     rho: int,
-    is_new: Callable[[int, tuple[frozenset[int], ...], tuple[str, ...]], bool],
 ) -> EarDecomposition:
-    """Cut every copy's selected chains into ears by ``_class_map`` and keep
+    """Cut every copy's selected chains into ears by ``_class_map``, keep
     the new ones; ``verify_ced`` decides whether they partition the chains."""
     class_map = _class_map(rho, ranks)
+    is_new = _subset_novelty(copies)
     ears: list[Ear] = []
     dropped: list[dict] = []
     for ci, copy in enumerate(copies):
@@ -249,7 +250,7 @@ def _assemble(
             kept: list[tuple[str, ...]] = []
             for fl in flags:
                 names = tuple(copy.elem[x] for x in fl)
-                if is_new(ci, fl, names):
+                if is_new(ci, names):
                     kept.append(names)
             prov = dict(copy.provenance)
             prov["copy_index"] = ci + 1
@@ -317,7 +318,6 @@ def decompose_rank_selected_boolean(r: int, ranks: Iterable[int]) -> EarDecompos
         [copy],
         sel,
         r,
-        lambda ci, fl, names: True,
     )
 
 
@@ -349,7 +349,7 @@ def _subset_novelty(copies: Sequence[_Copy]):
         for x in c.elem.values():
             holders[x] = holders.get(x, 0) | 1 << m
 
-    def is_new(ci: int, fl, chain_names) -> bool:
+    def is_new(ci: int, chain_names) -> bool:
         common = -1
         for x in chain_names:
             common &= holders[x]
@@ -383,7 +383,6 @@ def _supersolvable(
         copies,
         sel,
         lat.rank,
-        _subset_novelty(copies),
     )
 
 
@@ -411,7 +410,8 @@ def decompose_face_poset(
 
     Each shelling step contributes a Boolean copy (faces of that facet,
     coordinatized by a vertex order that puts the restriction face last);
-    a chain is new when its top face contains the restriction face.
+    no earlier facet holds a chain exactly when its top face contains the
+    restriction face (Björner, Handbook of Combinatorics, 1995).
     """
     if c.is_void or c.is_irrelevant:
         raise BadParams("need a complex with at least one vertex")
@@ -432,7 +432,6 @@ def decompose_face_poset(
     fp = face_poset(c, include_empty=True, graded=True)
 
     copies = []
-    reqs = []
     for step, (facet, restr) in enumerate(zip(sh.facet_sequence(), sh.restrictions)):
         placement = sorted(facet - restr) + sorted(restr)
         provenance = {
@@ -442,11 +441,6 @@ def decompose_face_poset(
             "restriction": face_name(restr),
         }
         copies.append(_generated_copy(placement, face_name, provenance))
-        reqs.append(frozenset(range(d - len(restr) + 1, d + 1)))
-
-    def is_new(ci: int, fl, chain_names) -> bool:
-        return reqs[ci] <= fl[-1]
-
     return _assemble(
         "face-poset",
         {"ranks": list(sel), "shelling": [face_name(f) for f in sh.facet_sequence()]},
@@ -454,7 +448,6 @@ def decompose_face_poset(
         copies,
         sel,
         d,
-        is_new,
     )
 
 
@@ -488,7 +481,6 @@ def decompose_geometric(
         copies,
         sel,
         r,
-        _subset_novelty(copies),
     )
     # keep the labeling around for callers that want to cross-check words
     dec.params["labels"] = lab.to_json_field()
@@ -511,13 +503,13 @@ def verify_ced(dec: EarDecomposition) -> dict:
 
     Every ear's reference sphere is the coordinate sphere K of the ranks
     relabelled by its copy and class word, so K is built once and each ear
-    is checked inside K through the inverse relabelling. K is certified at
-    most once, and not at all when ear 1 is its whole image and so lends
-    its own verdict.
+    is checked inside K through the inverse relabelling.
     An ear without a class word, or whose map is undefined or not injective
     on K, has no reference sphere and fails every polytope entry.
     Ears that pull back onto one mask set with no vertex outside K are
-    isomorphic, since the map is injective, and share one certificate.
+    isomorphic, since the map is injective, and share one certificate; K
+    takes the verdict memoized under its own facets (the sphere verdict
+    never reads the shelling), or else is certified once.
     """
     delta, ears = dec.complex, dec.ears
     report: dict = {
@@ -548,7 +540,7 @@ def verify_ced(dec: EarDecomposition) -> dict:
     holders: dict[str, int] = {}
     placed = 0
     sphere, coord = _coordinate_sphere(dec.ranks)
-    sphere_facets = set(sphere.masks)
+    sphere_facets = frozenset(sphere.masks)
     outside = 1 << len(coord)
     sphere_kind: Optional[str] = None
     certified: dict[frozenset[int], str] = {}
@@ -568,19 +560,15 @@ def verify_ced(dec: EarDecomposition) -> dict:
                 False,
             ))
         else:
-            whole = pulled == sphere_facets
             if sphere_kind is None:
-                # an injective relabelling keeps homology and the closed
-                # pseudomanifold property, and the sphere verdict never reads
-                # the shelling, so an ear that is K's whole image certifies as K does
-                sphere_kind = kind if whole else _certify(sphere)
+                sphere_kind = certified.get(sphere_facets) or _certify(sphere)
             entry["ambient_is_sphere"] = sphere_kind == "SPHERE"
             entry["full_dimensional"] = ear.complex.dim == sphere.dim
             entry["subcomplex"] = all(
                 m in sphere_facets or any(m | k == k for k in sphere.masks) for m in pulled
             )
             if i == 0:
-                entry["equals_ambient"] = whole
+                entry["equals_ambient"] = pulled == sphere_facets
             else:
                 entry["proper"] = pulled < sphere_facets
         entries.append(entry)

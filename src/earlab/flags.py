@@ -79,6 +79,14 @@ __all__ = [
 DOMINANCE_CAP = 8
 
 
+def _check_class_rank(m: int) -> None:
+    """Refuse a rank m that the descent classes of S_m cannot serve."""
+    if m < 0:
+        raise BadParams(f"m = {m} is negative")
+    if m > DOMINANCE_CAP:
+        raise SizeLimit(f"rank {m} exceeds the descent-class cap m = {DOMINANCE_CAP}")
+
+
 @dataclass(frozen=True)
 class FlagVector:
     """Map from rank subsets to counts; kind is 'f' or 'h'."""
@@ -274,10 +282,7 @@ def weak_leq_by_switches(sigma: Sequence[int], tau: Sequence[int]) -> bool:
 @lru_cache(maxsize=None)
 def descent_classes(m: int) -> dict[frozenset[int], list[tuple[int, ...]]]:
     """All of S_m grouped by descent set."""
-    if m < 0:
-        raise BadParams(f"m = {m} is negative")
-    if m > DOMINANCE_CAP:
-        raise SizeLimit(f"descent classes capped at m = {DOMINANCE_CAP}")
+    _check_class_rank(m)
     out: dict[frozenset[int], list[tuple[int, ...]]] = {}
     for perm in permutations(range(1, m + 1)):
         out.setdefault(descent_set(perm), []).append(perm)
@@ -304,10 +309,7 @@ def _class_masks(
     ``descent_classes`` lists them; no permutation is built. Written as rows
     of m² binary digits, last member first, the masks give each bit's bitset
     as a column."""
-    if m < 0:
-        raise BadParams(f"m = {m} is negative")
-    if m > DOMINANCE_CAP:
-        raise SizeLimit(f"descent classes capped at m = {DOMINANCE_CAP}")
+    _check_class_rank(m)
     gain = [
         [
             sum(1 << ((a - 1) * m + v - 1) for a in range(1, v) if (rest >> (a - 1)) & 1)
@@ -496,9 +498,7 @@ def verify_flag_inequalities(p: Poset) -> dict:
     """
     if not (p.graded and p.bounded):
         raise BadParams("need a graded bounded poset")
-    rho = p.rank_of(p.top)
-    if rho > DOMINANCE_CAP:
-        raise SizeLimit(f"rank {rho} exceeds the dominance cap {DOMINANCE_CAP}")
+    _check_class_rank(p.rank_of(p.top))  # before the 2^(rho-1) chain counts
     return _inequality_report(flag_f_and_h(p)[1])
 
 

@@ -244,7 +244,9 @@ def lattice_of_flats(m: Matroid) -> Lattice:
     """Closed sets of a simple matroid ordered by inclusion.
 
     A flat is named by complexes.face_name of its atoms, so the atoms of
-    the lattice, the singleton flats, are named after their atom.
+    the lattice, the singleton flats, are named after their atom; a ground
+    set on which two flats get one name (an atom "0", or "a+b" beside the
+    flat of a and b) is refused with Inconsistent.
 
     Precondition: ``m`` satisfies basis exchange, as build_matroid checks.
     The flats covering F are cl(I + e) for e not in F, with I an independent
@@ -273,7 +275,16 @@ def lattice_of_flats(m: Matroid) -> Lattice:
                 if g not in spans:
                     spans[g] = j
                     flats.append(g)
-    name = {f: face_name(m.ground[i] for i in range(n) if f >> i & 1) for f in flats}
+    atoms = {f: [m.ground[i] for i in range(n) if f >> i & 1] for f in flats}
+    name = {f: face_name(atoms[f]) for f in flats}
+    first: dict[str, int] = {}
+    for f, x in name.items():
+        g = first.setdefault(x, f)
+        if g != f:
+            raise Inconsistent(
+                f"flats {atoms[g]} and {atoms[f]} are both named {x!r}: a flat's name "
+                "joins its atoms with '+', and '0' names the empty flat"
+            )
     return Lattice(build_poset(name.values(), [(name[f], name[g]) for f, g in covers]))
 
 

@@ -89,6 +89,10 @@ needs them, so they live with the tests:
   certificate memo are diffed;
 * ``subset_novelty_scan``: a chain is new when no earlier copy's name set
   contains it, by scanning every earlier copy;
+* ``restriction_novelty``: the face-poset rule, a chain of shelling step j
+  is new when its top face contains the step's restriction face, read in
+  the copy's coordinates, against which the one novelty rule of
+  ``_assemble`` is diffed on face posets;
 * ``macaulay_pseudopower_by_scan``: a^<i> with each n of the greedy
   binomial representation found by a linear scan, the route the bisection
   replaced;
@@ -1034,12 +1038,26 @@ def reciprocity_rows_per_ear(
 
 
 def subset_novelty_scan(copies):
-    """``is_new(ci, flag, chain_names)``: no copy before ci holds every name."""
+    """``is_new(ci, chain_names)``: no copy before ci holds every name."""
     names = [set(c.elem.values()) for c in copies]
 
-    def is_new(ci: int, fl, chain_names) -> bool:
+    def is_new(ci: int, chain_names) -> bool:
         s = set(chain_names)
         return not any(s <= names[m] for m in range(ci))
+
+    return is_new
+
+
+def restriction_novelty(copies):
+    """``is_new(ci, chain_names)`` for the copies of ``decompose_face_poset``:
+    the top face of the chain contains the restriction face of shelling
+    step ci (Björner, Handbook of Combinatorics, 1995), both as coordinate
+    sets of the step's copy."""
+    coords = [{x: a for a, x in c.elem.items()} for c in copies]
+    need = [coords[ci][c.provenance["restriction"]] for ci, c in enumerate(copies)]
+
+    def is_new(ci: int, chain_names) -> bool:
+        return need[ci] <= coords[ci][chain_names[-1]]
 
     return is_new
 

@@ -849,14 +849,33 @@ def test_experiment_reports_on_vertices_named_like_faces(facets, tmp_path, capsy
 @pytest.mark.parametrize("argv", [["gen", "flats"], ["decompose", "--construction", "geometric"]],
                          ids=["gen-flats", "decompose-geometric"])
 def test_flats_named_like_an_atom_are_refused(argv, tmp_path, capsys):
-    # U(3,4) on a, b, a+b, c: the flat {a, b} is named "a+b", like an atom
-    ground = ["a", "b", "a+b", "c"]
+    # U(2,3) on 0, 1, 2: the atom "0" is named like the empty flat; U(3,4)
+    # on a, b, a+b, c: the flat {a, b} is named "a+b", like an atom
+    why = "a flat's name joins its atoms with '+', and '0' names the empty flat"
+    for ground, rank, clash in [
+        (["0", "1", "2"], 2, "flats [] and ['0'] are both named '0'"),
+        (["a", "b", "a+b", "c"], 3, "flats ['a+b'] and ['a', 'b'] are both named 'a+b'"),
+    ]:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"schema": "earlab.matroid/1", "ground": ground,
+                                    "bases": [list(b) for b in combinations(ground, rank)]}))
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+        assert code == 2 and out == ""
+        assert f"Inconsistent: {clash}: {why}" in err
+
+
+def test_flats_of_a_plus_name_without_a_clash_decompose(tmp_path, capsys):
+    # U(2,3) on a+b, c, d: no flat is named "a+b" but the atom, and the top is "a+b+c+d"
+    ground = ["a+b", "c", "d"]
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"schema": "earlab.matroid/1", "ground": ground,
-                                "bases": [list(b) for b in combinations(ground, 3)]}))
-    code, out, err = run_cli(capsys, *argv, "--input", str(path))
-    assert code == 2 and out == ""
-    assert "Inconsistent: element 'a+b' is listed twice" in err
+                                "bases": [list(b) for b in combinations(ground, 2)]}))
+    code, out, _ = run_cli(capsys, "decompose", "--construction", "geometric",
+                           "--input", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ced"]["ok"] is True and doc["ced"]["ears"] == 2
+    assert doc["decomposition"]["params"]["atom_order"] == ground
 
 
 def test_poset_document_listing_an_element_twice_is_refused(tmp_path, capsys):

@@ -87,7 +87,10 @@ against the brute-force routes they replaced, on random inputs.
   the histogram of Δ shelled in the concatenated ear order, where that
   order shells it;
 * ``_subset_novelty`` (one copy bitmask per host element) against the
-  scan of every earlier copy;
+  scan of every earlier copy, and, as the rule of every face-poset
+  decomposition, against the shelling's restriction rule, report for
+  report, on shellable complexes in their grown order and on the CLI
+  fixtures and ∂C4 at every rank set;
 * ``graphic_matroid`` (forests of the rank's size only) against trying
   every size from the number of edges down;
 * ``increasing_and_decreasing_chains`` (one walk that only follows
@@ -268,6 +271,7 @@ from oracles import (
     reciprocity_rows_per_ear,
     reduced_euler,
     reference_sphere,
+    restriction_novelty,
     search_by_face_sets,
     shelling_by_face_sets,
     sigma_word,
@@ -700,12 +704,13 @@ def test_cm_by_masks_agrees_with_sorted_name_sets(c):
 
 
 @st.composite
-def shellable_complexes(draw, max_steps: int = 24):
-    """A shellable complex (so CM) of dimension 0 to 3 on at most 7 vertices,
-    grown facet by facet: a drawn facet, half of them across a ridge of an
-    earlier facet, is kept only if ``verify_shelling`` accepts it next.
-    About one draw in eight is doubly CM above dimension 0."""
-    d = draw(st.integers(0, 3))
+def shellable_complexes(draw, max_steps: int = 24, min_dim: int = 0, shelled: bool = False):
+    """A shellable complex (so CM) of dimension ``min_dim`` to 3 on at most
+    7 vertices, grown facet by facet: a drawn facet, half of them across a
+    ridge of an earlier facet, is kept only if ``verify_shelling`` accepts
+    it next. About one draw in eight is doubly CM above dimension 0. With
+    ``shelled``, the grown order comes back too, as facet indices."""
+    d = draw(st.integers(min_dim, 3))
     pool = "abcdefg"[: draw(st.integers(d + 1, 7))]
     grown = [frozenset(draw(st.permutations(pool))[: d + 1])]
     for _ in range(draw(st.integers(0, max_steps))):
@@ -722,7 +727,8 @@ def shellable_complexes(draw, max_steps: int = 24):
         except NotShelling:
             continue
         grown.append(new)
-    return build_complex(grown)
+    c = build_complex(grown)
+    return (c, [c.facets.index(f) for f in grown]) if shelled else c
 
 
 @settings(max_examples=200, deadline=None)
@@ -1595,6 +1601,26 @@ def test_first_ear_missing_a_facet_is_not_the_whole_sphere():
     assert not report["axiom_polytope"]["ok"]
 
 
+def test_first_ear_missing_a_facet_certifies_K_once(monkeypatch):
+    # ear 1's pull-back is not K's facet set, so the memo holds no verdict
+    # for K and K gets exactly one certificate of its own
+    dec = ambient_corpus()["Pi5"]
+    chains = dec.ears[0].chains[:-1]
+    bad = _with_ear(dec, 0, chains=chains, shelling=_shelled(chains))
+    sphere, _ = _coordinate_sphere(dec.ranks)
+    calls = []
+
+    def counted(c, *args):
+        calls.append(set(c.facets) == set(sphere.facets))
+        return certify_sphere_or_ball(c, *args)
+
+    monkeypatch.setattr("earlab.decompositions.certify_sphere_or_ball", counted)
+    report = verify_ced(bad)
+    assert calls.count(True) == 1
+    assert report["axiom_balls"]["kinds"][0] == "BALL"
+    assert all(e["ambient_is_sphere"] for e in report["axiom_polytope"]["per_ear"])
+
+
 def test_first_ear_with_a_facet_outside_K_is_not_the_whole_sphere():
     # ear 1 of B3 at rank 1 is K's two points; with ear 2's point added it
     # holds all of K's facets and one more, and is no sphere itself
@@ -2031,7 +2057,42 @@ def copy_families(draw):
 @given(copy_families())
 def test_subset_novelty_agrees_with_the_scan(case):
     copies, ci, chain = case
-    assert _subset_novelty(copies)(ci, None, chain) == subset_novelty_scan(copies)(ci, None, chain)
+    assert _subset_novelty(copies)(ci, chain) == subset_novelty_scan(copies)(ci, chain)
+
+
+def _face_poset_reports(c, order, ranks):
+    """``decompose_face_poset``'s report (or its refusal) with the one
+    novelty rule, and with the restriction rule patched in for it."""
+    got = _outcome(lambda: decompose_face_poset(c, order, ranks).to_json())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("earlab.decompositions._subset_novelty", restriction_novelty)
+        want = _outcome(lambda: decompose_face_poset(c, order, ranks).to_json())
+    return got, want
+
+
+def _rank_sets(d: int):
+    return [S for k in range(1, d) for S in combinations(range(1, d), k)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shellable_complexes(max_steps=12, min_dim=1, shelled=True))
+def test_face_poset_novelty_is_the_restriction_rule(case):
+    # in a shelling, no earlier facet holds all of a chain exactly when its
+    # top face contains the restriction face
+    c, order = case
+    for ranks in _rank_sets(c.dim + 1):
+        got, want = _face_poset_reports(c, order, ranks)
+        assert got == want and isinstance(got, dict)
+
+
+@pytest.mark.parametrize("name", [*COMPLEX_FIXTURES, "cross4"])
+def test_face_poset_novelty_is_the_restriction_rule_on_fixtures(name):
+    # the bowtie has no shelling: both routes refuse it alike
+    c = cross_polytope_boundary(4) if name == "cross4" else build_complex(COMPLEX_FIXTURES[name])
+    for ranks in _rank_sets(c.dim + 1):
+        got, want = _face_poset_reports(c, None, ranks)
+        assert got == want
+        assert isinstance(got, dict) == (name != "bowtie")
 
 
 # -- spanning forests of the rank's size -----------------------------------------------
