@@ -24,6 +24,9 @@ identical inputs and flags produce byte-identical documents.  Wall time,
 digests of stdout reports, and warnings go to stderr.  Exit codes: 0 all
 checks passed, 2 a precondition failed, 3 a check ran and failed (an
 internal self-check included), 4 I/O or schema trouble.
+Each command names the document kinds (``schema`` values) its ``--input``
+takes: a missing ``--input`` exits 2 and a document of another kind exits 4.
+A ``gen`` argument that the family needs and lacks, or does not read, exits 2.
 """
 
 from __future__ import annotations
@@ -73,13 +76,7 @@ from .flags import (
     verify_h_inequalities,
 )
 from .labelings import EdgeLabeling
-from .lattices import (
-    Lattice,
-    boolean_lattice,
-    lattice_from_json,
-    lattice_to_json,
-    partition_lattice,
-)
+from .lattices import boolean_lattice, lattice_from_json, lattice_to_json, partition_lattice
 from .matroids import (
     graphic_matroid,
     lattice_of_flats,
@@ -98,6 +95,18 @@ RUN_SCHEMA = "earlab.run/2"
 RUN_SCHEMAS = ("earlab.run/1", RUN_SCHEMA)  # /1 adds only ear keys verify never reads
 VERIFY_SCHEMA = "earlab.verify/2"
 EXPERIMENT_SCHEMA = "earlab.experiment/1"
+LATTICES = ("earlab.lattice/1", "earlab.poset/1")
+COMPLEX = "earlab.complex/1"
+MATROID = "earlab.matroid/1"
+
+# the document kinds each construction reads, alike from ``decompose --input``
+# and from a run report's input.document; rank-boolean reads none
+READS = {
+    "supersolvable": LATTICES,
+    "rank-supersolvable": LATTICES,
+    "face-poset": (COMPLEX,),
+    "geometric": (MATROID, *LATTICES),
+}
 
 DEFAULT_CAPS = {"lattice": 200, "homology": 5000}
 
@@ -160,6 +169,23 @@ def _load_document(path: str) -> dict:
     return doc
 
 
+def _of_kind(doc: Mapping, *schemas: str) -> Mapping:
+    """``doc``, refused with SchemaTrouble unless its schema is one of ``schemas``."""
+    if doc.get("schema") not in schemas:
+        raise SchemaTrouble(
+            f"expected a document of kind {' or '.join(schemas)}, got {doc.get('schema')!r}"
+        )
+    return doc
+
+
+def _input(args, *schemas: str, need: str = "--input") -> Mapping:
+    """The ``--input`` document, of one of the kinds ``schemas``; ``need``
+    names it with the arguments that could stand in for it."""
+    if not args.input:
+        raise BadParams(f"need {need}, a document of kind {' or '.join(schemas)}")
+    return _of_kind(_load_document(args.input), *schemas)
+
+
 def _int_list(text: str, what: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x != ""]
@@ -200,35 +226,6 @@ def _cap_checker(args):
 # -- input materialization -------------------------------------------------------
 
 
-def _capped_lattice(doc: Mapping, cap) -> Lattice:
-    """The lattice of a lattice or poset document, its size checked on the
-    poset before the quadratic join/meet tables are filled."""
-    cap("lattice", poset_from_json(doc).n)
-    return lattice_from_json(doc)
-
-
-def _lattice_and_labels(doc: Mapping, cap) -> tuple[Lattice, Optional[EdgeLabeling]]:
-    schema = doc.get("schema")
-    if schema not in ("earlab.lattice/1", "earlab.poset/1"):
-        raise SchemaTrouble(f"expected a lattice or poset document, got {schema!r}")
-    lat = _capped_lattice(doc, cap)
-    raw = labels_from_json(lat.poset, doc)
-    lab = EdgeLabeling(lat.poset, raw) if raw else None
-    return lat, lab
-
-
-def _geometric_input(doc: Mapping, cap) -> Lattice:
-    schema = doc.get("schema")
-    if schema == "earlab.matroid/1":
-        # flats are only counted by building them
-        lat = lattice_of_flats(matroid_from_json(doc))
-        cap("lattice", lat.poset.n)
-        return lat
-    if schema in ("earlab.lattice/1", "earlab.poset/1"):
-        return _capped_lattice(doc, cap)
-    raise SchemaTrouble(f"expected a matroid, lattice, or poset document, got {schema!r}")
-
-
 def _face_flag_h(c: SimplicialComplex):
     """The flag h whose dominance the suite checks for a complex: that of
     its face poset with the facet rank dropped (the suite's guarantees stop
@@ -256,58 +253,64 @@ def _run_construction(rec: Mapping, doc: Optional[Mapping], cap) -> EarDecomposi
         return decompose_rank_selected_boolean(r, ranks or ())
     if doc is None:
         raise SchemaTrouble("this construction needs an input document")
-    if name in ("supersolvable", "rank-supersolvable"):
-        lat, lab = _lattice_and_labels(doc, cap)
-        if name == "supersolvable":
-            return decompose_supersolvable(lat, lab)
-        return decompose_rank_selected_supersolvable(lat, lab, ranks or ())
+    if name not in READS:
+        raise BadParams(f"unknown construction {name!r}")
+    kind = _of_kind(doc, *READS[name])["schema"]
     if name == "face-poset":
-        if doc.get("schema") != "earlab.complex/1":
-            raise SchemaTrouble("face-poset needs a complex document")
         c = complex_from_json(doc)
         cap("lattice", sum(map(len, _faces_by_size(c.masks, c.dim + 1))))  # the face poset
         return decompose_face_poset(c, rec.get("shelling"), ranks or ())
+    if kind == MATROID:  # flats are only counted by building them
+        lat = lattice_of_flats(matroid_from_json(doc))
+        cap("lattice", lat.poset.n)
+    else:  # the size is checked on the poset, before the quadratic join/meet tables
+        cap("lattice", poset_from_json(doc).n)
+        lat = lattice_from_json(doc)
     if name == "geometric":
-        lat = _geometric_input(doc, cap)
         return decompose_geometric(lat, rec.get("atom_order"), ranks)
-    raise BadParams(f"unknown construction {name!r}")
+    raw = labels_from_json(lat.poset, doc)
+    lab = EdgeLabeling(lat.poset, raw) if raw else None
+    if name == "supersolvable":
+        return decompose_supersolvable(lat, lab)
+    return decompose_rank_selected_supersolvable(lat, lab, ranks or ())
 
 
 # -- gen -------------------------------------------------------------------------
 
 
+def _fixture(name: str) -> SimplicialComplex:
+    if name not in COMPLEX_FIXTURES:
+        raise BadParams(f"unknown fixture {name!r}; choose from {sorted(COMPLEX_FIXTURES)}")
+    return build_complex(COMPLEX_FIXTURES[name])
+
+
+# each family's gen arguments, and its document built from them
+GEN = {
+    "boolean": (("rank",), lambda a: lattice_to_json(boolean_lattice(a.rank))),
+    "partition": (("n",), lambda a: lattice_to_json(partition_lattice(a.n))),
+    "uniform-matroid": (("rank", "size"), lambda a: matroid_to_json(uniform_matroid(a.rank, a.size))),
+    "graphic-matroid": (
+        ("vertices", "edges"),
+        lambda a: matroid_to_json(graphic_matroid(a.vertices, _edge_list(a.edges))),
+    ),
+    "flats": (
+        ("input",),
+        lambda a: lattice_to_json(lattice_of_flats(matroid_from_json(_input(a, MATROID)))),
+    ),
+    "complex-fixture": (("name",), lambda a: complex_to_json(_fixture(a.name))),
+}
+GEN_ARGS = sorted({key for reads, _ in GEN.values() for key in reads})
+
+
 def cmd_gen(args) -> int:
-    family = args.family
-    if family == "boolean":
-        if args.rank is None:
-            raise BadParams("gen boolean needs --rank")
-        doc = lattice_to_json(boolean_lattice(args.rank))
-    elif family == "partition":
-        if args.n is None:
-            raise BadParams("gen partition needs --n")
-        doc = lattice_to_json(partition_lattice(args.n))
-    elif family == "uniform-matroid":
-        if args.rank is None or args.size is None:
-            raise BadParams("gen uniform-matroid needs --rank and --size")
-        doc = matroid_to_json(uniform_matroid(args.rank, args.size))
-    elif family == "graphic-matroid":
-        if args.vertices is None or not args.edges:
-            raise BadParams("gen graphic-matroid needs --vertices and --edges")
-        doc = matroid_to_json(graphic_matroid(args.vertices, _edge_list(args.edges)))
-    elif family == "flats":
-        if not args.input:
-            raise BadParams("gen flats needs --input with a matroid document")
-        src = _load_document(args.input)
-        if src.get("schema") != "earlab.matroid/1":
-            raise SchemaTrouble("gen flats expects a matroid document")
-        doc = lattice_to_json(lattice_of_flats(matroid_from_json(src)))
-    else:  # complex-fixture, the last of the parser's choices
-        if args.name not in COMPLEX_FIXTURES:
-            raise BadParams(
-                f"unknown fixture {args.name!r}; choose from {sorted(COMPLEX_FIXTURES)}"
-            )
-        doc = complex_to_json(build_complex(COMPLEX_FIXTURES[args.name]))
-    _emit(doc, args.output)
+    reads, build = GEN[args.family]
+    # a missing --input is left to _input, which names the kinds it takes
+    if any(getattr(args, key) in (None, "") for key in reads if key != "input"):
+        raise BadParams(f"gen {args.family} needs " + " and ".join(f"--{k}" for k in reads))
+    extra = [f"--{key}" for key in GEN_ARGS if key not in reads and getattr(args, key) is not None]
+    if extra:
+        raise BadParams(f"gen {args.family} does not read {', '.join(extra)}; drop it")
+    _emit(build(args), args.output)
     return EXIT_OK
 
 
@@ -331,9 +334,7 @@ def _args_record(args) -> dict:
 
 def cmd_decompose(args) -> int:
     name = args.construction
-    needs_input = name != "rank-boolean"
-    if needs_input and not args.input:
-        raise BadParams(f"--input is required for --construction {name}")
+    needs_input = name in READS
     if not needs_input and args.input:
         raise BadParams("rank-boolean builds its own lattice; drop --input")
     if name in ("rank-boolean", "rank-supersolvable", "face-poset") and args.ranks is None:
@@ -342,7 +343,7 @@ def cmd_decompose(args) -> int:
         raise BadParams("supersolvable decomposes the full proper part; use rank-supersolvable for selections")
 
     rec = _args_record(args)
-    doc = _load_document(args.input) if args.input else None
+    doc = _input(args, *READS[name]) if needs_input else None
     dec = _run_construction(rec, doc, _cap_checker(args))
     ced = verify_ced(dec)
 
@@ -375,11 +376,10 @@ def _expect(field: str, value, kind: type, item: Optional[type] = None) -> None:
 
 
 def _report_parts(doc: Mapping) -> tuple[dict, dict, Optional[dict]]:
-    """(args record, stored decomposition, embedded input document), each
-    field that the rebuild reads checked for its JSON type."""
-    schema = doc.get("schema")
-    if schema not in RUN_SCHEMAS or doc.get("command") != "decompose":
-        raise SchemaTrouble(f"cannot verify a document with schema {schema!r}")
+    """(args record, stored decomposition, embedded input document) of a run
+    report, each field that the rebuild reads checked for its JSON type."""
+    if doc.get("command") != "decompose":
+        raise SchemaTrouble(f"expected a run report of command 'decompose', got {doc.get('command')!r}")
     rec, stored, src = doc.get("args"), doc.get("decomposition"), doc.get("input")
     _expect("args", rec, dict)
     _expect("args.construction", rec.get("construction"), str)
@@ -398,10 +398,7 @@ def _report_parts(doc: Mapping) -> tuple[dict, dict, Optional[dict]]:
 
 
 def _rebuild_from_report(args) -> tuple[EarDecomposition, dict, bool]:
-    if not args.input:
-        raise BadParams("this check needs --input with a decomposition run report")
-    doc = _load_document(args.input)
-    rec, stored, src = _report_parts(doc)
+    rec, stored, src = _report_parts(_input(args, *RUN_SCHEMAS))
     dec = _run_construction(rec, src, _cap_checker(args))
     fresh = [[list(c) for c in ear.chains] for ear in dec.ears]
     kept = [e.get("chains") for e in stored["ears"]]
@@ -432,26 +429,21 @@ def _verify_reciprocity(args) -> tuple[dict, bool]:
     return body, chains_match and all(row["ok"] for row in rows)
 
 
-def _h_source(args) -> list[int]:
+def _h_source(args, need: str = "--h or --input") -> list[int]:
     if args.h:
         return _int_list(args.h, "--h")
-    if args.input:
-        doc = _load_document(args.input)
-        schema = doc.get("schema")
-        if schema == "earlab.complex/1":
-            _, h = f_h_vectors(complex_from_json(doc))
-            return list(h)
-        if schema in RUN_SCHEMAS:
-            ced = doc.get("ced", {})
-            _expect("ced", ced, dict)
-            checks = ced.get("h_checks", {})
-            _expect("ced.h_checks", checks, dict)
-            if checks.get("h") is None:
-                raise SchemaTrouble("run report carries no h-vector table")
-            _expect("ced.h_checks.h", checks["h"], list, int)
-            return list(checks["h"])
-        raise SchemaTrouble(f"cannot take an h-vector from schema {schema!r}")
-    raise BadParams("need --h or --input")
+    doc = _input(args, COMPLEX, *RUN_SCHEMAS, need=need)
+    if doc["schema"] == COMPLEX:
+        _, h = f_h_vectors(complex_from_json(doc))
+        return list(h)
+    ced = doc.get("ced", {})
+    _expect("ced", ced, dict)
+    checks = ced.get("h_checks", {})
+    _expect("ced.h_checks", checks, dict)
+    if checks.get("h") is None:
+        raise SchemaTrouble("run report carries no h-vector table")
+    _expect("ced.h_checks.h", checks["h"], list, int)
+    return list(checks["h"])
 
 
 def _verify_h_inequalities(args) -> tuple[dict, bool]:
@@ -466,7 +458,7 @@ def _verify_m_vector(args) -> tuple[dict, bool]:
         if not g:
             raise BadParams("the g-vector is empty")
     else:
-        g = list(g_vector(_h_source(args)))
+        g = list(g_vector(_h_source(args, "--g, --h or --input")))
     witness = m_vector_witness(g)
     body: dict = {"g": g}
     if witness is not None:
@@ -475,26 +467,16 @@ def _verify_m_vector(args) -> tuple[dict, bool]:
 
 
 def _verify_flag_inequalities(args) -> tuple[dict, bool]:
-    if not args.input:
-        raise BadParams("flag-inequalities needs --input")
-    doc = _load_document(args.input)
-    schema = doc.get("schema")
-    if schema == "earlab.complex/1":
+    doc = _input(args, COMPLEX, *LATTICES)
+    if doc["schema"] == COMPLEX:
         rep = _inequality_report(_face_flag_h(complex_from_json(doc)))
-    elif schema in ("earlab.lattice/1", "earlab.poset/1"):
-        rep = verify_flag_inequalities(poset_from_json(doc))
     else:
-        raise SchemaTrouble(f"cannot take flag vectors from schema {schema!r}")
+        rep = verify_flag_inequalities(poset_from_json(doc))
     return rep, rep["violations"] == 0
 
 
 def _verify_cm(args, want_two: bool) -> tuple[dict, bool]:
-    if not args.input:
-        raise BadParams("cm checks need --input with a complex document")
-    doc = _load_document(args.input)
-    if doc.get("schema") != "earlab.complex/1":
-        raise SchemaTrouble("cm checks expect a complex document")
-    c = complex_from_json(doc)
+    c = complex_from_json(_input(args, COMPLEX))
     _cap_checker(args)("homology", len(c.facets))
     cm, two = is_cm_and_2cm(c)
     body = {"cm": cm, "two_cm": two}
@@ -529,17 +511,12 @@ def _flag_count(c: SimplicialComplex) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.input:
-        doc = _load_document(args.input)
-        if doc.get("schema") != "earlab.complex/1":
-            raise SchemaTrouble("the experiment expects a complex document")
-        c = complex_from_json(doc)
-    elif args.fixture:
-        if args.fixture not in COMPLEX_FIXTURES:
-            raise BadParams(f"unknown fixture {args.fixture!r}")
-        c = build_complex(COMPLEX_FIXTURES[args.fixture])
+    if args.fixture:
+        if args.input:
+            raise BadParams("give --fixture or --input, not both")
+        c = _fixture(args.fixture)
     else:
-        raise BadParams("need --input or --fixture")
+        c = complex_from_json(_input(args, COMPLEX, need="--fixture or --input"))
     d = c.dim + 1
     _check_class_rank(d)
     subsets = [S for k in range(1, d + 1) for S in combinations(range(1, d + 1), k)]
@@ -604,17 +581,7 @@ def _parser() -> argparse.ArgumentParser:
     subs = top.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="write a standard fixture as canonical JSON")
-    gen.add_argument(
-        "family",
-        choices=[
-            "boolean",
-            "partition",
-            "uniform-matroid",
-            "graphic-matroid",
-            "flats",
-            "complex-fixture",
-        ],
-    )
+    gen.add_argument("family", choices=list(GEN))
     gen.add_argument("--rank", type=int)
     gen.add_argument("--n", type=int)
     gen.add_argument("--size", type=int)

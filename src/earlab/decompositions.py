@@ -572,8 +572,6 @@ def verify_ced(dec: EarDecomposition) -> dict:
             else:
                 entry["proper"] = pulled < sphere_facets
         entries.append(entry)
-        if len(ears) == 1:
-            continue
 
         if i:
             diff = gluing_diff(ear.complex, holders, (1 << placed) - 1)

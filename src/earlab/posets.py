@@ -290,14 +290,11 @@ def rank_select(p: Poset, ranks: Iterable[int]) -> Poset:
     missing = [s for s in S if s not in present]
     if missing:
         raise RangeError(f"ranks {missing} do not occur in the poset")
-    keep = [e for e, rk in zip(p.elements, p.ranks) if rk in set(S)]
-    if not keep:
-        raise EmptySelection("no elements at the selected ranks")
-    q = induced_subposet(p, keep)
     pos = {s: k + 1 for k, s in enumerate(S)}
+    q = induced_subposet(p, [e for e, rk in zip(p.elements, p.ranks) if rk in pos])
+    # p is graded, so each kept cover joins consecutive selected ranks
     new_ranks = tuple(pos[p.rank_of(e)] for e in q.elements)
-    graded = all(new_ranks[b] == new_ranks[a] + 1 for a, b in q.covers)
-    return Poset(q.elements, q.covers, new_ranks, graded, q._up, q._down)
+    return Poset(q.elements, q.covers, new_ranks, True, q._up, q._down)
 
 
 def _bits(mask: int):

@@ -20,9 +20,11 @@ from pathlib import Path
 import pytest
 
 from earlab.cli import COMPLEX_FIXTURES, _flag_count, main
-from earlab.complexes import _faces_by_size, build_complex, face_poset, order_complex
+from earlab.complexes import _faces_by_size, build_complex, complex_to_json, face_poset, order_complex
 from earlab.decompositions import _generated_copy, decompose_rank_selected_boolean
 from earlab.flags import _subset_transform, ball_flag_reciprocity, flag_f_and_h, m_vector_witness
+from earlab.lattices import boolean_lattice, lattice_to_json
+from earlab.matroids import matroid_to_json, uniform_matroid
 from earlab.posets import canonical_dumps, rank_select, with_bounds
 
 
@@ -71,6 +73,28 @@ def test_gen_missing_params_is_precondition_error(capsys):
     code, _, err = run_cli(capsys, "gen", "boolean")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["boolean", "--rank", "3", "--input", "/nonexistent/m.json"], "--input"),
+    (["partition", "--n", "3", "--rank", "2"], "--rank"),
+    (["complex-fixture", "--name", "triangle", "--size", "3", "--edges", "0-1"], "--edges, --size"),
+], ids=["boolean-input", "partition-rank", "fixture-size-edges"])
+def test_gen_refuses_arguments_its_family_does_not_read(argv, named, capsys):
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert code == 2 and out == ""
+    assert f"error: BadParams: gen {argv[0]} does not read {named}; drop it" in err
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (["uniform-matroid", "--rank", "2"], "--rank and --size"),
+    (["graphic-matroid", "--vertices", "3", "--edges", ""], "--vertices and --edges"),
+    (["complex-fixture"], "--name"),
+], ids=["uniform-no-size", "graphic-empty-edges", "fixture-no-name"])
+def test_gen_names_the_arguments_its_family_needs(argv, needs, capsys):
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert code == 2 and out == ""
+    assert f"error: BadParams: gen {argv[0]} needs {needs}" in err
 
 
 def test_gen_flats_pipeline(tmp_path, capsys):
@@ -385,7 +409,7 @@ def test_verify_ced_refuses_a_bare_decomposition(tmp_path, capsys):
     path.write_text(canonical_dumps(decompose_rank_selected_boolean(4, [1, 3]).to_json()))
     code, _, err = run_cli(capsys, "verify", "--what", "ced", "--input", str(path))
     assert code == 4
-    assert "cannot verify a document with schema 'earlab.decomposition/2'" in err
+    assert "expected a document of kind earlab.run/1 or earlab.run/2, got 'earlab.decomposition/2'" in err
 
 
 def test_verify_ced_detects_tampered_chains(tmp_path, capsys):
@@ -742,8 +766,11 @@ def test_verify_flag_inequalities_on_a_complex_builds_no_poset(tmp_path, capsys,
 
 
 def test_verify_needs_a_source(capsys):
-    code, _, _ = run_cli(capsys, "verify", "--what", "h-inequalities")
-    assert code == 2
+    # the m-vector's refusal names its own --g first
+    for what, need in (("h-inequalities", "--h or --input"), ("m-vector", "--g, --h or --input")):
+        code, out, err = run_cli(capsys, "verify", "--what", what)
+        assert code == 2 and out == ""
+        assert f"error: BadParams: need {need}, a document of kind " in err
 
 
 # -- experiment -----------------------------------------------------------------
@@ -888,11 +915,109 @@ def test_poset_document_listing_an_element_twice_is_refused(tmp_path, capsys):
     assert "Inconsistent: element 'a' is listed twice" in err
 
 
+def test_experiment_refuses_a_fixture_with_an_input(tmp_path, capsys):
+    octa = tmp_path / "octa.json"
+    facets = [[s + str(i) for i, s in enumerate(signs, 1)] for signs in product("np", repeat=3)]
+    octa.write_text(canonical_dumps(complex_to_json(build_complex(facets))))
+    code, out, err = run_cli(capsys, "experiment", "rank-selection",
+                             "--fixture", "triangle", "--input", str(octa))
+    assert code == 2 and out == ""
+    assert "error: BadParams: give --fixture or --input, not both" in err
+
+
 def test_experiment_unknown_fixture(capsys):
     code, _, err = run_cli(capsys, "experiment", "rank-selection",
                            "--fixture", "moebius")
     assert code == 2
     assert "unknown fixture" in err
+
+
+# -- input kinds -----------------------------------------------------------------
+
+LATTICE_OR_POSET = "earlab.lattice/1 or earlab.poset/1"
+RUN = "earlab.run/1 or earlab.run/2"
+
+# every command that reads a document: its argv without --input, the
+# arguments its missing-input refusal names, its accepted kinds, and a
+# kind it refuses
+READERS = {
+    "gen-flats": (["gen", "flats"], "--input", "earlab.matroid/1", "complex"),
+    "supersolvable": (["decompose", "--construction", "supersolvable"],
+                      "--input", LATTICE_OR_POSET, "complex"),
+    "rank-supersolvable": (["decompose", "--construction", "rank-supersolvable", "--ranks", "1"],
+                           "--input", LATTICE_OR_POSET, "matroid"),
+    "face-poset": (["decompose", "--construction", "face-poset", "--ranks", "1"],
+                   "--input", "earlab.complex/1", "lattice"),
+    "geometric": (["decompose", "--construction", "geometric"],
+                  "--input", "earlab.matroid/1 or " + LATTICE_OR_POSET, "complex"),
+    "ced": (["verify", "--what", "ced"], "--input", RUN, "complex"),
+    "reciprocity": (["verify", "--what", "reciprocity"], "--input", RUN, "lattice"),
+    "h-inequalities": (["verify", "--what", "h-inequalities"],
+                       "--h or --input", "earlab.complex/1 or " + RUN, "lattice"),
+    "m-vector": (["verify", "--what", "m-vector"],
+                 "--g, --h or --input", "earlab.complex/1 or " + RUN, "matroid"),
+    "flag-inequalities": (["verify", "--what", "flag-inequalities"],
+                          "--input", "earlab.complex/1 or " + LATTICE_OR_POSET, "matroid"),
+    "cm": (["verify", "--what", "cm"], "--input", "earlab.complex/1", "lattice"),
+    "2cm": (["verify", "--what", "2cm"], "--input", "earlab.complex/1", "poset"),
+    "experiment": (["experiment", "rank-selection"], "--fixture or --input", "earlab.complex/1", "lattice"),
+}
+
+DOCUMENTS = {
+    "complex": complex_to_json(build_complex([["a", "b"], ["b", "c"]])),
+    "lattice": lattice_to_json(boolean_lattice(2)),
+    "poset": {"schema": "earlab.poset/1", "elements": ["0", "1"], "covers": [["0", "1"]]},
+    "matroid": matroid_to_json(uniform_matroid(2, 3)),
+}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_every_reader_names_its_kinds_for_a_missing_input(reader, capsys):
+    argv, need, kinds, _ = READERS[reader]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: BadParams: need {need}, a document of kind {kinds}\n" in err
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_every_reader_names_its_kinds_for_a_document_of_another_kind(reader, tmp_path, capsys):
+    argv, _, kinds, wrong = READERS[reader]
+    doc = DOCUMENTS[wrong]
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_dumps(doc))
+    code, out, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 4 and out == ""
+    assert f"error: expected a document of kind {kinds}, got {doc['schema']!r}\n" in err
+
+
+def _supersolvable_report(tmp_path, capsys) -> dict:
+    lat = tmp_path / "b3.json"
+    run_cli(capsys, "gen", "boolean", "--rank", "3", "--output", str(lat))
+    code, out, _ = run_cli(capsys, "decompose", "--construction", "supersolvable", "--input", str(lat))
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("what", ["ced", "reciprocity"])
+def test_a_report_embedding_a_document_of_another_kind_is_refused(what, tmp_path, capsys):
+    doc = _supersolvable_report(tmp_path, capsys)
+    doc["input"]["document"] = DOCUMENTS["complex"]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--what", what, "--input", str(path))
+    assert code == 4 and out == ""
+    assert f"error: expected a document of kind {LATTICE_OR_POSET}, got 'earlab.complex/1'\n" in err
+
+
+@pytest.mark.parametrize("what", ["ced", "reciprocity"])
+def test_a_run_report_of_another_command_is_refused(what, tmp_path, capsys):
+    doc = _supersolvable_report(tmp_path, capsys)
+    doc["command"] = "experiment"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--what", what, "--input", str(path))
+    assert code == 4 and out == ""
+    assert "error: expected a run report of command 'decompose', got 'experiment'\n" in err
 
 
 # -- process level ----------------------------------------------------------------

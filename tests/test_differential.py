@@ -2250,6 +2250,10 @@ def test_subposets_agree_with_leq_by_name(data):
     q = rank_select(g, ranks)
     want = induced_subposet_by_names(g, [e for e in g.elements if g.rank_of(e) in ranks])
     assert (q.elements, q.covers, q._up, q._down) == (want.elements, want.covers, want._up, want._down)
+    # every element of a bounded graded poset lies on a chain through each rank,
+    # so the selection is graded and renumbers the ranks from 1
+    assert q.graded and want.graded
+    assert q.ranks == tuple(r + 1 for r in want.ranks)
 
 
 def _copy_pairs(lat, lab):
