@@ -26,7 +26,7 @@ checks passed, 2 a precondition failed, 3 a check ran and failed (an
 internal self-check included), 4 I/O or schema trouble.
 Each command names the document kinds (``schema`` values) its ``--input``
 takes: a missing ``--input`` exits 2 and a document of another kind exits 4.
-A ``gen`` argument that the family needs and lacks, or does not read, exits 2.
+An argument a gen family, construction or check needs and lacks, or does not read, exits 2.
 """
 
 from __future__ import annotations
@@ -107,6 +107,15 @@ READS = {
     "face-poset": (COMPLEX,),
     "geometric": (MATROID, *LATTICES),
 }
+# the arguments each construction needs, and those it may take besides
+TAKES = {
+    "supersolvable": (("input",), ()),
+    "rank-boolean": (("rank", "ranks"), ()),
+    "rank-supersolvable": (("input", "ranks"), ()),
+    "face-poset": (("input", "ranks"), ("shelling",)),
+    "geometric": (("input",), ("ranks", "atom_order")),
+}
+DECOMPOSE_ARGS = sorted({key for spec in TAKES.values() for keys in spec for key in keys})
 
 DEFAULT_CAPS = {"lattice": 200, "homology": 5000}
 
@@ -184,6 +193,21 @@ def _input(args, *schemas: str, need: str = "--input") -> Mapping:
     if not args.input:
         raise BadParams(f"need {need}, a document of kind {' or '.join(schemas)}")
     return _of_kind(_load_document(args.input), *schemas)
+
+
+def _takes(args, what: str, known, needs=(), reads=(), one_of=()) -> None:
+    """Refuse with BadParams (exit 2), naming the arguments, command ``what``
+    without one of ``needs`` (``_input`` names the kinds of a missing
+    ``--input``), with two of ``one_of``, or with one of ``known`` it does not read."""
+    flag = {key: "--" + key.replace("_", "-") for key in (*known, *one_of)}
+    if any(getattr(args, key) in (None, "") for key in needs if key != "input"):
+        raise BadParams(f"{what} needs " + " and ".join(flag[key] for key in needs))
+    if sum(getattr(args, key) is not None for key in one_of) > 1:
+        raise BadParams(f"{what} reads one of {', '.join(map(flag.get, one_of))}; give one")
+    read = (*needs, *reads, *one_of)
+    extra = [flag[key] for key in known if key not in read and getattr(args, key) is not None]
+    if extra:
+        raise BadParams(f"{what} does not read {', '.join(extra)}; drop it")
 
 
 def _int_list(text: str, what: str) -> list[int]:
@@ -304,12 +328,7 @@ GEN_ARGS = sorted({key for reads, _ in GEN.values() for key in reads})
 
 def cmd_gen(args) -> int:
     reads, build = GEN[args.family]
-    # a missing --input is left to _input, which names the kinds it takes
-    if any(getattr(args, key) in (None, "") for key in reads if key != "input"):
-        raise BadParams(f"gen {args.family} needs " + " and ".join(f"--{k}" for k in reads))
-    extra = [f"--{key}" for key in GEN_ARGS if key not in reads and getattr(args, key) is not None]
-    if extra:
-        raise BadParams(f"gen {args.family} does not read {', '.join(extra)}; drop it")
+    _takes(args, f"gen {args.family}", GEN_ARGS, needs=reads)
     _emit(build(args), args.output)
     return EXIT_OK
 
@@ -317,11 +336,11 @@ def cmd_gen(args) -> int:
 # -- decompose ---------------------------------------------------------------------
 
 
-def _args_record(args) -> dict:
-    rec: dict = {"construction": args.construction}
-    if args.construction == "rank-boolean":
-        if args.rank is None:
-            raise BadParams("rank-boolean needs --rank")
+def cmd_decompose(args) -> int:
+    name = args.construction
+    _takes(args, f"decompose --construction {name}", DECOMPOSE_ARGS, *TAKES[name])
+    rec: dict = {"construction": name}  # the report's args, in this order
+    if args.rank is not None:
         rec["rank"] = args.rank
     if args.ranks is not None:
         rec["ranks"] = _int_list(args.ranks, "--ranks")
@@ -329,21 +348,7 @@ def _args_record(args) -> dict:
         rec["atom_order"] = _str_list(args.atom_order)
     if args.shelling:
         rec["shelling"] = _int_list(args.shelling, "--shelling")
-    return rec
-
-
-def cmd_decompose(args) -> int:
-    name = args.construction
-    needs_input = name in READS
-    if not needs_input and args.input:
-        raise BadParams("rank-boolean builds its own lattice; drop --input")
-    if name in ("rank-boolean", "rank-supersolvable", "face-poset") and args.ranks is None:
-        raise BadParams(f"--construction {name} needs --ranks")
-    if name == "supersolvable" and args.ranks is not None:
-        raise BadParams("supersolvable decomposes the full proper part; use rank-supersolvable for selections")
-
-    rec = _args_record(args)
-    doc = _input(args, *READS[name]) if needs_input else None
+    doc = _input(args, *READS[name]) if name in READS else None
     dec = _run_construction(rec, doc, _cap_checker(args))
     ced = verify_ced(dec)
 
@@ -483,19 +488,23 @@ def _verify_cm(args, want_two: bool) -> tuple[dict, bool]:
     return body, (two if want_two else cm)
 
 
+# each check, and the arguments it may read its input from, one at a time
 CHECKS = {
-    "ced": _verify_ced,
-    "h-inequalities": _verify_h_inequalities,
-    "flag-inequalities": _verify_flag_inequalities,
-    "m-vector": _verify_m_vector,
-    "cm": lambda args: _verify_cm(args, want_two=False),
-    "2cm": lambda args: _verify_cm(args, want_two=True),
-    "reciprocity": _verify_reciprocity,
+    "ced": (_verify_ced, ("input",)),
+    "h-inequalities": (_verify_h_inequalities, ("h", "input")),
+    "flag-inequalities": (_verify_flag_inequalities, ("input",)),
+    "m-vector": (_verify_m_vector, ("g", "h", "input")),
+    "cm": (lambda args: _verify_cm(args, want_two=False), ("input",)),
+    "2cm": (lambda args: _verify_cm(args, want_two=True), ("input",)),
+    "reciprocity": (_verify_reciprocity, ("input",)),
 }
+VERIFY_ARGS = sorted({key for _, keys in CHECKS.values() for key in keys})
 
 
 def cmd_verify(args) -> int:
-    body, ok = CHECKS[args.what](args)
+    check, sources = CHECKS[args.what]
+    _takes(args, f"verify --what {args.what}", VERIFY_ARGS, one_of=sources)
+    body, ok = check(args)
     report = {"schema": VERIFY_SCHEMA, "what": args.what, "ok": ok, "result": body}
     _emit(report, args.output)
     return EXIT_OK if ok else EXIT_FAILED
@@ -511,9 +520,8 @@ def _flag_count(c: SimplicialComplex) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _takes(args, f"experiment {args.name}", (), one_of=("fixture", "input"))
     if args.fixture:
-        if args.input:
-            raise BadParams("give --fixture or --input, not both")
         c = _fixture(args.fixture)
     else:
         c = complex_from_json(_input(args, COMPLEX, need="--fixture or --input"))
@@ -592,17 +600,7 @@ def _parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     dec = subs.add_parser("decompose", help="run a construction and verify the axioms")
-    dec.add_argument(
-        "--construction",
-        required=True,
-        choices=[
-            "supersolvable",
-            "rank-boolean",
-            "rank-supersolvable",
-            "face-poset",
-            "geometric",
-        ],
-    )
+    dec.add_argument("--construction", required=True, choices=list(TAKES))
     dec.add_argument("--rank", type=int, help="rank of the boolean lattice (rank-boolean)")
     dec.add_argument("--ranks", help="comma list of selected ranks")
     dec.add_argument("--atom-order", help="comma list of atom names (geometric)")

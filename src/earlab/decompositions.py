@@ -22,6 +22,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .complexes import (
     SimplicialComplex,
     ShellingOrder,
+    _betti,
+    _sphere_fault,
     build_complex,
     certify_sphere_or_ball,
     complex_to_json,
@@ -55,7 +57,7 @@ from .labelings import (
     verify_sr,
 )
 from .lattices import Lattice, boolean_poset, subset_name
-from .posets import Poset, rank_select, with_bounds
+from .posets import Poset, maximal_chains, rank_select, with_bounds
 
 __all__ = [
     "Ear",
@@ -135,11 +137,9 @@ def _class_map(
     return class_map
 
 
-def _coordinate_sphere(
-    ranks: Sequence[int],
-) -> tuple[SimplicialComplex, list[frozenset[int]]]:
-    """K, the reference sphere in copy coordinates, with each vertex's set,
-    listed in K's vertex order (the i-th set is bit i of K's masks).
+def _coordinate_sphere(ranks: Sequence[int]) -> tuple[list[int], list[frozenset[int]]]:
+    """K, the reference sphere in copy coordinates, as facet masks in the
+    order of ``_sphere``, with the coordinate set of each bit i (the i-th).
 
     K is the sphere of the identity word: the join, over the intervals
     [a, b] of the selected ranks, of the chains strictly between [a - 1]
@@ -149,11 +149,9 @@ def _coordinate_sphere(
     unselected rank k, so one K serves every copy and class word of a
     decomposition.
     """
+    bit: dict[frozenset[int], int] = {}
     flags = _sphere(range(1, ranks[-1] + 2), ranks)
-    name = {a: "+".join(map(str, sorted(a))) for a in {a for fl in flags for a in fl}}
-    sphere = build_complex([tuple(name[a] for a in fl) for fl in flags])
-    coord = {v: a for a, v in name.items()}
-    return sphere, [coord[v] for v in sphere.vertices]
+    return [sum(bit.setdefault(a, 1 << len(bit)) for a in fl) for fl in flags], list(bit)
 
 
 # -- decomposition containers ------------------------------------------------
@@ -191,11 +189,15 @@ class EarDecomposition:
     construction: str
     params: dict
     poset: Poset
-    complex: SimplicialComplex
     ears: list[Ear]
     dropped: list[dict]
     ranks: tuple[int, ...]
     rho: int
+
+    @property
+    def complex(self) -> SimplicialComplex:
+        """Δ, the order complex of ``poset``, listed afresh: it is not kept."""
+        return order_complex(self.poset)
 
     def to_json(self) -> dict:
         return {
@@ -270,7 +272,6 @@ def _assemble(
         construction=construction,
         params=params,
         poset=sel_poset,
-        complex=order_complex(sel_poset),
         ears=ears,
         dropped=dropped,
         ranks=ranks,
@@ -491,27 +492,27 @@ def decompose_geometric(
 
 
 def verify_ced(dec: EarDecomposition) -> dict:
-    """Check the four decomposition axioms on ``dec.complex``, plus the
-    resulting h-vector facts. h(Δ) is read off the flag h of ``dec.poset``,
-    whose order complex Δ is (no poset: ``h_checks.error``). Once the axioms
-    hold, ``ear_sum`` reads h(Δ) off the ears' verified shellings (Chari,
-    Trans. AMS 349, 1997), so no complex is shelled here;
-    ``ear_sum_matches`` joins ``ok``.
+    """Check the four decomposition axioms of the ears in Δ, the order
+    complex of ``dec.poset``, and the h-vector facts that follow, with no
+    complex built or shelled. The flag f and h of ``dec.poset`` with bounds
+    (Stanley, EC1 §3.13) give h(Δ) and, at the full rank set, Δ's facets'
+    number: the ears cover and partition Δ when each ear facet is a maximal
+    chain of the poset and the chains, all distinct, number that many. Δ's
+    chains are listed only to name missing ones. With no poset, or one
+    ``flag_f_and_h`` refuses, ``axiom_union``, ``chain_partition`` and
+    ``h_checks`` carry its ``error``. Once the axioms hold, ``ear_sum``
+    reads h(Δ) off the ears' verified shellings (Chari, Trans. AMS 349,
+    1997); ``ear_sum_matches`` joins ``ok``. Report-style: never raises on
+    a failed axiom; every section carries an ``ok`` flag and a witness.
 
-    Report-style: never raises on a failed axiom; every section carries an
-    ``ok`` flag and a witness when something is wrong.
-
-    Every ear's reference sphere is the coordinate sphere K of the ranks
-    relabelled by its copy and class word, so K is built once and each ear
-    is checked inside K through the inverse relabelling.
-    An ear without a class word, or whose map is undefined or not injective
-    on K, has no reference sphere and fails every polytope entry.
-    Ears that pull back onto one mask set with no vertex outside K are
-    isomorphic, since the map is injective, and share one certificate; K
-    takes the verdict memoized under its own facets (the sphere verdict
-    never reads the shelling), or else is certified once.
+    Each ear is checked inside K, the coordinate sphere of the ranks, as
+    masks, through the inverse of the relabelling by its copy and class
+    word; with no class word, or a map undefined or not injective on K, it
+    fails every polytope entry. Ears that pull back onto one mask set within
+    K share one certificate; K takes the verdict memoized under its own
+    facets, or else the sphere test.
     """
-    delta, ears = dec.complex, dec.ears
+    ears = dec.ears
     report: dict = {
         "schema": "earlab.ced-verify/2",
         "construction": dec.construction,
@@ -522,16 +523,46 @@ def verify_ced(dec: EarDecomposition) -> dict:
         report["error"] = "decomposition has no ears"
         return report
 
-    # the ears' own facet objects, so the union copies no face of Δ
-    union = {f for ear in ears for f in ear.complex.facets}
-    missing = sorted(set(delta.facets) - union, key=facet_key)
-    extra = sorted(union.difference(delta.facets), key=facet_key)
-    del union  # not to be held through the certificates
-    report["axiom_union"] = {
-        "ok": not missing and not extra,
-        "missing": [sorted(f) for f in missing[:3]],
-        "extra": [sorted(f) for f in extra[:3]],
-    }
+    try:
+        if dec.poset is None:
+            raise BadParams("the decomposition carries no poset to count chains in")
+        ff, fh = flag_f_and_h(with_bounds(dec.poset))
+    except EarlabError as exc:
+        h_section = {"error": str(exc)}
+        union = partition = {"ok": False, **h_section}
+    else:
+        p, facets = dec.poset, ff[range(1, ff.rho)]  # Δ's facets, the maximal chains of p
+        covered = {f for ear in ears for f in ear.complex.facets}  # the ears' own facet objects
+
+        def is_chain(names: frozenset[str]) -> bool:  # an element of each rank, each below the next
+            up = sorted((p.index(x) for x in names if p.has_element(x)), key=p.ranks.__getitem__)
+            return len(up) == len(names) == ff.rho - 1 and all(map(p.leq_i, up, up[1:]))
+
+        extra = sorted((f for f in covered if not is_chain(f)), key=facet_key)
+        missing = []
+        if len(covered) - len(extra) < facets:
+            missing = sorted({frozenset(c) for c in maximal_chains(p)} - covered, key=facet_key)
+        del covered  # not to be held through the certificates
+        union = {
+            "ok": not missing and not extra,
+            "missing": [sorted(f) for f in missing[:3]],
+            "extra": [sorted(f) for f in extra[:3]],
+        }
+        total = sum(len(ear.chains) for ear in ears)
+        distinct = len({c for ear in ears for c in ear.chains}) == total
+        partition = {"ok": distinct and total == facets, "total": total, "facets": facets}
+        # h_k(Δ) = Σ over k-sets S of ranks of the flag h_S
+        h = [sum(n for S, n in fh.entries.items() if len(S) == k) for k in range(fh.rho)]
+        ineq_ok, failures = verify_h_inequalities(h)
+        g, m_ok = g_and_m_check(h)
+        h_section = {
+            "h": h,
+            "inequalities_ok": ineq_ok,
+            "failures": failures,
+            "g": list(g),
+            "g_is_m_vector": m_ok,
+        }
+    report["axiom_union"] = union
 
     # bit k of holders[v]: the k-th facet of the earlier ears holds v
     kinds = []
@@ -539,10 +570,10 @@ def verify_ced(dec: EarDecomposition) -> dict:
     witnesses = []
     holders: dict[str, int] = {}
     placed = 0
-    sphere, coord = _coordinate_sphere(dec.ranks)
-    sphere_facets = frozenset(sphere.masks)
+    masks, coord = _coordinate_sphere(dec.ranks)
+    sphere_facets, dim = frozenset(masks), len(dec.ranks) - 1
     outside = 1 << len(coord)
-    sphere_kind: Optional[str] = None
+    sphere_ok: Optional[bool] = None
     certified: dict[frozenset[int], str] = {}
     for i, ear in enumerate(ears):
         pulled = _pulled_back(ear, coord)
@@ -560,12 +591,13 @@ def verify_ced(dec: EarDecomposition) -> dict:
                 False,
             ))
         else:
-            if sphere_kind is None:
-                sphere_kind = certified.get(sphere_facets) or _certify(sphere)
-            entry["ambient_is_sphere"] = sphere_kind == "SPHERE"
-            entry["full_dimensional"] = ear.complex.dim == sphere.dim
+            if sphere_ok is None:
+                known = certified.get(sphere_facets)
+                sphere_ok = known == "SPHERE" if known else not _sphere_fault(_betti(masks, dim), masks)
+            entry["ambient_is_sphere"] = sphere_ok
+            entry["full_dimensional"] = ear.complex.dim == dim
             entry["subcomplex"] = all(
-                m in sphere_facets or any(m | k == k for k in sphere.masks) for m in pulled
+                m in sphere_facets or any(m | k == k for k in masks) for m in pulled
             )
             if i == 0:
                 entry["equals_ambient"] = pulled == sphere_facets
@@ -595,48 +627,18 @@ def verify_ced(dec: EarDecomposition) -> dict:
     }
     report["axiom_balls"] = {"ok": axiom_balls_ok, "kinds": kinds}
     report["axiom_boundary"] = {"ok": boundary_ok, "witnesses": witnesses}
+    report["chain_partition"] = partition
 
-    total = sum(len(ear.chains) for ear in ears)
-    distinct = len({c for ear in ears for c in ear.chains}) == total
-    report["chain_partition"] = {
-        "ok": distinct and total == len(delta.facets),
-        "total": total,
-        "facets": len(delta.facets),
-    }
-
-    axioms_ok = (
-        report["axiom_union"]["ok"]
-        and axiom_sphere_ok
-        and axiom_balls_ok
-        and boundary_ok
-        and report["chain_partition"]["ok"]
-    )
-    try:
-        # h_k(Δ) = Σ over k-sets S of ranks of the flag h_S of Δ's poset with
-        # bounds added (Stanley, EC1 §3.13), so no face of Δ is listed
-        if dec.poset is None:
-            raise BadParams("the decomposition carries no poset to count chains in")
-        _, fh = flag_f_and_h(with_bounds(dec.poset))
-        h = [sum(n for S, n in fh.entries.items() if len(S) == k) for k in range(fh.rho)]
-        ineq_ok, failures = verify_h_inequalities(h)
-        g, m_ok = g_and_m_check(h)
-        h_section: dict = {
-            "h": h,
-            "inequalities_ok": ineq_ok,
-            "failures": failures,
-            "g": list(g),
-            "g_is_m_vector": m_ok,
-        }
-        if axioms_ok:
-            # h(Δ) = h(Σ_1) + Σ_{i≥2} h(Σ_i, ∂Σ_i), and h_k(B, ∂B) = h_{d−k}(B) for a ball
-            ear_sum = list(h_from_shelling(ears[0].shelling))
-            for ear in ears[1:]:
-                for k, n in enumerate(reversed(h_from_shelling(ear.shelling))):
-                    ear_sum[k] += n
-            h_section["ear_sum"] = ear_sum
-            h_section["ear_sum_matches"] = ear_sum == h
-    except EarlabError as exc:
-        h_section = {"error": str(exc)}
+    axioms = ("axiom_union", "axiom_polytope", "axiom_balls", "axiom_boundary", "chain_partition")
+    axioms_ok = all(report[k]["ok"] for k in axioms)
+    if axioms_ok:  # so Δ was counted and h(Δ) summed
+        # h(Δ) = h(Σ_1) + Σ_{i≥2} h(Σ_i, ∂Σ_i), and h_k(B, ∂B) = h_{d−k}(B) for a ball
+        ear_sum = list(h_from_shelling(ears[0].shelling))
+        for ear in ears[1:]:
+            for k, n in enumerate(reversed(h_from_shelling(ear.shelling))):
+                ear_sum[k] += n
+        h_section["ear_sum"] = ear_sum
+        h_section["ear_sum_matches"] = ear_sum == h
     report["h_checks"] = h_section
 
     h_ok = all(h_section.get(k) for k in ("ear_sum_matches", "inequalities_ok", "g_is_m_vector"))
@@ -666,10 +668,10 @@ def _pulled_back(ear: Ear, coord: Sequence[frozenset[int]]) -> Optional[frozense
     return frozenset(sum(map(bit.__getitem__, f)) for f in ear.complex.facets)
 
 
-def _certify(c: SimplicialComplex, shelling: Optional[ShellingOrder] = None) -> str:
-    """The kind ``certify_sphere_or_ball`` gives; "UNCERTIFIED(reason)" for
-    a complex it refuses. Any error other than an EarlabError is a bug and
-    propagates."""
+def _certify(c: SimplicialComplex, shelling: ShellingOrder) -> str:
+    """The kind ``certify_sphere_or_ball`` gives ``c`` with its verified
+    ``shelling``; "UNCERTIFIED(reason)" when it refuses. Any error other
+    than an EarlabError is a bug and propagates."""
     try:
         return certify_sphere_or_ball(c, shelling).kind
     except EarlabError as exc:  # report, don't raise

@@ -62,13 +62,17 @@ needs them, so they live with the tests:
   copy coordinates, and the chains whose ascent switches leave their ear;
 * ``ambient_by_permutations``: an ear's reference sphere by walking the
   permutations of each interval's pool in host names, per copy and frame;
+* ``coordinate_sphere_by_names``: K, the coordinate sphere of a rank set,
+  built as a complex over named coordinate sets, with each vertex's set,
+  the route that listing K's masks straight from ``_sphere`` replaced;
 * ``polytope_entries_by_ambients``: the polytope axiom of ``verify_ced``
   per ear, by building each ear's reference sphere with
-  ``ambient_by_permutations``, certifying it on its own and comparing the
-  ear with it by ``is_subcomplex`` and facet sets;
+  ``ambient_by_permutations``, certifying it on its own (``certified_kind``)
+  and comparing the ear with it by ``is_subcomplex`` and facet sets;
 * ``ced_axioms_certifying_each_ear``: the kinds, polytope entries and
   gluing witnesses of ``verify_ced`` with every ear certified on its own,
-  not once per pulled-back ear, and the witnesses by running face sets;
+  not once per pulled-back ear, K built by name and certified too, and the
+  witnesses by running face sets;
 * ``_concatenated_histogram``: h(Δ) as the restriction histogram of the
   whole complex shelled in the concatenated ear order, where that order
   shells it (None elsewhere), against which ``verify_ced``'s ear sum is
@@ -77,6 +81,9 @@ needs them, so they live with the tests:
   of the selected poset, by a set of every chain placed so far and the
   set of every maximal chain, against which ``verify_ced``'s
   ``axiom_union`` and ``chain_partition`` are diffed;
+* ``union_and_partition_by_listing``: those two sections themselves, with
+  Δ listed by ``order_complex`` and compared facet by facet, the route that
+  counting Δ's facets in flag f replaced;
 * ``reciprocity_by_polynomials``: the flag reciprocity identity as two
   polynomials in ν_i, expanded term by term (``_poly_add_term``) from the
   name sets of the ear's faces and of its ``boundary_complex``, compared
@@ -125,27 +132,31 @@ from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
 from earlab.complexes import (
+    ShellingOrder,
     SimplicialComplex,
     _reduce,
     boundary_complex,
     build_complex,
+    certify_sphere_or_ball,
     face_name,
     face_poset,
+    facet_key,
     h_from_shelling,
     homology_ranks,
+    order_complex,
     search_shelling,
     verify_shelling,
 )
 from earlab.decompositions import (
     Ear,
     EarDecomposition,
-    _certify,
-    _coordinate_sphere,
     _pulled_back,
+    _sphere,
     intervals_of,
 )
 from earlab.errors import (
     BadParams,
+    EarlabError,
     EmptySelection,
     NotCertified,
     NotComparable,
@@ -843,6 +854,29 @@ def ambient_by_permutations(
     return build_complex(facets)
 
 
+def coordinate_sphere_by_names(
+    ranks: Sequence[int],
+) -> tuple[SimplicialComplex, list[frozenset[int]]]:
+    """K built as a complex, its vertices named by their coordinate sets,
+    with each vertex's set in K's vertex order (the i-th set is bit i of
+    K's masks)."""
+    flags = _sphere(range(1, ranks[-1] + 2), ranks)
+    name = {a: "+".join(map(str, sorted(a))) for a in {a for fl in flags for a in fl}}
+    sphere = build_complex([tuple(name[a] for a in fl) for fl in flags])
+    coord = {v: a for a, v in name.items()}
+    return sphere, [coord[v] for v in sphere.vertices]
+
+
+def certified_kind(c: SimplicialComplex, shelling: Optional[ShellingOrder] = None) -> str:
+    """The kind ``certify_sphere_or_ball`` gives, with the bounded
+    search's shelling when none is given; "UNCERTIFIED(reason)" when it
+    refuses."""
+    try:
+        return certify_sphere_or_ball(c, shelling).kind
+    except EarlabError as exc:
+        return f"UNCERTIFIED({exc})"
+
+
 def reference_sphere(dec: EarDecomposition, index: int) -> SimplicialComplex:
     """Ear ``index``'s reference sphere by ``ambient_by_permutations``, from
     its copy and the frame of its class word."""
@@ -859,7 +893,7 @@ def polytope_entries_by_ambients(dec: EarDecomposition) -> list[dict]:
         ambient = reference_sphere(dec, i)
         entry = {
             "ear": i + 1,
-            "ambient_is_sphere": _certify(ambient) == "SPHERE",
+            "ambient_is_sphere": certified_kind(ambient) == "SPHERE",
             "full_dimensional": ear.complex.dim == ambient.dim,
             "subcomplex": is_subcomplex(ear.complex, ambient),
         }
@@ -878,12 +912,12 @@ def ced_axioms_certifying_each_ear(dec: EarDecomposition) -> dict:
     gluing axiom read off running face sets."""
     ears = dec.ears
     kinds, entries = [], []
-    sphere, coord = _coordinate_sphere(dec.ranks)
+    sphere, coord = coordinate_sphere_by_names(dec.ranks)
     sphere_facets = set(sphere.facets)
-    sphere_kind = _certify(sphere)
+    sphere_kind = certified_kind(sphere)
     outside = 1 << len(coord)
     for i, ear in enumerate(ears):
-        kinds.append(_certify(ear.complex, ear.shelling))
+        kinds.append(certified_kind(ear.complex, ear.shelling))
         entry = {"ear": i + 1}
         pulled = _pulled_back(ear, coord)
         if pulled is None:
@@ -950,6 +984,25 @@ def partition_problems(dec: EarDecomposition) -> list[str]:
     return problems
 
 
+def union_and_partition_by_listing(dec: EarDecomposition) -> tuple[dict, dict]:
+    """``axiom_union`` and ``chain_partition`` of ``verify_ced``, with Δ
+    listed as ``order_complex(dec.poset)`` and the ears' facets compared
+    with its facets as sets."""
+    delta = order_complex(dec.poset)
+    union = {f for ear in dec.ears for f in ear.complex.facets}
+    missing = sorted(set(delta.facets) - union, key=facet_key)
+    extra = sorted(union.difference(delta.facets), key=facet_key)
+    total = sum(len(ear.chains) for ear in dec.ears)
+    distinct = len({c for ear in dec.ears for c in ear.chains}) == total
+    union_axiom = {
+        "ok": not missing and not extra,
+        "missing": [sorted(f) for f in missing[:3]],
+        "extra": [sorted(f) for f in extra[:3]],
+    }
+    n = len(delta.facets)
+    return union_axiom, {"ok": distinct and total == n, "total": total, "facets": n}
+
+
 def _poly_add_term(
     poly: dict[frozenset[int], int],
     coeff: int,
@@ -1007,7 +1060,7 @@ def pulled_back_name_keys(dec: EarDecomposition) -> list[Optional[frozenset]]:
     certificate key ``verify_ced`` used before it read masks. None for an
     ear with no class word, a map undefined or not injective on K, or a
     vertex outside K's image."""
-    sphere, coord = _coordinate_sphere(dec.ranks)
+    sphere, coord = coordinate_sphere_by_names(dec.ranks)
     return [_name_key(ear, zip(sphere.vertices, coord)) for ear in dec.ears]
 
 

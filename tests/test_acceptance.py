@@ -21,7 +21,6 @@ from earlab.complexes import (
     f_h_vectors,
     h_from_shelling,
     order_complex,
-    union_complexes,
     verify_shelling,
 )
 from earlab.decompositions import (
@@ -297,7 +296,6 @@ def _fake_decomposition() -> EarDecomposition:
         construction="handmade",
         params={},
         poset=None,
-        complex=union_complexes(sphere, path),
         ears=[
             Ear(
                 chains=[("q1",), ("q2",), ("q3",), ("q4",)],

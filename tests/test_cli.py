@@ -262,6 +262,74 @@ def test_decompose_argument_safety_rails(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    (["decompose", "--construction", "supersolvable", "--input", "b3.json",
+      "--shelling", "0,1", "--atom-order", "a,b"],
+     "decompose --construction supersolvable does not read --atom-order, --shelling; drop it"),
+    (["decompose", "--construction", "supersolvable", "--input", "b3.json", "--ranks", "1"],
+     "decompose --construction supersolvable does not read --ranks; drop it"),
+    (["decompose", "--construction", "rank-boolean", "--rank", "3", "--ranks", "1",
+      "--input", "b3.json"],
+     "decompose --construction rank-boolean does not read --input; drop it"),
+    (["decompose", "--construction", "geometric", "--input", "m.json", "--shelling", "0"],
+     "decompose --construction geometric does not read --shelling; drop it"),
+    (["decompose", "--construction", "face-poset", "--input", "c.json", "--ranks", "1",
+      "--rank", "2"],
+     "decompose --construction face-poset does not read --rank; drop it"),
+    (["decompose", "--construction", "rank-boolean", "--ranks", "1"],
+     "decompose --construction rank-boolean needs --rank and --ranks"),
+    (["decompose", "--construction", "rank-supersolvable", "--input", "b3.json"],
+     "decompose --construction rank-supersolvable needs --input and --ranks"),
+    (["verify", "--what", "h-inequalities", "--h", "1,2,1", "--input", "/nonexistent.json"],
+     "verify --what h-inequalities reads one of --h, --input; give one"),
+    (["verify", "--what", "m-vector", "--g", "1", "--input", "/nonexistent.json"],
+     "verify --what m-vector reads one of --g, --h, --input; give one"),
+    (["verify", "--what", "m-vector", "--g", "1", "--h", "1,2"],
+     "verify --what m-vector reads one of --g, --h, --input; give one"),
+    (["verify", "--what", "ced", "--h", "1,2"], "verify --what ced does not read --h; drop it"),
+    (["verify", "--what", "cm", "--input", "c.json", "--g", "1"],
+     "verify --what cm does not read --g; drop it"),
+], ids=["ss-shelling-atoms", "ss-ranks", "rb-input", "geo-shelling", "fp-rank", "rb-no-rank",
+        "rss-no-ranks", "h-and-input", "g-and-input", "g-and-h", "ced-h", "cm-g"])
+def test_each_construction_and_check_names_the_arguments_it_reads(argv, refusal, capsys):
+    # refused before any document is read, so the named files need not exist
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: BadParams: {refusal}\n" in err
+
+
+def test_a_stored_report_is_verified_whatever_its_args_hold(tmp_path, capsys):
+    # the args of a stored report are not checked against the tables again
+    report = tmp_path / "run.json"
+    lattice = tmp_path / "b3.json"
+    run_cli(capsys, "gen", "boolean", "--rank", "3", "--output", str(lattice))
+    run_cli(capsys, "decompose", "--construction", "supersolvable", "--input", str(lattice),
+            "--output", str(report))
+    doc = json.loads(report.read_text())
+    doc["args"]["shelling"] = [0, 1]
+    report.write_text(json.dumps(doc))
+    for what in ("ced", "reciprocity"):
+        code, out, _ = run_cli(capsys, "verify", "--what", what, "--input", str(report))
+        assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_verify_ced_and_reciprocity_never_list_delta(tmp_path, capsys, monkeypatch):
+    # verify rebuilds the ears and counts Δ's facets in the selected poset;
+    # Δ is listed only for a report that prints it, as decompose's does
+    report = tmp_path / "run.json"
+    run_cli(capsys, "decompose", "--construction", "rank-boolean", "--rank", "4",
+            "--ranks", "1,3", "--output", str(report))
+
+    def refuse(*args):
+        raise AssertionError("order_complex called")
+
+    for module in ("earlab.complexes", "earlab.decompositions", "earlab.cli"):
+        monkeypatch.setattr(f"{module}.order_complex", refuse)
+    for what in ("ced", "reciprocity"):
+        code, out, _ = run_cli(capsys, "verify", "--what", what, "--input", str(report))
+        assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_decompose_size_cap(capsys):
     code, _, err = run_cli(
         capsys, "decompose", "--construction", "rank-boolean",
@@ -922,7 +990,7 @@ def test_experiment_refuses_a_fixture_with_an_input(tmp_path, capsys):
     code, out, err = run_cli(capsys, "experiment", "rank-selection",
                              "--fixture", "triangle", "--input", str(octa))
     assert code == 2 and out == ""
-    assert "error: BadParams: give --fixture or --input, not both" in err
+    assert "error: BadParams: experiment rank-selection reads one of --fixture, --input; give one" in err
 
 
 def test_experiment_unknown_fixture(capsys):

@@ -15,7 +15,6 @@ from itertools import permutations
 
 import pytest
 
-from earlab import complexes
 from earlab.errors import (
     EmptySelection,
     Inconsistent,
@@ -30,13 +29,11 @@ from earlab.complexes import (
     build_complex,
     certify_sphere_or_ball,
     h_from_shelling,
-    union_complexes,
     verify_shelling,
 )
 from earlab.decompositions import (
     Ear,
     EarDecomposition,
-    _coordinate_sphere,
     _descent_class,
     _sphere,
     decompose_face_poset,
@@ -456,7 +453,6 @@ def square_and_path() -> EarDecomposition:
         construction="handmade",
         params={},
         poset=None,
-        complex=union_complexes(sphere, path),
         ears=[
             Ear(
                 chains=[("q1",), ("q2",), ("q3",), ("q4",)],
@@ -563,23 +559,22 @@ def test_verify_ced_shells_nothing(monkeypatch):
     assert len(many.ears) > 1 and calls == []
 
 
-def test_verify_ced_builds_only_the_coordinate_sphere(monkeypatch):
-    # the union axiom reads the ears' own facet objects, so the one complex
-    # verify_ced builds is K, for one ear and for many
+def test_verify_ced_builds_no_complex(monkeypatch):
+    # the union axiom reads the ears' own facet objects and K is only masks,
+    # so verify_ced builds no complex, for one ear and for many
     one = decompose_supersolvable(boolean_lattice(4))
     many = decompose_supersolvable(partition_lattice(4))
     assert len(one.ears) == 1 < len(many.ears)
     for dec in (one, many):
-        sphere, _ = _coordinate_sphere(dec.ranks)
         calls = _count_calls(monkeypatch, build_complex)
         assert verify_ced(dec)["ok"]
-        assert len(calls) == 1 and build_complex(calls[0]) == sphere
+        assert calls == []
 
 
-def test_verify_ced_constructs_one_complex_and_no_boundary(monkeypatch):
+def test_verify_ced_constructs_no_complex_and_no_boundary(monkeypatch):
     # a ball certificate reads its boundary as ridge masks in the ball's own
-    # bits, so no boundary complex is built and the one complex verify_ced
-    # constructs is K, for one ear and for many
+    # bits and K's sphere test reads its masks, so verify_ced constructs no
+    # complex at all, boundary or other, for one ear and for many
     init, made, bounded = SimplicialComplex.__init__, [], []
 
     def counted(self, vertices, facets):
@@ -594,14 +589,11 @@ def test_verify_ced_constructs_one_complex_and_no_boundary(monkeypatch):
         decompose_supersolvable(boolean_lattice(4)),
         decompose_supersolvable(partition_lattice(4)),
     ):
-        sphere, _ = _coordinate_sphere(dec.ranks)
-        made.clear()
         with monkeypatch.context() as m:
             m.setattr(SimplicialComplex, "__init__", counted)
             m.setattr("earlab.complexes.boundary_complex", bounding)
             assert verify_ced(dec)["ok"]
-        assert bounded == []
-        assert len(made) == 1 and set(made[0]) == set(sphere.facets)
+        assert bounded == [] and made == []
 
 
 def test_verify_ced_builds_no_face_set_for_one_ear(monkeypatch):
@@ -623,32 +615,37 @@ def test_verify_ced_builds_no_face_set_for_one_ear(monkeypatch):
 
 
 def test_verify_ced_lists_no_face_of_delta(monkeypatch):
-    # h(Δ) is summed from the flag h of the selected poset, so Δ's masks reach
-    # no face listing; B4's one ear is a complex of its own on the same facets
-    faces_by_size = complexes._faces_by_size
+    # Δ's facets are counted in the flag f of the selected poset and h(Δ)
+    # summed from its flag h, so on a passing decomposition no maximal chain
+    # of the poset is listed and Δ is never built
+    def refuse(*args):
+        raise AssertionError("Δ listed")
+
     for dec in (
         decompose_supersolvable(boolean_lattice(4)),
         decompose_supersolvable(partition_lattice(4)),
+        decompose_rank_selected_boolean(4, (1, 3)),
     ):
-        seen = []
-
-        def counted(masks, top):
-            seen.append(masks)
-            return faces_by_size(masks, top)
-
-        monkeypatch.setattr("earlab.complexes._faces_by_size", counted)
-        assert verify_ced(dec)["ok"]
-        assert seen and not any(masks is dec.complex.masks for masks in seen)
+        with monkeypatch.context() as m:
+            for name in ("decompositions.maximal_chains", "decompositions.order_complex",
+                         "posets.maximal_chains", "complexes.order_complex"):
+                m.setattr(f"earlab.{name}", refuse)
+            assert verify_ced(dec)["ok"]
 
 
 def test_verify_ced_without_a_poset_reports_an_h_error():
-    # h(Δ) is counted in the decomposition's poset, and handmade ears have none
+    # Δ's facets and h(Δ) are counted in the decomposition's poset, and
+    # handmade ears have none: union, partition and h carry one error, and
+    # the axioms on the ears alone are still checked
     error = {"error": "the decomposition carries no poset to count chains in"}
+    counted = ("axiom_union", "chain_partition")
     report = verify_ced(square_and_path())
     assert report["ok"] is False and report["h_checks"] == error
+    assert all(report[k] == {"ok": False, **error} for k in counted)
+    assert not report["axiom_boundary"]["ok"]
     report = verify_ced(replace(decompose_supersolvable(boolean_lattice(3)), poset=None))
-    axioms = ("axiom_union", "axiom_polytope", "axiom_balls", "axiom_boundary", "chain_partition")
-    assert all(report[k]["ok"] for k in axioms)
+    assert all(report[k]["ok"] for k in ("axiom_polytope", "axiom_balls", "axiom_boundary"))
+    assert all(report[k] == {"ok": False, **error} for k in counted)
     assert report["ok"] is False and report["h_checks"] == error
 
 
@@ -682,11 +679,13 @@ def test_sphere_and_descent_class_leave_no_cyclic_garbage():
 
 
 def test_verify_ced_flags_missing_facets():
+    # a poset with one more maximal chain, zz < ww, than the ears hold
     dec = decompose_supersolvable(boolean_lattice(3))
-    bigger = union_complexes(dec.complex, build_complex([["zz", "ww"]]))
-    report = verify_ced(replace(dec, complex=bigger))
-    assert not report["axiom_union"]["ok"]
-    assert report["axiom_union"]["missing"]
+    p = dec.poset
+    bigger = build_poset([*p.elements, "zz", "ww"], [*p.cover_pairs(), ("zz", "ww")])
+    report = verify_ced(replace(dec, poset=bigger))
+    assert report["axiom_union"] == {"ok": False, "missing": [["ww", "zz"]], "extra": []}
+    assert report["chain_partition"] == {"ok": False, "total": 6, "facets": 7}
 
 
 def test_union_witnesses_are_independent_of_hash_seed():

@@ -70,9 +70,11 @@ against the brute-force routes they replaced, on random inputs.
   Hopcroft–Karp with a recursive augmenting step;
 * each ear's reference sphere (the coordinate sphere K relabelled by the
   copy and class word) against the permutation walk per copy and frame,
-  and ``verify_ced``'s polytope entries (each ear pulled back into K, K
-  certified once) against building, certifying and comparing each ear's
-  reference sphere on its own;
+  and ``verify_ced``'s polytope entries (each ear pulled back into K, K's
+  masks sphere-tested once) against building, certifying and comparing
+  each ear's reference sphere on its own; K's masks (listed straight from
+  ``_sphere``) against K built as a complex over named coordinate sets,
+  on every rank set with rho ≤ 7;
 * ``ball_flag_reciprocity`` (one flag-h identity on face counts by color
   set, off the masks) against the polynomial identity in ν_i it
   replaced, on colored complexes whose facets are transversals of the
@@ -81,6 +83,11 @@ against the brute-force routes they replaced, on random inputs.
   certificate per distinct pull-back into K, as masks over K's bits)
   against certifying every ear, and its mask keys against pulling each ear
   back into K's vertex names;
+* ``verify_ced``'s ``axiom_union`` and ``chain_partition`` (Δ's facets
+  counted by flag f, each ear facet checked to be a maximal chain, Δ's
+  chains listed only to name missing ones) against listing Δ and
+  comparing facet sets, on dropped, duplicated and moved ears and on
+  ears holding a facet that is no chain;
 * ``verify_ced``'s h(Δ) (summed from the flag h of the selected poset)
   and its ear sum (h of ear 1 plus the reversed h of every later ear, off
   their own shellings) against ``f_h_vectors``, and the ear sum against
@@ -133,6 +140,7 @@ from hypothesis import strategies as st
 from earlab.cli import COMPLEX_FIXTURES, _edge_list, _face_flag_h
 from earlab.complexes import (
     SimplicialComplex,
+    _betti,
     _extend_shelling,
     _faces_by_size,
     _is_closed_pseudomanifold,
@@ -238,6 +246,7 @@ from oracles import (
     ambient_by_permutations,
     boundary_by_name_sets,
     ced_axioms_certifying_each_ear,
+    coordinate_sphere_by_names,
     certify_by_boundary_complex,
     closed_pseudomanifold_by_name_sets,
     chains_by_filter,
@@ -278,6 +287,7 @@ from oracles import (
     sr_by_maximal_chains,
     subset_novelty_scan,
     supersolvable_copies_by_closure,
+    union_and_partition_by_listing,
     weak_leq,
 )
 from test_acceptance import FACE_FIXTURES
@@ -1565,7 +1575,7 @@ def boolean_rank_words(draw):
 def test_coordinate_sphere_image_agrees_with_the_permutation_walk(case):
     # the walk's sphere pulls back onto K facet for facet: it is K's image
     r, ranks, word, elem = case
-    sphere, coord = _coordinate_sphere(ranks)
+    sphere, coord = coordinate_sphere_by_names(ranks)
     walk = ambient_by_permutations(elem, intervals_of(ranks), _frame_of(word, ranks, r))
     ear = SimpleNamespace(provenance={"class_word": list(word)}, coord_names=elem, complex=walk)
     pulled = _pulled_back(ear, coord)
@@ -1603,20 +1613,22 @@ def test_first_ear_missing_a_facet_is_not_the_whole_sphere():
 
 def test_first_ear_missing_a_facet_certifies_K_once(monkeypatch):
     # ear 1's pull-back is not K's facet set, so the memo holds no verdict
-    # for K and K gets exactly one certificate of its own
+    # for K and K's masks get exactly one sphere test of their own, with no
+    # certificate and no complex for K
     dec = ambient_corpus()["Pi5"]
     chains = dec.ears[0].chains[:-1]
     bad = _with_ear(dec, 0, chains=chains, shelling=_shelled(chains))
-    sphere, _ = _coordinate_sphere(dec.ranks)
-    calls = []
+    masks, _ = _coordinate_sphere(dec.ranks)
+    certified, tested = count_certificates(monkeypatch), []
 
-    def counted(c, *args):
-        calls.append(set(c.facets) == set(sphere.facets))
-        return certify_sphere_or_ball(c, *args)
+    def counted(masks, d):
+        tested.append(masks)
+        return _betti(masks, d)
 
-    monkeypatch.setattr("earlab.decompositions.certify_sphere_or_ball", counted)
+    monkeypatch.setattr("earlab.decompositions._betti", counted)
     report = verify_ced(bad)
-    assert calls.count(True) == 1
+    assert tested == [masks]
+    assert not any(set(c.masks) == set(masks) for c in certified)
     assert report["axiom_balls"]["kinds"][0] == "BALL"
     assert all(e["ambient_is_sphere"] for e in report["axiom_polytope"]["per_ear"])
 
@@ -1650,7 +1662,7 @@ def test_non_injective_copy_has_no_reference_sphere():
     dec = ambient_corpus()["Pi5"]
     ear = dec.ears[1]
     word = ear.provenance["class_word"]
-    sphere, coord = _coordinate_sphere(dec.ranks)
+    sphere, coord = coordinate_sphere_by_names(dec.ranks)
     moved = {v: frozenset(word[i - 1] for i in a) for v, a in zip(sphere.vertices, coord)}
     first, second = sorted(v for v, a in zip(sphere.vertices, coord) if len(a) == 1)[:2]
     names = dict(ear.coord_names)
@@ -1902,7 +1914,7 @@ def test_non_injective_copy_has_no_key_and_is_certified_alone(monkeypatch):
     _, j = twin_ear(dec)
     ear = dec.ears[j]
     word = ear.provenance["class_word"]
-    sphere, coord = _coordinate_sphere(dec.ranks)
+    sphere, coord = coordinate_sphere_by_names(dec.ranks)
     moved = {v: frozenset(word[i - 1] for i in a) for v, a in zip(sphere.vertices, coord)}
     first, second = sorted(v for v, a in zip(sphere.vertices, coord) if len(a) == 2)[:2]
     names = dict(ear.coord_names)
@@ -2037,6 +2049,74 @@ def test_verify_ced_decides_the_partition_as_the_chain_sets_do(case):
         assert {frozenset(f) for f in union["missing"]} <= set(dropped.complex.facets)
     if dropped is None and not duplicated:
         assert union["ok"] and partition["ok"]
+
+
+def union_and_partition(dec) -> tuple[dict, dict]:
+    report = verify_ced(dec)
+    return report["axiom_union"], report["chain_partition"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(partition_edits())
+def test_counting_decides_union_and_partition_as_listing_delta_does(case):
+    dec, _, _ = case
+    assert union_and_partition(dec) == union_and_partition_by_listing(dec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(moved_chain_decompositions())
+def test_counting_agrees_with_listing_delta_on_moved_chains(dec):
+    assert union_and_partition(dec) == union_and_partition_by_listing(dec)
+
+
+@st.composite
+def non_chain_edits(draw):
+    """A decomposition from ``ear_sum_cases`` with one more ear, at a drawn
+    place, whose one facet is a drawn chain edited into no maximal chain:
+    an element swapped for a foreign one, or for another element of a rank
+    the chain already holds, or dropped; with that facet."""
+    dec = draw(ear_sum_cases())
+    chain = list(draw(st.sampled_from([c for ear in dec.ears for c in ear.chains])))
+    k = draw(st.integers(0, len(chain) - 1))
+    edits = ["foreign", "same-rank", "short"] if len(chain) > 1 else ["foreign"]
+    edit = draw(st.sampled_from(edits))
+    if edit == "foreign":
+        chain[k] = "foreign"
+    elif edit == "same-rank":
+        other = draw(st.sampled_from([j for j in range(len(chain)) if j != k]))
+        rank = dec.poset.rank_of(chain[other])
+        same = [x for x in dec.poset.elements if dec.poset.rank_of(x) == rank]
+        chain[k] = draw(st.sampled_from(same))
+    else:
+        del chain[k]
+    ear = Ear(chains=[tuple(chain)], shelling=_shelled([chain]), provenance={})
+    ears = list(dec.ears)
+    ears.insert(draw(st.integers(0, len(ears))), ear)
+    return replace(dec, ears=ears), frozenset(chain)
+
+
+@settings(max_examples=120, deadline=None)
+@given(non_chain_edits())
+def test_counting_names_a_non_chain_facet_as_listing_delta_does(case):
+    dec, facet = case
+    union, partition = union_and_partition(dec)
+    assert (union, partition) == union_and_partition_by_listing(dec)
+    assert not union["ok"] and not partition["ok"]
+    assert facet not in set(order_complex(dec.poset).facets)
+
+
+@pytest.mark.parametrize("ranks", [
+    S for k in range(1, 7) for S in combinations(range(1, 7), k)
+], ids=lambda S: "".join(map(str, S)))
+def test_coordinate_sphere_masks_are_the_named_spheres_facets(ranks):
+    # K as masks over coordinate sets straight from _sphere, and K built
+    # as a complex over named sets: one facet set of coordinate sets
+    masks, coord = _coordinate_sphere(ranks)
+    sphere, named = coordinate_sphere_by_names(ranks)
+    assert len(set(coord)) == len(coord) and len(set(masks)) == len(masks)
+    assert {frozenset(coord[i] for i in _bits(m)) for m in masks} == {
+        frozenset(named[i] for i in _bits(m)) for m in sphere.masks
+    }
 
 
 # -- novelty by copy bitmasks ----------------------------------------------------------
