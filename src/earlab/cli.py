@@ -237,6 +237,7 @@ def _edge_list(text: str) -> list[tuple[int, int]]:
 def _cap_checker(args):
     def check(kind: str, actual: int) -> None:
         limit = getattr(args, f"cap_{kind}")
+        limit = DEFAULT_CAPS[kind] if limit is None else limit
         if actual > limit:
             raise SizeLimit(
                 f"{kind} size {actual} exceeds the cap {limit}; raise --cap-{kind} to proceed"
@@ -435,7 +436,7 @@ def _verify_reciprocity(args) -> tuple[dict, bool]:
 
 
 def _h_source(args, need: str = "--h or --input") -> list[int]:
-    if args.h:
+    if args.h is not None:
         return _int_list(args.h, "--h")
     doc = _input(args, COMPLEX, *RUN_SCHEMAS, need=need)
     if doc["schema"] == COMPLEX:
@@ -458,7 +459,7 @@ def _verify_h_inequalities(args) -> tuple[dict, bool]:
 
 
 def _verify_m_vector(args) -> tuple[dict, bool]:
-    if args.g:
+    if args.g is not None:
         g = _int_list(args.g, "--g")
         if not g:
             raise BadParams("the g-vector is empty")
@@ -488,22 +489,22 @@ def _verify_cm(args, want_two: bool) -> tuple[dict, bool]:
     return body, (two if want_two else cm)
 
 
-# each check, and the arguments it may read its input from, one at a time
+# each check, the arguments it may read its input from (one at a time), and the caps it reads
 CHECKS = {
-    "ced": (_verify_ced, ("input",)),
-    "h-inequalities": (_verify_h_inequalities, ("h", "input")),
-    "flag-inequalities": (_verify_flag_inequalities, ("input",)),
-    "m-vector": (_verify_m_vector, ("g", "h", "input")),
-    "cm": (lambda args: _verify_cm(args, want_two=False), ("input",)),
-    "2cm": (lambda args: _verify_cm(args, want_two=True), ("input",)),
-    "reciprocity": (_verify_reciprocity, ("input",)),
+    "ced": (_verify_ced, ("input",), ("cap_lattice",)),
+    "h-inequalities": (_verify_h_inequalities, ("h", "input"), ()),
+    "flag-inequalities": (_verify_flag_inequalities, ("input",), ()),
+    "m-vector": (_verify_m_vector, ("g", "h", "input"), ()),
+    "cm": (lambda args: _verify_cm(args, want_two=False), ("input",), ("cap_homology",)),
+    "2cm": (lambda args: _verify_cm(args, want_two=True), ("input",), ("cap_homology",)),
+    "reciprocity": (_verify_reciprocity, ("input",), ("cap_lattice",)),
 }
-VERIFY_ARGS = sorted({key for _, keys in CHECKS.values() for key in keys})
+VERIFY_ARGS = sorted({key for _, sources, caps in CHECKS.values() for key in (*sources, *caps)})
 
 
 def cmd_verify(args) -> int:
-    check, sources = CHECKS[args.what]
-    _takes(args, f"verify --what {args.what}", VERIFY_ARGS, one_of=sources)
+    check, sources, caps = CHECKS[args.what]
+    _takes(args, f"verify --what {args.what}", VERIFY_ARGS, reads=caps, one_of=sources)
     body, ok = check(args)
     report = {"schema": VERIFY_SCHEMA, "what": args.what, "ok": ok, "result": body}
     _emit(report, args.output)
@@ -576,7 +577,7 @@ def cmd_experiment(args) -> int:
 
 def _add_caps(sub, *kinds: str) -> None:
     for kind in kinds:
-        sub.add_argument(f"--cap-{kind}", type=int, default=DEFAULT_CAPS[kind])
+        sub.add_argument(f"--cap-{kind}", type=int)  # unset is None, so _takes sees a given cap
 
 
 def _add_io(sub) -> None:

@@ -252,11 +252,12 @@ def induced_subposet(p: Poset, keep: Iterable[str]) -> Poset:
 
 
 def with_bounds(p: Poset) -> Poset:
-    """Adjoin VIRTUAL_BOTTOM and VIRTUAL_TOP (used to take flag vectors of
-    selections)."""
+    """Adjoin a bottom and a top (used to take flag vectors of selections),
+    named VIRTUAL_BOTTOM and VIRTUAL_TOP with ``_`` appended until neither
+    name is an element of ``p``."""
     bottom, top = VIRTUAL_BOTTOM, VIRTUAL_TOP
-    if p.has_element(bottom) or p.has_element(top):
-        raise BadParams("bound names collide with existing elements")
+    while p.has_element(bottom) or p.has_element(top):
+        bottom, top = bottom + "_", top + "_"
     pairs = list(p.cover_pairs())
     for i in p.minimal_indices():
         pairs.append((bottom, p.elements[i]))

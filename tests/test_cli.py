@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from earlab.cli import COMPLEX_FIXTURES, _flag_count, main
+from earlab.cli import CHECKS, COMPLEX_FIXTURES, _flag_count, main
 from earlab.complexes import _faces_by_size, build_complex, complex_to_json, face_poset, order_complex
 from earlab.decompositions import _generated_copy, decompose_rank_selected_boolean
 from earlab.flags import _subset_transform, ball_flag_reciprocity, flag_f_and_h, m_vector_witness
@@ -223,6 +223,33 @@ def test_decompose_supersolvable_from_document(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["ced"]["h_checks"]["h"] == [1, 4, 1]
     assert doc["input"]["digest"]
+
+
+def _renamed(value, old: str, new: str):
+    """``value`` with every string ``old`` in its nested lists replaced by ``new``."""
+    if isinstance(value, list):
+        return [_renamed(v, old, new) for v in value]
+    return new if value == old else value
+
+
+@pytest.mark.parametrize("argv, doc, old, new", [
+    (["supersolvable"], lattice_to_json(boolean_lattice(3)), "1", "_bot_"),
+    (["face-poset", "--ranks", "1,2"], complex_to_json(build_complex(COMPLEX_FIXTURES["two-triangles"])),
+     "a", "_top_"),
+], ids=["b3-bottom", "two-triangles-top"])
+def test_elements_named_like_the_adjoined_bounds_decompose(argv, doc, old, new, tmp_path, capsys):
+    # the flag vectors adjoin a bottom and a top whose names no element uses
+    reports = []
+    for name in (old, new):
+        path = tmp_path / f"{name}.json"
+        path.write_text(canonical_dumps({key: _renamed(value, old, name) for key, value in doc.items()}))
+        code, out, _ = run_cli(capsys, "decompose", "--construction", *argv, "--input", str(path))
+        assert code == 0
+        reports.append(json.loads(out))
+    before, after = reports
+    assert new in json.dumps(after["input"]["document"])
+    assert len(after["decomposition"]["ears"]) == len(before["decomposition"]["ears"])
+    assert after["ced"]["h_checks"]["h"] == before["ced"]["h_checks"]["h"]
 
 
 def test_decompose_geometric_from_matroid(tmp_path, capsys):
@@ -435,6 +462,29 @@ def test_caps_a_subcommand_does_not_read_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# the one cap each verify check reads: the lattice it rebuilds, or the complex whose homology it takes
+READS_CAP = {"ced": "lattice", "reciprocity": "lattice", "cm": "homology", "2cm": "homology"}
+
+
+@pytest.mark.parametrize("what, cap", [
+    (what, cap) for what in CHECKS for cap in ("lattice", "homology") if READS_CAP.get(what) != cap
+])
+def test_verify_refuses_a_cap_its_check_does_not_read(what, cap, capsys):
+    source = ["--h", "1,2,1"] if what in ("h-inequalities", "m-vector") else ["--input", "x.json"]
+    code, out, err = run_cli(capsys, "verify", "--what", what, *source, f"--cap-{cap}", "9")
+    assert code == 2 and out == ""
+    assert f"error: BadParams: verify --what {what} does not read --cap-{cap}; drop it\n" in err
+
+
+def test_a_cap_a_check_reads_still_bounds_it(tmp_path, capsys):
+    report = tmp_path / "run.json"
+    report.write_text(json.dumps(_supersolvable_report(tmp_path, capsys)))
+    code, out, err = run_cli(capsys, "verify", "--what", "ced", "--cap-lattice", "3",
+                             "--input", str(report))
+    assert code == 2 and out == ""
+    assert "error: SizeLimit: lattice size 8 exceeds the cap 3" in err
 
 
 def test_decompose_missing_input_file(capsys):
@@ -732,6 +782,15 @@ def test_verify_refuses_an_empty_g_vector(capsys):
     assert code == 2 and out == ""
     assert "error: BadParams: the g-vector is empty" in err
     assert m_vector_witness([]) == {"reason": "empty sequence"}
+
+
+@pytest.mark.parametrize("what, given, vector", [
+    ("h-inequalities", "--h", "h"), ("m-vector", "--h", "h"), ("m-vector", "--g", "g"),
+])
+def test_an_empty_vector_argument_is_given_not_missing(what, given, vector, capsys):
+    code, out, err = run_cli(capsys, "verify", "--what", what, given, "")
+    assert code == 2 and out == ""
+    assert f"error: BadParams: the {vector}-vector is empty" in err
 
 
 def test_verify_m_vector_from_h(capsys):

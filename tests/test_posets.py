@@ -133,9 +133,13 @@ def test_with_bounds_adds_virtual_elements():
 
 
 def test_with_bounds_rejects_name_collision():
-    p = build_poset(["a", VIRTUAL_BOTTOM], [(VIRTUAL_BOTTOM, "a")])
-    with pytest.raises(BadParams):
-        with_bounds(p)
+    """The bounds take ``_``-suffixed names until neither is an element."""
+    taken = [VIRTUAL_BOTTOM, "a", VIRTUAL_TOP + "_"]
+    p = build_poset(taken, list(zip(taken, taken[1:])))
+    b = with_bounds(p)
+    assert (b.bottom, b.top) == (VIRTUAL_BOTTOM + "__", VIRTUAL_TOP + "__")
+    assert set(b.elements) == {*taken, b.bottom, b.top}
+    assert b.max_rank() == 4
 
 
 def test_rank_select_renumbers_consecutively():
