@@ -26,7 +26,6 @@ from .complexes import (
     _sphere_fault,
     build_complex,
     certify_sphere_or_ball,
-    complex_to_json,
     face_name,
     face_poset,
     facet_key,
@@ -196,17 +195,16 @@ class EarDecomposition:
 
     @property
     def complex(self) -> SimplicialComplex:
-        """Δ, the order complex of ``poset``, listed afresh: it is not kept."""
+        """Δ, the order complex of ``poset``, listed afresh: not kept, not written."""
         return order_complex(self.poset)
 
     def to_json(self) -> dict:
         return {
-            "schema": "earlab.decomposition/2",
+            "schema": "earlab.decomposition/3",
             "construction": self.construction,
             "params": self.params,
             "rho": self.rho,
             "ranks": list(self.ranks),
-            "complex": complex_to_json(self.complex),
             "ears": [e.to_json() for e in self.ears],
             "dropped": self.dropped,
         }

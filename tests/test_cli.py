@@ -21,10 +21,16 @@ import pytest
 
 from earlab.cli import CHECKS, COMPLEX_FIXTURES, _flag_count, main
 from earlab.complexes import _faces_by_size, build_complex, complex_to_json, face_poset, order_complex
-from earlab.decompositions import _generated_copy, decompose_rank_selected_boolean
+from earlab.decompositions import (
+    _generated_copy,
+    decompose_face_poset,
+    decompose_geometric,
+    decompose_rank_selected_boolean,
+    decompose_supersolvable,
+)
 from earlab.flags import _subset_transform, ball_flag_reciprocity, flag_f_and_h, m_vector_witness
-from earlab.lattices import boolean_lattice, lattice_to_json
-from earlab.matroids import matroid_to_json, uniform_matroid
+from earlab.lattices import boolean_lattice, lattice_to_json, partition_lattice
+from earlab.matroids import lattice_of_flats, matroid_to_json, uniform_matroid
 from earlab.posets import canonical_dumps, rank_select, with_bounds
 
 
@@ -527,7 +533,7 @@ def test_verify_ced_refuses_a_bare_decomposition(tmp_path, capsys):
     path.write_text(canonical_dumps(decompose_rank_selected_boolean(4, [1, 3]).to_json()))
     code, _, err = run_cli(capsys, "verify", "--what", "ced", "--input", str(path))
     assert code == 4
-    assert "expected a document of kind earlab.run/1 or earlab.run/2, got 'earlab.decomposition/2'" in err
+    assert "expected a document of kind earlab.run/1 or earlab.run/2, got 'earlab.decomposition/3'" in err
 
 
 def test_verify_ced_detects_tampered_chains(tmp_path, capsys):
@@ -721,8 +727,9 @@ def test_run1_reports_verify_like_their_run2_counterparts(name, tmp_path, capsys
     assert code == 0
     doc2 = json.loads(new.read_text())
 
-    # /2 drops the ear keys complex, shelling and ambient, and ced-verify/2
-    # reads h off the ears instead of the concatenated shelling; the rest is equal
+    # decomposition/2 drops the ear keys complex, shelling and ambient, /3
+    # drops the order complex, and ced-verify/2 reads h off the ears instead
+    # of the concatenated shelling; the rest is equal
     assert (doc1["schema"], doc2["schema"]) == ("earlab.run/1", "earlab.run/2")
     ced1, ced2 = doc1["ced"], doc2["ced"]
     assert (ced1.pop("schema"), ced2.pop("schema")) == ("earlab.ced-verify/1", "earlab.ced-verify/2")
@@ -735,14 +742,79 @@ def test_run1_reports_verify_like_their_run2_counterparts(name, tmp_path, capsys
         k: v for k, v in doc2.items() if k != "schema"
     }
     assert dec1.pop("schema") == "earlab.decomposition/1"
-    assert dec2.pop("schema") == "earlab.decomposition/2"
+    assert dec2.pop("schema") == "earlab.decomposition/3"
+    del dec1["complex"]
     for ear in dec1["ears"]:
         for key in ("complex", "shelling", "ambient"):
             del ear[key]
     assert dec1 == dec2
 
     # ced and reciprocity rebuild the decomposition and h-inequalities reads
-    # only ced.h_checks.h, which /2 keeps: /1 reports verify as /2 ones do
+    # only ced.h_checks.h, which run/2 keeps: run/1 reports verify as run/2 ones do
+    for what in ("ced", "reciprocity", "h-inequalities"):
+        outs = [
+            run_cli(capsys, "verify", "--what", what, "--input", str(path))
+            for path in (old, new)
+        ]
+        assert outs[0][0] == outs[1][0] == 0, what
+        assert outs[0][1] == outs[1][1], what
+
+
+# decompose arguments, input document (or None) and the same decomposition
+# built in the library, for reports turned back into earlab.decomposition/2
+DECOMPOSITION2_CASES = {
+    "rank-boolean-4-13": (
+        ("--construction", "rank-boolean", "--rank", "4", "--ranks", "1,3"),
+        None,
+        lambda: decompose_rank_selected_boolean(4, [1, 3]),
+    ),
+    "supersolvable-pi4": (
+        ("--construction", "supersolvable"),
+        lattice_to_json(partition_lattice(4)),
+        lambda: decompose_supersolvable(partition_lattice(4)),
+    ),
+    "face-poset-two-triangles-12": (
+        ("--construction", "face-poset", "--ranks", "1,2"),
+        complex_to_json(build_complex(COMPLEX_FIXTURES["two-triangles"])),
+        lambda: decompose_face_poset(build_complex(COMPLEX_FIXTURES["two-triangles"]), ranks=[1, 2]),
+    ),
+    "geometric-u35": (
+        ("--construction", "geometric"),
+        matroid_to_json(uniform_matroid(3, 5)),
+        lambda: decompose_geometric(lattice_of_flats(uniform_matroid(3, 5))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DECOMPOSITION2_CASES))
+def test_decomposition2_reports_verify_like_their_decomposition3_originals(name, tmp_path, capsys):
+    argv, document, build = DECOMPOSITION2_CASES[name]
+    argv = list(argv)
+    if document is not None:
+        source = tmp_path / "input.json"
+        source.write_text(canonical_dumps(document))
+        argv += ["--input", str(source)]
+    new = tmp_path / "run3.json"
+    code, _, _ = run_cli(capsys, "decompose", *argv, "--output", str(new))
+    assert code == 0
+    doc = json.loads(new.read_text())
+    dec3 = doc["decomposition"]
+    assert dec3["schema"] == "earlab.decomposition/3" and "complex" not in dec3
+
+    # /2 wrote Δ between ranks and ears; the ears' chains are its facets
+    dec = build()
+    delta = complex_to_json(dec.complex)
+    assert sorted(map(sorted, delta["facets"])) == sorted(
+        sorted(c) for ear in dec3["ears"] for c in ear["chains"]
+    )
+    at = list(dec3).index("ears")
+    items = list(dec3.items())
+    dec2 = dict(items[:at] + [("complex", delta)] + items[at:])
+    dec2["schema"] = "earlab.decomposition/2"
+    old = tmp_path / "run2.json"
+    old.write_text(canonical_dumps({**doc, "decomposition": dec2}))
+
+    # verify reads args, the ears' chains and the input, never Δ
     for what in ("ced", "reciprocity", "h-inequalities"):
         outs = [
             run_cli(capsys, "verify", "--what", what, "--input", str(path))

@@ -754,12 +754,24 @@ def test_ball_reciprocity_on_every_ear():
 def test_decomposition_to_json_shape():
     dec = decompose_rank_selected_boolean(3, [1])
     doc = dec.to_json()
-    assert doc["schema"] == "earlab.decomposition/2"
+    assert doc["schema"] == "earlab.decomposition/3"
+    assert "complex" not in doc
     assert doc["construction"] == "rank-boolean"
     assert doc["rho"] == 3 and doc["ranks"] == [1]
     assert len(doc["ears"]) == len(dec.ears)
     for ear in doc["ears"]:
         assert set(ear) == {"chains", "restrictions", "provenance"}
+
+
+def test_verified_ears_list_each_facet_of_delta_once():
+    # Δ is not written: once verify_ced holds, the ears' chains are exactly
+    # its facets, each once, so the written ears determine it
+    for dec in corpus_decompositions():
+        ced = verify_ced(dec)
+        assert ced["ok"], dec.construction
+        facets = dec.complex.facets
+        assert {frozenset(c) for ear in dec.ears for c in ear.chains} == set(facets)
+        assert ced["chain_partition"]["facets"] == ced["chain_partition"]["total"] == len(facets)
 
 
 def test_written_ears_rebuild_their_shellings():

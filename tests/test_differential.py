@@ -87,7 +87,8 @@ against the brute-force routes they replaced, on random inputs.
   counted by flag f, each ear facet checked to be a maximal chain, Δ's
   chains listed only to name missing ones) against listing Δ and
   comparing facet sets, on dropped, duplicated and moved ears and on
-  ears holding a facet that is no chain;
+  ears holding a facet that is no chain, and, whenever ``verify_ced``
+  holds, the ears' chains against Δ's facets, which reports do not write;
 * ``verify_ced``'s h(Δ) (summed from the flag h of the selected poset)
   and its ear sum (h of ear 1 plus the reversed h of every later ear, off
   their own shellings) against ``f_h_vectors``, and the ear sum against
@@ -2067,6 +2068,19 @@ def test_counting_decides_union_and_partition_as_listing_delta_does(case):
 @given(moved_chain_decompositions())
 def test_counting_agrees_with_listing_delta_on_moved_chains(dec):
     assert union_and_partition(dec) == union_and_partition_by_listing(dec)
+
+
+@settings(max_examples=120, deadline=None)
+@given(partition_edits())
+def test_a_verified_decomposition_lists_delta_by_its_ears(case):
+    # reports do not write Δ: flag f counts its facets, and whenever
+    # verify_ced holds the ears' chains are those facets
+    dec, _, _ = case
+    report = verify_ced(dec)
+    facets = order_complex(dec.poset).facets
+    assert report["chain_partition"]["facets"] == len(facets)
+    if report["ok"]:
+        assert {frozenset(c) for ear in dec.ears for c in ear.chains} == set(facets)
 
 
 @st.composite
