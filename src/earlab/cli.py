@@ -32,6 +32,7 @@ An argument a gen family, construction or check needs and lacks, or does not rea
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -289,8 +290,9 @@ def _run_construction(rec: Mapping, doc: Optional[Mapping], cap) -> EarDecomposi
         lat = lattice_of_flats(matroid_from_json(doc))
         cap("lattice", lat.poset.n)
     else:  # the size is checked on the poset, before the quadratic join/meet tables
-        cap("lattice", poset_from_json(doc).n)
-        lat = lattice_from_json(doc)
+        poset = poset_from_json(doc)
+        cap("lattice", poset.n)
+        lat = lattice_from_json(doc, poset)
     if name == "geometric":
         return decompose_geometric(lat, rec.get("atom_order"), ranks)
     raw = labels_from_json(lat.poset, doc)
@@ -585,6 +587,7 @@ def _add_io(sub) -> None:
     sub.add_argument("--output")
 
 
+@functools.cache  # parse_args fills a fresh namespace per call, so one parser serves every main
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="earlab", description=__doc__.splitlines()[0])
     subs = top.add_subparsers(dest="command", required=True)

@@ -13,9 +13,10 @@ Conventions used throughout:
     class, and no permutation is built. Per class the sweep keeps the
     masks, each member's inversion list as ``bytes``, and per inversion
     bit the bitset of the members with it; τ's candidates in D_S are the
-    AND of those bitsets over τ's list. A matching (augmenting paths on
-    those bitsets) runs only when |D_T| ≤ |D_S| and every τ has a
-    candidate, most inverted τ first, so a failing pair fails early.
+    AND of those bitsets over τ's list. A matching (a greedy pass, then
+    augmenting paths on those bitsets from the τ it left unmatched) runs
+    only when |D_T| ≤ |D_S| and every τ has a candidate, most inverted τ
+    first, so a failing pair fails early.
     w ↦ w0·w·w0 is a weak-order automorphism carrying D_S onto D_{m-S}, so
     (S, T) and (m-S, m-T) are decided together. ``dominates`` matches on
     the same lists and names the injection's permutations through
@@ -118,7 +119,10 @@ def _subset_transform(v: list[int], sign: int) -> list[int]:
 def flag_f_and_h(p: Poset) -> tuple[FlagVector, FlagVector]:
     """Flag f and h of a bounded graded poset, by chain DP and
     ``_subset_transform``; the f = Σ h round trip is asserted. Each S
-    extends the chain counts of S minus its largest rank by one layer."""
+    extends the chain counts of S minus its largest rank r by one layer s,
+    each element of rank s summing the counts of the elements below it at
+    rank r only; those lists are read off ``_down`` once per rank pair
+    (r, s), when first needed."""
     if not (p.graded and p.bounded):
         raise BadParams("flag vectors need a graded bounded poset")
     rho = p.rank_of(p.top)
@@ -127,21 +131,25 @@ def flag_f_and_h(p: Poset) -> tuple[FlagVector, FlagVector]:
     layers: list[list[int]] = [[] for _ in range(rho + 1)]
     for i, r in enumerate(p.ranks):
         layers[r].append(i)
+    at = {i: k for layer in layers for k, i in enumerate(layer)}  # place within its layer
+    masks = [sum(1 << i for i in layer) for layer in layers]
+    below: dict[tuple[int, int], list[list[int]]] = {}
     f = [0] * (1 << (rho - 1))
     # (S as a rank mask, the number of chains hitting exactly the ranks in S
-    # and ending at each element of rank max S)
-    stack: list[tuple[int, dict[int, int]]] = [(0, {p._bottom: 1})]
+    # and ending at each element of rank max S, in layer order)
+    stack: list[tuple[int, list[int]]] = [(0, [1])]  # rank 0 holds the bottom alone
     while stack:
         S, counts = stack.pop()
-        f[S] = sum(counts.values())
-        for s in range(S.bit_length() + 1, rho):
-            nxt: dict[int, int] = {}
-            for j in layers[s]:
-                down = p._down[j]
-                total = sum(c for i, c in counts.items() if (down >> i) & 1)
-                if total:
-                    nxt[j] = total
-            stack.append((S | 1 << (s - 1), nxt))
+        f[S] = sum(counts)
+        r = S.bit_length()
+        count = counts.__getitem__
+        for s in range(r + 1, rho):
+            down = below.get((r, s))
+            if down is None:
+                down = below[r, s] = [
+                    [at[i] for i in _bits(p._down[j] & masks[r])] for j in layers[s]
+                ]
+            stack.append((S | 1 << (s - 1), [sum(map(count, ks)) for ks in down]))
     return _flag_vectors(f, rho)
 
 
@@ -397,18 +405,31 @@ def _match(cands: Sequence[int]) -> Optional[list[int]]:
     neighbours as a bitset of right vertices: the right vertex of each, or
     None when there is none.
 
-    Left vertices are taken in order (Kuhn). From each, a depth-first
-    search with an explicit stack, so a path's length is not bounded by
-    the recursion limit, visits each right vertex at most once: it takes a
-    free neighbour when one is left, else passes through the lowest
-    unvisited matched one to its partner, and flips the path when it
-    reaches a free vertex. When the search from u fails, the matching of
-    left vertices 0..u-1 has no augmenting path among 0..u, so by Berge no
-    matching covers them all, and the answer is None."""
+    A greedy pass gives each left vertex, in order, its lowest free
+    neighbour. Kuhn's augmenting search then runs from each vertex that
+    pass left unmatched, in order: a depth-first search with an explicit
+    stack, so a path's length is not bounded by the recursion limit,
+    visits each right vertex at most once; it takes a free neighbour when
+    one is left, else passes through the lowest unvisited matched one to
+    its partner, and flips the path when it reaches a free vertex. When the
+    search from u fails, the matching has no augmenting path from u, so by
+    Berge no matching covers every left vertex (in the symmetric difference
+    with one that did, the path from u would end at a free right vertex),
+    and the answer is None."""
     match_l = [-1] * len(cands)
     match_r: dict[int, int] = {}
     matched = 0
+    for u, cand in enumerate(cands):
+        free = cand & ~matched
+        if free:
+            low = free & -free
+            matched |= low
+            v = low.bit_length() - 1
+            match_l[u] = v
+            match_r[v] = u
     for root in range(len(cands)):
+        if match_l[root] != -1:
+            continue
         path = [root]  # left vertices from the root down
         via: list[int] = []  # the right vertex between path[k] and path[k + 1]
         seen = 0

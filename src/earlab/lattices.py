@@ -301,10 +301,12 @@ def lattice_to_json(lat: Lattice) -> dict:
     return out
 
 
-def lattice_from_json(data: Mapping) -> Lattice:
+def lattice_from_json(data: Mapping, p: Optional[Poset] = None) -> Lattice:
     """The lattice of a lattice or poset document; stored ``joins`` and
-    ``meets`` tables, optional, must agree with the order."""
-    p = poset_from_json(data)
+    ``meets`` tables, optional, must agree with the order. ``p``, when
+    given, is ``poset_from_json(data)``, already parsed by the caller."""
+    if p is None:
+        p = poset_from_json(data)
     mchain = data.get("mchain")
     if mchain is not None and not (
         isinstance(mchain, list) and all(isinstance(x, str) for x in mchain)

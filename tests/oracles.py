@@ -25,8 +25,12 @@ needs them, so they live with the tests:
   ``flag_f_per_subset``: the inversion masks and inversion bits of each
   descent class by ``inversion_mask`` and by reading each permutation,
   member by member, the dominance table by deciding every ordered pair
-  with each D_T in class order, and each flag f entry counted from the
-  bottom rank on its own;
+  with each D_T in class order through ``match_by_augmenting``, and each
+  flag f entry counted from the bottom rank on its own, with ``leq_i`` on
+  every pair of consecutive selected layers;
+* ``match_by_augmenting``: the left-covering matching on candidate
+  bitsets by Kuhn's augmenting search from every left vertex in turn,
+  with no greedy pass first, the route ``flags._match`` replaced;
 * ``join_table`` and ``meet_table``: every pair's join and meet by
   up-mask and down-mask lookup, the two tables ``Lattice`` once built;
 * ``is_distributive`` and ``is_mchain``: the brute-force lattice
@@ -172,7 +176,6 @@ from earlab.errors import (
 )
 from earlab.flags import (
     FlagVector,
-    _injection,
     ball_flag_reciprocity,
     descent_classes,
     flag_f_and_h,
@@ -373,15 +376,72 @@ def class_masks_per_permutation(m: int) -> dict:
 def dominance_table_all_pairs(m: int) -> frozenset:
     """``flags.dominance_table`` deciding every ordered pair (S, T) on its
     own, each D_T in class order, on the masks of
-    ``class_masks_per_permutation``."""
+    ``class_masks_per_permutation``: τ's candidates are the members of D_S
+    holding every inversion of τ, matched by ``match_by_augmenting``."""
     classes = class_masks_per_permutation(m)
     table = set()
     for T, (masks, _, _) in classes.items():
-        left = [list(_bits(mask)) for mask in masks]
-        table.update(
-            (S, T) for S, right in classes.items() if S == T or _injection(left, right) is not None
-        )
+        for S, (right, having, _) in classes.items():
+            if S != T and len(masks) <= len(right):
+                cands = []
+                for mask in masks:
+                    cand = (1 << len(right)) - 1
+                    for k in _bits(mask):
+                        cand &= having[k]
+                    if not cand:
+                        break
+                    cands.append(cand)
+                else:
+                    if match_by_augmenting(cands) is not None:
+                        table.add((S, T))
+        table.add((T, T))
     return frozenset(table)
+
+
+def match_by_augmenting(cands: Sequence[int]) -> Optional[list[int]]:
+    """A matching that covers every left vertex, given each one's
+    neighbours as a bitset of right vertices: the right vertex of each, or
+    None when there is none.
+
+    Left vertices are taken in order (Kuhn). From each, a depth-first
+    search with an explicit stack, so a path's length is not bounded by
+    the recursion limit, visits each right vertex at most once: it takes a
+    free neighbour when one is left, else passes through the lowest
+    unvisited matched one to its partner, and flips the path when it
+    reaches a free vertex. When the search from u fails, the matching of
+    left vertices 0..u-1 has no augmenting path among 0..u, so by Berge no
+    matching covers them all, and the answer is None."""
+    match_l = [-1] * len(cands)
+    match_r: dict[int, int] = {}
+    matched = 0
+    for root in range(len(cands)):
+        path = [root]  # left vertices from the root down
+        via: list[int] = []  # the right vertex between path[k] and path[k + 1]
+        seen = 0
+        while path:
+            rest = cands[path[-1]] & ~seen
+            free = rest & ~matched
+            if free:
+                v = (free & -free).bit_length() - 1
+                via.append(v)
+                for x, y in zip(path, via):
+                    match_l[x] = y
+                    match_r[y] = x
+                matched |= 1 << v
+                break
+            if rest:
+                low = rest & -rest
+                seen |= low
+                v = low.bit_length() - 1
+                via.append(v)
+                path.append(match_r[v])
+            else:
+                path.pop()
+                if via:
+                    via.pop()
+        else:
+            return None
+    return match_l
 
 
 def flag_f_per_subset(p: Poset) -> dict[frozenset[int], int]:

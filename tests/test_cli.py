@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from earlab.cli import CHECKS, COMPLEX_FIXTURES, _flag_count, main
+from earlab.cli import CHECKS, COMPLEX_FIXTURES, _flag_count, _parser, _takes, main
 from earlab.complexes import _faces_by_size, build_complex, complex_to_json, face_poset, order_complex
 from earlab.decompositions import (
     _generated_copy,
@@ -31,7 +31,7 @@ from earlab.decompositions import (
 from earlab.flags import _subset_transform, ball_flag_reciprocity, flag_f_and_h, m_vector_witness
 from earlab.lattices import boolean_lattice, lattice_to_json, partition_lattice
 from earlab.matroids import lattice_of_flats, matroid_to_json, uniform_matroid
-from earlab.posets import canonical_dumps, rank_select, with_bounds
+from earlab.posets import canonical_dumps, poset_from_json, rank_select, with_bounds
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -229,6 +229,19 @@ def test_decompose_supersolvable_from_document(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["ced"]["h_checks"]["h"] == [1, 4, 1]
     assert doc["input"]["digest"]
+
+
+@pytest.mark.parametrize("argv", [["supersolvable"], ["rank-supersolvable", "--ranks", "1,2"],
+                                  ["geometric"]])
+def test_a_lattice_document_is_parsed_once(argv, tmp_path, capsys, monkeypatch):
+    # the size cap and the join table read the same parsed poset
+    parsed = []
+    monkeypatch.setattr("earlab.cli.poset_from_json", lambda doc: parsed.append(doc) or poset_from_json(doc))
+    monkeypatch.setattr("earlab.lattices.poset_from_json", lambda doc: parsed.append(doc) or poset_from_json(doc))
+    lat = tmp_path / "b3.json"
+    run_cli(capsys, "gen", "boolean", "--rank", "3", "--output", str(lat))
+    code, _, _ = run_cli(capsys, "decompose", "--construction", *argv, "--input", str(lat))
+    assert (code, len(parsed)) == (0, 1)
 
 
 def _renamed(value, old: str, new: str):
@@ -468,6 +481,30 @@ def test_caps_a_subcommand_does_not_read_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call_and_no_argument_outlives_its_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; every call reads only its own arguments
+    seen = []
+
+    def recorded(args, *rest, **kw):
+        seen.append(dict(vars(args)))
+        return _takes(args, *rest, **kw)
+
+    monkeypatch.setattr("earlab.cli._takes", recorded)
+    b3, tri = tmp_path / "b3.json", tmp_path / "triangle.json"
+    assert run_cli(capsys, "gen", "boolean", "--rank", "3", "--output", str(b3))[0] == 0
+    assert run_cli(capsys, "gen", "complex-fixture", "--name", "triangle", "--output", str(tri))[0] == 0
+    assert run_cli(capsys, "verify", "--what", "cm", "--input", str(tri), "--cap-homology", "50")[0] == 0
+    assert run_cli(capsys, "verify", "--what", "flag-inequalities", "--input", str(b3))[0] == 0
+    assert run_cli(capsys, "decompose", "--construction", "supersolvable", "--input", str(b3))[0] == 0
+    gen, fixture, cm, flags, dec = seen
+    assert (gen["rank"], gen["name"], fixture["rank"], fixture["name"]) == (3, None, None, "triangle")
+    assert (cm["what"], cm["cap_homology"]) == ("cm", 50)
+    assert (flags["what"], flags["cap_homology"], flags["cap_lattice"]) == ("flag-inequalities", None, None)
+    assert (dec["rank"], dec["cap_lattice"], dec["command"]) == (None, None, "decompose")
+    assert "what" not in dec and "family" not in flags
+    assert _parser() is _parser()
 
 
 # the one cap each verify check reads: the lattice it rebuilds, or the complex whose homology it takes

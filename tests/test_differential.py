@@ -54,11 +54,14 @@ against the brute-force routes they replaced, on random inputs.
   bitsets read off as columns, no permutation built) against
   ``inversion_mask`` and each permutation member by member, class order
   and member order included, and ``dominance_table`` (one decision per
-  pair up to w ↦ w0·w·w0, most inverted τ first) against deciding every
-  pair, with the symmetry checked on random permutations;
+  pair up to w ↦ w0·w·w0, most inverted τ first, greedy matching before
+  augmenting) against deciding every pair by augmenting alone, with the
+  symmetry checked on random permutations;
 * ``flag_f_and_h`` (chain counts extended from the prefix S minus its
-  largest rank) against counting each S from the bottom, on random
-  bounded rank selections and on face posets, and ``_subset_transform``
+  largest rank, over comparable pairs only) against counting each S from
+  the bottom over every pair of layers, on random bounded rank
+  selections, on full B7, B8 and Π6, on every bounded rank selection of
+  B7 and on face posets, and ``_subset_transform``
   (one in-place pass per bit over a list by rank mask) against each flag
   h entry's own signed sum, in both directions;
 * ``face_poset_flags`` (the product rule on f(K), no poset built) against
@@ -66,8 +69,10 @@ against the brute-force routes they replaced, on random inputs.
   shellable and on arbitrary, often impure, complexes, and
   ``corollary_gap_coefficients`` (the same rule on the h-basis) against
   the hand-written expansion on every pair for d ≤ 6;
-* ``_match`` (augmenting paths on candidate bitsets, τ by τ) against
-  Hopcroft–Karp with a recursive augmenting step;
+* ``_match`` (a greedy pass, then augmenting paths on candidate bitsets
+  from the vertices it left unmatched) against Hopcroft–Karp with a
+  recursive augmenting step, and against augmenting from every vertex
+  (``match_by_augmenting``) on candidate bitsets up to 40 × 40;
 * each ear's reference sphere (the coordinate sphere K relabelled by the
   copy and class word) against the permutation walk per copy and frame,
   and ``verify_ced``'s polytope entries (each ear pulled back into K, K's
@@ -270,6 +275,7 @@ from oracles import (
     induced_subposet_by_names,
     inversion_mask,
     is_geometric,
+    match_by_augmenting,
     is_mchain,
     is_subcomplex,
     join_table,
@@ -1410,6 +1416,34 @@ def test_bitset_matching_agrees_with_hopcroft_karp(graph):
 
 
 @st.composite
+def candidate_bitsets(draw):
+    """Up to 40 left and 40 right vertices, each left vertex's neighbours
+    a random bitset of at most a drawn number of bits, so that sparse
+    graphs, where no matching covers the left side, occur; in half the
+    draws that can, a random injection is planted among the edges, so that
+    a cover exists that the greedy pass often misses."""
+    n_right = draw(st.integers(1, 40))
+    n_left = draw(st.integers(0, 40))
+    degree = draw(st.integers(0, n_right))
+    nbrs = st.lists(st.integers(0, n_right - 1), unique=True, max_size=degree)
+    cands = [sum(1 << v for v in draw(nbrs)) for _ in range(n_left)]
+    if n_left <= n_right and draw(st.booleans()):
+        planted = draw(st.permutations(range(n_right)))
+        cands = [cand | 1 << v for cand, v in zip(cands, planted)]
+    return cands
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_bitsets())
+def test_greedy_then_augmenting_matching_agrees_with_augmenting_alone(cands):
+    got = _match(cands)
+    assert (got is None) == (match_by_augmenting(cands) is None)
+    if got is not None:
+        assert len(got) == len(cands) == len(set(got))
+        assert all((cand >> v) & 1 for v, cand in zip(got, cands))
+
+
+@st.composite
 def rank_subset_pairs(draw):
     m = draw(st.integers(2, 6))
     positions = st.frozensets(st.integers(1, m - 1))
@@ -1453,6 +1487,18 @@ def bounded_rank_selections(draw):
 @settings(max_examples=80, deadline=None)
 @given(bounded_rank_selections())
 def test_flag_f_agrees_with_counting_each_subset(p):
+    assert flag_f_and_h(p)[0].entries == flag_f_per_subset(p)
+
+
+@pytest.mark.parametrize("kind, n", [("B", 7), ("B", 8), ("P", 6)])
+def test_flag_f_agrees_with_counting_each_subset_on_the_largest_lattices(kind, n):
+    p = flag_lattice(kind, n).poset
+    assert flag_f_and_h(p)[0].entries == flag_f_per_subset(p)
+
+
+@pytest.mark.parametrize("ranks", [R for k in range(1, 7) for R in combinations(range(1, 7), k)])
+def test_flag_f_agrees_with_counting_each_subset_on_rank_selections_of_b7(ranks):
+    p = with_bounds(rank_select(flag_lattice("B", 7).poset, ranks))
     assert flag_f_and_h(p)[0].entries == flag_f_per_subset(p)
 
 
