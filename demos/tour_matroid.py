@@ -57,9 +57,8 @@ def main() -> None:
     colors = {
         v: dec.poset.rank_of(v) for ear in dec.ears for v in ear.complex.vertices
     }
-    d = len(dec.ranks)
     for k, ear in enumerate(dec.ears, start=1):
-        print(f"  ear {k}: reciprocity {ball_flag_reciprocity(ear.complex, colors, d)}")
+        print(f"  ear {k}: reciprocity {ball_flag_reciprocity(ear.complex, colors)}")
 
     banner("Rank selection keeps the machinery intact")
     for ranks in [(1,), (2,)]:

@@ -287,7 +287,9 @@ def _run_construction(rec: Mapping, doc: Optional[Mapping], cap) -> EarDecomposi
         cap("lattice", sum(map(len, _faces_by_size(c.masks, c.dim + 1))))  # the face poset
         return decompose_face_poset(c, rec.get("shelling"), ranks or ())
     if kind == MATROID:  # flats are only counted by building them
-        lat = lattice_of_flats(matroid_from_json(doc))
+        m = matroid_from_json(doc)
+        cap("lattice", 2**m.rank)  # a basis's subsets have distinct closures
+        lat = lattice_of_flats(m)
         cap("lattice", lat.poset.n)
     else:  # the size is checked on the poset, before the quadratic join/meet tables
         poset = poset_from_json(doc)
@@ -430,7 +432,7 @@ def _verify_reciprocity(args) -> tuple[dict, bool]:
     dec, rec, chains_match = _rebuild_from_report(args)
     colors = {v: dec.poset.rank_of(v) for ear in dec.ears for v in ear.complex.vertices}
     rows = [
-        {"ear": k + 1, "ok": ball_flag_reciprocity(ear.complex, colors, len(dec.ranks))}
+        {"ear": k + 1, "ok": ball_flag_reciprocity(ear.complex, colors)}
         for k, ear in enumerate(dec.ears)
     ]
     body = {"construction": rec["construction"], "chains_match": chains_match, "ears": rows}

@@ -37,7 +37,6 @@ from .posets import Poset, _bits, build_poset, maximal_chains
 __all__ = [
     "SimplicialComplex",
     "ShellingOrder",
-    "Certificate",
     "build_complex",
     "order_complex",
     "face_poset",
@@ -145,19 +144,32 @@ def face_name(face: Iterable[str]) -> str:
 def face_poset(
     c: SimplicialComplex, include_empty: bool = False, graded: bool = False
 ) -> Poset:
-    """Faces under inclusion, named by face_name from their masks; a face
-    covers its masks with one bit cleared. Rank ends up being cardinality
+    """Faces under inclusion, named by face_name from their masks (two
+    faces with one name are refused with Inconsistent); a face covers its
+    masks with one bit cleared. Rank ends up being cardinality
     (minus one without the empty face). Pass ``graded=True`` when a rank
     function is needed downstream; non-pure complexes may then be rejected."""
-    names = {
-        s: face_name(map(c.vertices.__getitem__, _bits(s)))
-        for size in _faces_by_size(c.masks, c.dim + 1)[0 if include_empty else 1 :]
-        for s in size
-    }
+    faces = _faces_by_size(c.masks, c.dim + 1)[0 if include_empty else 1 :]
+    names = _named([s for size in faces for s in size], c.vertices, "face", "vertices")
     covers = [
         (names[s ^ 1 << i], x) for s, x in names.items() for i in _bits(s) if s ^ 1 << i in names
     ]
     return build_poset(list(names.values()), covers, graded=graded)
+
+
+def _named(masks: Iterable[int], parts: Sequence[str], kind: str, of: str) -> dict[int, str]:
+    """Each mask named by face_name of its parts (bit i is ``parts[i]``);
+    Inconsistent names the first two masks that get one name."""
+    owner: dict[str, int] = {}
+    for s in masks:
+        x = face_name(map(parts.__getitem__, _bits(s)))
+        if (g := owner.setdefault(x, s)) != s:
+            a, b = ([parts[i] for i in _bits(m)] for m in (g, s))
+            raise Inconsistent(
+                f"{kind}s {a} and {b} are both named {x!r}: a {kind}'s name joins its {of} "
+                f"with '+', and '0' names the empty {kind}"
+            )
+    return {s: x for x, s in owner.items()}
 
 
 def _faces_by_size(masks: Iterable[int], top: int) -> list[set[int]]:
@@ -479,22 +491,6 @@ def _is_cm(masks: Sequence[int], d: int) -> bool:
 # -- sphere / ball certificates -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Evidence that a complex is a sphere or a ball.
-
-    ``kind`` is "SPHERE" or "BALL" and ``betti`` holds the reduced Betti
-    numbers (none for {∅}). A BALL of positive dimension also carries its
-    verified ``shelling``; its boundary, ridge masks in its own bits, passed
-    the sphere test and is not kept. Ambient polytopality of reference
-    spheres is an assumption of the callers, not something this code proves.
-    """
-
-    kind: str
-    betti: tuple[int, ...] = ()
-    shelling: Optional[ShellingOrder] = None
-
-
 def _is_closed_pseudomanifold(masks: Sequence[int]) -> bool:
     """Nonempty, pure, each ridge in two facets, and ridge-connected."""
     if not masks or len({f.bit_count() for f in masks}) > 1:
@@ -520,41 +516,41 @@ def _sphere_fault(betti: tuple[int, ...], masks: Sequence[int]) -> str:
     return "" if _is_closed_pseudomanifold(masks) else "not a closed pseudomanifold"
 
 
-def certify_sphere_or_ball(
-    c: SimplicialComplex, shelling: Optional[ShellingOrder] = None
-) -> Certificate:
-    """Certify SPHERE or BALL, else raise NotCertified.
+def certify_sphere_or_ball(c: SimplicialComplex, shelling: Optional[ShellingOrder]) -> str:
+    """The verdict "SPHERE" or "BALL" on ``c``, else raise NotCertified.
 
     SPHERE: passes the sphere test (in dimension 0, two points); {∅} is
-    the (-1)-sphere. BALL: shellable, acyclic, and its boundary ridges,
-    masks in c's bits, pass the sphere test; in dimension 0, one point.
-    The shelling is ``shelling``, a ShellingOrder of ``c`` from
-    ``verify_shelling`` (not checked again), else the bounded search's.
+    the (-1)-sphere. BALL: acyclic, shelled by ``shelling``, and its
+    boundary ridges, masks in c's bits, pass the sphere test; in dimension
+    0, one point. ``shelling`` is a ShellingOrder of ``c`` from
+    ``verify_shelling`` (not checked again), or None when none is known,
+    which refuses a ball of positive dimension; no shelling is searched
+    for. Ambient polytopality of reference spheres is an assumption of the
+    callers, not something this code proves.
     """
     if shelling is not None and shelling.complex != c:
         raise BadParams("the shelling is of another complex")
     if c.is_void:
         raise NotCertified("void complex")
     if c.is_irrelevant:
-        return Certificate("SPHERE")
+        return "SPHERE"
     if not c.pure:
         raise NotCertified("not pure")
     betti = homology_ranks(c)
     if not _sphere_fault(betti, c.masks):
-        return Certificate("SPHERE", betti)
+        return "SPHERE"
     if any(betti):
         raise NotCertified(f"homology {betti} fits neither sphere nor ball")
     if c.dim == 0:  # acyclic points: one point
-        return Certificate("BALL", betti)
-    sh = shelling if shelling is not None else search_shelling(c)
-    if sh is None:
-        raise NotCertified("no shelling found")
+        return "BALL"
+    if shelling is None:
+        raise NotCertified("no shelling given")
     bd = _boundary_ridges(c.masks)
     if not bd:
         raise NotCertified("acyclic closed complex is not a ball")
     if fault := _sphere_fault(_betti(bd, c.dim - 1), bd):
         raise NotCertified(f"boundary is not a sphere: {fault}")
-    return Certificate("BALL", betti, sh)
+    return "BALL"
 
 
 # -- serialization ---------------------------------------------------------------

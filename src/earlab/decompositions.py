@@ -667,11 +667,11 @@ def _pulled_back(ear: Ear, coord: Sequence[frozenset[int]]) -> Optional[frozense
 
 
 def _certify(c: SimplicialComplex, shelling: ShellingOrder) -> str:
-    """The kind ``certify_sphere_or_ball`` gives ``c`` with its verified
+    """The verdict ``certify_sphere_or_ball`` gives ``c`` with its verified
     ``shelling``; "UNCERTIFIED(reason)" when it refuses. Any error other
     than an EarlabError is a bug and propagates."""
     try:
-        return certify_sphere_or_ball(c, shelling).kind
+        return certify_sphere_or_ball(c, shelling)
     except EarlabError as exc:  # report, don't raise
         return f"UNCERTIFIED({exc})"
 

@@ -90,9 +90,8 @@ def _check_class_rank(m: int) -> None:
 
 @dataclass(frozen=True)
 class FlagVector:
-    """Map from rank subsets to counts; kind is 'f' or 'h'."""
+    """Map from rank subsets to counts (a flag f or a flag h)."""
 
-    kind: str
     rho: int
     entries: Mapping[frozenset[int], int]
 
@@ -177,7 +176,7 @@ def _flag_vectors(f: list[int], rho: int) -> tuple[FlagVector, FlagVector]:
     if _subset_transform(h.copy(), 1) != f:
         raise SelfCheckFailed("flag f/h round trip failed")
     ranks = [frozenset(i + 1 for i in _bits(S)) for S in range(len(f))]
-    return FlagVector("f", rho, dict(zip(ranks, f))), FlagVector("h", rho, dict(zip(ranks, h)))
+    return FlagVector(rho, dict(zip(ranks, f))), FlagVector(rho, dict(zip(ranks, h)))
 
 
 # -- h-vector side -------------------------------------------------------------
@@ -541,20 +540,17 @@ def _inequality_report(fh: FlagVector) -> dict:
 # -- ball flag reciprocity -------------------------------------------------------
 
 
-def ball_flag_reciprocity(
-    ear: SimplicialComplex,
-    colors: Mapping[str, int],
-    d: int,
-) -> bool:
+def ball_flag_reciprocity(ear: SimplicialComplex, colors: Mapping[str, int]) -> bool:
     """The flag reciprocity identity of a rank-colored (d-1)-ball or
-    sphere: for every W ⊆ [d], h_int(W) = h([d] - W) + χ̃·(-1)^(d-|W|),
-    with h the ear's flag h, h_int its interior's (the nonempty faces in
-    no boundary ridge) and χ̃ its reduced Euler characteristic, which
-    vanishes on a ball. Both flag h's come from ``_subset_transform`` on
-    face counts by color mask (color c is bit c - 1), read off the ear's
-    masks."""
-    if ear.is_void or ear.dim != d - 1 or not ear.pure:
-        raise NotBall(f"expected a pure complex of dimension {d - 1}")
+    sphere, d = ear.dim + 1: for every W ⊆ [d], h_int(W) = h([d] - W) +
+    χ̃·(-1)^(d-|W|), with h the ear's flag h, h_int its interior's (the
+    nonempty faces in no boundary ridge) and χ̃ its reduced Euler
+    characteristic, which vanishes on a ball. Both flag h's come from
+    ``_subset_transform`` on face counts by color mask (color c is bit
+    c - 1), read off the ear's masks."""
+    if ear.is_void or not ear.pure:
+        raise NotBall("expected a pure nonvoid complex")
+    d = ear.dim + 1
     full = (1 << d) - 1
     bit = {c: 1 << (c - 1) for c in range(1, d + 1)}
     hue = [bit.get(colors[v], 0) for v in ear.vertices]

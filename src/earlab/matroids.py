@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .complexes import face_name
+from .complexes import _named
 from .errors import BadParams, ExchangeAxiomFailed, Inconsistent, NotSimple
 from .lattices import Lattice
 from .posets import _array, build_poset
@@ -275,16 +275,7 @@ def lattice_of_flats(m: Matroid) -> Lattice:
                 if g not in spans:
                     spans[g] = j
                     flats.append(g)
-    atoms = {f: [m.ground[i] for i in range(n) if f >> i & 1] for f in flats}
-    name = {f: face_name(atoms[f]) for f in flats}
-    first: dict[str, int] = {}
-    for f, x in name.items():
-        g = first.setdefault(x, f)
-        if g != f:
-            raise Inconsistent(
-                f"flats {atoms[g]} and {atoms[f]} are both named {x!r}: a flat's name "
-                "joins its atoms with '+', and '0' names the empty flat"
-            )
+    name = _named(flats, m.ground, "flat", "atoms")
     return Lattice(build_poset(name.values(), [(name[f], name[g]) for f, g in covers]))
 
 

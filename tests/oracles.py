@@ -221,7 +221,7 @@ def flag_h_from_descents(p: Poset, lab: EdgeLabeling) -> FlagVector:
     for c in maximal_chains(p):
         S = descent_set(lab.word(c))
         entries[S] = entries.get(S, 0) + 1
-    return FlagVector("h", rho, entries)
+    return FlagVector(rho, entries)
 
 
 def flag_h_by_inclusion_exclusion(
@@ -928,11 +928,11 @@ def coordinate_sphere_by_names(
 
 
 def certified_kind(c: SimplicialComplex, shelling: Optional[ShellingOrder] = None) -> str:
-    """The kind ``certify_sphere_or_ball`` gives, with the bounded
-    search's shelling when none is given; "UNCERTIFIED(reason)" when it
-    refuses."""
+    """The verdict ``certify_sphere_or_ball`` gives with ``shelling`` (none
+    when not given, which only a sphere needs); "UNCERTIFIED(reason)" when
+    it refuses."""
     try:
-        return certify_sphere_or_ball(c, shelling).kind
+        return certify_sphere_or_ball(c, shelling)
     except EarlabError as exc:
         return f"UNCERTIFIED({exc})"
 
@@ -1145,7 +1145,7 @@ def reciprocity_rows_per_ear(
 ) -> list[dict]:
     """``verify --what reciprocity``'s rows, with ``check`` run on every ear."""
     return [
-        {"ear": k + 1, "ok": check(ear.complex, colors, len(dec.ranks))}
+        {"ear": k + 1, "ok": check(ear.complex, colors)}
         for k, ear in enumerate(dec.ears)
     ]
 

@@ -266,9 +266,8 @@ def test_6_ball_flag_reciprocity():
             for ear in dec.ears
             for v in ear.complex.vertices
         }
-        d = len(dec.ranks)
         for ear in dec.ears:
-            assert ball_flag_reciprocity(ear.complex, colors, d), label
+            assert ball_flag_reciprocity(ear.complex, colors), label
             ears += 1
     print(f"ACCEPTANCE 6 PASS: flag reciprocity holds entry by entry on "
           f"{ears} ears")

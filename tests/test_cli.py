@@ -1141,6 +1141,38 @@ def test_flats_of_a_plus_name_without_a_clash_decompose(tmp_path, capsys):
     assert doc["decomposition"]["params"]["atom_order"] == ground
 
 
+@pytest.mark.parametrize("facets, clash", [
+    ([["0", "b", "c"], ["0", "b", "d"]], "faces [] and ['0'] are both named '0'"),
+    ([["a", "b", "c"], ["a+b", "b", "c"]], "faces ['a+b'] and ['a', 'b'] are both named 'a+b'"),
+], ids=["vertex-0", "vertex-a+b"])
+def test_faces_named_like_another_face_are_refused(facets, clash, tmp_path, capsys):
+    # the vertex "0" is named like the empty face; the vertex "a+b" like the edge {a, b}
+    why = "a face's name joins its vertices with '+', and '0' names the empty face"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"schema": "earlab.complex/1", "facets": facets}))
+    code, out, err = run_cli(capsys, "decompose", "--construction", "face-poset",
+                             "--ranks", "1,2", "--input", str(path))
+    assert code == 2 and out == ""
+    assert f"Inconsistent: {clash}: {why}" in err
+
+
+def test_a_matroid_of_high_rank_is_refused_before_its_flats_are_built(tmp_path, monkeypatch, capsys):
+    # rank 25: at least 2^25 flats, one per subset of a basis, so the cap refuses it unbuilt
+    ground = [f"e{i}" for i in range(26)]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"schema": "earlab.matroid/1", "ground": ground,
+                                "circuits": [["e0", "e1", "e2"]]}))
+
+    def refuse(m):
+        raise AssertionError("flats built before the size cap")
+
+    monkeypatch.setattr("earlab.cli.lattice_of_flats", refuse)
+    code, out, err = run_cli(capsys, "decompose", "--construction", "geometric",
+                             "--input", str(path))
+    assert code == 2 and out == ""
+    assert f"SizeLimit: lattice size {2**25} exceeds the cap 200" in err
+
+
 def test_poset_document_listing_an_element_twice_is_refused(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"schema": "earlab.poset/1", "elements": ["0", "a", "a", "1"],

@@ -337,17 +337,20 @@ def test_points_are_a_closed_pseudomanifold_just_when_two(points, closed):
 
 
 def test_certify_spheres():
-    assert certify_sphere_or_ball(triangle_boundary()).kind == "SPHERE"
-    cert = certify_sphere_or_ball(tetra_boundary())
-    assert cert.kind == "SPHERE"
-    assert cert.betti == (0, 0, 1)
+    # a sphere needs no shelling
+    assert certify_sphere_or_ball(triangle_boundary(), None) == "SPHERE"
+    assert certify_sphere_or_ball(tetra_boundary(), None) == "SPHERE"
 
 
 def test_certify_balls():
-    cert = certify_sphere_or_ball(two_triangles())
-    assert cert.kind == "BALL"
-    assert cert.shelling is not None and cert.shelling.complex == two_triangles()
-    assert certify_sphere_or_ball(triangle()).kind == "BALL"
+    for c in two_triangles(), triangle():
+        assert certify_sphere_or_ball(c, search_shelling(c)) == "BALL"
+
+
+def test_certify_refuses_a_ball_without_a_shelling():
+    # the verdict reads the shelling it is handed and never searches for one
+    with pytest.raises(NotCertified, match=r"^no shelling given$"):
+        certify_sphere_or_ball(two_triangles(), None)
 
 
 def test_a_ball_certificate_names_the_boundary_that_fails():
@@ -363,9 +366,7 @@ def test_a_ball_certificate_names_the_boundary_that_fails():
 def test_certify_with_given_shelling():
     c = two_triangles()
     sh = verify_shelling(c, [1, 0])
-    cert = certify_sphere_or_ball(c, sh)
-    assert cert.kind == "BALL"
-    assert cert.shelling is sh
+    assert certify_sphere_or_ball(c, sh) == "BALL"
 
 
 def test_certify_refuses_a_shelling_of_another_complex():
@@ -376,12 +377,12 @@ def test_certify_refuses_a_shelling_of_another_complex():
 
 def test_certify_rejects_bowtie():
     with pytest.raises(NotCertified):
-        certify_sphere_or_ball(bowtie())
+        certify_sphere_or_ball(bowtie(), search_shelling(bowtie()))
 
 
 def test_certify_zero_dimensional():
-    assert certify_sphere_or_ball(build_complex([["a"], ["b"]])).kind == "SPHERE"
-    assert certify_sphere_or_ball(build_complex([["a"]])).kind == "BALL"
+    assert certify_sphere_or_ball(build_complex([["a"], ["b"]]), None) == "SPHERE"
+    assert certify_sphere_or_ball(build_complex([["a"]]), None) == "BALL"
 
 
 # -- Face poset and order complex --------------------------------------------------------------

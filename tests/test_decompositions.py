@@ -741,9 +741,8 @@ def test_switch_closure_detects_tampering():
 def test_ball_reciprocity_on_every_ear():
     for dec in corpus_decompositions():
         colors = rank_colors(dec)
-        d = len(dec.ranks)
         for ear in dec.ears:
-            assert ball_flag_reciprocity(ear.complex, colors, d), (
+            assert ball_flag_reciprocity(ear.complex, colors), (
                 dec.construction,
                 ear.provenance,
             )

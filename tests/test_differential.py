@@ -764,13 +764,24 @@ def _certified_kind(certify, c):
         return type(exc)
 
 
+def certify_searching_when_needed(c):
+    """The verdict on c, with a searched shelling only when c is refused for
+    want of one: a sphere still certifies without."""
+    try:
+        return certify_sphere_or_ball(c, None)
+    except NotCertified as exc:
+        if str(exc) != "no shelling given":
+            raise
+    return certify_sphere_or_ball(c, search_shelling(c))
+
+
 @settings(max_examples=200, deadline=None)
 @given(shellable_complexes(max_steps=12), st.integers(0, 2))
 def test_certificate_agrees_with_the_recursive_boundary_complex_route(c, which):
     # a shellable complex, its boundary (itself certified as a sphere or a
     # ball, or refused), or its cone (a ball exactly when c is a ball or a sphere)
     c = [c, boundary_complex(c), build_complex(f | {"z"} for f in c.facets)][which]
-    got = _certified_kind(lambda c: certify_sphere_or_ball(c).kind, c)
+    got = _certified_kind(certify_searching_when_needed, c)
     want = _certified_kind(certify_by_boundary_complex, c)
     if want is SizeLimit and got is NotCertified:
         # the recursion searched an acyclic boundary of more than 16 facets
@@ -1781,18 +1792,18 @@ def reciprocity_colors(dec) -> dict[str, int]:
     return {v: dec.poset.rank_of(v) for ear in dec.ears for v in ear.complex.vertices}
 
 
-def lenient_reciprocity(ear, colors, d) -> bool:
+def lenient_reciprocity(ear, colors) -> bool:
     """The identity's verdict, with a coloring it refuses read as a failure."""
     try:
-        return ball_flag_reciprocity(ear, colors, d)
+        return ball_flag_reciprocity(ear, colors)
     except NotBall:
         return False
 
 
-def reciprocity_outcome(check, ear, colors, d):
+def reciprocity_outcome(check, *args):
     """``check``'s verdict, or NotBall when it refuses the coloring."""
     try:
-        return check(ear, colors, d)
+        return check(*args)
     except NotBall:
         return NotBall
 
@@ -1816,7 +1827,7 @@ def colored_complexes(draw):
 @given(colored_complexes())
 def test_reciprocity_on_masks_agrees_with_the_polynomials(case):
     c, colors, d = case
-    assert reciprocity_outcome(ball_flag_reciprocity, c, colors, d) == reciprocity_outcome(
+    assert reciprocity_outcome(ball_flag_reciprocity, c, colors) == reciprocity_outcome(
         reciprocity_by_polynomials, c, colors, d
     )
 
@@ -1826,10 +1837,9 @@ def test_reciprocity_on_masks_agrees_with_the_polynomials_on_every_ear(name):
     dec = ambient_corpus()[name]
     colors, d = reciprocity_colors(dec), len(dec.ranks)
     for ear in dec.ears:
-        for dd in (d, d + 1):  # at d + 1 both refuse the dimension
-            want = reciprocity_outcome(reciprocity_by_polynomials, ear.complex, colors, dd)
-            assert reciprocity_outcome(ball_flag_reciprocity, ear.complex, colors, dd) == want
-            assert want is (True if dd == d else NotBall)
+        want = reciprocity_outcome(reciprocity_by_polynomials, ear.complex, colors, d)
+        assert reciprocity_outcome(ball_flag_reciprocity, ear.complex, colors) == want
+        assert want is True
 
 
 @pytest.mark.parametrize("facets, colors, d", [
@@ -1840,7 +1850,7 @@ def test_reciprocity_on_masks_agrees_with_the_polynomials_on_every_ear(name):
 ], ids=["bowtie", "claw"])
 def test_reciprocity_fails_off_balls_and_spheres(facets, colors, d):
     c = build_complex(facets)
-    assert ball_flag_reciprocity(c, colors, d) is False
+    assert ball_flag_reciprocity(c, colors) is False
     assert reciprocity_by_polynomials(c, colors, d) is False
 
 

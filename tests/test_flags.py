@@ -393,7 +393,7 @@ def test_reciprocity_on_a_colored_path():
     # a 1-ball: path a1 - b1 - a2 with alternating colors
     ear = build_complex([["a1", "b1"], ["b1", "a2"]])
     colors = {"a1": 1, "b1": 2, "a2": 1}
-    assert ball_flag_reciprocity(ear, colors, 2)
+    assert ball_flag_reciprocity(ear, colors)
 
 
 def test_reciprocity_on_a_colored_circle():
@@ -401,13 +401,13 @@ def test_reciprocity_on_a_colored_circle():
     # correction term kicks in
     ear = build_complex([["a1", "b1"], ["b1", "a2"], ["a2", "b2"], ["b2", "a1"]])
     colors = {"a1": 1, "a2": 1, "b1": 2, "b2": 2}
-    assert ball_flag_reciprocity(ear, colors, 2)
+    assert ball_flag_reciprocity(ear, colors)
 
 
 def test_reciprocity_rejects_uncolored_facet():
     ear = build_complex([["a1", "a2"]])
     with pytest.raises(NotBall):
-        ball_flag_reciprocity(ear, {"a1": 1, "a2": 1}, 2)
+        ball_flag_reciprocity(ear, {"a1": 1, "a2": 1})
 
 
 def test_reciprocity_rejects_a_recolored_facet():
@@ -415,13 +415,7 @@ def test_reciprocity_rejects_a_recolored_facet():
     ear = build_complex([["a1", "b1"], ["b1", "a2"], ["a2", "b2"], ["b2", "a1"]])
     colors = {"a1": 1, "a2": 1, "b1": 2, "b2": 1}
     with pytest.raises(NotBall, match="facet misses a rank color"):
-        ball_flag_reciprocity(ear, colors, 2)
-
-
-def test_reciprocity_rejects_wrong_dimension():
-    ear = build_complex([["a1", "b1"]])
-    with pytest.raises(NotBall):
-        ball_flag_reciprocity(ear, {"a1": 1, "b1": 2}, 3)
+        ball_flag_reciprocity(ear, colors)
 
 
 # -- Complex-side flag f and the gap coefficients ---------------------------------------------------
